@@ -1,7 +1,7 @@
 GO ?= go
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test bench bench-all bench-check race vet ci serve cover cover-check fuzz-smoke calibration-smoke load-smoke bench-load
+.PHONY: build test bench bench-all bench-check benchmark loc race vet ci serve cover cover-check fuzz-smoke calibration-smoke load-smoke bench-load
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,17 @@ bench:
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
+
+# benchmark is the repository's one benchmark (BENCHMARK.json, benchmark/):
+# four serving-tier workloads, end-to-end metrics and a per-layer budget.
+# About five minutes on two cores; benchmark/README.md explains the output.
+benchmark:
+	$(GO) run ./benchmark
+
+# loc prints the size ROADMAP aim 2 tracks: lines of non-test Go outside
+# benchmark/. A PR that deletes a parallel path reports this before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...

@@ -140,7 +140,8 @@ func (o options) genConfig() load.GenConfig {
 	}
 }
 
-// runOne executes one swarm against one target configuration.
+// runOne executes one swarm against one target configuration. An empty name
+// names the run after the in-process tier it starts.
 func runOne(name string, gen load.GenConfig, swarm load.SwarmOpts, url string, server load.ServerOpts) (load.Scorecard, error) {
 	sched, err := load.BuildSchedule(gen)
 	if err != nil {
@@ -151,12 +152,23 @@ func runOne(name string, gen load.GenConfig, swarm load.SwarmOpts, url string, s
 	if url != "" {
 		target = load.NewURLTarget(url, swarm.Clients)
 	} else {
-		srv, err := load.StartLocal(server)
+		tier, handler, err := load.StartLocal(server)
 		if err != nil {
 			return load.Scorecard{}, err
 		}
-		defer srv.Close()
-		target = load.NewHandlerTarget(srv.Handler)
+		defer tier.Close()
+		front := tier.FrontDoor()
+		// Affinity keys go to cluster targets only: the plain service
+		// refuses the field.
+		swarm.Sessions = swarm.Sessions || front
+		switch {
+		case name != "":
+		case front:
+			name = fmt.Sprintf("cluster-%dshard-%s", server.Shards, server.Routing)
+		default:
+			name = "single-engine"
+		}
+		target = load.NewHandlerTarget(handler)
 		serverEcho = &server
 	}
 	rec, wall := load.Run(target, sched, swarm)
@@ -204,7 +216,6 @@ func benchRuns(o options) ([]load.Scorecard, error) {
 	clustered.AdmitRate = 400
 	clustered.AdmitBurst = 800
 	clustered.AdmitQueue = true
-	swarm.Sessions = true
 	sc2, err := runOne("cluster-2shard-least-loaded", gen, swarm, "", clustered)
 	if err != nil {
 		return nil, err
@@ -234,21 +245,15 @@ func run(args []string) error {
 		runs, err = benchRuns(o)
 	} else {
 		var sc load.Scorecard
-		name := "single-engine"
-		if o.url != "" {
-			name = o.url
-		} else if o.server.Shards > 1 || o.server.AdmitRate > 0 {
-			name = fmt.Sprintf("cluster-%dshard-%s", o.server.Shards, o.server.Routing)
-		}
 		swarm := load.SwarmOpts{
 			Clients:   o.clients,
 			PollEvery: o.poll,
 			Duration:  o.duration,
-			// Affinity keys go to cluster targets only: in-process when the
-			// front door is up, external only when -sessions asserts it.
-			Sessions: o.sessions || (o.url == "" && (o.server.Shards > 1 || o.server.AdmitRate > 0)),
+			// Against an external target only -sessions can assert that a
+			// front door is there to take affinity keys.
+			Sessions: o.sessions,
 		}
-		sc, err = runOne(name, o.genConfig(), swarm, o.url, o.server)
+		sc, err = runOne(o.url, o.genConfig(), swarm, o.url, o.server)
 		runs = []load.Scorecard{sc}
 	}
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -118,89 +117,50 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// buildInfoLabels are the static labels on the mqpi_build_info gauge — enough
-// to identify a deployed shard from its metrics page alone.
-func buildInfoLabels(o options) map[string]string {
-	return map[string]string{
+// buildServer assembles the serving tier and its HTTP handler: a plain
+// single-engine service by default, or the sharded cluster front door when
+// -shards or -admit-rate ask for one (cluster.Serve decides). It is the
+// testable core of main.
+func buildServer(o options) (*cluster.Cluster, http.Handler, error) {
+	c, handler, err := cluster.Serve(cluster.Config{
+		Shards:     o.shards,
+		Routing:    o.routing,
+		AdmitRate:  o.admitRate,
+		AdmitBurst: o.admitBurst,
+		AdmitQueue: o.admitQueue,
+		Service: service.Config{
+			Sched: sched.Config{
+				RateC: o.rateC, MPL: o.mpl, Quantum: o.quantum, Workers: o.workers,
+				Fold: o.fold, FoldMinPages: o.foldMinPages,
+			},
+			TickEvery:    o.tickEvery,
+			TimeScale:    o.timeScale,
+			EventCap:     o.eventCap,
+			ExecDeadline: o.execDeadline,
+			Estimator:    o.estimator,
+		},
+	}, func() (*engine.DB, error) {
+		if !o.demo {
+			return engine.Open(), nil
+		}
+		return workload.DemoDB(o.demoRows)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// The static mqpi_build_info labels: enough to identify a deployed shard
+	// from its metrics page alone.
+	info := map[string]string{
 		"version":    version,
 		"go_version": runtime.Version(),
 		"estimator":  o.estimator,
 		"routing":    o.routing,
 	}
-}
-
-// openDemo builds one engine, optionally preloaded with the demo dataset.
-// Cluster shards call it once each; the fixed seed keeps replicas identical.
-func openDemo(o options) (*engine.DB, error) {
-	if !o.demo {
-		return engine.Open(), nil
+	c.Metrics().SetBuildInfo(info)
+	for i := 0; i < c.Shards(); i++ {
+		c.Shard(i).Metrics().SetBuildInfo(info)
 	}
-	ds, err := workload.BuildDataset(workload.DataConfig{LineitemRows: o.demoRows, Seed: 1})
-	if err != nil {
-		return nil, fmt.Errorf("demo dataset: %w", err)
-	}
-	for i, n := range []int{50, 10, 20} {
-		if err := ds.CreatePartTable(i+1, n); err != nil {
-			return nil, fmt.Errorf("demo dataset: %w", err)
-		}
-	}
-	return ds.DB, nil
-}
-
-// buildServer assembles the serving tier and its HTTP handler: a plain
-// single-engine service by default, or the sharded cluster front door when
-// -shards or -admit-rate ask for one. It is the testable core of main.
-func buildServer(o options) (interface{ Close() }, http.Handler, error) {
-	svcCfg := service.Config{
-		Sched: sched.Config{
-			RateC: o.rateC, MPL: o.mpl, Quantum: o.quantum, Workers: o.workers,
-			Fold: o.fold, FoldMinPages: o.foldMinPages,
-		},
-		TickEvery:    o.tickEvery,
-		TimeScale:    o.timeScale,
-		EventCap:     o.eventCap,
-		ExecDeadline: o.execDeadline,
-		Estimator:    o.estimator,
-	}
-	info := buildInfoLabels(o)
-	if o.shards > 1 || o.admitRate > 0 {
-		var dbErr error
-		c, err := cluster.New(cluster.Config{
-			Shards:     o.shards,
-			Routing:    o.routing,
-			AdmitRate:  o.admitRate,
-			AdmitBurst: o.admitBurst,
-			AdmitQueue: o.admitQueue,
-			Service:    svcCfg,
-			OpenDB: func() *engine.DB {
-				db, err := openDemo(o)
-				if err != nil {
-					dbErr = err
-					return engine.Open()
-				}
-				return db
-			},
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if dbErr != nil {
-			c.Close()
-			return nil, nil, dbErr
-		}
-		c.Metrics().SetBuildInfo(info)
-		for i := 0; i < c.Shards(); i++ {
-			c.Shard(i).Metrics().SetBuildInfo(info)
-		}
-		return c, cluster.NewHandler(c), nil
-	}
-	db, err := openDemo(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := service.New(db, svcCfg)
-	m.Metrics().SetBuildInfo(info)
-	return m, service.NewHandler(m), nil
+	return c, handler, nil
 }
 
 // newHTTPServer wraps the handler with the binary's protection limits: a

@@ -180,20 +180,14 @@ any other input is SQL, terminated by ';'`)
 		}
 		fmt.Print(plan.Explain(p))
 	case "\\demo":
-		ds, err := workload.BuildDataset(workload.DataConfig{LineitemRows: 30000, Seed: 1})
+		demo, err := workload.DemoDB(30000)
 		if err != nil {
 			fmt.Println("error:", err)
 			break
 		}
-		for i, n := range []int{50, 10, 20} {
-			if err := ds.CreatePartTable(i+1, n); err != nil {
-				fmt.Println("error:", err)
-				return db
-			}
-		}
 		fmt.Println("loaded lineitem (30000 rows) and part_1..part_3; try:")
 		fmt.Println(" ", workload.QuerySQL(2)+";")
-		return ds.DB
+		return demo
 	default:
 		fmt.Println("unknown command; \\help for help")
 	}

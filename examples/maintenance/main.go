@@ -55,10 +55,14 @@ func main() {
 	quiescent := srv.QuiescentEstimate()
 	fmt.Printf("10 queries running; estimated system quiescent time: %.0fs\n\n", quiescent)
 	fmt.Println("query   done(U)   remaining(U)   est. finish(s)")
-	finish := core.MultiQueryRemainingTimes(states, srv.RateC())
+	est, err := core.NewEstimator(core.EstimatorStage)
+	if err != nil {
+		log.Fatal(err)
+	}
+	finish := est.Estimates(core.EstimateInput{Running: states, RateC: srv.RateC()}, core.EnsembleState{}).PerQuery
 	for _, st := range states {
 		fmt.Printf("%-6s %9.0f %14.0f %16.1f\n",
-			mustLookup(srv, st.ID).Label, st.Done, st.Remaining, finish[st.ID])
+			mustLookup(srv, st.ID).Label, st.Done, st.Remaining, finish[st.ID].MultiQuery)
 	}
 
 	for _, frac := range []float64{0.25, 0.5, 0.75} {

@@ -67,15 +67,21 @@ func main() {
 func render(srv *sched.Server) {
 	fmt.Printf("\n== t = %3.0fs  (running %d, queued %d) ==\n",
 		srv.Now(), len(srv.Running()), len(srv.Queued()))
-	finish := core.MultiQueryWithQueue(srv.StateRunning(), srv.StateQueued(), srv.MPL(), srv.RateC())
+	est, err := core.NewEstimator(core.EstimatorStage)
+	if err != nil {
+		log.Fatal(err)
+	}
+	finish := est.Estimates(core.EstimateInput{
+		Running: srv.StateRunning(), Queued: srv.StateQueued(), MPL: srv.MPL(), RateC: srv.RateC(),
+	}, core.EnsembleState{}).PerQuery
 	for _, q := range srv.Running() {
 		bar := progressBar(q.Runner.Progress(), 24)
-		eta := finish[q.ID]
+		eta := finish[q.ID].MultiQuery
 		fmt.Printf("  %-10s %s %5.1f%%  eta t=%5.0fs\n",
 			q.Label, bar, 100*q.Runner.Progress(), srv.Now()+eta)
 	}
 	for _, q := range srv.Queued() {
-		fmt.Printf("  %-10s [ queued ]              eta t=%5.0fs\n", q.Label, srv.Now()+finish[q.ID])
+		fmt.Printf("  %-10s [ queued ]              eta t=%5.0fs\n", q.Label, srv.Now()+finish[q.ID].MultiQuery)
 	}
 }
 

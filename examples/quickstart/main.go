@@ -44,11 +44,16 @@ func main() {
 	}
 	big := queries[0]
 
+	est, err := core.NewEstimator(core.EstimatorStage)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("time   done%   single-query ETA   multi-query ETA")
 	for srv.Busy() {
 		if big.Status == sched.StatusRunning {
 			single := core.SingleQueryRemainingTime(big.Runner.EstRemaining(), speedOf(srv, big))
-			multi := core.MultiQueryRemainingTimes(srv.StateRunning(), srv.RateC())[big.ID]
+			multi := est.Estimates(core.EstimateInput{Running: srv.StateRunning(), RateC: srv.RateC()},
+				core.EnsembleState{}).PerQuery[big.ID].MultiQuery
 			fmt.Printf("%4.0fs  %4.0f%%   %13.1fs   %12.1fs\n",
 				srv.Now(), 100*big.Runner.Progress(), single, multi)
 		}

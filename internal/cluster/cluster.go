@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -86,6 +87,32 @@ type Cluster struct {
 // New builds and starts the cluster. Routing must name a known policy.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	return start(cfg, func() (*engine.DB, error) { return cfg.OpenDB(), nil })
+}
+
+// Serve starts the serving tier cfg describes and returns it with the HTTP
+// handler in front of it. This is the one place the front door is chosen
+// over the plain service: more than one shard, or admission control, gets
+// NewHandler; a single unthrottled shard is served by its own
+// service.NewHandler, with nothing of the cluster on the request path.
+// open builds one engine per shard (in place of cfg.OpenDB, which cannot
+// fail); its first error stops the start-up.
+func Serve(cfg Config, open func() (*engine.DB, error)) (*Cluster, http.Handler, error) {
+	c, err := start(cfg.withDefaults(), open)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.FrontDoor() {
+		return c, NewHandler(c), nil
+	}
+	return c, service.NewHandler(c.shards[0]), nil
+}
+
+// FrontDoor reports whether Serve answers for this tier with the front door
+// (NewHandler) rather than with its only shard's plain service API.
+func (c *Cluster) FrontDoor() bool { return len(c.shards) > 1 || c.bucket != nil }
+
+func start(cfg Config, open func() (*engine.DB, error)) (*Cluster, error) {
 	r, err := newRouter(cfg.Routing)
 	if err != nil {
 		return nil, err
@@ -105,7 +132,12 @@ func New(cfg Config) (*Cluster, error) {
 		c.bucket = newTokenBucket(cfg.AdmitRate, cfg.AdmitBurst)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		c.shards = append(c.shards, service.New(cfg.OpenDB(), cfg.Service))
+		db, err := open()
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("cluster: open shard %d: %w", i, err)
+		}
+		c.shards = append(c.shards, service.New(db, cfg.Service))
 	}
 	return c, nil
 }
@@ -251,13 +283,11 @@ func (c *Cluster) Events(gid int) ([]service.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	evs := c.shards[shard].Events(local)
-	out := make([]service.Event, len(evs))
-	for i, e := range evs {
-		e.QueryID = c.gid(shard, e.QueryID)
-		out[i] = e
+	evs := c.shards[shard].Events(local) // the caller's own copy
+	for i := range evs {
+		evs[i].QueryID = gid
 	}
-	return out, nil
+	return evs, nil
 }
 
 // Exec broadcasts DDL/DML to every shard serially — the shards are replicas

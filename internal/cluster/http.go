@@ -1,231 +1,63 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"mqpi/internal/service"
 )
 
-// NewHandler exposes the cluster as an HTTP/JSON API mirroring the
-// single-shard service API, with cluster-global query IDs throughout:
+// NewHandler exposes the cluster as an HTTP/JSON API: the service's shared
+// route table (service.Routes) answered with cluster-global query IDs, plus
+// the front door's own deltas:
 //
-//	POST /queries                submit {"sql","label","priority","delay","session"};
-//	                             429 when the token bucket rejects
-//	GET  /queries                merged global overview (same as /overview)
-//	GET  /overview               merged global overview with per-shard epochs
-//	GET  /queries/{id}           one query's progress by global ID
-//	POST /queries/{id}/block     suspend
-//	POST /queries/{id}/unblock   resume
-//	POST /queries/{id}/abort     kill
-//	POST /queries/{id}/priority  {"priority": n}
-//	GET  /events?id=             per-query event trace by global ID
-//	GET  /metrics                cluster-level counters (Prometheus text)
-//	POST /exec                   {"sql"}: broadcast DDL/DML to every shard
-//	POST /advance                {"seconds"}: push every shard's clock
-//	GET  /shards/{i}/...         passthrough to shard i's full service API
-//	GET  /healthz                liveness probe
+//	POST /queries         also takes "session", the affinity key;
+//	                      429 when the token bucket rejects
+//	GET  /queries         the merged global overview with per-shard epochs
+//	GET  /overview        the same body under its own name
+//	GET  /events?id=      by global ID; the id is required past one shard
+//	GET  /metrics         the cluster-level counters
+//	POST /exec            broadcast to every shard
+//	POST /advance         pushes every shard's clock
+//	GET  /shards/{i}/...  read-only passthrough to shard i's service API
 func NewHandler(c *Cluster) http.Handler {
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("POST /queries", func(w http.ResponseWriter, r *http.Request) {
-		var req SubmitRequest
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if strings.TrimSpace(req.SQL) == "" {
-			writeError(w, http.StatusBadRequest, errors.New("missing sql"))
-			return
-		}
-		view, err := c.Submit(req)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, view)
-	})
-
-	overview := func(w http.ResponseWriter, r *http.Request) {
-		out, err := c.Overview()
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, out)
+	tier := service.Tier{
+		NewSubmit: func() (any, *string, func() (service.QueryView, error)) {
+			req := new(SubmitRequest)
+			return req, &req.SQL, func() (service.QueryView, error) { return c.Submit(*req) }
+		},
+		Overview:    func() (any, error) { return c.Overview() },
+		Progress:    c.Progress,
+		Block:       c.Block,
+		Unblock:     c.Unblock,
+		Abort:       c.Abort,
+		SetPriority: c.SetPriority,
+		Events:      c.Events,
+		MetricsText: func() string { return c.Metrics().Text() },
+		Exec:        c.Exec,
+		Advance:     c.Advance,
+		StatusOf:    statusOf,
 	}
-	mux.HandleFunc("GET /queries", overview)
-	mux.HandleFunc("GET /overview", overview)
+	mux := service.Routes(tier)
+	mux.HandleFunc("GET /overview", tier.ServeOverview)
 
-	mux.HandleFunc("GET /queries/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := pathID(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		view, err := c.Progress(id)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, view)
-	})
-
-	op := func(name string, f func(int) error) func(http.ResponseWriter, *http.Request) {
-		return func(w http.ResponseWriter, r *http.Request) {
-			id, err := pathID(r)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			if err := f(id); err != nil {
-				writeError(w, statusOf(err), err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": name, "id": id})
-		}
-	}
-	mux.HandleFunc("POST /queries/{id}/block", op("block", c.Block))
-	mux.HandleFunc("POST /queries/{id}/unblock", op("unblock", c.Unblock))
-	mux.HandleFunc("POST /queries/{id}/abort", op("abort", c.Abort))
-
-	mux.HandleFunc("POST /queries/{id}/priority", func(w http.ResponseWriter, r *http.Request) {
-		id, err := pathID(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		var req struct {
-			Priority int `json:"priority"`
-		}
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := c.SetPriority(id, req.Priority); err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": "priority", "id": id, "priority": req.Priority})
-	})
-
-	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
-		s := r.URL.Query().Get("id")
-		id := 0
-		if s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("invalid id %q", s))
-				return
-			}
-			id = n
-		}
-		evs, err := c.Events(id)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"events": evs})
-	})
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, c.Metrics().Text())
-	})
-
-	mux.HandleFunc("POST /exec", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			SQL string `json:"sql"`
-		}
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		n, err := c.Exec(req.SQL)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"rows": n})
-	})
-
-	mux.HandleFunc("POST /advance", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Seconds float64 `json:"seconds"`
-		}
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := c.Advance(req.Seconds); err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		overview(w, r)
-	})
-
-	// Each shard's full single-engine API stays reachable for drill-down:
-	// /shards/2/metrics is shard 2's Prometheus page, /shards/2/diagram its
-	// stage diagram, with shard-local query IDs.
-	for i := range c.shards {
+	// Each shard's single-engine API stays readable for drill-down, with
+	// shard-local query IDs: /shards/2/metrics is shard 2's Prometheus page,
+	// /shards/2/diagram its stage diagram. GET only — a write through here
+	// would skip admission, routing and the replica broadcast.
+	for i, m := range c.shards {
 		prefix := "/shards/" + strconv.Itoa(i)
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, service.NewHandler(c.shards[i])))
+		mux.Handle("GET "+prefix+"/", http.StripPrefix(prefix, service.NewHandler(m)))
 	}
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-
 	return mux
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
-func pathID(r *http.Request) (int, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || id <= 0 {
-		return 0, errors.New("invalid query id")
-	}
-	return id, nil
 }
 
 // statusOf extends the service's error mapping with the front door's own
 // case: an admission rejection is 429 (retry after the bucket refills).
 func statusOf(err error) int {
-	switch {
-	case errors.Is(err, ErrAdmission):
+	if errors.Is(err, ErrAdmission) {
 		return http.StatusTooManyRequests
-	case errors.Is(err, service.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, service.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, service.ErrBusy):
-		return http.StatusConflict
-	default:
-		return http.StatusBadRequest
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	return service.StatusOf(err)
 }

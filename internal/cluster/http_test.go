@@ -30,15 +30,22 @@ func newTestServer(t *testing.T, cfg Config, pages int) (*httptest.Server, *Clus
 	return ts, c
 }
 
+// rawBody is a request body doJSON sends as is instead of marshalling it.
+type rawBody string
+
 func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
+	switch b := body.(type) {
+	case nil:
+	case rawBody:
+		rd = strings.NewReader(string(b))
+	default:
+		enc, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
+		rd = bytes.NewReader(enc)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
@@ -179,6 +186,8 @@ func TestClusterHTTPErrors(t *testing.T) {
 		{"GET", "/queries/-3", nil, http.StatusBadRequest},
 		{"POST", "/queries", map[string]string{"sql": ""}, http.StatusBadRequest},
 		{"POST", "/queries", map[string]string{"nope": "x"}, http.StatusBadRequest},
+		{"POST", "/queries", rawBody(`{"sql":"SELECT SUM(a) FROM t1"}{"junk":1}`), http.StatusBadRequest},
+		{"POST", "/advance", rawBody(`{"seconds":1} 2`), http.StatusBadRequest},
 		{"POST", "/queries/999/block", nil, http.StatusNotFound},
 		{"POST", "/advance", map[string]float64{"seconds": -1}, http.StatusBadRequest},
 		{"GET", "/events", nil, http.StatusBadRequest}, // 2 shards: id required
@@ -200,5 +209,25 @@ func TestClusterHTTPErrors(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/events?id=999", nil, http.StatusOK, &evs)
 	if len(evs.Events) != 0 {
 		t.Errorf("unknown id returned %d events", len(evs.Events))
+	}
+}
+
+// TestShardPassthroughIsReadOnly: /shards/{i}/ is a drill-down, not a second
+// way in. A write through it would reach one replica only (the replicas
+// diverge) or place a query behind the router's and the token bucket's back,
+// so a non-GET method answers 405 and changes nothing.
+func TestShardPassthroughIsReadOnly(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Shards: 2}, 0)
+	doJSON(t, "POST", ts.URL+"/exec", map[string]string{"sql": "CREATE TABLE w (a BIGINT)"}, 200, nil)
+
+	doJSON(t, "POST", ts.URL+"/shards/1/exec", map[string]string{"sql": "INSERT INTO w VALUES (1)"}, http.StatusMethodNotAllowed, nil)
+	doJSON(t, "POST", ts.URL+"/shards/1/queries", map[string]string{"sql": "SELECT SUM(a) FROM w"}, http.StatusMethodNotAllowed, nil)
+
+	var views [2]json.RawMessage
+	for i := range views {
+		doJSON(t, "GET", fmt.Sprintf("%s/shards/%d/queries", ts.URL, i), nil, 200, &views[i])
+	}
+	if !bytes.Equal(views[0], views[1]) {
+		t.Errorf("shard overviews diverged:\n%s\n%s", views[0], views[1])
 	}
 }

@@ -2,9 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
+
+	"mqpi/internal/service"
 )
 
 // Metrics holds the cluster-level counters — the front door's own telemetry,
@@ -73,21 +74,6 @@ func (m *Metrics) Text() string {
 	fmt.Fprintf(&b, "# HELP mqpi_cluster_admission_delayed_total Queue-mode admissions that borrowed a token.\n# TYPE mqpi_cluster_admission_delayed_total counter\nmqpi_cluster_admission_delayed_total %d\n", m.delayed)
 	fmt.Fprintf(&b, "# HELP mqpi_cluster_admission_delay_seconds_sum Total borrowed admission wait in virtual seconds.\n# TYPE mqpi_cluster_admission_delay_seconds_sum counter\nmqpi_cluster_admission_delay_seconds_sum %g\n", m.delaySum)
 	fmt.Fprintf(&b, "# HELP mqpi_cluster_exec_broadcast_total DDL/DML statements broadcast to all shards.\n# TYPE mqpi_cluster_exec_broadcast_total counter\nmqpi_cluster_exec_broadcast_total %d\n", m.execBroadcasts)
-	if m.buildInfo != nil {
-		fmt.Fprintf(&b, "# HELP mqpi_build_info Build metadata; the gauge is constant 1 and the labels identify the binary.\n# TYPE mqpi_build_info gauge\n")
-		keys := make([]string, 0, len(m.buildInfo))
-		for k := range m.buildInfo {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b.WriteString("mqpi_build_info{")
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s=%q", k, m.buildInfo[k])
-		}
-		b.WriteString("} 1\n")
-	}
+	service.WriteBuildInfo(&b, m.buildInfo)
 	return b.String()
 }

@@ -15,11 +15,10 @@ import (
 // following "Uncertainty Aware Query Execution Time Prediction" (Wu et al.) —
 // reports an uncertainty band around the blended point, not just the mean.
 //
-// The "stage" member wraps the existing IncrementalEstimator with unchanged
-// numerics, and the stage *mode* is a pure pass-through: its outputs are
-// bit-identical to the pre-ensemble estimate path (the sim's I13 invariant
-// pins this), so the refactor changes nothing until a caller opts into the
-// ensemble.
+// The "stage" member is the stageEstimator itself, and the stage *mode* is
+// a pure pass-through: its outputs are bit-identical to the pre-ensemble
+// estimate path (the sim's I13 invariant pins this), so nothing changes
+// until a caller opts into the ensemble.
 
 // Estimator modes accepted by NewEstimator (and the service's -estimator
 // flag). "stage" is the classic single-pipeline stage model; "cost" and
@@ -97,19 +96,6 @@ func NewEstimator(mode string) (Estimator, error) {
 	}
 }
 
-// stageEstimator is the classic path: the incremental stage model, unchanged
-// numerics, degenerate bands (Low == High == point). Not safe for concurrent
-// use (callers serialize, as they already did for IncrementalEstimator).
-type stageEstimator struct {
-	inc IncrementalEstimator
-}
-
-func (e *stageEstimator) Mode() string { return EstimatorStage }
-
-func (e *stageEstimator) Estimates(in EstimateInput, _ EnsembleState) Estimates {
-	return e.inc.Estimates(in)
-}
-
 // EnsembleState is the published calibration state the ensemble members and
 // blender read: immutable once published, safe to share across goroutines.
 // The zero value is a valid "uncalibrated" state.
@@ -127,7 +113,7 @@ type EnsembleState struct {
 // ensembleEstimator runs all three members and selects or blends per mode.
 type ensembleEstimator struct {
 	mode string
-	inc  IncrementalEstimator // stage member backing structure
+	inc  stageEstimator // stage member backing structure
 }
 
 func (e *ensembleEstimator) Mode() string { return e.mode }
@@ -176,7 +162,7 @@ const bandRelFloor = 0.10
 // incremental structure (and the same queue/arrival fallbacks) as the classic
 // path; the cost and speed members are O(n) closed forms over the input.
 func (e *ensembleEstimator) Estimates(in EstimateInput, st EnsembleState) Estimates {
-	base := e.inc.Estimates(in)
+	base := e.inc.Estimates(in, st)
 	stage := make(map[int]float64, len(base.PerQuery))
 	for id, b := range base.PerQuery {
 		stage[id] = b.MultiQuery

@@ -55,10 +55,11 @@ type Estimates struct {
 func ComputeEstimates(in EstimateInput) Estimates {
 	var base Profile
 	if len(in.Queued) == 0 {
-		// An empty admission queue degenerates to §2.2's closed form — the
-		// same fast path MultiQueryWithQueue takes, so ComputeEstimates and
-		// EstimateAll stay exactly equal, and the same materialization the
-		// incremental stage structure reproduces bit-for-bit.
+		// An empty admission queue degenerates to §2.2 exactly, so it takes
+		// the closed form instead of the event-stepped simulation (the two
+		// agree to float rounding, a property the tests pin) — the same
+		// materialization the incremental stage structure reproduces
+		// bit-for-bit.
 		base = ComputeProfile(in.Running, in.RateC)
 	} else {
 		base = SimulateProfile(in.Running, in.RateC, SimOptions{MPL: in.MPL, Queued: in.Queued})
@@ -68,36 +69,44 @@ func ComputeEstimates(in EstimateInput) Estimates {
 		multi = SimulateProfile(in.Running, in.RateC,
 			SimOptions{MPL: in.MPL, Queued: in.Queued, Arrivals: in.Arrivals}).Finish
 	}
+	return Estimates{
+		PerQuery:  bundleEstimates(in.Running, in.Queued, in.Speeds, multi),
+		Quiescent: quiescentOf(base.Finish),
+	}
+}
+
+// quiescentOf is the last finite finish time: when all known work drains.
+func quiescentOf(finish map[int]float64) float64 {
 	quiescent := 0.0
-	for _, f := range base.Finish {
+	for _, f := range finish {
 		if !math.IsInf(f, 1) && f > quiescent {
 			quiescent = f
 		}
 	}
-	return Estimates{
-		PerQuery:  bundleEstimates(in.Running, in.Queued, in.Speeds, multi),
-		Quiescent: quiescent,
-	}
+	return quiescent
 }
 
-// IncrementalEstimator is ComputeEstimates with a maintained stage structure:
-// repeated calls over a slowly changing mix reuse the sorted stage order and
-// patch only what changed, refilling the bundle in O(n + changed·log n)
-// instead of re-sorting in O(n log n). Results are bit-identical to
-// ComputeEstimates on the same input — the service tests and the sim's I6
-// invariant pin this. When the input has a non-empty admission queue or an
+// stageEstimator is the production stage-model path: ComputeEstimates with a
+// maintained stage structure. Repeated calls over a slowly changing mix reuse
+// the sorted stage order and patch only what changed, refilling the bundle in
+// O(n + changed·log n) instead of re-sorting in O(n log n). Results are
+// bit-identical to ComputeEstimates on the same input, with its degenerate
+// bands (Low == High == point) — the service tests and the sim's I6 and I13
+// invariants pin this. When the input has a non-empty admission queue or an
 // arrival model, the event-stepped simulation is the only correct estimator
 // and the call falls back to ComputeEstimates verbatim. The zero value is
 // ready to use; not safe for concurrent use (the service serializes the read
 // path behind a mutex).
-type IncrementalEstimator struct {
+type stageEstimator struct {
 	prof *IncrementalProfile
 	base Profile // reused materialization target
 }
 
+func (e *stageEstimator) Mode() string { return EstimatorStage }
+
 // Estimates computes the same bundle ComputeEstimates would, maintaining the
 // incremental stage structure across calls.
-func (e *IncrementalEstimator) Estimates(in EstimateInput) Estimates {
+func (e *stageEstimator) Estimates(in EstimateInput, _ EnsembleState) Estimates {
 	if len(in.Queued) > 0 || in.Arrivals != nil {
 		return ComputeEstimates(in)
 	}
@@ -106,32 +115,10 @@ func (e *IncrementalEstimator) Estimates(in EstimateInput) Estimates {
 	}
 	e.prof.Sync(in.Running)
 	e.prof.ProfileInto(in.RateC, &e.base)
-	quiescent := 0.0
-	for _, f := range e.base.Finish {
-		if !math.IsInf(f, 1) && f > quiescent {
-			quiescent = f
-		}
-	}
 	return Estimates{
 		PerQuery:  bundleEstimates(in.Running, in.Queued, in.Speeds, e.base.Finish),
-		Quiescent: quiescent,
+		Quiescent: quiescentOf(e.base.Finish),
 	}
-}
-
-// EstimateAll computes both indicators for every admitted and queued query
-// from one consistent snapshot. speeds maps query ID to its observed
-// execution speed in U/s (missing entries mean "no observation yet", which
-// yields a +Inf single-query estimate). A non-nil arrival model switches the
-// multi-query estimate from the §2.3 queue-aware form to the §2.4
-// future-aware form.
-func EstimateAll(running, queued []QueryState, mpl int, C float64, speeds map[int]float64, am *ArrivalModel) map[int]Estimate {
-	var multi map[int]float64
-	if am != nil {
-		multi = MultiQueryWithFuture(running, queued, mpl, C, *am)
-	} else {
-		multi = MultiQueryWithQueue(running, queued, mpl, C)
-	}
-	return bundleEstimates(running, queued, speeds, multi)
 }
 
 // bundleEstimates pairs the per-query multi-query finish times with the

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestComputeEstimatesMatchesEstimateAll: the snapshot-driven entry point
-// must agree with EstimateAll for every query, in both the queue-aware and
-// future-aware configurations — it is the same math behind a pure-value
-// interface.
-func TestComputeEstimatesMatchesEstimateAll(t *testing.T) {
+// TestComputeEstimatesMatchesProfiles: the from-scratch bundle is the stage
+// model's finish times paired with c/s for every query, in both the
+// queue-aware and future-aware configurations — the same math as the
+// profile oracles, behind a pure-value interface.
+func TestComputeEstimatesMatchesProfiles(t *testing.T) {
 	running := []QueryState{
 		{ID: 1, Remaining: 100, Weight: 1, Done: 50},
 		{ID: 2, Remaining: 300, Weight: 1, Done: 0},
@@ -22,14 +22,16 @@ func TestComputeEstimatesMatchesEstimateAll(t *testing.T) {
 		got := ComputeEstimates(EstimateInput{
 			Running: running, Queued: queued, MPL: 2, RateC: 100, Speeds: speeds, Arrivals: am,
 		})
-		want := EstimateAll(running, queued, 2, 100, speeds, am)
-		if len(got.PerQuery) != len(want) {
-			t.Fatalf("arrivals=%v: %d estimates, want %d", am, len(got.PerQuery), len(want))
+		finish := SimulateProfile(running, 100, SimOptions{MPL: 2, Queued: queued, Arrivals: am}).Finish
+		if len(got.PerQuery) != len(running)+len(queued) {
+			t.Fatalf("arrivals=%v: %d estimates, want %d", am, len(got.PerQuery), len(running)+len(queued))
 		}
-		for id, w := range want {
-			g := got.PerQuery[id]
-			if g != w && !(math.IsInf(g.MultiQuery, 1) && math.IsInf(w.MultiQuery, 1) && g.SingleQuery == w.SingleQuery) {
-				t.Errorf("arrivals=%v Q%d: got %+v, want %+v", am, id, g, w)
+		for _, q := range append(append([]QueryState{}, running...), queued...) {
+			g := got.PerQuery[q.ID]
+			m := finish[q.ID]
+			w := Estimate{SingleQuery: SingleQueryRemainingTime(q.Remaining, speeds[q.ID]), MultiQuery: m, ETALow: m, ETAHigh: m}
+			if g != w {
+				t.Errorf("arrivals=%v Q%d: got %+v, want %+v", am, q.ID, g, w)
 			}
 		}
 	}
@@ -46,7 +48,7 @@ func TestComputeEstimatesQuiescent(t *testing.T) {
 	queued := []QueryState{{ID: 3, Remaining: 100, Weight: 1}}
 	noArrivals := ComputeEstimates(EstimateInput{Running: running, Queued: queued, MPL: 2, RateC: 100})
 	want := 0.0
-	for _, f := range MultiQueryWithQueue(running, queued, 2, 100) {
+	for _, f := range SimulateProfile(running, 100, SimOptions{MPL: 2, Queued: queued}).Finish {
 		if !math.IsInf(f, 1) && f > want {
 			want = f
 		}

@@ -17,34 +17,6 @@ func SingleQueryRemainingTime(remaining, observedSpeed float64) float64 {
 	return remaining / observedSpeed
 }
 
-// MultiQueryRemainingTimes is the multi-query PI for the standard case of
-// Section 2.2: no admission queue, no future arrivals. It returns the
-// predicted remaining execution time for every query in states.
-func MultiQueryRemainingTimes(states []QueryState, C float64) map[int]float64 {
-	return ComputeProfile(states, C).Finish
-}
-
-// MultiQueryWithQueue extends the estimate with the admission queue
-// (Section 2.3): queued queries are known future load, so their admission —
-// and the slowdown they cause — is simulated. An empty queue degenerates to
-// §2.2 exactly, so it takes the closed form instead of the event-stepped
-// simulation (the two agree to float rounding, a property the tests pin; the
-// closed form is also what the incremental stage structure reproduces
-// bit-for-bit).
-func MultiQueryWithQueue(running, queued []QueryState, mpl int, C float64) map[int]float64 {
-	if len(queued) == 0 {
-		return ComputeProfile(running, C).Finish
-	}
-	return SimulateProfile(running, C, SimOptions{MPL: mpl, Queued: queued}).Finish
-}
-
-// MultiQueryWithFuture extends the estimate with predicted future arrivals
-// (Section 2.4): every 1/λ seconds a query of average cost and priority is
-// assumed to arrive. The admission queue, if any, is honored too.
-func MultiQueryWithFuture(running, queued []QueryState, mpl int, C float64, am ArrivalModel) map[int]float64 {
-	return SimulateProfile(running, C, SimOptions{MPL: mpl, Queued: queued, Arrivals: &am}).Finish
-}
-
 // SpeedTracker observes a query's execution speed over a sliding window of
 // virtual time, the way the single-query PI "continuously monitors the
 // current query execution speed". Samples must be added with nondecreasing

@@ -20,35 +20,46 @@ func TestSingleQueryRemainingTime(t *testing.T) {
 	}
 }
 
-func TestMultiQueryRemainingTimesWrapper(t *testing.T) {
+// stageEstimates asks the production entry point, the stage-mode Estimator,
+// for one input's per-query bundle.
+func stageEstimates(t *testing.T, in EstimateInput) map[int]Estimate {
+	t.Helper()
+	est, err := NewEstimator(EstimatorStage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est.Estimates(in, EnsembleState{}).PerQuery
+}
+
+func TestStageEstimatorClosedForm(t *testing.T) {
 	states := []QueryState{
 		{ID: 1, Remaining: 100, Weight: 1},
 		{ID: 2, Remaining: 300, Weight: 1},
 	}
-	est := MultiQueryRemainingTimes(states, 100)
+	est := stageEstimates(t, EstimateInput{Running: states, RateC: 100})
 	// Q1: 100 U at 50 U/s -> 2s. Q2: 200 U left at 100 U/s -> finishes at 4s
 	// (work conservation: 400 U total / 100 U/s).
-	if est[1] != 2 || est[2] != 4 {
+	if est[1].MultiQuery != 2 || est[2].MultiQuery != 4 {
 		t.Errorf("estimates: %v", est)
 	}
 }
 
-func TestMultiQueryWithQueueWrapper(t *testing.T) {
+func TestStageEstimatorWithQueue(t *testing.T) {
 	running := []QueryState{{ID: 1, Remaining: 100, Weight: 1}}
 	queued := []QueryState{{ID: 2, Remaining: 100, Weight: 1}}
-	est := MultiQueryWithQueue(running, queued, 1, 100)
-	if est[1] != 1 || est[2] != 2 {
+	est := stageEstimates(t, EstimateInput{Running: running, Queued: queued, MPL: 1, RateC: 100})
+	if est[1].MultiQuery != 1 || est[2].MultiQuery != 2 {
 		t.Errorf("estimates: %v", est)
 	}
 }
 
-func TestMultiQueryWithFutureWrapper(t *testing.T) {
+func TestStageEstimatorWithArrivals(t *testing.T) {
 	running := []QueryState{{ID: 1, Remaining: 1000, Weight: 1}}
 	am := ArrivalModel{Lambda: 0.1, AvgCost: 100, AvgWeight: 1}
-	withF := MultiQueryWithFuture(running, nil, 0, 10, am)
-	without := MultiQueryRemainingTimes(running, 10)
-	if withF[1] <= without[1] {
-		t.Errorf("future arrivals should slow the estimate: %g vs %g", withF[1], without[1])
+	withF := stageEstimates(t, EstimateInput{Running: running, RateC: 10, Arrivals: &am})
+	without := stageEstimates(t, EstimateInput{Running: running, RateC: 10})
+	if withF[1].MultiQuery <= without[1].MultiQuery {
+		t.Errorf("future arrivals should slow the estimate: %g vs %g", withF[1].MultiQuery, without[1].MultiQuery)
 	}
 }
 
@@ -134,15 +145,16 @@ func TestSpeedTrackerDefaultWindow(t *testing.T) {
 	}
 }
 
-// TestMultiQueryWithFutureAndQueueCombined: §2.3 and §2.4 compose — a
+// TestStageEstimatorQueueAndArrivalsCombined: §2.3 and §2.4 compose — a
 // queued query plus predicted arrivals both push the estimate out.
-func TestMultiQueryWithFutureAndQueueCombined(t *testing.T) {
+func TestStageEstimatorQueueAndArrivalsCombined(t *testing.T) {
 	running := []QueryState{{ID: 1, Remaining: 1000, Weight: 1}}
 	queued := []QueryState{{ID: 2, Remaining: 500, Weight: 1}}
 	am := ArrivalModel{Lambda: 0.02, AvgCost: 300, AvgWeight: 1}
-	plain := MultiQueryRemainingTimes(running, 10)[1]
-	queueOnly := MultiQueryWithQueue(running, queued, 1, 10)[1]
-	both := MultiQueryWithFuture(running, queued, 1, 10, am)[1]
+	plain := stageEstimates(t, EstimateInput{Running: running, RateC: 10})[1].MultiQuery
+	withQueue := stageEstimates(t, EstimateInput{Running: running, Queued: queued, MPL: 1, RateC: 10})
+	queueOnly := withQueue[1].MultiQuery
+	both := stageEstimates(t, EstimateInput{Running: running, Queued: queued, MPL: 1, RateC: 10, Arrivals: &am})[1].MultiQuery
 	// Extra load can only delay estimates, never improve them.
 	if queueOnly < plain {
 		t.Errorf("queue should never speed things up: %g < %g", queueOnly, plain)
@@ -151,20 +163,22 @@ func TestMultiQueryWithFutureAndQueueCombined(t *testing.T) {
 		t.Errorf("arrivals should never speed things up: %g < %g", both, queueOnly)
 	}
 	// The queued query's own estimate accounts for waiting.
-	if q2 := MultiQueryWithQueue(running, queued, 1, 10)[2]; q2 <= queueOnly {
+	if q2 := withQueue[2].MultiQuery; q2 <= queueOnly {
 		t.Errorf("queued query finishes after the running one: %g <= %g", q2, queueOnly)
 	}
 }
 
-func TestEstimateAll(t *testing.T) {
+// TestStageEstimatorBundle: one pass yields both indicators for every
+// admitted and queued query.
+func TestStageEstimatorBundle(t *testing.T) {
 	running := []QueryState{
 		{ID: 1, Remaining: 100, Weight: 1, Done: 50},
 		{ID: 2, Remaining: 300, Weight: 1, Done: 0},
 		{ID: 3, Remaining: 80, Weight: 0, Done: 10}, // blocked
 	}
 	queued := []QueryState{{ID: 4, Remaining: 50, Weight: 1}}
-	speeds := map[int]float64{1: 50, 2: 50}
-	got := EstimateAll(running, queued, 0, 100, speeds, nil)
+	in := EstimateInput{Running: running, Queued: queued, RateC: 100, Speeds: map[int]float64{1: 50, 2: 50}}
+	got := stageEstimates(t, in)
 	if len(got) != 4 {
 		t.Fatalf("estimates for %d queries, want 4", len(got))
 	}
@@ -176,14 +190,15 @@ func TestEstimateAll(t *testing.T) {
 		t.Errorf("unobserved queries must have +Inf single-query ETA: %v, %v", got[3], got[4])
 	}
 	// Multi-query must agree with the underlying queue-aware profile.
-	multi := MultiQueryWithQueue(running, queued, 0, 100)
+	multi := SimulateProfile(running, 100, SimOptions{Queued: queued}).Finish
 	for id, e := range got {
 		if e.MultiQuery != multi[id] && !(math.IsInf(e.MultiQuery, 1) && math.IsInf(multi[id], 1)) {
 			t.Errorf("Q%d multi = %g, want %g", id, e.MultiQuery, multi[id])
 		}
 	}
 	// Future-aware variant slows everything down.
-	fut := EstimateAll(running, queued, 0, 100, speeds, &ArrivalModel{Lambda: 0.5, AvgCost: 100, AvgWeight: 1})
+	in.Arrivals = &ArrivalModel{Lambda: 0.5, AvgCost: 100, AvgWeight: 1}
+	fut := stageEstimates(t, in)
 	if fut[2].MultiQuery <= got[2].MultiQuery {
 		t.Errorf("future arrivals must not speed Q2 up: %g vs %g", fut[2].MultiQuery, got[2].MultiQuery)
 	}

@@ -344,7 +344,7 @@ func TestIncrementalProfileEdges(t *testing.T) {
 // bypassed.
 func TestIncrementalEstimatorMatchesComputeEstimates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var est IncrementalEstimator
+	var est stageEstimator
 	running := []QueryState{}
 	for i := 1; i <= 8; i++ {
 		running = append(running, QueryState{ID: i, Remaining: rng.Float64() * 400, Weight: []float64{1, 2, 4, 0}[rng.Intn(4)]})
@@ -361,7 +361,7 @@ func TestIncrementalEstimatorMatchesComputeEstimates(t *testing.T) {
 		{Running: running, RateC: 100, Speeds: speeds},
 	}
 	for step, in := range inputs {
-		got := est.Estimates(in)
+		got := est.Estimates(in, EnsembleState{})
 		want := ComputeEstimates(in)
 		if math.Float64bits(got.Quiescent) != math.Float64bits(want.Quiescent) {
 			t.Fatalf("step %d: quiescent %v, want %v", step, got.Quiescent, want.Quiescent)

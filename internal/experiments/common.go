@@ -127,12 +127,29 @@ func shadowCheck(states []core.QueryState, C float64) {
 	shadowMu.Unlock()
 }
 
+// multiETAs is the sweeps' one way to ask for multi-query remaining times:
+// the production estimate plane in stage mode — §2.2's closed form over
+// in.Running, §2.3 once in.Queued is set, §2.4 once in.Arrivals is. The map
+// is the caller's own.
+func multiETAs(in core.EstimateInput) map[int]float64 {
+	est, err := core.NewEstimator(core.EstimatorStage)
+	if err != nil {
+		panic(err) // the stage mode always exists
+	}
+	per := est.Estimates(in, core.EnsembleState{}).PerQuery
+	out := make(map[int]float64, len(per))
+	for id, e := range per {
+		out[id] = e.MultiQuery
+	}
+	return out
+}
+
 // stageEstimates is the §2.2 closed form over explicit states, mirrored
 // through the incremental shadow checker when one is installed. Every sweep's
 // no-queue/no-arrival estimate goes through here.
 func stageEstimates(states []core.QueryState, C float64) map[int]float64 {
 	shadowCheck(states, C)
-	return core.MultiQueryRemainingTimes(states, C)
+	return multiETAs(core.EstimateInput{Running: states, RateC: C})
 }
 
 // multiEstimates is the multi-query PI of §2.2 over the server's current

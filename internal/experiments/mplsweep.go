@@ -126,7 +126,7 @@ func RunMPLSweep(cfg MPLSweepConfig) (*MPLSweepResult, error) {
 			single[q.ID] = q.Runner.EstRemaining() / cfg.RateC
 		}
 		blind := stageEstimates(running, cfg.RateC)
-		aware := core.MultiQueryWithQueue(running, queued, mpl, cfg.RateC)
+		aware := multiETAs(core.EstimateInput{Running: running, Queued: queued, MPL: mpl, RateC: cfg.RateC})
 		// Queue-blind has no prediction for queued queries either; give
 		// it the same fallback as the single PI.
 		for _, q := range srv.Queued() {

@@ -122,7 +122,7 @@ func RunNAQ(cfg NAQConfig) (*NAQResult, error) {
 			t:         srv.Now(),
 			single:    singleEstimate(srv, q1),
 			noQueue:   stageEstimates(running, cfg.RateC)[q1.ID],
-			withQueue: core.MultiQueryWithQueue(running, queued, cfg.MPL, cfg.RateC)[q1.ID],
+			withQueue: multiETAs(core.EstimateInput{Running: running, Queued: queued, MPL: cfg.MPL, RateC: cfg.RateC})[q1.ID],
 		})
 	}, func() bool {
 		return q1.Status == sched.StatusFinished || q1.Status == sched.StatusFailed

@@ -148,7 +148,7 @@ func runSCQOnce(ds *workload.Dataset, cfg SCQConfig, lambda float64, lambdaPrime
 	shadowCheck(states, cfg.RateC)
 	for _, lp := range lambdaPrimes {
 		am := core.ArrivalModel{Lambda: lp, AvgCost: cbar, AvgWeight: 1}
-		run.multi[lp] = core.MultiQueryWithFuture(states, nil, 0, cfg.RateC, am)
+		run.multi[lp] = multiETAs(core.EstimateInput{Running: states, RateC: cfg.RateC, Arrivals: &am})
 	}
 
 	// Simulate with dynamically generated arrivals until all initial
@@ -517,7 +517,7 @@ func RunSCQTrajectory(cfg SCQConfig, lambdaPrimes []float64) (*SCQTrajectoryResu
 			est := make(map[float64]map[int]float64, len(lambdaPrimes))
 			for _, lp := range lambdaPrimes {
 				am := core.ArrivalModel{Lambda: lp, AvgCost: cbar, AvgWeight: 1}
-				est[lp] = core.MultiQueryWithFuture(states, nil, 0, cfg.RateC, am)
+				est[lp] = multiETAs(core.EstimateInput{Running: states, RateC: cfg.RateC, Arrivals: &am})
 			}
 			samples = append(samples, sampleRec{t: srv.Now(), est: est})
 			nextSample += cfg.SampleEvery

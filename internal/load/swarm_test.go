@@ -20,16 +20,16 @@ func smokeServer() ServerOpts {
 
 func runSmoke(t *testing.T, server ServerOpts, gen GenConfig, swarm SwarmOpts) Scorecard {
 	t.Helper()
-	srv, err := StartLocal(server)
+	tier, handler, err := StartLocal(server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer tier.Close()
 	sched, err := BuildSchedule(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, wall := Run(NewHandlerTarget(srv.Handler), sched, swarm)
+	rec, wall := Run(NewHandlerTarget(handler), sched, swarm)
 	return BuildScorecard(t.Name(), gen, swarm, &server, rec, wall)
 }
 

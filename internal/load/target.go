@@ -78,8 +78,8 @@ func (r *respRecorder) WriteHeader(code int)        { r.code = code }
 func (r *respRecorder) Write(b []byte) (int, error) { return r.body.Write(b) }
 
 // ServerOpts shapes the in-process server the harness stands up when no
-// external -url is given. Shards > 1 or AdmitRate > 0 selects the cluster
-// front door, mirroring mqpi-serve's buildServer.
+// external -url is given; cluster.Serve turns it into the plain service or
+// the cluster front door, as it does for mqpi-serve.
 type ServerOpts struct {
 	Rows       int           `json:"rows"`
 	RateC      float64       `json:"rate_c"`
@@ -118,84 +118,33 @@ func (o ServerOpts) withDefaults() ServerOpts {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Routing == "" {
-		o.Routing = "round-robin"
-	}
 	if o.Estimator == "" {
 		o.Estimator = core.EstimatorStage
 	}
 	return o
 }
 
-// LocalServer is an in-process serving tier plus the handler in front of it.
-type LocalServer struct {
-	Handler http.Handler
-	closer  interface{ Close() }
-}
-
-// Close shuts the tier down.
-func (s *LocalServer) Close() { s.closer.Close() }
-
-// demoDB builds one demo-dataset engine (lineitem + part_1..3, Table 1
-// proportions) scaled to rows.
-func demoDB(rows int) (*engine.DB, error) {
-	ds, err := workload.BuildDataset(workload.DataConfig{LineitemRows: rows, Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range []int{50, 10, 20} {
-		if err := ds.CreatePartTable(i+1, n); err != nil {
-			return nil, err
-		}
-	}
-	return ds.DB, nil
-}
-
-// StartLocal stands up the serving tier the swarm will flood: the demo
-// dataset behind either the single-engine service handler or the sharded
-// cluster front door, with a live wall-clock ticker advancing virtual time.
-func StartLocal(o ServerOpts) (*LocalServer, error) {
+// StartLocal stands up the serving tier the swarm will flood and the handler
+// in front of it: the demo dataset behind either the single-engine service
+// handler or the sharded cluster front door (cluster.Serve decides), with a
+// live wall-clock ticker advancing virtual time. The caller closes the tier.
+func StartLocal(o ServerOpts) (*cluster.Cluster, http.Handler, error) {
 	o = o.withDefaults()
-	svcCfg := service.Config{
-		Sched:     sched.Config{RateC: o.RateC, MPL: o.MPL, Quantum: o.Quantum, Workers: o.Workers, Fold: o.Fold},
-		TickEvery: o.Tick,
-		TimeScale: o.TimeScale,
-		Estimator: o.Estimator,
-	}
-	if o.Shards > 1 || o.AdmitRate > 0 {
-		var dbErr error
-		c, err := cluster.New(cluster.Config{
-			Shards:     o.Shards,
-			Routing:    o.Routing,
-			AdmitRate:  o.AdmitRate,
-			AdmitBurst: o.AdmitBurst,
-			AdmitQueue: o.AdmitQueue,
-			Service:    svcCfg,
-			OpenDB: func() *engine.DB {
-				db, err := demoDB(o.Rows)
-				if err != nil {
-					dbErr = err
-					return engine.Open()
-				}
-				return db
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if dbErr != nil {
-			c.Close()
-			return nil, fmt.Errorf("load: demo dataset: %w", dbErr)
-		}
-		return &LocalServer{Handler: cluster.NewHandler(c), closer: c}, nil
-	}
-	db, err := demoDB(o.Rows)
+	c, h, err := cluster.Serve(cluster.Config{
+		Shards:     o.Shards,
+		Routing:    o.Routing,
+		AdmitRate:  o.AdmitRate,
+		AdmitBurst: o.AdmitBurst,
+		AdmitQueue: o.AdmitQueue,
+		Service: service.Config{
+			Sched:     sched.Config{RateC: o.RateC, MPL: o.MPL, Quantum: o.Quantum, Workers: o.Workers, Fold: o.Fold},
+			TickEvery: o.Tick,
+			TimeScale: o.TimeScale,
+			Estimator: o.Estimator,
+		},
+	}, func() (*engine.DB, error) { return workload.DemoDB(o.Rows) })
 	if err != nil {
-		return nil, fmt.Errorf("load: demo dataset: %w", err)
+		return nil, nil, fmt.Errorf("load: %w", err)
 	}
-	m := service.New(db, svcCfg)
-	return &LocalServer{Handler: service.NewHandler(m), closer: m}, nil
+	return c, h, nil
 }

@@ -77,11 +77,13 @@ func TestDifferentialPredictionVsMeasured(t *testing.T) {
 			}
 		}
 		snapNow := srv.Now()
-		pred := core.MultiQueryWithQueue(srv.StateRunning(), srv.StateQueued(), srv.MPL(), srv.RateC())
+		pred := core.ComputeEstimates(core.EstimateInput{
+			Running: srv.StateRunning(), Queued: srv.StateQueued(), MPL: srv.MPL(), RateC: srv.RateC(),
+		}).PerQuery
 		srv.RunUntilIdle(1e6)
 		for _, q := range queries {
-			p, ok := pred[q.ID]
-			if !ok || math.IsInf(p, 1) {
+			p := pred[q.ID].MultiQuery
+			if _, ok := pred[q.ID]; !ok || math.IsInf(p, 1) {
 				continue // finished before the snapshot, or blocked forever
 			}
 			if q.Status != StatusFinished {

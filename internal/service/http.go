@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -12,11 +13,31 @@ import (
 	"mqpi/internal/wm"
 )
 
-// NewHandler exposes a Manager as an HTTP/JSON API. GET endpoints ride the
-// Manager's lock-free read path — they serve from the latest published
-// snapshot and never wait on the owner goroutine, so progress polls stay
-// fast no matter how busy the scheduler is. POST endpoints mutate and are
-// marshalled onto the owner.
+// Tier is the set of operations the shared route table serves. Manager and
+// the cluster front door each fill one in, so a shared route, its
+// decode/validate/encode steps and its error-to-status mapping are written
+// once, in Routes.
+type Tier struct {
+	// NewSubmit returns what POST /queries needs to place one query: a
+	// pointer to the tier's own request type for the body to be decoded
+	// into, the address of that value's SQL field (a blank statement is
+	// refused before submit runs), and the call that places the decoded
+	// request.
+	NewSubmit func() (req any, sql *string, submit func() (QueryView, error))
+	// Overview is the GET /queries body; its shape is the tier's own.
+	Overview              func() (any, error)
+	Progress              func(id int) (QueryView, error)
+	Block, Unblock, Abort func(id int) error
+	SetPriority           func(id, priority int) error
+	Events                func(id int) ([]Event, error)
+	MetricsText           func() string
+	Exec                  func(sql string) (int, error)
+	Advance               func(seconds float64) error
+	// StatusOf maps an operation's error to its HTTP status.
+	StatusOf func(error) int
+}
+
+// Routes builds the route table every serving tier answers:
 //
 //	POST /queries                     submit {"sql","label","priority","delay"}
 //	GET  /queries                     system overview (running/queued/scheduled/finished)
@@ -25,45 +46,32 @@ import (
 //	POST /queries/{id}/unblock        resume
 //	POST /queries/{id}/abort          kill (free per §3.3)
 //	POST /queries/{id}/priority       {"priority": n}
-//	GET  /diagram                     ASCII stage diagram (text/plain)
-//	GET  /plan/speedup?target=&victims=    §3.1 planner
-//	GET  /plan/speedup-others              §3.2 planner
-//	GET  /plan/maintenance?deadline=&mode=&exact=   §3.3 planner
 //	GET  /events[?id=]                bounded per-query event trace
 //	GET  /metrics                     Prometheus text exposition
 //	POST /exec                        {"sql"}: synchronous DDL/DML (data loading);
 //	                                  409 if the owner stays busy past the exec deadline
 //	POST /advance                     {"seconds"}: push virtual time forward
 //	GET  /healthz                     liveness probe
-func NewHandler(m *Manager) http.Handler {
+//
+// The caller adds its own routes to the returned mux.
+func Routes(t Tier) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /queries", func(w http.ResponseWriter, r *http.Request) {
-		var req SubmitRequest
-		if err := decodeJSON(r, &req); err != nil {
+		req, sql, submit := t.NewSubmit()
+		if err := decodeJSON(r, req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if strings.TrimSpace(req.SQL) == "" {
+		if strings.TrimSpace(*sql) == "" {
 			writeError(w, http.StatusBadRequest, errors.New("missing sql"))
 			return
 		}
-		view, err := m.Submit(req)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, view)
+		view, err := submit()
+		t.reply(w, http.StatusCreated, view, err)
 	})
 
-	mux.HandleFunc("GET /queries", func(w http.ResponseWriter, r *http.Request) {
-		out, err := m.Overview()
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
+	mux.HandleFunc("GET /queries", t.ServeOverview)
 
 	mux.HandleFunc("GET /queries/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
@@ -71,12 +79,8 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		view, err := m.Progress(id)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, view)
+		view, err := t.Progress(id)
+		t.reply(w, http.StatusOK, view, err)
 	})
 
 	op := func(name string, f func(int) error) func(http.ResponseWriter, *http.Request) {
@@ -86,16 +90,12 @@ func NewHandler(m *Manager) http.Handler {
 				writeError(w, http.StatusBadRequest, err)
 				return
 			}
-			if err := f(id); err != nil {
-				writeError(w, statusOf(err), err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": name, "id": id})
+			t.reply(w, http.StatusOK, map[string]any{"ok": true, "op": name, "id": id}, f(id))
 		}
 	}
-	mux.HandleFunc("POST /queries/{id}/block", op("block", m.Block))
-	mux.HandleFunc("POST /queries/{id}/unblock", op("unblock", m.Unblock))
-	mux.HandleFunc("POST /queries/{id}/abort", op("abort", m.Abort))
+	mux.HandleFunc("POST /queries/{id}/block", op("block", t.Block))
+	mux.HandleFunc("POST /queries/{id}/unblock", op("unblock", t.Unblock))
+	mux.HandleFunc("POST /queries/{id}/abort", op("abort", t.Abort))
 
 	mux.HandleFunc("POST /queries/{id}/priority", func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
@@ -110,12 +110,106 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := m.SetPriority(id, req.Priority); err != nil {
-			writeError(w, statusOf(err), err)
+		t.reply(w, http.StatusOK, map[string]any{"ok": true, "op": "priority", "id": id, "priority": req.Priority},
+			t.SetPriority(id, req.Priority))
+	})
+
+	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
+		id, err := queryInt(r, "id", 0, 0, 1<<31-1)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": "priority", "id": id, "priority": req.Priority})
+		evs, err := t.Events(id)
+		t.reply(w, http.StatusOK, map[string]any{"events": evs}, err)
 	})
+
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		fmt.Fprint(w, t.MetricsText())
+	})
+
+	mux.HandleFunc("POST /exec", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			SQL string `json:"sql"`
+		}
+		if err := decodeJSON(r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		n, err := t.Exec(req.SQL)
+		t.reply(w, http.StatusOK, map[string]any{"rows": n}, err)
+	})
+
+	mux.HandleFunc("POST /advance", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Seconds float64 `json:"seconds"`
+		}
+		if err := decodeJSON(r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if err := t.Advance(req.Seconds); err != nil {
+			writeError(w, t.StatusOf(err), err)
+			return
+		}
+		t.ServeOverview(w, r)
+	})
+
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
+
+	return mux
+}
+
+// reply answers with v, or with err under the status the tier maps it to.
+func (t Tier) reply(w http.ResponseWriter, status int, v any, err error) {
+	if err != nil {
+		writeError(w, t.StatusOf(err), err)
+		return
+	}
+	writeJSON(w, status, v)
+}
+
+// ServeOverview answers with the tier's overview: the GET /queries handler,
+// exported so a tier can mount the same body under a second path.
+func (t Tier) ServeOverview(w http.ResponseWriter, _ *http.Request) {
+	out, err := t.Overview()
+	t.reply(w, http.StatusOK, out, err)
+}
+
+// NewHandler exposes a Manager as an HTTP/JSON API: the shared route table
+// (see Routes) plus the single-engine routes below. GET endpoints ride the
+// Manager's lock-free read path — they serve from the latest published
+// snapshot and never wait on the owner goroutine, so progress polls stay
+// fast no matter how busy the scheduler is. POST endpoints mutate and are
+// marshalled onto the owner.
+//
+//	GET  /diagram                     ASCII stage diagram (text/plain)
+//	GET  /plan/speedup?target=&victims=    §3.1 planner
+//	GET  /plan/speedup-others              §3.2 planner
+//	GET  /plan/maintenance?deadline=&mode=&exact=   §3.3 planner
+func NewHandler(m *Manager) http.Handler {
+	t := Tier{
+		NewSubmit: func() (any, *string, func() (QueryView, error)) {
+			req := new(SubmitRequest)
+			return req, &req.SQL, func() (QueryView, error) { return m.Submit(*req) }
+		},
+		Overview:    func() (any, error) { return m.Overview() },
+		Progress:    m.Progress,
+		Block:       m.Block,
+		Unblock:     m.Unblock,
+		Abort:       m.Abort,
+		SetPriority: m.SetPriority,
+		Events:      func(id int) ([]Event, error) { return m.Events(id), nil },
+		MetricsText: func() string { return m.Metrics().Text() },
+		Exec:        m.Exec,
+		Advance:     m.Advance,
+		StatusOf:    StatusOf,
+	}
+	mux := Routes(t)
 
 	mux.HandleFunc("GET /diagram", func(w http.ResponseWriter, r *http.Request) {
 		width, err := queryInt(r, "width", 60, 1, 400)
@@ -125,7 +219,7 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		text, err := m.Diagram(width)
 		if err != nil {
-			writeError(w, statusOf(err), err)
+			writeError(w, t.StatusOf(err), err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -144,20 +238,12 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		victims, err := m.SpeedUpSingle(target, h)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"target": target, "victims": victims})
+		t.reply(w, http.StatusOK, map[string]any{"target": target, "victims": victims}, err)
 	})
 
 	mux.HandleFunc("GET /plan/speedup-others", func(w http.ResponseWriter, r *http.Request) {
 		v, err := m.SpeedUpOthers()
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"victim": v})
+		t.reply(w, http.StatusOK, map[string]any{"victim": v}, err)
 	})
 
 	mux.HandleFunc("GET /plan/maintenance", func(w http.ResponseWriter, r *http.Request) {
@@ -177,69 +263,10 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		exact := r.URL.Query().Get("exact") == "1"
 		plan, err := m.PlanMaintenance(deadline, mode, exact)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		t.reply(w, http.StatusOK, map[string]any{
 			"abort": plan.Abort, "lost_u": plan.Lost, "quiescent_eta": Seconds(plan.Quiescent),
 			"mode": mode.String(), "exact": exact,
-		})
-	})
-
-	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
-		id, err := queryInt(r, "id", 0, 0, 1<<31-1)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"events": m.Events(id)})
-	})
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, m.Metrics().Text())
-	})
-
-	mux.HandleFunc("POST /exec", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			SQL string `json:"sql"`
-		}
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		n, err := m.Exec(req.SQL)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"rows": n})
-	})
-
-	mux.HandleFunc("POST /advance", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Seconds float64 `json:"seconds"`
-		}
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := m.Advance(req.Seconds); err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		out, err := m.Overview()
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
+		}, err)
 	})
 
 	return mux
@@ -283,11 +310,16 @@ func queryFloat(r *http.Request, name string, min float64) (float64, error) {
 	return v, nil
 }
 
+// decodeJSON reads the request body as exactly one JSON value into v:
+// unknown fields, and anything but whitespace after the value, are errors.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: trailing data after the JSON value")
 	}
 	return nil
 }
@@ -300,10 +332,10 @@ func pathID(r *http.Request) (int, error) {
 	return id, nil
 }
 
-// statusOf maps service errors to HTTP statuses: unknown IDs are 404, a
+// StatusOf maps service errors to HTTP statuses: unknown IDs are 404, a
 // closed manager is 503, an Exec deadline miss is 409 (retryable — the owner
 // is mid-tick), invalid state transitions and bad SQL are 400.
-func statusOf(err error) int {
+func StatusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound

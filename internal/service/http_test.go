@@ -24,15 +24,22 @@ func newTestServer(t *testing.T) (*httptest.Server, *Manager) {
 	return ts, m
 }
 
+// rawBody is a request body doJSON sends as is instead of marshalling it.
+type rawBody string
+
 func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
+	switch b := body.(type) {
+	case nil:
+	case rawBody:
+		rd = strings.NewReader(string(b))
+	default:
+		enc, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
+		rd = bytes.NewReader(enc)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
@@ -188,6 +195,7 @@ func TestHTTPSession(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
+	doJSON(t, "POST", ts.URL+"/exec", map[string]string{"sql": "CREATE TABLE t1 (a BIGINT)"}, 200, nil)
 	cases := []struct {
 		method, path string
 		body         any
@@ -199,6 +207,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/queries", map[string]string{"sql": ""}, http.StatusBadRequest},
 		{"POST", "/queries", map[string]string{"sql": "SELECT FROM WHERE"}, http.StatusBadRequest},
 		{"POST", "/queries", map[string]string{"nope": "x"}, http.StatusBadRequest},
+		{"POST", "/queries", rawBody(`{"sql":"SELECT SUM(a) FROM t1"}{"junk":1}`), http.StatusBadRequest},
+		{"POST", "/advance", rawBody(`{"seconds":1} 2`), http.StatusBadRequest},
 		{"POST", "/advance", map[string]float64{"seconds": -1}, http.StatusBadRequest},
 		{"GET", "/plan/speedup", nil, http.StatusBadRequest},
 		{"GET", "/plan/maintenance?deadline=5&mode=bogus", nil, http.StatusBadRequest},

@@ -510,8 +510,7 @@ func (m *Manager) updateDepths() {
 // from the live scheduler state, through the owner's incremental stage
 // structure — this runs once per tick (afterTick), so over a slowly changing
 // mix the per-tick cost is O(changed·log n) instead of a full re-sort. The
-// values are bit-identical to the stateless core.ComputeEstimates (and to the
-// legacy EstimateAll, which shares the same empty-queue fast path). Owner
+// values are bit-identical to the stateless core.ComputeEstimates. Owner
 // goroutine only.
 func (m *Manager) estimates() map[int]core.Estimate {
 	return m.ownerEst.Estimates(m.estimateInput(), m.ownerCalibState()).PerQuery

@@ -571,7 +571,7 @@ func TestReadsBypassOwner(t *testing.T) {
 }
 
 // TestSingleflightEstimates: concurrent pollers of the same snapshot epoch
-// must trigger exactly one EstimateAll computation; everyone else shares it
+// must trigger exactly one estimate computation; everyone else shares it
 // via the per-epoch cache.
 func TestSingleflightEstimates(t *testing.T) {
 	db := engine.Open()

@@ -228,6 +228,29 @@ func writeHistogram(b *strings.Builder, name, help string, h *histogram) {
 	fmt.Fprintf(b, "%s_count %d\n", name, h.count)
 }
 
+// WriteBuildInfo renders the mqpi_build_info gauge — constant 1, the sorted
+// labels identify the binary — or nothing while labels is nil. The front
+// door's metrics page carries the same gauge.
+func WriteBuildInfo(b *strings.Builder, labels map[string]string) {
+	if labels == nil {
+		return
+	}
+	fmt.Fprintf(b, "# HELP mqpi_build_info Build metadata; the gauge is constant 1 and the labels identify the binary.\n# TYPE mqpi_build_info gauge\n")
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b.WriteString("mqpi_build_info{")
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(b, "%s=%q", k, labels[k])
+	}
+	b.WriteString("} 1\n")
+}
+
 // Text renders the metrics in the Prometheus text exposition format
 // (version 0.0.4), ready to be scraped from /metrics.
 func (m *Metrics) Text() string {
@@ -263,22 +286,7 @@ func (m *Metrics) Text() string {
 		writeScalar(&b, "mqpi_eta_band_finishes_total", "counter", "Query finishes for which an uncertainty band had been reported.", float64(m.bandFinishes))
 		writeScalar(&b, "mqpi_eta_band_within_total", "counter", "Query finishes whose true finish time fell inside the reported band.", float64(m.bandWithin))
 	}
-	if m.buildInfo != nil {
-		fmt.Fprintf(&b, "# HELP mqpi_build_info Build metadata; the gauge is constant 1 and the labels identify the binary.\n# TYPE mqpi_build_info gauge\n")
-		keys := make([]string, 0, len(m.buildInfo))
-		for k := range m.buildInfo {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b.WriteString("mqpi_build_info{")
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s=%q", k, m.buildInfo[k])
-		}
-		b.WriteString("} 1\n")
-	}
+	WriteBuildInfo(&b, m.buildInfo)
 	if m.snapshotInfo != nil {
 		epoch, age := m.snapshotInfo()
 		writeScalar(&b, "mqpi_snapshot_epoch", "gauge", "Epoch of the published read-path snapshot.", float64(epoch))

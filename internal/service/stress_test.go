@@ -142,7 +142,7 @@ func TestReadPathStressRace(t *testing.T) {
 		t.Error("read path never computed an estimate")
 	}
 	// The whole point of the refactor: far more polls than estimate
-	// computations. Every miss is one EstimateAll; everything else shared.
+	// computations. Every miss is one estimator pass; everything else shared.
 	if misses > 0 && hits == 0 {
 		t.Errorf("cache never shared a computation: %d misses, %d hits", misses, hits)
 	}
