@@ -96,44 +96,34 @@ cover-check:
 # the zero-alloc steady-state tick, solo and folded). Timings are
 # machine-dependent and not compared; allocation counts are deterministic,
 # so even a -benchtime 10x run measures them exactly. SHORT=1 skips it.
+# alloc-ratchet runs a short `-bench $(1)` over ./internal/sched/ and fails
+# when a Benchmark$(1)/ line's allocs/op exceeds its entry in $(2).
+define alloc-ratchet
+	@$(GO) test -run '^$$' -bench $(1) -benchtime 10x -benchmem ./internal/sched/ > bench_live.txt || { cat bench_live.txt; rm -f bench_live.txt; exit 1; }
+	@awk -v bench=$(1) ' \
+		FILENAME == "$(2)" { \
+			if ($$1 == "\"name\":") { name = $$2; gsub(/[",]/, "", name) } \
+			if ($$1 == "\"allocs_per_op\":") { allocs = $$2; gsub(/,/, "", allocs); base[name] = allocs + 0 } \
+			next \
+		} \
+		index($$0, "Benchmark" bench "/") == 1 && / allocs\/op/ { \
+			name = $$1; sub(/-[0-9]+$$/, "", name); \
+			live = $$(NF-1) + 0; \
+			if (name in base) { \
+				printf "%-42s %3d allocs/op (baseline %d)\n", name, live, base[name]; \
+				if (live > base[name]) { bad = 1 } \
+			} \
+		} \
+		END { if (bad) { print "bench-check: allocs/op regressed above $(2)"; exit 1 } } \
+	' $(2) bench_live.txt; status=$$?; rm -f bench_live.txt; exit $$status
+endef
+
 bench-check:
 ifeq ($(SHORT),1)
 	@echo "SHORT=1: skipping bench-check"
 else
-	@$(GO) test -run '^$$' -bench ParallelTick -benchtime 10x -benchmem ./internal/sched/ > bench_live.txt || { cat bench_live.txt; rm -f bench_live.txt; exit 1; }
-	@awk ' \
-		FILENAME == "BENCH_tickpath.json" { \
-			if ($$1 == "\"name\":") { name = $$2; gsub(/[",]/, "", name) } \
-			if ($$1 == "\"allocs_per_op\":") { allocs = $$2; gsub(/,/, "", allocs); base[name] = allocs + 0 } \
-			next \
-		} \
-		/^BenchmarkParallelTick\// && / allocs\/op/ { \
-			name = $$1; sub(/-[0-9]+$$/, "", name); \
-			live = $$(NF-1) + 0; \
-			if (name in base) { \
-				printf "%-42s %3d allocs/op (baseline %d)\n", name, live, base[name]; \
-				if (live > base[name]) { bad = 1 } \
-			} \
-		} \
-		END { if (bad) { print "bench-check: allocs/op regressed above BENCH_tickpath.json"; exit 1 } } \
-	' BENCH_tickpath.json bench_live.txt; status=$$?; rm -f bench_live.txt; exit $$status
-	@$(GO) test -run '^$$' -bench SharedScan -benchtime 10x -benchmem ./internal/sched/ > bench_live.txt || { cat bench_live.txt; rm -f bench_live.txt; exit 1; }
-	@awk ' \
-		FILENAME == "BENCH_sharedscan.json" { \
-			if ($$1 == "\"name\":") { name = $$2; gsub(/[",]/, "", name) } \
-			if ($$1 == "\"allocs_per_op\":") { allocs = $$2; gsub(/,/, "", allocs); base[name] = allocs + 0 } \
-			next \
-		} \
-		/^BenchmarkSharedScan\// && / allocs\/op/ { \
-			name = $$1; sub(/-[0-9]+$$/, "", name); \
-			live = $$(NF-1) + 0; \
-			if (name in base) { \
-				printf "%-42s %3d allocs/op (baseline %d)\n", name, live, base[name]; \
-				if (live > base[name]) { bad = 1 } \
-			} \
-		} \
-		END { if (bad) { print "bench-check: allocs/op regressed above BENCH_sharedscan.json"; exit 1 } } \
-	' BENCH_sharedscan.json bench_live.txt; status=$$?; rm -f bench_live.txt; exit $$status
+	$(call alloc-ratchet,ParallelTick,BENCH_tickpath.json)
+	$(call alloc-ratchet,SharedScan,BENCH_sharedscan.json)
 endif
 
 # calibration-smoke drives the ensemble estimate plane end to end through the

@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -187,6 +188,12 @@ func (r SubmitRequest) affinityKey() string {
 // cluster-global query ID.
 func (c *Cluster) Submit(req SubmitRequest) (service.QueryView, error) {
 	if c.bucket != nil {
+		// The shard refuses a negative or non-finite delay, but only after
+		// admission: refuse it here, before it takes a token or cancels part
+		// of the wait queue mode adds below.
+		if !(req.Delay >= 0) || math.IsInf(req.Delay, 1) {
+			return service.QueryView{}, fmt.Errorf("cluster: delay of %g seconds out of range", req.Delay)
+		}
 		c.tickLiveClock()
 		delay, ok := c.bucket.reserve(c.cfg.AdmitQueue)
 		if !ok {

@@ -366,6 +366,10 @@ func TestAdmissionQueueMode(t *testing.T) {
 	if v2.Status != "scheduled" {
 		t.Fatalf("borrowed admission = %+v, want scheduled arrival", v2)
 	}
+	// A negative delay must not cancel the borrowed wait (or take a token).
+	if v, err := c.Submit(SubmitRequest{SubmitRequest: service.SubmitRequest{SQL: "SELECT SUM(a) FROM t1", Delay: -5}}); err == nil {
+		t.Fatalf("negative delay admitted behind the bucket: %+v", v)
+	}
 	if err := c.Advance(1); err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,7 @@ func TestFrontDoorConformance(t *testing.T) {
 		{"POST", "/queries", `{"sql":"  "}`, 400, false},
 		{"POST", "/queries", `{"sql":"SELECT FROM WHERE"}`, 400, false},
 		{"POST", "/queries", `{"nope":1}`, 400, false},
+		{"POST", "/queries", `{"sql":"SELECT SUM(a) FROM t1","delay":-5}`, 400, false},
 		{"POST", "/queries", q + `{"junk":1}`, 400, false},
 		{"POST", "/queries", ``, 400, false},
 		{"POST", "/advance", `{"seconds":-1}`, 400, true},

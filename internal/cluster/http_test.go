@@ -187,6 +187,7 @@ func TestClusterHTTPErrors(t *testing.T) {
 		{"POST", "/queries", map[string]string{"sql": ""}, http.StatusBadRequest},
 		{"POST", "/queries", map[string]string{"nope": "x"}, http.StatusBadRequest},
 		{"POST", "/queries", rawBody(`{"sql":"SELECT SUM(a) FROM t1"}{"junk":1}`), http.StatusBadRequest},
+		{"POST", "/queries", rawBody(`{"sql":"SELECT SUM(a) FROM t1","delay":-5}`), http.StatusBadRequest},
 		{"POST", "/advance", rawBody(`{"seconds":1} 2`), http.StatusBadRequest},
 		{"POST", "/queries/999/block", nil, http.StatusNotFound},
 		{"POST", "/advance", map[string]float64{"seconds": -1}, http.StatusBadRequest},

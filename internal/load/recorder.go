@@ -4,15 +4,17 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"mqpi/internal/metrics"
 )
 
 // Recorder collects everything the swarm measures. Latency histograms and op
 // counters are lock-free; the ETA-accuracy accumulator takes a short mutex
 // once per completed query (not per poll), keeping it off the hot path.
 type Recorder struct {
-	Submit Histogram // wall latency of POST /queries
-	Poll   Histogram // wall latency of GET /queries/{id}
-	E2E    Histogram // wall time from submit to first poll observing a terminal state
+	Submit metrics.Histogram // wall latency of POST /queries
+	Poll   metrics.Histogram // wall latency of GET /queries/{id}
+	E2E    metrics.Histogram // wall time from submit to first poll observing a terminal state
 
 	Submitted atomic.Uint64 // accepted submissions (201)
 	Rejected  atomic.Uint64 // admission 429s

@@ -59,7 +59,7 @@ func BuildScorecard(name string, gen GenConfig, swarm SwarmOpts, server *ServerO
 			Timeouts:  rec.Timeouts.Load(),
 			Dropped:   rec.Dropped.Load(),
 		},
-		Latency: Latencies{Submit: rec.Submit.Stats(), Poll: rec.Poll.Stats(), E2E: rec.E2E.Stats()},
+		Latency: Latencies{Submit: latencyStats(&rec.Submit), Poll: latencyStats(&rec.Poll), E2E: latencyStats(&rec.E2E)},
 		ETA:     rec.ETA(),
 	}
 	if wallSeconds > 0 {

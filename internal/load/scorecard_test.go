@@ -1,9 +1,13 @@
 package load
 
 import (
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"mqpi/internal/metrics"
 )
 
 // healthyScorecard fabricates a recorder that passes every Check gate.
@@ -97,11 +101,11 @@ func TestScorecardText(t *testing.T) {
 // TestHistogramEmptyAndEdges covers the empty-histogram accessors and the
 // Quantile clamping that the swarm paths never hit.
 func TestHistogramEmptyAndEdges(t *testing.T) {
-	var h Histogram
+	var h metrics.Histogram
 	if h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Count() != 0 {
 		t.Fatalf("empty histogram not all-zero: min=%d max=%d mean=%g q50=%d", h.Min(), h.Max(), h.Mean(), h.Quantile(0.5))
 	}
-	if st := h.Stats(); st.Count != 0 || st.Ordered() {
+	if st := latencyStats(&h); st.Count != 0 || st.Ordered() {
 		t.Fatalf("empty stats: %+v", st)
 	}
 
@@ -133,5 +137,55 @@ func TestNewURLTarget(t *testing.T) {
 	}
 	if target.Client == nil || target.Client.Transport == nil {
 		t.Fatal("no transport configured")
+	}
+}
+
+// TestHistogramConcurrentRecord hammers one histogram from many goroutines
+// while a reader keeps taking scorecard rows off it, as the swarm does; run under -race this pins
+// the lock-free recording contract, and afterwards the total count and the
+// percentile ladder must be exact and ordered.
+func TestHistogramConcurrentRecord(t *testing.T) {
+	const goroutines = 16
+	const perG = 20000
+	h := &metrics.Histogram{}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // concurrent reader
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = h.Quantile(0.99)
+				_ = latencyStats(h)
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perG; i++ {
+				h.Record(time.Duration(rng.Int63n(1 << 30)))
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	wg.Wait()
+
+	if h.Count() != goroutines*perG {
+		t.Fatalf("count %d, want %d", h.Count(), goroutines*perG)
+	}
+	st := latencyStats(h)
+	if !st.Ordered() {
+		t.Fatalf("percentiles disordered after concurrent recording: %+v", st)
+	}
+	if st.Max == 0 || st.P50 <= 0 {
+		t.Fatalf("implausible stats after %d records: %+v", goroutines*perG, st)
 	}
 }

@@ -1,9 +1,11 @@
-package load
+package metrics
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
@@ -46,15 +48,21 @@ func TestBucketIndexBounds(t *testing.T) {
 // the half-bucket midpoint rounding) of the exact sorted-sample oracle.
 func TestQuantileAgainstSortedOracle(t *testing.T) {
 	quantiles := []float64{0, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+	var empty Histogram
+	if empty.Quantile(0.5) != 0 || empty.Min() != 0 || empty.Max() != 0 || empty.Mean() != 0 {
+		t.Fatal("empty histogram not all-zero")
+	}
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		n := 100 + rng.Intn(20000)
 		h := &Histogram{}
 		vals := make([]uint64, n)
+		sum := 0.0
 		for i := range vals {
 			// Mix scales: sub-microsecond through minutes, in nanoseconds.
 			v := uint64(rng.Int63n(int64(1) << uint(10+rng.Intn(26))))
 			vals[i] = v
+			sum += float64(v)
 			h.Record(time.Duration(v))
 		}
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
@@ -63,6 +71,12 @@ func TestQuantileAgainstSortedOracle(t *testing.T) {
 		}
 		if h.Max() != vals[n-1] || h.Min() != vals[0] {
 			t.Fatalf("trial %d: min/max (%d,%d), want (%d,%d)", trial, h.Min(), h.Max(), vals[0], vals[n-1])
+		}
+		if mean := sum / float64(n); math.Abs(h.Mean()-mean) > 1e-9*mean {
+			t.Fatalf("trial %d: mean %g, want %g", trial, h.Mean(), mean)
+		}
+		if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
+			t.Fatalf("trial %d: out-of-range q not clamped to [0, 1]", trial)
 		}
 		for _, q := range quantiles {
 			rank := int(float64(n)*q+0.9999) - 1
@@ -85,52 +99,44 @@ func TestQuantileAgainstSortedOracle(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrentRecord hammers one histogram from many goroutines
-// while a reader keeps taking percentile snapshots; run under -race this pins
-// the lock-free recording contract, and afterwards the total count and the
-// percentile ladder must be exact and ordered.
-func TestHistogramConcurrentRecord(t *testing.T) {
-	const goroutines = 16
-	const perG = 20000
-	h := &Histogram{}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // concurrent reader
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = h.Quantile(0.99)
-				_ = h.Stats()
+// TestWritePrometheusExact pins the exposition: the le edges are powers of two
+// in nanoseconds, every cumulative count equals the exact number of recorded
+// values below its edge, +Inf and _count agree, _sum is in seconds, and NaN
+// is dropped.
+func TestWritePrometheusExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var h Histogram
+	vals := make([]uint64, 5000)
+	sum := 0.0
+	for i := range vals {
+		vals[i] = uint64(rng.Int63n(int64(1) << uint(8+rng.Intn(34))))
+		h.RecordSeconds(float64(vals[i]) / 1e9)
+		sum += float64(vals[i])
+	}
+	h.RecordSeconds(math.NaN())
+	var b strings.Builder
+	h.WritePrometheus(&b, "x_seconds", "help text")
+	text := b.String()
+	for k := promMinExp; k <= promMaxExp; k++ {
+		below := 0
+		for _, v := range vals {
+			if v < 1<<uint(k) {
+				below++
 			}
 		}
-	}()
-	var writers sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		writers.Add(1)
-		go func(g int) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < perG; i++ {
-				h.Record(time.Duration(rng.Int63n(1 << 30)))
-			}
-		}(g)
+		want := fmt.Sprintf("x_seconds_bucket{le=\"%g\"} %d\n", float64(uint64(1)<<uint(k))/1e9, below)
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q in:\n%s", want, text)
+		}
 	}
-	writers.Wait()
-	close(stop)
-	wg.Wait()
-
-	if h.Count() != goroutines*perG {
-		t.Fatalf("count %d, want %d", h.Count(), goroutines*perG)
-	}
-	st := h.Stats()
-	if !st.Ordered() {
-		t.Fatalf("percentiles disordered after concurrent recording: %+v", st)
-	}
-	if st.Max == 0 || st.P50 <= 0 {
-		t.Fatalf("implausible stats after %d records: %+v", goroutines*perG, st)
+	for _, want := range []string{
+		"# HELP x_seconds help text\n# TYPE x_seconds histogram\n",
+		fmt.Sprintf("x_seconds_bucket{le=\"+Inf\"} %d\n", len(vals)),
+		fmt.Sprintf("x_seconds_count %d\n", len(vals)),
+		fmt.Sprintf("x_seconds_sum %g\n", sum/1e9),
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q in:\n%s", want, text)
+		}
 	}
 }

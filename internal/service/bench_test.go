@@ -36,7 +36,7 @@ func benchWorkload(b *testing.B, tick time.Duration) *Manager {
 	}
 	if tick < 0 {
 		// Manual clock: advance once so speeds are observed, then hold the
-		// epoch fixed — every poll after the first is a cache hit.
+		// epoch fixed.
 		if err := m.Advance(0.5); err != nil {
 			b.Fatal(err)
 		}
@@ -45,9 +45,9 @@ func benchWorkload(b *testing.B, tick time.Duration) *Manager {
 }
 
 // BenchmarkConcurrentPoll measures the lock-free read path under parallel
-// pollers. idle-owner holds the snapshot epoch fixed (pure cache-hit cost);
-// ticking-owner republishes every millisecond, so pollers keep re-computing
-// estimates through the singleflight cache — the realistic serving mix.
+// pollers. idle-owner holds the snapshot epoch fixed; ticking-owner
+// republishes every millisecond, so pollers keep loading fresh snapshots
+// while the owner runs its estimate passes — the realistic serving mix.
 func BenchmarkConcurrentPoll(b *testing.B) {
 	b.Run("progress/idle-owner", func(b *testing.B) {
 		m := benchWorkload(b, -1)

@@ -107,18 +107,26 @@ func TestEnsembleServiceEndToEnd(t *testing.T) {
 
 	// Residuals landed → weights are no longer uniform thirds (the members
 	// genuinely differ on this workload), yet still normalized.
-	snap, err := m.read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Calib.Samples != 3 {
-		t.Fatalf("calibration samples = %d, want 3", snap.Calib.Samples)
+	calib := calibState(t, m)
+	if calib.Samples != 3 {
+		t.Fatalf("calibration samples = %d, want 3", calib.Samples)
 	}
 	for _, name := range core.MemberNames {
-		if _, ok := snap.Calib.Errors[name]; !ok {
-			t.Fatalf("no rolling error for member %s: %+v", name, snap.Calib)
+		if _, ok := calib.Errors[name]; !ok {
+			t.Fatalf("no rolling error for member %s: %+v", name, calib)
 		}
 	}
+}
+
+// calibState copies the calibration accumulator's state off the owner
+// goroutine.
+func calibState(t *testing.T, m *Manager) core.EnsembleState {
+	t.Helper()
+	var st core.EnsembleState
+	if err := m.call(func() { st = m.calib.State() }); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestEnsembleFinishedViewsZeroBand: terminal and not-yet-arrived queries
@@ -196,5 +204,97 @@ func TestStageModeNoEnsembleSurface(t *testing.T) {
 	}
 	if strings.Contains(d, "±[") {
 		t.Fatalf("stage-mode diagram carries band annotations:\n%s", d)
+	}
+}
+
+// TestEnsembleServesScoredBand pins that the uncertainty band clients read is
+// the band being calibrated. After every one-tick Advance, the eta_low/eta_high
+// a poll returns for a query are the interval afterTick handed to
+// EnsembleCalib.Observe on that tick — the estimator's output under the
+// calibration state from *before* that Observe, recomputed here by the
+// stateless oracle — and scoring each finish against the last band a client
+// saw reproduces the service's own coverage counters exactly.
+func TestEnsembleServesScoredBand(t *testing.T) {
+	db := engine.Open()
+	for i := 0; i < 4; i++ {
+		loadTable(t, db, fmt.Sprintf("band%d", i), 5+3*i)
+	}
+	m := ensembleManager(t, db, sched.Config{
+		RateC: 10, Quantum: 0.5, MPL: 3, Weights: map[int]float64{1: 3},
+	}, core.EstimatorEnsemble)
+	ids := make([]int, 0, 4)
+	for i := 0; i < 4; i++ {
+		v, err := m.Submit(SubmitRequest{SQL: fmt.Sprintf("SELECT SUM(a) FROM band%d", i), Priority: i % 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+
+	lastBand := make(map[int]core.Interval) // absolute band of each query's latest poll
+	scored := make(map[int]bool)
+	var within, finishes uint64
+	compared := 0
+	for tick := 0; len(scored) < len(ids); tick++ {
+		if tick > 200 {
+			t.Fatal("workload did not drain")
+		}
+		pre := calibState(t, m) // what this tick's estimate pass will run under
+		if err := m.Advance(0.5); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := make(map[int]QueryView)
+		finishedNow := false
+		for _, id := range ids {
+			p, err := m.Progress(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Status == "finished" && !scored[id] {
+				scored[id], finishedNow = true, true
+				if b, ok := lastBand[id]; ok {
+					finishes++
+					if p.FinishTime >= b.Low-1e-9 && p.FinishTime <= b.High+1e-9 {
+						within++
+					}
+				}
+				continue
+			}
+			if !scored[id] {
+				views[id] = p
+				lastBand[id] = core.Interval{Low: float64(p.Now + p.ETALow), High: float64(p.Now + p.ETAHigh)}
+				if math.IsInf(lastBand[id].High, 0) {
+					delete(lastBand, id) // no band reported, none scored
+				}
+			}
+		}
+		if finishedNow {
+			continue // a finish moved the rolling errors mid-tick: pre is stale
+		}
+		want := snap.estimates(nil, pre)
+		for id, p := range views {
+			w := want.PerQuery[id]
+			if math.Float64bits(float64(p.ETALow)) != math.Float64bits(w.ETALow) ||
+				math.Float64bits(float64(p.ETAHigh)) != math.Float64bits(w.ETAHigh) {
+				t.Fatalf("tick %d query %d: served band [%v, %v], scored band [%v, %v]",
+					tick, id, p.ETALow, p.ETAHigh, w.ETALow, w.ETAHigh)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no tick compared a served band against the scored one")
+	}
+	var gotWithin, gotFinishes uint64
+	if err := m.call(func() { gotWithin, gotFinishes = m.calib.Coverage() }); err != nil {
+		t.Fatal(err)
+	}
+	if gotWithin != within || gotFinishes != finishes {
+		t.Fatalf("service scored %d/%d finishes inside their band; the bands clients saw give %d/%d",
+			gotWithin, gotFinishes, within, finishes)
 	}
 }

@@ -208,6 +208,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/queries", map[string]string{"sql": "SELECT FROM WHERE"}, http.StatusBadRequest},
 		{"POST", "/queries", map[string]string{"nope": "x"}, http.StatusBadRequest},
 		{"POST", "/queries", rawBody(`{"sql":"SELECT SUM(a) FROM t1"}{"junk":1}`), http.StatusBadRequest},
+		{"POST", "/queries", rawBody(`{"sql":"SELECT SUM(a) FROM t1","delay":-5}`), http.StatusBadRequest},
 		{"POST", "/advance", rawBody(`{"seconds":1} 2`), http.StatusBadRequest},
 		{"POST", "/advance", map[string]float64{"seconds": -1}, http.StatusBadRequest},
 		{"GET", "/plan/speedup", nil, http.StatusBadRequest},

@@ -10,40 +10,69 @@ import (
 	"mqpi/internal/sched"
 )
 
-func sameEstimate(a, b core.Estimate) bool {
-	return math.Float64bits(a.SingleQuery) == math.Float64bits(b.SingleQuery) &&
-		math.Float64bits(a.MultiQuery) == math.Float64bits(b.MultiQuery)
+// estimateInput converts the snapshot to the pure-value input of the §2.2–2.4
+// estimators. arrivals is the manager's configured §2.4 model, which the
+// snapshot does not carry.
+func (s *Snapshot) estimateInput(arrivals *core.ArrivalModel) core.EstimateInput {
+	return core.EstimateInput{
+		Running:  s.Sched.StatesRunning(),
+		Queued:   s.Sched.StatesQueued(),
+		MPL:      s.Sched.MPL,
+		RateC:    s.Sched.RateC,
+		Speeds:   s.Sched.Speeds(),
+		Arrivals: arrivals,
+	}
 }
 
-// checkIncrementalEstimates compares the manager's live estimate path — the
-// incremental stage structure behind estimatesFor — against the stateless
-// oracle Snapshot.estimates, bit for bit, on the current snapshot.
-func checkIncrementalEstimates(t *testing.T, m *Manager, step string) {
+// estimates is the stateless oracle: the bundle a fresh estimator — no
+// incremental structure, no history of earlier passes — derives from the
+// snapshot alone under calibration state st. The bundle the manager publishes
+// with the snapshot is tested against it.
+func (s *Snapshot) estimates(arrivals *core.ArrivalModel, st core.EnsembleState) core.Estimates {
+	est, err := core.NewEstimator(s.Estimator)
+	if err != nil {
+		panic(err) // published snapshots only ever carry validated modes
+	}
+	return est.Estimates(s.estimateInput(arrivals), st)
+}
+
+func sameEstimate(a, b core.Estimate) bool {
+	return math.Float64bits(a.SingleQuery) == math.Float64bits(b.SingleQuery) &&
+		math.Float64bits(a.MultiQuery) == math.Float64bits(b.MultiQuery) &&
+		math.Float64bits(a.ETALow) == math.Float64bits(b.ETALow) &&
+		math.Float64bits(a.ETAHigh) == math.Float64bits(b.ETAHigh)
+}
+
+// checkPublishedEstimates compares the bundle published with the current
+// snapshot — the owner's one pass through its incremental stage structure —
+// against the stateless oracle Snapshot.estimates, bit for bit.
+func checkPublishedEstimates(t *testing.T, m *Manager, step string) {
 	t.Helper()
 	snap, err := m.read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := snap.estimates()
-	got := m.estimatesFor(snap)
-	if math.Float64bits(got.quiescent) != math.Float64bits(want.quiescent) {
-		t.Fatalf("%s: quiescent = %v, want %v", step, got.quiescent, want.quiescent)
+	want := snap.estimates(m.cfg.Arrivals, core.EnsembleState{})
+	got := snap.est
+	if math.Float64bits(got.Quiescent) != math.Float64bits(want.Quiescent) {
+		t.Fatalf("%s: quiescent = %v, want %v", step, got.Quiescent, want.Quiescent)
 	}
-	if len(got.perQuery) != len(want.perQuery) {
-		t.Fatalf("%s: %d estimates, want %d", step, len(got.perQuery), len(want.perQuery))
+	if len(got.PerQuery) != len(want.PerQuery) {
+		t.Fatalf("%s: %d estimates, want %d", step, len(got.PerQuery), len(want.PerQuery))
 	}
-	for id, w := range want.perQuery {
-		if g, ok := got.perQuery[id]; !ok || !sameEstimate(g, w) {
-			t.Fatalf("%s: query %d estimate = %+v, want %+v", step, id, got.perQuery[id], w)
+	for id, w := range want.PerQuery {
+		if g, ok := got.PerQuery[id]; !ok || !sameEstimate(g, w) {
+			t.Fatalf("%s: query %d estimate = %+v, want %+v", step, id, got.PerQuery[id], w)
 		}
 	}
 }
 
 // TestIncrementalEstimatesMatchStateless drives a manager through submission
-// bursts, queueing, block/unblock, priority changes, an abort, and thirty
-// ticks of drainage, checking after every transition that the incremental
-// read path returns exactly — bitwise — what the stateless ComputeEstimates
-// oracle returns for the same snapshot. This pins the service-layer half of
+// bursts, queueing, block/unblock, priority changes, a fold toggle, DML, an
+// abort, and thirty ticks of drainage, checking after every transition that
+// the bundle published with the snapshot is exactly — bitwise — what the
+// stateless oracle derives from that snapshot, whether the tick's pass or
+// publish's own produced it. This pins the service-layer half of
 // the incremental profile's bit-identity contract (the core half is pinned by
 // the differential tests in internal/core, the sim half by invariant I10).
 func TestIncrementalEstimatesMatchStateless(t *testing.T) {
@@ -71,35 +100,45 @@ func TestIncrementalEstimatesMatchStateless(t *testing.T) {
 		ids = append(ids, v.ID)
 		// With MPL 3, submissions 4–6 queue up: the non-empty-queue fallback
 		// (event-stepped simulation) is exercised alongside the fast path.
-		checkIncrementalEstimates(t, m, fmt.Sprintf("submit %d", i))
+		checkPublishedEstimates(t, m, fmt.Sprintf("submit %d", i))
 	}
 
 	for step := 0; step < 30; step++ {
 		if err := m.Advance(0.5); err != nil {
 			t.Fatal(err)
 		}
-		checkIncrementalEstimates(t, m, fmt.Sprintf("tick %d", step))
+		checkPublishedEstimates(t, m, fmt.Sprintf("tick %d", step))
 		switch step {
 		case 2:
 			if err := m.Block(ids[0]); err != nil {
 				t.Fatal(err)
 			}
-			checkIncrementalEstimates(t, m, "block")
+			checkPublishedEstimates(t, m, "block")
 		case 4:
 			if err := m.SetPriority(ids[1], 2); err != nil {
 				t.Fatal(err)
 			}
-			checkIncrementalEstimates(t, m, "priority")
+			checkPublishedEstimates(t, m, "priority")
 		case 6:
 			if err := m.Unblock(ids[0]); err != nil {
 				t.Fatal(err)
 			}
-			checkIncrementalEstimates(t, m, "unblock")
+			checkPublishedEstimates(t, m, "unblock")
+		case 7:
+			if err := m.SetFold(true); err != nil {
+				t.Fatal(err)
+			}
+			checkPublishedEstimates(t, m, "fold")
 		case 8:
 			// The target may already have finished depending on the weight
 			// mix; either way the post-action snapshot must stay consistent.
 			_ = m.Abort(ids[2])
-			checkIncrementalEstimates(t, m, "abort")
+			checkPublishedEstimates(t, m, "abort")
+		case 10:
+			if _, err := m.Exec("INSERT INTO inc5 VALUES (1)"); err != nil {
+				t.Fatal(err)
+			}
+			checkPublishedEstimates(t, m, "exec")
 		}
 	}
 }
@@ -125,12 +164,12 @@ func TestIncrementalEstimatesArrivalsFallback(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		checkIncrementalEstimates(t, m, fmt.Sprintf("submit %d", i))
+		checkPublishedEstimates(t, m, fmt.Sprintf("submit %d", i))
 	}
 	for step := 0; step < 6; step++ {
 		if err := m.Advance(0.5); err != nil {
 			t.Fatal(err)
 		}
-		checkIncrementalEstimates(t, m, fmt.Sprintf("tick %d", step))
+		checkPublishedEstimates(t, m, fmt.Sprintf("tick %d", step))
 	}
 }

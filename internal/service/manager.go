@@ -14,20 +14,20 @@
 //
 // Reads take a different path entirely. After every mutation and tick batch
 // the owner publishes an immutable, epoch-stamped Snapshot through an atomic
-// pointer; Progress, Overview, Diagram, and the §3 planners load the latest
-// snapshot and compute their views on the *caller's* goroutine, never
-// touching the owner channel. A per-epoch estimate cache with singleflight
-// semantics makes N concurrent pollers of the same epoch share one estimate
-// computation — itself backed by an incremental stage structure that patches
-// only what changed since the previous epoch — so polls scale with reader
-// parallelism instead of serializing behind each other and the scheduler
-// ticks.
+// pointer, and the snapshot carries the estimate bundle for that state: the
+// Manager's one estimator runs one pass per state — in afterTick, or in
+// publish when a request rather than a tick changed the state — backed by an
+// incremental stage structure that patches only what changed since the last
+// pass. Progress, Overview, Diagram, and the §3 planners load the latest
+// snapshot and build their views on the *caller's* goroutine: load a pointer,
+// look up, encode — no mutex, no channel wait, no estimator on any poll — so
+// polls scale with reader parallelism instead of serializing behind each
+// other and the scheduler ticks.
 //
 // On top of the session manager sits the observability layer: Prometheus
-// counters/gauges/histograms (Metrics, including read-path cache hit/miss
-// counters, snapshot age, and poll latency) and a bounded per-query event
-// trace (EventLog), both safe to read from any goroutine without stalling
-// the scheduler.
+// counters/gauges/histograms (Metrics, including snapshot age and poll
+// latency) and a bounded per-query event trace (EventLog), both safe to read
+// from any goroutine without stalling the scheduler.
 package service
 
 import (
@@ -130,54 +130,43 @@ type Manager struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	// Read path: the owner publishes an immutable snapshot here after every
-	// mutation; pollers load it and share per-epoch estimates via cache.
-	snap  atomic.Pointer[Snapshot]
-	cache estimateCache
-	// readEst is the read path's estimator. Its stage member maintains an
-	// incremental stage structure: successive epochs over a slowly changing
-	// mix refill the estimate cache in O(changed·log n) instead of re-sorting
-	// everything. The singleflight cache already collapses concurrent pollers
-	// of one epoch to one compute, but a straggler holding the previous epoch
-	// may compute concurrently, so readMu serializes access to the structure.
-	readMu  sync.Mutex
-	readEst core.Estimator
+	// Read path: the owner publishes an immutable snapshot, estimates
+	// included, here after every mutation; pollers only load it.
+	snap atomic.Pointer[Snapshot]
 
 	// Owner-goroutine state: only the loop goroutine may touch these.
 	db         *engine.DB
 	srv        *sched.Server
-	epoch      uint64              // last published snapshot epoch
-	debt       float64             // virtual seconds owed but not yet ticked
-	lastFinish map[int]float64     // query -> last predicted absolute finish time
-	queuedSet  map[int]bool        // queries last seen in the admission queue
-	schedSet   map[int]bool        // queries still waiting as future arrivals
-	// ownerEst is the owner goroutine's estimator instance, backing the
-	// per-tick estimate pass (afterTick → estimates) the same way readEst
-	// backs the poller cache.
-	ownerEst core.Estimator
+	epoch      uint64          // last published snapshot epoch
+	debt       float64         // virtual seconds owed but not yet ticked
+	lastFinish map[int]float64 // query -> last predicted absolute finish time
+	queuedSet  map[int]bool    // queries last seen in the admission queue
+	schedSet   map[int]bool    // queries still waiting as future arrivals
+	// est is the Manager's one estimator. Its stage member maintains an
+	// incremental stage structure, so successive passes over a slowly
+	// changing mix cost O(changed·log n) instead of a full re-sort.
+	est core.Estimator
+	// bundle is est's output for the live scheduler state, or nil once a
+	// request may have changed that state; the next publish fills it in.
+	bundle *core.Estimates
 	// calib accumulates finish-time residuals and band coverage for the
 	// ensemble blender; nil in stage mode, where no calibration runs and the
 	// estimate path is the classic pipeline verbatim.
 	calib *core.EnsembleCalib
-	// calibState is the immutable calibration state as of the last
-	// publication, shared with the snapshot so the read path's estimates stay
-	// pure functions of the snapshot. Always zero in stage mode.
-	calibState core.EnsembleState
 }
 
 // New creates a manager over db and starts its owner goroutine.
 func New(db *engine.DB, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	if cfg.Arrivals != nil {
-		// Snapshot publications share this pointer across goroutines; a
-		// private copy guarantees the caller cannot mutate it underneath the
-		// read path.
+		// The owner goroutine reads this on every estimate pass; a private
+		// copy guarantees the caller cannot mutate it underneath.
 		a := *cfg.Arrivals
 		cfg.Arrivals = &a
 	}
 	m := &Manager{
 		cfg:        cfg,
-		metrics:    newMetrics(),
+		metrics:    new(Metrics),
 		events:     newEventLog(cfg.EventCap),
 		reqs:       make(chan func()),
 		quit:       make(chan struct{}),
@@ -191,13 +180,12 @@ func New(db *engine.DB, cfg Config) *Manager {
 	if m.cfg.RevisionEpsilon <= 0 {
 		m.cfg.RevisionEpsilon = m.srv.Quantum()
 	}
-	ownerEst, err := core.NewEstimator(cfg.Estimator)
+	est, err := core.NewEstimator(cfg.Estimator)
 	if err != nil {
 		panic(err) // flag/HTTP layers validate; reaching here is a programming error
 	}
-	readEst, _ := core.NewEstimator(cfg.Estimator)
-	m.ownerEst, m.readEst = ownerEst, readEst
-	if mode := ownerEst.Mode(); mode != core.EstimatorStage {
+	m.est = est
+	if mode := est.Mode(); mode != core.EstimatorStage {
 		m.calib = core.NewEnsembleCalib()
 		m.metrics.setEstimator(mode)
 	}
@@ -268,16 +256,26 @@ func (m *Manager) loop() {
 // call runs f on the owner goroutine, publishes a fresh snapshot, and waits
 // for both to complete — so a client that mutates and immediately polls reads
 // its own write.
-func (m *Manager) call(f func()) error { return m.callDeadline(f, 0) }
+func (m *Manager) call(f func()) error {
+	_, err := m.callDeadline(f, 0)
+	return err
+}
 
 // callDeadline is call with a bound on the hand-off wait: if the owner does
 // not take the request within d (because a tick — serial credit plane plus
 // parallel execute phase — is still in flight), it returns ErrBusy without
 // running f. d <= 0 waits indefinitely. Once the owner accepts the request,
-// it always runs to completion.
-func (m *Manager) callDeadline(f func(), d time.Duration) error {
+// it always runs to completion, and callDeadline returns the snapshot
+// published for it.
+func (m *Manager) callDeadline(f func(), d time.Duration) (*Snapshot, error) {
+	var snap *Snapshot
 	fin := make(chan struct{})
-	req := func() { f(); m.publish(); close(fin) }
+	req := func() {
+		m.bundle = nil // f may change what the estimates are of
+		f()
+		snap = m.publish()
+		close(fin)
+	}
 	var timeout <-chan time.Time
 	if d > 0 {
 		timer := time.NewTimer(d)
@@ -288,33 +286,34 @@ func (m *Manager) callDeadline(f func(), d time.Duration) error {
 	case m.reqs <- req:
 		m.metrics.incOwnerRequest()
 		<-fin
-		return nil
+		return snap, nil
 	case <-m.done:
-		return ErrClosed
+		return nil, ErrClosed
 	case <-timeout:
 		m.metrics.incExecBusy()
-		return ErrBusy
+		return nil, ErrBusy
 	}
 }
 
-// publish installs a fresh immutable snapshot for the read path. Owner
-// goroutine only (called from New before the loop starts, then from the loop).
-func (m *Manager) publish() {
+// publish installs a fresh immutable snapshot, estimates included, for the
+// read path: the bundle afterTick just computed when the publish follows a
+// tick, otherwise one pass over the live state. Owner goroutine only (called
+// from New before the loop starts, then from the loop).
+func (m *Manager) publish() *Snapshot {
 	m.epoch++
-	if m.calib != nil {
-		// An immutable copy per publication: the owner keeps mutating the
-		// accumulator, but this epoch's readers must all see the same state.
-		m.calibState = m.calib.State()
+	if m.bundle == nil {
+		m.estimate()
 	}
-	m.snap.Store(&Snapshot{
+	snap := &Snapshot{
 		Epoch:     m.epoch,
 		Published: time.Now(),
 		Sched:     m.srv.Snapshot(),
 		TimeScale: m.cfg.TimeScale,
-		Arrivals:  m.cfg.Arrivals,
-		Estimator: m.ownerEst.Mode(),
-		Calib:     m.calibState,
-	})
+		Estimator: m.est.Mode(),
+		est:       m.bundle,
+	}
+	m.snap.Store(snap)
+	return snap
 }
 
 // read returns the latest published snapshot without touching the owner
@@ -327,24 +326,6 @@ func (m *Manager) read() (*Snapshot, error) {
 	default:
 		return m.snap.Load(), nil
 	}
-}
-
-// estimatesFor returns the shared estimate bundle for snap's epoch,
-// computing it on the calling goroutine at most once per epoch across all
-// concurrent pollers.
-func (m *Manager) estimatesFor(snap *Snapshot) viewEstimates {
-	est, hit := m.cache.get(snap.Epoch, func() viewEstimates {
-		m.readMu.Lock()
-		defer m.readMu.Unlock()
-		out := m.readEst.Estimates(snap.estimateInput(), snap.Calib)
-		return viewEstimates{perQuery: out.PerQuery, quiescent: out.Quiescent, weights: out.Weights}
-	})
-	if hit {
-		m.metrics.incCacheHit()
-	} else {
-		m.metrics.incCacheMiss()
-	}
-	return est
 }
 
 // advance accrues vsec virtual seconds of debt and ticks the scheduler while
@@ -371,7 +352,7 @@ func (m *Manager) advance(vsec float64) {
 		}
 		start := time.Now()
 		m.srv.Tick()
-		m.metrics.observeTick(time.Since(start).Seconds())
+		m.metrics.tickDur.Record(time.Since(start))
 		st := m.srv.TickStats()
 		m.metrics.observeExecutePhase(st.ExecuteSeconds, st.Rounds)
 		m.debt -= quantum
@@ -423,12 +404,12 @@ func (m *Manager) afterTick() {
 	// the estimate_revised events appended here must land in the event log in
 	// the same order on every run (and at every worker count) for /events to
 	// be deterministic.
-	in := m.estimateInput()
-	bundle := m.ownerEst.Estimates(in, m.ownerCalibState())
+	in := m.estimate()
+	bundle := m.bundle
 	if m.calib != nil {
 		// Fold this pass into the calibration state: per-query speed EWMAs,
 		// each member's absolute predicted finish, and the reported band.
-		m.calib.Observe(now, in, bundle)
+		m.calib.Observe(now, in, *bundle)
 		within, finishes := m.calib.Coverage()
 		m.metrics.setEstimatorStats(bundle.Weights, within, finishes)
 	}
@@ -446,7 +427,7 @@ func (m *Manager) afterTick() {
 		abs := now + eta
 		if last, ok := m.lastFinish[id]; ok {
 			rev := math.Abs(abs - last)
-			m.metrics.observeRevision(rev)
+			m.metrics.revision.RecordSeconds(rev)
 			if rev >= m.cfg.RevisionEpsilon {
 				m.events.add(now, id, EventRevised,
 					fmt.Sprintf("predicted finish moved %+.3fs (t=%.3fs -> t=%.3fs)", abs-last, last, abs))
@@ -506,14 +487,19 @@ func (m *Manager) updateDepths() {
 	m.metrics.setDepths(running, blocked, len(m.srv.Queued()), len(m.schedSet))
 }
 
-// estimates computes the estimate bundle for every admitted and queued query
-// from the live scheduler state, through the owner's incremental stage
-// structure — this runs once per tick (afterTick), so over a slowly changing
-// mix the per-tick cost is O(changed·log n) instead of a full re-sort. The
-// values are bit-identical to the stateless core.ComputeEstimates. Owner
-// goroutine only.
-func (m *Manager) estimates() map[int]core.Estimate {
-	return m.ownerEst.Estimates(m.estimateInput(), m.ownerCalibState()).PerQuery
+// estimate runs the one estimate pass for the live scheduler state — every
+// admitted and queued query's bundle, bit-identical to the stateless
+// core.ComputeEstimates in stage mode — leaving it in m.bundle, and returns
+// the input it ran on. Owner goroutine only.
+func (m *Manager) estimate() core.EstimateInput {
+	var st core.EnsembleState
+	if m.calib != nil {
+		st = m.calib.State()
+	}
+	in := m.estimateInput()
+	bundle := m.est.Estimates(in, st)
+	m.bundle = &bundle
+	return in
 }
 
 // estimateInput assembles the pure-value estimator input from the live
@@ -533,23 +519,14 @@ func (m *Manager) estimateInput() core.EstimateInput {
 	}
 }
 
-// ownerCalibState exports the calibration accumulator's current state for an
-// owner-side estimate pass (the zero state in stage mode, where no
-// calibration runs). Owner goroutine only.
-func (m *Manager) ownerCalibState() core.EnsembleState {
-	if m.calib == nil {
-		return core.EnsembleState{}
-	}
-	return m.calib.State()
-}
-
 // SubmitRequest describes one query submission.
 type SubmitRequest struct {
-	Label    string  `json:"label"`
-	SQL      string  `json:"sql"`
-	Priority int     `json:"priority"`
+	Label    string `json:"label"`
+	SQL      string `json:"sql"`
+	Priority int    `json:"priority"`
 	// Delay, when positive, schedules the arrival Delay virtual seconds from
-	// now instead of submitting immediately.
+	// now instead of submitting immediately. Negative and non-finite delays
+	// are refused.
 	Delay float64 `json:"delay,omitempty"`
 }
 
@@ -557,9 +534,15 @@ type SubmitRequest struct {
 // arrival calendar). It returns the query's initial view, whose ID all other
 // operations use.
 func (m *Manager) Submit(req SubmitRequest) (QueryView, error) {
-	var view QueryView
+	// A negative delay is not "now", and an infinite one would park the query
+	// in the arrival calendar forever, keeping the server busy and the idle
+	// clock from ever freezing again. NaN fails the first comparison.
+	if !(req.Delay >= 0) || math.IsInf(req.Delay, 1) {
+		return QueryView{}, fmt.Errorf("service: delay of %g seconds out of range", req.Delay)
+	}
+	var id int
 	var rerr error
-	err := m.call(func() {
+	snap, err := m.callDeadline(func() {
 		r, err := m.db.Prepare(req.SQL)
 		if err != nil {
 			rerr = fmt.Errorf("prepare: %w", err)
@@ -584,12 +567,16 @@ func (m *Manager) Submit(req SubmitRequest) (QueryView, error) {
 			}
 		}
 		m.updateDepths()
-		view = m.viewLocked(q.ID)
-	})
+		id = q.ID
+	}, 0)
 	if err != nil {
 		return QueryView{}, err
 	}
-	return view, rerr
+	if rerr != nil {
+		return QueryView{}, rerr
+	}
+	view, _ := snap.view(id)
+	return view, nil
 }
 
 // Exec runs a DDL/DML statement to completion on the owner goroutine —
@@ -600,7 +587,7 @@ func (m *Manager) Submit(req SubmitRequest) (QueryView, error) {
 func (m *Manager) Exec(sqlText string) (int, error) {
 	var n int
 	var rerr error
-	err := m.callDeadline(func() { n, rerr = m.db.Exec(sqlText) }, m.cfg.ExecDeadline)
+	_, err := m.callDeadline(func() { n, rerr = m.db.Exec(sqlText) }, m.cfg.ExecDeadline)
 	if err != nil {
 		return 0, err
 	}
@@ -608,7 +595,7 @@ func (m *Manager) Exec(sqlText string) (int, error) {
 }
 
 // Progress returns the live view of one query. It is a pure read: the latest
-// snapshot is loaded from the atomic pointer and the view is computed on the
+// snapshot is loaded from the atomic pointer and the view is built on the
 // caller's goroutine, with zero sends on the owner channel.
 func (m *Manager) Progress(id int) (QueryView, error) {
 	snap, err := m.read()
@@ -616,28 +603,12 @@ func (m *Manager) Progress(id int) (QueryView, error) {
 		return QueryView{}, err
 	}
 	start := time.Now()
-	defer func() { m.metrics.observePoll(time.Since(start).Seconds()) }()
-	info, ok := snap.Sched.Lookup(id)
+	defer func() { m.metrics.pollDur.Record(time.Since(start)) }()
+	view, ok := snap.view(id)
 	if !ok {
 		return QueryView{}, ErrNotFound
 	}
-	var est core.Estimate
-	if statusHasEstimate(info.Status) {
-		est = m.estimatesFor(snap).perQuery[id]
-	}
-	view := makeView(info, est)
-	// Stamp the poll with the snapshot's virtual clock so clients can turn
-	// the relative ETA into an absolute predicted finish (now + eta) and
-	// audit it against finish_time once the query completes.
-	view.Now = Seconds(snap.Sched.Now)
 	return view, nil
-}
-
-// statusHasEstimate reports whether makeView consults the estimate bundle
-// for a query in this state — terminated and not-yet-arrived queries render
-// fixed ETAs, so polling them skips the estimate computation entirely.
-func statusHasEstimate(st sched.Status) bool {
-	return st == sched.StatusRunning || st == sched.StatusBlocked || st == sched.StatusQueued
 }
 
 // Overview returns the whole system's live view. Like Progress it is a pure
@@ -648,8 +619,8 @@ func (m *Manager) Overview() (Overview, error) {
 		return Overview{}, err
 	}
 	start := time.Now()
-	defer func() { m.metrics.observePoll(time.Since(start).Seconds()) }()
-	est := m.estimatesFor(snap)
+	defer func() { m.metrics.pollDur.Record(time.Since(start)) }()
+	est := snap.est
 	out := Overview{
 		Now:          snap.Sched.Now,
 		Epoch:        snap.Epoch,
@@ -660,20 +631,20 @@ func (m *Manager) Overview() (Overview, error) {
 		TimeScale:    snap.TimeScale,
 		Fold:         foldView(&snap.Sched),
 		Estimator:    snap.Estimator,
-		Weights:      est.weights,
-		QuiescentETA: Seconds(est.quiescent),
+		Weights:      est.Weights,
+		QuiescentETA: Seconds(est.Quiescent),
 	}
 	for _, info := range snap.Sched.Running {
-		out.Running = append(out.Running, makeView(info, est.perQuery[info.ID]))
+		out.Running = append(out.Running, makeView(info, est.PerQuery[info.ID]))
 	}
 	for _, info := range snap.Sched.Queued {
-		out.Queued = append(out.Queued, makeView(info, est.perQuery[info.ID]))
+		out.Queued = append(out.Queued, makeView(info, est.PerQuery[info.ID]))
 	}
 	for _, info := range snap.Sched.Scheduled {
-		out.Scheduled = append(out.Scheduled, makeView(info, est.perQuery[info.ID]))
+		out.Scheduled = append(out.Scheduled, makeView(info, est.PerQuery[info.ID]))
 	}
 	for _, info := range snap.Sched.Done {
-		out.Finished = append(out.Finished, makeView(info, est.perQuery[info.ID]))
+		out.Finished = append(out.Finished, makeView(info, est.PerQuery[info.ID]))
 	}
 	return out, nil
 }
@@ -796,9 +767,8 @@ func (m *Manager) Diagram(width int) (string, error) {
 	// diagram (the sim traces embed diagrams, so this is load-bearing).
 	var bands map[int]core.Interval
 	if snap.Estimator != core.EstimatorStage {
-		est := m.estimatesFor(snap)
-		bands = make(map[int]core.Interval, len(est.perQuery))
-		for id, e := range est.perQuery {
+		bands = make(map[int]core.Interval, len(snap.est.PerQuery))
+		for id, e := range snap.est.PerQuery {
 			if !math.IsInf(e.ETAHigh, 0) && !math.IsNaN(e.ETALow) {
 				bands[id] = core.Interval{Low: e.ETALow, High: e.ETAHigh}
 			}
@@ -882,13 +852,4 @@ func (m *Manager) Load() Load {
 		RemainingU: remaining,
 		FoldTables: s.Sched.FoldTables,
 	}
-}
-
-// viewLocked builds the client view of one query. Owner goroutine only.
-func (m *Manager) viewLocked(id int) QueryView {
-	info, _ := m.srv.SnapshotQuery(id)
-	est := m.estimates()
-	view := makeView(info, est[info.ID])
-	view.Now = Seconds(m.srv.Now())
-	return view
 }

@@ -9,38 +9,13 @@ import (
 	"sync"
 
 	"mqpi/internal/core"
+	"mqpi/internal/metrics"
 )
 
-// histogram is a fixed-bucket histogram in the Prometheus style: counts[i]
-// counts observations ≤ bounds[i], the final slot is the +Inf overflow.
-type histogram struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	count  uint64
-}
-
-func newHistogram(bounds ...float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	h.sum += v
-	h.count++
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
 // Metrics is the service's observability state, rendered in the Prometheus
-// text exposition format by Text. All methods are safe for concurrent use.
+// text exposition format by Text. All methods are safe for concurrent use;
+// the histograms are lock-free, so a poll records its latency without
+// touching mu.
 type Metrics struct {
 	mu sync.Mutex
 
@@ -52,8 +27,6 @@ type Metrics struct {
 	unblocked uint64
 
 	ownerRequests uint64 // operations marshalled onto the owner goroutine
-	cacheHits     uint64 // polls served from the per-epoch estimate cache
-	cacheMisses   uint64 // polls that computed their epoch's estimates
 	execBusy      uint64 // Exec calls bounced with ErrBusy (deadline exceeded)
 
 	advanceBackstops uint64 // advances truncated by MaxTicksPerAdvance (debt carried)
@@ -78,24 +51,15 @@ type Metrics struct {
 	queuedDepth    int
 	scheduledDepth int
 
-	tickDur  *histogram // wall seconds per scheduler tick
-	execDur  *histogram // wall seconds in the tick's execute phase
-	revision *histogram // |Δ predicted finish| per tick, virtual seconds
-	pollDur  *histogram // wall seconds per progress/overview poll
+	tickDur  metrics.Histogram // wall seconds per scheduler tick
+	execDur  metrics.Histogram // wall seconds in the tick's execute phase
+	revision metrics.Histogram // |Δ predicted finish| per tick, virtual seconds
+	pollDur  metrics.Histogram // wall seconds per progress/overview poll
 
 	// snapshotInfo, when wired by the Manager, reports the published
 	// read-path snapshot's epoch and wall-clock age in seconds. It must not
 	// block (the Manager wires an atomic load) — Text calls it under mu.
 	snapshotInfo func() (epoch uint64, ageSeconds float64)
-}
-
-func newMetrics() *Metrics {
-	return &Metrics{
-		tickDur:  newHistogram(1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1),
-		execDur:  newHistogram(1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1),
-		revision: newHistogram(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 300),
-		pollDur:  newHistogram(1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.1),
-	}
 }
 
 func (m *Metrics) incSubmitted() { m.mu.Lock(); m.submitted++; m.mu.Unlock() }
@@ -106,8 +70,6 @@ func (m *Metrics) incBlocked()   { m.mu.Lock(); m.blocked++; m.mu.Unlock() }
 func (m *Metrics) incUnblocked() { m.mu.Lock(); m.unblocked++; m.mu.Unlock() }
 
 func (m *Metrics) incOwnerRequest() { m.mu.Lock(); m.ownerRequests++; m.mu.Unlock() }
-func (m *Metrics) incCacheHit()     { m.mu.Lock(); m.cacheHits++; m.mu.Unlock() }
-func (m *Metrics) incCacheMiss()    { m.mu.Lock(); m.cacheMisses++; m.mu.Unlock() }
 func (m *Metrics) incExecBusy()     { m.mu.Lock(); m.execBusy++; m.mu.Unlock() }
 
 func (m *Metrics) incAdvanceBackstop() { m.mu.Lock(); m.advanceBackstops++; m.mu.Unlock() }
@@ -166,36 +128,18 @@ func (m *Metrics) setFoldStats(attaches, pagesSaved uint64, groups, members int)
 // allocate→execute→settle rounds the tick needed (>1 means the
 // work-conserving redistribution loop re-ran).
 func (m *Metrics) observeExecutePhase(seconds float64, rounds int) {
+	m.execDur.RecordSeconds(seconds)
 	m.mu.Lock()
-	m.execDur.observe(seconds)
 	m.tickRounds += uint64(rounds)
 	m.mu.Unlock()
 }
 
-func (m *Metrics) observePoll(seconds float64) {
-	m.mu.Lock()
-	m.pollDur.observe(seconds)
-	m.mu.Unlock()
-}
-
-// readStats returns the read-path counters; tests use it to pin the two
-// tentpole invariants (reads bypass the owner, estimates are singleflighted).
-func (m *Metrics) readStats() (ownerRequests, cacheHits, cacheMisses uint64) {
+// readStats returns the read-path counters: requests the owner goroutine took
+// and polls served. Tests use it to pin that reads bypass the owner.
+func (m *Metrics) readStats() (ownerRequests, polls uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ownerRequests, m.cacheHits, m.cacheMisses
-}
-
-func (m *Metrics) observeTick(seconds float64) {
-	m.mu.Lock()
-	m.tickDur.observe(seconds)
-	m.mu.Unlock()
-}
-
-func (m *Metrics) observeRevision(seconds float64) {
-	m.mu.Lock()
-	m.revision.observe(seconds)
-	m.mu.Unlock()
+	return m.ownerRequests, m.pollDur.Count()
 }
 
 func (m *Metrics) setDepths(running, blocked, queued, scheduled int) {
@@ -213,19 +157,6 @@ func fmtFloat(v float64) string {
 
 func writeScalar(b *strings.Builder, name, typ, help string, v float64) {
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, fmtFloat(v))
-}
-
-func writeHistogram(b *strings.Builder, name, help string, h *histogram) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(b, "%s_bucket{le=\"%s\"} %d\n", name, fmtFloat(bound), cum)
-	}
-	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(b, "%s_sum %s\n", name, fmtFloat(h.sum))
-	fmt.Fprintf(b, "%s_count %d\n", name, h.count)
 }
 
 // WriteBuildInfo renders the mqpi_build_info gauge — constant 1, the sorted
@@ -268,8 +199,8 @@ func (m *Metrics) Text() string {
 	writeScalar(&b, "mqpi_queries_queued", "gauge", "Admission-queue depth.", float64(m.queuedDepth))
 	writeScalar(&b, "mqpi_queries_scheduled", "gauge", "Future arrivals not yet submitted.", float64(m.scheduledDepth))
 	writeScalar(&b, "mqpi_owner_requests_total", "counter", "Operations marshalled onto the owner goroutine (mutations only; reads bypass it).", float64(m.ownerRequests))
-	writeScalar(&b, "mqpi_poll_estimate_cache_hits_total", "counter", "Polls that shared a cached per-epoch estimate computation.", float64(m.cacheHits))
-	writeScalar(&b, "mqpi_poll_estimate_cache_misses_total", "counter", "Polls that computed their epoch's estimates.", float64(m.cacheMisses))
+	writeScalar(&b, "mqpi_poll_estimate_cache_hits_total", "counter", "Polls that read their estimates from the published snapshot: every poll, since the owner publishes them with it.", float64(m.pollDur.Count()))
+	writeScalar(&b, "mqpi_poll_estimate_cache_misses_total", "counter", "Polls that computed estimates themselves: always 0, no poll runs an estimator.", 0)
 	writeScalar(&b, "mqpi_exec_workers", "gauge", "Execute-phase worker count (1 = inline serial stepping).", float64(m.workers))
 	writeScalar(&b, "mqpi_exec_deadline_busy_total", "counter", "Exec statements rejected with 409 because the owner was busy past the deadline.", float64(m.execBusy))
 	writeScalar(&b, "mqpi_tick_rounds_total", "counter", "Allocate/execute/settle rounds across all ticks (redistribution re-runs included).", float64(m.tickRounds))
@@ -292,9 +223,9 @@ func (m *Metrics) Text() string {
 		writeScalar(&b, "mqpi_snapshot_epoch", "gauge", "Epoch of the published read-path snapshot.", float64(epoch))
 		writeScalar(&b, "mqpi_snapshot_age_seconds", "gauge", "Wall-clock age of the published read-path snapshot.", age)
 	}
-	writeHistogram(&b, "mqpi_tick_duration_seconds", "Wall-clock duration of one scheduler tick.", m.tickDur)
-	writeHistogram(&b, "mqpi_execute_phase_seconds", "Wall-clock duration of the parallel execute phase within one tick.", m.execDur)
-	writeHistogram(&b, "mqpi_estimate_revision_seconds", "Per-tick change of a query's predicted finish time, in virtual seconds.", m.revision)
-	writeHistogram(&b, "mqpi_poll_duration_seconds", "Wall-clock latency of one progress or overview poll on the lock-free read path.", m.pollDur)
+	m.tickDur.WritePrometheus(&b, "mqpi_tick_duration_seconds", "Wall-clock duration of one scheduler tick.")
+	m.execDur.WritePrometheus(&b, "mqpi_execute_phase_seconds", "Wall-clock duration of the parallel execute phase within one tick.")
+	m.revision.WritePrometheus(&b, "mqpi_estimate_revision_seconds", "Per-tick change of a query's predicted finish time, in virtual seconds.")
+	m.pollDur.WritePrometheus(&b, "mqpi_poll_duration_seconds", "Wall-clock latency of one progress or overview poll on the lock-free read path.")
 	return b.String()
 }

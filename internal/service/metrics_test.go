@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -10,35 +11,34 @@ import (
 
 // TestReadPathMetricsExposition: the read-path counters, snapshot gauges,
 // and poll-latency histogram render in the Prometheus text format with
-// monotone cumulative buckets ending at +Inf.
+// monotone cumulative buckets ending at +Inf. The two estimate-cache counters
+// keep their names: hits counts every poll, misses stays 0.
 func TestReadPathMetricsExposition(t *testing.T) {
-	m := newMetrics()
+	m := new(Metrics)
 	m.snapshotInfo = func() (uint64, float64) { return 7, 0.125 }
 	m.incOwnerRequest()
-	m.incCacheMiss()
-	m.incCacheHit()
-	m.incCacheHit()
-	m.observePoll(2e-5) // lands in a finite bucket
-	m.observePoll(123)  // lands only in +Inf
+	m.pollDur.RecordSeconds(2e-5)       // lands in a finite bucket
+	m.pollDur.RecordSeconds(1e6)        // lands only in +Inf
+	m.pollDur.RecordSeconds(math.NaN()) // dropped
 
 	text := m.Text()
 	assertPrometheusText(t, text)
 	for _, want := range []string{
 		"mqpi_owner_requests_total 1",
 		"mqpi_poll_estimate_cache_hits_total 2",
-		"mqpi_poll_estimate_cache_misses_total 1",
+		"mqpi_poll_estimate_cache_misses_total 0",
 		"mqpi_snapshot_epoch 7",
 		"mqpi_snapshot_age_seconds 0.125",
 		`mqpi_poll_duration_seconds_bucket{le="+Inf"} 2`,
 		"mqpi_poll_duration_seconds_count 2",
-		"mqpi_poll_duration_seconds_sum 123.00002",
+		"mqpi_poll_duration_seconds_sum 1.00000000002e+06",
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
 	// The overflow observation must not leak into the last finite bucket.
-	if !strings.Contains(text, `mqpi_poll_duration_seconds_bucket{le="0.1"} 1`+"\n") {
+	if !strings.Contains(text, `mqpi_poll_duration_seconds_bucket{le="274.877906944"} 1`+"\n") {
 		t.Errorf("finite buckets should hold exactly 1 observation:\n%s", text)
 	}
 }
@@ -47,7 +47,7 @@ func TestReadPathMetricsExposition(t *testing.T) {
 // gauge with deterministically ordered (sorted) labels; before the call the
 // gauge is absent rather than rendered with an empty label set.
 func TestBuildInfoExposition(t *testing.T) {
-	m := newMetrics()
+	m := new(Metrics)
 	if strings.Contains(m.Text(), "mqpi_build_info") {
 		t.Errorf("build info rendered before SetBuildInfo:\n%s", m.Text())
 	}
@@ -63,7 +63,7 @@ func TestBuildInfoExposition(t *testing.T) {
 // TestMetricsSnapshotGaugesUnwired: a Metrics without a Manager omits the
 // snapshot gauges instead of rendering garbage.
 func TestMetricsSnapshotGaugesUnwired(t *testing.T) {
-	m := newMetrics()
+	m := new(Metrics)
 	text := m.Text()
 	assertPrometheusText(t, text)
 	if strings.Contains(text, "mqpi_snapshot_epoch") || strings.Contains(text, "mqpi_snapshot_age_seconds") {
@@ -72,7 +72,7 @@ func TestMetricsSnapshotGaugesUnwired(t *testing.T) {
 }
 
 // TestManagerWiresReadPathMetrics: a real manager exports the snapshot
-// gauges and counts cache traffic end to end through the scrape surface.
+// gauges and counts polls end to end through the scrape surface.
 func TestManagerWiresReadPathMetrics(t *testing.T) {
 	db := engine.Open()
 	loadTable(t, db, "t1", 10)
@@ -84,17 +84,17 @@ func TestManagerWiresReadPathMetrics(t *testing.T) {
 	if err := m.Advance(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Progress(v.ID); err != nil { // miss
+	if _, err := m.Progress(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Overview(); err != nil { // hit (same epoch)
+	if _, err := m.Overview(); err != nil {
 		t.Fatal(err)
 	}
 	text := m.Metrics().Text()
 	assertPrometheusText(t, text)
 	for _, want := range []string{
-		"mqpi_poll_estimate_cache_hits_total 1",
-		"mqpi_poll_estimate_cache_misses_total 1",
+		"mqpi_poll_estimate_cache_hits_total 2", // both polls read the published bundle
+		"mqpi_poll_estimate_cache_misses_total 0",
 		"mqpi_owner_requests_total 2", // submit + advance; the polls add nothing
 		"mqpi_poll_duration_seconds_count 2",
 	} {

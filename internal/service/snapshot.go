@@ -1,7 +1,6 @@
 package service
 
 import (
-	"sync"
 	"time"
 
 	"mqpi/internal/core"
@@ -15,96 +14,32 @@ import (
 // their own goroutine — nothing in a Snapshot aliases live scheduler state,
 // so no locking is required and polls never stall the scheduler.
 //
-// Epoch increases by exactly one per publication, which gives the estimate
-// cache its invalidation rule: derived estimates are valid for precisely one
-// epoch, and a changed epoch means the world changed.
+// Epoch increases by exactly one per publication; every reader of one epoch
+// sees the same scheduler state and the same estimates of it.
 type Snapshot struct {
 	Epoch     uint64
 	Published time.Time // wall-clock publication time (snapshot age = now - Published)
 	Sched     sched.Snapshot
 	TimeScale float64
-	Arrivals  *core.ArrivalModel // immutable after New; shared, never written
 	// Estimator is the configured estimate-plane mode (core.EstimatorModes).
 	Estimator string
-	// Calib is the ensemble calibration state as of this epoch: rolling
-	// per-member errors and speed EWMAs, copied at publication so every
-	// reader of this epoch derives identical estimates. Zero in stage mode.
-	Calib core.EnsembleState
+	// est is the estimate bundle the Manager's estimator produced for Sched:
+	// both indicators for every admitted and queued query, the quiescent ETA
+	// and, in ensemble modes, the blend weights. Never written after publish.
+	est *core.Estimates
 }
 
-// estimateInput converts the snapshot to the pure-value input of the §2.2–2.4
-// estimators.
-func (s *Snapshot) estimateInput() core.EstimateInput {
-	return core.EstimateInput{
-		Running:  s.Sched.StatesRunning(),
-		Queued:   s.Sched.StatesQueued(),
-		MPL:      s.Sched.MPL,
-		RateC:    s.Sched.RateC,
-		Speeds:   s.Sched.Speeds(),
-		Arrivals: s.Arrivals,
+// view builds the client view of one query: the single snapshot→view step
+// behind Progress and the view Submit returns. It stamps the view with the
+// snapshot's virtual clock so clients can turn the relative ETA into an
+// absolute predicted finish (now + eta) and audit it against finish_time
+// once the query completes.
+func (s *Snapshot) view(id int) (QueryView, bool) {
+	info, ok := s.Sched.Lookup(id)
+	if !ok {
+		return QueryView{}, false
 	}
-}
-
-// estimates derives the per-query estimate bundle and quiescent ETA from the
-// snapshot alone — a pure function, safe on any goroutine. It is the stateless
-// oracle the incremental read path is tested against; the live read path goes
-// through Manager.estimatesFor, which maintains an incremental stage structure
-// across epochs and produces bit-identical results.
-func (s *Snapshot) estimates() viewEstimates {
-	est, err := core.NewEstimator(s.Estimator)
-	if err != nil {
-		panic(err) // published snapshots only ever carry validated modes
-	}
-	out := est.Estimates(s.estimateInput(), s.Calib)
-	return viewEstimates{perQuery: out.PerQuery, quiescent: out.Quiescent, weights: out.Weights}
-}
-
-// viewEstimates is everything the read path derives from one snapshot: the
-// §2.2–2.4 estimate bundle plus the quiescent ETA. Immutable once published
-// through the cache entry's done channel.
-type viewEstimates struct {
-	perQuery  map[int]core.Estimate
-	quiescent float64 // seconds until all known work drains
-	// weights maps ensemble member name to its blend weight this epoch (nil
-	// in stage mode, which runs no ensemble).
-	weights map[string]float64
-}
-
-// estimateCache shares one estimate computation per snapshot epoch among all
-// concurrent pollers (singleflight): the first caller at a new epoch computes
-// on its own goroutine while later callers of the same epoch wait on the
-// entry's done channel and then share the identical immutable result. The
-// cache holds a single slot — the newest epoch wins — because readers always
-// load the latest published snapshot; a straggler that raced a publication
-// and still holds the previous epoch simply computes its own result without
-// disturbing the slot.
-type estimateCache struct {
-	mu  sync.Mutex
-	cur *estEntry
-}
-
-type estEntry struct {
-	epoch uint64
-	done  chan struct{} // closed once est is filled in
-	est   viewEstimates
-}
-
-// get returns the estimate bundle for the given epoch, invoking compute at
-// most once per epoch among concurrent callers. hit reports whether the
-// result was shared from another caller's (possibly in-flight) computation.
-func (c *estimateCache) get(epoch uint64, compute func() viewEstimates) (est viewEstimates, hit bool) {
-	c.mu.Lock()
-	if e := c.cur; e != nil && e.epoch == epoch {
-		c.mu.Unlock()
-		<-e.done
-		return e.est, true
-	}
-	e := &estEntry{epoch: epoch, done: make(chan struct{})}
-	if c.cur == nil || epoch > c.cur.epoch {
-		c.cur = e
-	}
-	c.mu.Unlock()
-	e.est = compute()
-	close(e.done)
-	return e.est, false
+	view := makeView(info, s.est.PerQuery[id])
+	view.Now = Seconds(s.Sched.Now)
+	return view, true
 }

@@ -3,7 +3,9 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +20,8 @@ import (
 // hammer Progress, Overview, Events, Diagram, planners, and the metrics
 // scrape while the wall-clock ticker advances virtual time and writer
 // goroutines submit, block, unblock, re-prioritize, and abort queries —
-// including scheduled future arrivals.
+// including scheduled future arrivals. Every overview a reader takes is
+// fingerprinted by epoch: all pollers of one epoch must see one bundle.
 func TestReadPathStressRace(t *testing.T) {
 	db := engine.Open()
 	for i := 0; i < 4; i++ {
@@ -38,6 +41,7 @@ func TestReadPathStressRace(t *testing.T) {
 	)
 	var lastID atomic.Int64
 	stop := make(chan struct{})
+	var bundles sync.Map // epoch -> fingerprint of that epoch's estimates
 
 	var writerWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -92,8 +96,14 @@ func TestReadPathStressRace(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := m.Overview(); err != nil {
+					ov, err := m.Overview()
+					if err != nil {
 						t.Errorf("overview: %v", err)
+						return
+					}
+					fp := estimateFingerprint(ov)
+					if prev, seen := bundles.LoadOrStore(ov.Epoch, fp); seen && prev != fp {
+						t.Errorf("epoch %d served two bundles:\n%s\n%s", ov.Epoch, prev, fp)
 						return
 					}
 				case 2:
@@ -137,15 +147,22 @@ func TestReadPathStressRace(t *testing.T) {
 	if ov.Now <= 0 {
 		t.Error("ticker never advanced the virtual clock under load")
 	}
-	_, hits, misses := m.metrics.readStats()
-	if hits+misses == 0 {
-		t.Error("read path never computed an estimate")
-	}
-	// The whole point of the refactor: far more polls than estimate
-	// computations. Every miss is one estimator pass; everything else shared.
-	if misses > 0 && hits == 0 {
-		t.Errorf("cache never shared a computation: %d misses, %d hits", misses, hits)
+	if _, polls := m.metrics.readStats(); polls == 0 {
+		t.Error("read path never served a poll")
 	}
 	text := m.Metrics().Text()
 	assertPrometheusText(t, text)
+}
+
+// estimateFingerprint renders every estimate an overview carries, bit for bit.
+func estimateFingerprint(ov Overview) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "quiescent=%x", math.Float64bits(float64(ov.QuiescentETA)))
+	for _, list := range [][]QueryView{ov.Running, ov.Queued} {
+		for _, v := range list {
+			fmt.Fprintf(&b, " %d:%x/%x/%x/%x", v.ID, math.Float64bits(float64(v.SingleETA)),
+				math.Float64bits(float64(v.MultiETA)), math.Float64bits(float64(v.ETALow)), math.Float64bits(float64(v.ETAHigh)))
+		}
+	}
+	return b.String()
 }
