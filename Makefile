@@ -55,18 +55,12 @@ ci: vet build race
 	# second run would silently replay the first run's cached verdict.
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers' ./internal/sched/ ./internal/service/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers' ./internal/sched/ ./internal/service/
-	# Cluster-mode sim invariant matrix: the sharded tier's routing-level
-	# invariants (placement conservation, no lost work across aborts,
-	# admission accounting) and per-shard byte-identical determinism at
-	# workers 1/2/4 must hold on one core and on several. TestFoldSim adds the
-	# folding matrices: fold-on runs must stay byte-identical across worker
-	# counts and — stripped of fold annotations — identical to fold-off runs,
-	# with I11/C6 cost-plane conservation exact.
-	# TestSimEstimator adds the estimate-plane matrices (I13): stage-mode runs
-	# byte-identical to the pre-refactor default, ensemble-mode runs clean and
-	# deterministic across worker counts.
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestClusterSim|TestFoldSim|TestSimEstimator|TestSimEnsembleMode' ./internal/sim/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterSim|TestFoldSim|TestSimEstimator|TestSimEnsembleMode' ./internal/sim/
+	# The simulator package, whole (no name regex to go stale): every matrix —
+	# one shard and three, fold on and off, each estimator mode — must hold
+	# its invariants and stay byte-identical at workers 1/2/4 on one core and
+	# on several.
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/sim/
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/sim/
 	$(MAKE) cover-check
 	$(MAKE) bench-check
 	$(MAKE) calibration-smoke

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mqpi/internal/engine"
+	"mqpi/internal/sched"
 	"mqpi/internal/service"
 )
 
@@ -253,7 +254,13 @@ func (c *Cluster) onShard(gid int, f func(m *service.Manager, local int) error) 
 	if err != nil {
 		return err
 	}
-	return f(c.shards[shard], local)
+	err = f(c.shards[shard], local)
+	// The shard names the query by its own id; the client sent gid.
+	var se *sched.StateError
+	if errors.As(err, &se) {
+		return &sched.StateError{ID: gid, Problem: se.Problem}
+	}
+	return err
 }
 
 // Block suspends a query by global ID (§3.1 victim operation).
@@ -381,13 +388,12 @@ func (c *Cluster) Overview() (GlobalOverview, error) {
 		if err != nil {
 			return out, fmt.Errorf("cluster: overview shard %d: %w", i, err)
 		}
-		load := m.Load()
 		out.Estimator = ov.Estimator
 		out.Shards = append(out.Shards, ShardOverview{
 			Shard: i, Epoch: ov.Epoch, Now: ov.Now,
 			Running: len(ov.Running), Queued: len(ov.Queued),
 			Scheduled: len(ov.Scheduled), Finished: len(ov.Finished),
-			RemainingU:   load.RemainingU,
+			RemainingU:   remainingU(ov),
 			QuiescentETA: ov.QuiescentETA,
 			Weights:      ov.Weights,
 		})
@@ -400,6 +406,20 @@ func (c *Cluster) Overview() (GlobalOverview, error) {
 		sort.Slice(s, func(a, b int) bool { return s[a].ID < s[b].ID })
 	}
 	return out, nil
+}
+
+// remainingU is the shard's owed work as sched.Snapshot.LoadStats sums it
+// (running, then queued, then scheduled, so the float comes out bit-identical
+// to Load().RemainingU on the same epoch), taken from the overview the rest
+// of the shard's row comes from rather than from a second snapshot load.
+func remainingU(ov service.Overview) float64 {
+	sum := 0.0
+	for _, sec := range [][]service.QueryView{ov.Running, ov.Queued, ov.Scheduled} {
+		for _, v := range sec {
+			sum += v.Remaining
+		}
+	}
+	return sum
 }
 
 func (c *Cluster) reID(shard int, views []service.QueryView) []service.QueryView {

@@ -3,7 +3,10 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mqpi/internal/engine"
 	"mqpi/internal/engine/types"
@@ -429,4 +432,108 @@ func TestLeastLoadedFoldAware(t *testing.T) {
 	if s, _, _ := c.locate(v2.ID); s != 1 {
 		t.Fatalf("other-table scan routed to shard %d, want least-loaded shard 1", s)
 	}
+}
+
+// TestOpErrorsNameGlobalID: an operation the owning shard refuses must be
+// reported under the id the client sent, not the shard's own id for the
+// query (gid 7 on three shards is shard 0's query 3).
+func TestOpErrorsNameGlobalID(t *testing.T) {
+	c := manualCluster(t, Config{Shards: 3}, 1)
+	for i := 0; i < 7; i++ {
+		submit(t, c, fmt.Sprintf("q%d", i))
+	}
+	if err := c.Advance(60); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := c.Progress(7); err != nil || p.Status != "finished" {
+		t.Fatalf("query 7 = %+v, %v", p, err)
+	}
+	for op, err := range map[string]error{
+		"block":    c.Block(7),
+		"unblock":  c.Unblock(7),
+		"abort":    c.Abort(7),
+		"priority": c.SetPriority(7, 2),
+	} {
+		if err == nil {
+			t.Errorf("%s of a finished query succeeded", op)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "query 7 ") || strings.Contains(msg, "query 3 ") {
+			t.Errorf("%s: %q does not name query 7", op, msg)
+		}
+		if service.StatusOf(err) != 400 {
+			t.Errorf("%s: status %d, want 400", op, service.StatusOf(err))
+		}
+	}
+}
+
+// TestOverviewRowsAreOneEpoch hammers the merged overview while live tickers
+// and a writer move every shard: each shard row's remaining_u must be the sum
+// over that shard's own views in the same body. A row assembled from two
+// snapshot loads mixes epochs and misses by at least a tick's work.
+func TestOverviewRowsAreOneEpoch(t *testing.T) {
+	const shards = 2
+	c, err := New(Config{
+		Shards: shards,
+		Service: service.Config{
+			Sched:     sched.Config{RateC: 5, Quantum: 0.25, MPL: 3},
+			TickEvery: time.Millisecond,
+			TimeScale: 50,
+		},
+		OpenDB: openWith(t, 12),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ov, err := c.Overview()
+				if err != nil {
+					t.Errorf("overview: %v", err)
+					return
+				}
+				var sum [shards]float64
+				for _, sec := range [][]service.QueryView{ov.Running, ov.Queued, ov.Scheduled} {
+					for _, v := range sec {
+						sum[(v.ID-1)%shards] += v.Remaining
+					}
+				}
+				for i, row := range ov.Shards {
+					// Summation order differs from the row's, hence not bitwise.
+					if math.Abs(row.RemainingU-sum[i]) > 1e-9*(1+sum[i]) {
+						t.Errorf("shard %d epoch %d: remaining_u %g, its views sum to %g",
+							i, row.Epoch, row.RemainingU, sum[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for k := 0; k < 150; k++ {
+		v, err := c.Submit(SubmitRequest{SubmitRequest: service.SubmitRequest{
+			SQL: "SELECT SUM(a) FROM t1", Delay: float64(k%3) * 0.05,
+		}})
+		if err != nil {
+			t.Errorf("submit: %v", err)
+			break
+		}
+		if k%4 == 2 {
+			_ = c.Abort(v.ID) // may race a finish
+		}
+		time.Sleep(300 * time.Microsecond)
+	}
+	close(stop)
+	readers.Wait()
 }

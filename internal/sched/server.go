@@ -480,13 +480,23 @@ func (s *Server) Lookup(id int) (*Query, bool) {
 	return nil, false
 }
 
+// StateError is what Block, Unblock, SetPriority and Abort answer for a query
+// in no state to take the operation. The ID is a field so that a tier which
+// renumbers queries (the cluster's global ids) can report the one it was sent.
+type StateError struct {
+	ID      int
+	Problem string
+}
+
+func (e *StateError) Error() string { return fmt.Sprintf("sched: query %d %s", e.ID, e.Problem) }
+
 // Block suspends an admitted query (the §3.1 victim operation): it keeps its
 // MPL slot but receives no capacity until Unblock.
 func (s *Server) Block(id int) error {
 	for _, q := range s.running {
 		if q.ID == id {
 			if q.Status != StatusRunning && q.Status != StatusBlocked {
-				return fmt.Errorf("sched: query %d is %s, cannot block", id, q.Status)
+				return &StateError{id, fmt.Sprintf("is %s, cannot block", q.Status)}
 			}
 			q.Status = StatusBlocked
 			// Forfeit accrued scheduling credit: replaying it on Unblock
@@ -502,7 +512,7 @@ func (s *Server) Block(id int) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("sched: query %d is not admitted", id)
+	return &StateError{id, "is not admitted"}
 }
 
 // Unblock resumes a blocked query.
@@ -510,13 +520,13 @@ func (s *Server) Unblock(id int) error {
 	for _, q := range s.running {
 		if q.ID == id {
 			if q.Status != StatusBlocked {
-				return fmt.Errorf("sched: query %d is %s, cannot unblock", id, q.Status)
+				return &StateError{id, fmt.Sprintf("is %s, cannot unblock", q.Status)}
 			}
 			q.Status = StatusRunning
 			return nil
 		}
 	}
-	return fmt.Errorf("sched: query %d is not admitted", id)
+	return &StateError{id, "is not admitted"}
 }
 
 // SetPriority changes the priority of a running, blocked, or queued query
@@ -541,7 +551,7 @@ func (s *Server) SetPriority(id, priority int) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("sched: query %d is not active", id)
+	return &StateError{id, "is not active"}
 }
 
 // Abort terminates a query wherever it is (running, blocked, or queued).
@@ -580,7 +590,7 @@ func (s *Server) Abort(id int) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("sched: query %d is not active", id)
+	return &StateError{id, "is not active"}
 }
 
 func (s *Server) fillSlots() {

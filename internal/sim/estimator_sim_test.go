@@ -18,25 +18,16 @@ func TestSimEstimatorMatrix(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			base, err := Run(Config{Seed: seed, Workers: 1})
+			base, err := Run(Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("default: %v", err)
 			}
 			for _, v := range base.Violations {
 				t.Errorf("default: %s", v)
 			}
-			for _, w := range []int{1, 2, 4} {
-				res, err := Run(Config{Seed: seed, Workers: w, Estimator: core.EstimatorStage})
-				if err != nil {
-					t.Fatalf("stage workers=%d: %v", w, err)
-				}
-				for _, v := range res.Violations {
-					t.Errorf("stage workers=%d: %s", w, v)
-				}
-				if res.Trace != base.Trace {
-					t.Errorf("stage workers=%d trace differs from default baseline: %s",
-						w, firstDiff(base.Trace, res.Trace))
-				}
+			stage := runAcrossWorkers(t, Config{Seed: seed, Estimator: core.EstimatorStage})
+			if stage.Trace != base.Trace {
+				t.Errorf("stage trace differs from default baseline: %s", firstDiff(base.Trace, stage.Trace))
 			}
 		})
 	}
@@ -50,29 +41,7 @@ func TestSimEstimatorMatrix(t *testing.T) {
 // counts, bands and all.
 func TestSimEnsembleMode(t *testing.T) {
 	t.Parallel()
-	base, err := Run(Config{Seed: 5, Workers: 1, Estimator: core.EstimatorEnsemble})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range base.Violations {
-		t.Errorf("workers=1: %s", v)
-	}
-	if base.Submitted == 0 {
-		t.Fatal("ensemble run submitted no queries")
-	}
-	for _, w := range []int{2, 4} {
-		res, err := Run(Config{Seed: 5, Workers: w, Estimator: core.EstimatorEnsemble})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for _, v := range res.Violations {
-			t.Errorf("workers=%d: %s", w, v)
-		}
-		if res.Trace != base.Trace {
-			t.Errorf("ensemble workers=%d trace differs from workers=1: %s",
-				w, firstDiff(base.Trace, res.Trace))
-		}
-	}
+	runAcrossWorkers(t, Config{Seed: 5, Estimator: core.EstimatorEnsemble})
 }
 
 // TestSimRejectsBadEstimator pins the config validation path: an unknown

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -35,8 +34,7 @@ func stripFoldMarkers(trace string) string {
 // action inside each run). Fold-on runs must additionally be byte-identical
 // at workers 1, 2, and 4.
 func TestFoldSimMatrix(t *testing.T) {
-	var mu sync.Mutex
-	totalSaved := 0.0
+	var total tally
 	for seed := int64(1); seed <= int64(*seedCount); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -48,13 +46,7 @@ func TestFoldSimMatrix(t *testing.T) {
 			for _, v := range off.Violations {
 				t.Errorf("fold-off: %s", v)
 			}
-			on, err := Run(Config{Seed: seed, Workers: 1, NoDML: true, Fold: true})
-			if err != nil {
-				t.Fatalf("fold-on: %v", err)
-			}
-			for _, v := range on.Violations {
-				t.Errorf("fold-on: %s", v)
-			}
+			on := runAcrossWorkers(t, Config{Seed: seed, NoDML: true, Fold: true})
 
 			// I12, trace form: stripped of fold markers, the traces coincide.
 			if got, want := stripFoldMarkers(on.Trace), stripFoldMarkers(off.Trace); got != want {
@@ -65,7 +57,6 @@ func TestFoldSimMatrix(t *testing.T) {
 			if len(on.Final) != len(off.Final) {
 				t.Fatalf("fold-on finished with %d queries, fold-off with %d", len(on.Final), len(off.Final))
 			}
-			saved := 0.0
 			for i := range off.Final {
 				a, b := off.Final[i], on.Final[i]
 				if a.ID != b.ID || a.Status != b.Status {
@@ -84,35 +75,13 @@ func TestFoldSimMatrix(t *testing.T) {
 				if b.Cost > b.Done {
 					t.Errorf("q%d fold-on cost %v exceeds done %v", b.ID, b.Cost, b.Done)
 				}
-				saved += b.Done - b.Cost
 			}
-
-			// Fold-on determinism across worker counts.
-			for _, w := range []int{2, 4} {
-				res, err := Run(Config{Seed: seed, Workers: w, NoDML: true, Fold: true})
-				if err != nil {
-					t.Fatalf("fold-on workers=%d: %v", w, err)
-				}
-				for _, v := range res.Violations {
-					t.Errorf("fold-on workers=%d: %s", w, v)
-				}
-				if res.Trace != on.Trace {
-					t.Errorf("fold-on workers=%d trace differs from workers=1: %s", w, firstDiff(on.Trace, res.Trace))
-				}
-			}
-			mu.Lock()
-			totalSaved += saved
-			mu.Unlock()
+			total.add(on)
 		})
 	}
-	t.Cleanup(func() {
-		// The matrix must actually exercise sharing somewhere, or I12 is
-		// vacuously comparing two solo runs.
-		if totalSaved == 0 {
-			t.Error("no seed saved any pages; folding never engaged in the matrix")
-		}
-		t.Logf("pages saved across matrix: %g", totalSaved)
-	})
+	// The matrix must actually exercise sharing somewhere, or I12 is
+	// vacuously comparing two solo runs.
+	t.Cleanup(func() { total.assertFolded(t) })
 }
 
 // TestSimFoldToggleScript pins the fold on/off toggle action: detach-all on

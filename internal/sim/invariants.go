@@ -11,10 +11,14 @@ import (
 	"mqpi/internal/service"
 )
 
-// The checker validates the global state after every simulated action:
+// A checker validates one shard's state after every simulated action — there
+// is one per shard, each with its own history, and only the shard an action
+// was routed to is told it was mutated or perturbed (an advance or a DML
+// broadcast tells all of them):
 //
-//	I1  epoch monotonicity — the published snapshot epoch never moves
-//	    backwards, and every mutation publishes a fresh epoch;
+//	I1  epoch monotonicity — the published snapshot epoch and the virtual
+//	    clock never move backwards, and every mutation publishes a fresh
+//	    epoch;
 //	I2  MPL — admitted queries (running + blocked) never exceed the limit;
 //	I3  slot conservation — a non-empty admission queue implies every MPL
 //	    slot is occupied (no free-slot starvation);
@@ -50,6 +54,20 @@ import (
 //	    (ETALow == MultiETA == ETAHigh, bitwise): the pluggable estimate
 //	    plane is a perfect wrapper until a non-stage mode is opted into.
 //
+// The router pass (checkRouter) then checks, on the front door's merged
+// overview and counters, what no single shard can see:
+//
+//	C1  placement — every global id the front door handed out appears in the
+//	    merged view, and nothing else does;
+//	C2  gid uniqueness — no global id appears twice (two shards, or two
+//	    sections);
+//	C3  no lost work — the merged sections add up to the accepted
+//	    submissions: an abort moves a query between sections, never drops it;
+//	C4  clock bound — no shard's virtual clock outruns the total the driver
+//	    advanced the tier by;
+//	C5  admission ledger — the per-shard routed counters sum to the accepted
+//	    submissions and the rejected counter equals the refusals observed.
+//
 // I12 — fold on/off runs of the same seed agree on every charged-plane
 // observable — is a cross-run property, checked by TestFoldSimMatrix rather
 // than by this per-action checker. Its estimator-plane sibling — stage-mode
@@ -58,7 +76,10 @@ import (
 // only run in stage mode; ensemble modes serve blended heuristic points that
 // the paper's exact stage model does not govern.
 type checker struct {
-	m         *service.Manager
+	m *service.Manager
+	// tag prefixes every line this checker traces and every violation it
+	// reports: "" on a one-shard tier, "[i] " for shard i otherwise.
+	tag       string
 	rateC     float64
 	quantum   float64
 	mpl       int
@@ -100,10 +121,10 @@ type checker struct {
 	stageMode bool
 	plane     core.Estimator
 
-	violations []string
+	violations *[]string // the run's, shared with the other checkers
 }
 
-// checkCtx tells the checker what the action just applied did.
+// checkCtx tells a shard's checker what the action just applied did to it.
 type checkCtx struct {
 	action   int
 	mutated  bool // invoked a mutating Manager method (publishes an epoch)
@@ -121,7 +142,7 @@ type checkCtx struct {
 // the sorted set in one chunk, which scales with the table size.
 const overshootSlack = 12.0
 
-func newChecker(m *service.Manager, cfg Config) *checker {
+func newChecker(m *service.Manager, cfg Config, tag string, violations *[]string) *checker {
 	stage := cfg.Estimator == "" || cfg.Estimator == core.EstimatorStage
 	var plane core.Estimator
 	if stage {
@@ -131,7 +152,10 @@ func newChecker(m *service.Manager, cfg Config) *checker {
 		}
 	}
 	return &checker{
-		m:         m,
+		m:          m,
+		tag:        tag,
+		violations: violations,
+
 		rateC:     cfg.RateC,
 		quantum:   cfg.Quantum,
 		slackPerQ: overshootSlack + 2*math.Ceil(float64(cfg.Rows)/64),
@@ -152,8 +176,13 @@ func newChecker(m *service.Manager, cfg Config) *checker {
 }
 
 func (c *checker) fail(tr *strings.Builder, ctx checkCtx, format string, args ...interface{}) {
-	v := fmt.Sprintf("action %d: ", ctx.action) + fmt.Sprintf(format, args...)
-	c.violations = append(c.violations, v)
+	violate(tr, c.violations, ctx.action, c.tag+fmt.Sprintf(format, args...))
+}
+
+// violate records one violation in the run's list and in its trace.
+func violate(tr *strings.Builder, violations *[]string, action int, msg string) {
+	v := fmt.Sprintf("action %d: %s", action, msg)
+	*violations = append(*violations, v)
 	fmt.Fprintf(tr, "VIOLATION %s\n", v)
 }
 
@@ -176,7 +205,7 @@ func (c *checker) check(tr *strings.Builder, ctx checkCtx) {
 		}
 	}
 	for _, ev := range newEvents {
-		fmt.Fprintf(tr, "e%04d t=%s q%d %s %s\n", ev.Seq, g(ev.Virtual), ev.QueryID, ev.Type, ev.Detail)
+		fmt.Fprintf(tr, "%se%04d t=%s q%d %s %s\n", c.tag, ev.Seq, g(ev.Virtual), ev.QueryID, ev.Type, ev.Detail)
 		if ev.Seq > c.lastSeq {
 			c.lastSeq = ev.Seq
 		}
@@ -319,14 +348,82 @@ func (c *checker) check(tr *strings.Builder, ctx checkCtx) {
 			nRun++
 		}
 	}
-	fmt.Fprintf(tr, "s%03d now=%s epoch=%d run=%d blk=%d queued=%d sched=%d fin=%d done=%s\n",
-		ctx.action, g(ov.Now), ov.Epoch, nRun, nBlk, len(ov.Queued), len(ov.Scheduled), len(ov.Finished), g(totalDone))
+	fmt.Fprintf(tr, "%ss%03d now=%s epoch=%d run=%d blk=%d queued=%d sched=%d fin=%d done=%s\n",
+		c.tag, ctx.action, g(ov.Now), ov.Epoch, nRun, nBlk, len(ov.Queued), len(ov.Scheduled), len(ov.Finished), g(totalDone))
 	if debugViews {
 		for _, v := range append(append([]service.QueryView(nil), ov.Running...), ov.Queued...) {
-			fmt.Fprintf(tr, "  dbg q%d %s w=%s done=%s rem=%s eta=%s\n",
-				v.ID, v.Status, g(v.Weight), g(v.Done), g(v.Remaining), g(float64(v.MultiETA)))
+			fmt.Fprintf(tr, "%s  dbg q%d %s w=%s done=%s rem=%s eta=%s\n",
+				c.tag, v.ID, v.Status, g(v.Weight), g(v.Done), g(v.Remaining), g(float64(v.MultiETA)))
 		}
 	}
+}
+
+// checkRouter is the router pass: C1–C5 on the merged overview, then — when
+// there is a front door in front of the one shard's own lines — the tier's
+// state line.
+func (s *sim) checkRouter() {
+	fail := func(format string, args ...interface{}) {
+		violate(&s.tr, &s.violations, s.actionN, fmt.Sprintf(format, args...))
+	}
+	ov, err := s.c.Overview()
+	if err != nil {
+		fail("merged overview: %v", err)
+		return
+	}
+
+	seen := map[int]string{}
+	sections := []struct {
+		name  string
+		views []service.QueryView
+	}{{"running", ov.Running}, {"queued", ov.Queued}, {"scheduled", ov.Scheduled}, {"finished", ov.Finished}}
+	total := 0
+	for _, sec := range sections {
+		total += len(sec.views)
+		for _, v := range sec.views {
+			if prev, dup := seen[v.ID]; dup {
+				fail("C2 gid %d appears in both %s and %s", v.ID, prev, sec.name)
+			}
+			seen[v.ID] = sec.name
+		}
+	}
+	if len(seen) != len(s.accepted) {
+		fail("C1 merged view holds %d queries, accepted %d", len(seen), len(s.accepted))
+	}
+	for _, gid := range s.accepted {
+		if _, ok := seen[gid]; !ok {
+			fail("C1 accepted gid %d vanished from the merged view", gid)
+		}
+	}
+	if total != s.submitted {
+		fail("C3 view total %d != %d accepted submissions", total, s.submitted)
+	}
+	for i, sh := range ov.Shards {
+		if sh.Now > s.advanced+1e-9 {
+			fail("C4 shard %d clock %s beyond advanced total %s", i, g(sh.Now), g(s.advanced))
+		}
+	}
+	routed := uint64(0)
+	for _, n := range s.c.Metrics().RoutedCounts() {
+		routed += n
+	}
+	if routed != uint64(s.submitted) {
+		fail("C5 routed %d != accepted %d", routed, s.submitted)
+	}
+	if got := s.c.Metrics().Rejected(); got != uint64(s.rejected) {
+		fail("C5 rejected counter %d != observed %d", got, s.rejected)
+	}
+
+	if !s.c.FrontDoor() {
+		return
+	}
+	// Per-shard section counts, clocks and owed work as the front door reports
+	// them — nothing wall-clock- or worker-dependent.
+	fmt.Fprintf(&s.tr, "state")
+	for _, sh := range ov.Shards {
+		fmt.Fprintf(&s.tr, " s%d[now=%s r=%d q=%d s=%d f=%d rem=%s]",
+			sh.Shard, g(sh.Now), sh.Running, sh.Queued, sh.Scheduled, sh.Finished, g(sh.RemainingU))
+	}
+	fmt.Fprintf(&s.tr, " rejected=%d\n", s.rejected)
 }
 
 func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.Overview) {

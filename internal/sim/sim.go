@@ -1,7 +1,10 @@
 // Package sim is the deterministic workload simulator and invariant checker
-// for the full progress-indicator stack: a service.Manager (owner goroutine,
-// epoch-stamped snapshots, lock-free reads) over a sched.Server (three-phase
-// tick, MPL admission, weighted fair sharing) over the real SQL engine.
+// for the full progress-indicator stack: a cluster.Cluster front door (routing,
+// token-bucket admission, global ids) over Config.Shards replicas — one by
+// default, which is the plain service — each a service.Manager (owner
+// goroutine, epoch-stamped snapshots, lock-free reads) over a sched.Server
+// (three-phase tick, MPL admission, weighted fair sharing) over the real SQL
+// engine. There is one driver: Run.
 //
 // A single rand.Source seeds everything — the dataset, the SQL workload, the
 // action stream (staggered arrivals, priority changes, block/unblock/abort,
@@ -11,25 +14,32 @@
 //	go test ./internal/sim -run TestSimMatrix       # the CI seed matrix
 //	go run ./cmd/mqpi-bench -sim -seed 17 -workers 4 # replay one cell, full trace
 //
-// After every action a checker validates the global state (see invariants.go
-// for the list: work conservation, stage-model exactness, re-prediction at
-// boundaries, epoch monotonicity, MPL, slot conservation, metrics/view
-// consistency, event lifecycle ordering). Every run also emits a canonical
-// text trace containing no wall-clock values, so a run at Workers=1 must be
-// byte-identical to the same seed at Workers=4 — the tentpole bit-identity
-// guarantee of the parallel execute phase, checked end to end.
+// After every action one checker per shard validates that shard's state (see
+// invariants.go for I1–I13: work conservation, stage-model exactness,
+// re-prediction at boundaries, epoch monotonicity, MPL, slot conservation,
+// metrics/view consistency, event lifecycle ordering, ...), and one router
+// pass validates on the merged overview what no shard can see (placement, gid
+// uniqueness, no lost work, admission accounting). Every run also emits a
+// canonical text trace containing no wall-clock values, so a run at Workers=1
+// must be byte-identical to the same seed at Workers=4 — the tentpole
+// bit-identity guarantee of the parallel execute phase, checked end to end.
+// With more than one shard each shard's event and state lines carry a "[i] "
+// tag and name queries by the shard's own ids (global id = (local-1)·Shards +
+// i + 1); action lines always name global ids.
 //
 // The action stream can alternatively be driven by an opaque byte script
 // (Config.Script), which is what the FuzzSim native fuzz target mutates.
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 
+	"mqpi/internal/cluster"
 	"mqpi/internal/core"
 	"mqpi/internal/engine"
 	"mqpi/internal/engine/types"
@@ -45,28 +55,42 @@ type Config struct {
 	// Seed drives all randomness: dataset values, SQL workload, and (unless
 	// Script is set) the action stream.
 	Seed int64
+	// Shards is the number of replicas behind the front door (default 1: the
+	// plain service, identity global ids). Every shard gets the same dataset,
+	// built from Seed.
+	Shards int
+	// Routing is the front door's placement policy (cluster.RoutingPolicies;
+	// "" means round-robin).
+	Routing string
+	// AdmitRate/AdmitBurst/AdmitQueue configure the front door's token bucket;
+	// the default rate 0 disables admission so every submission routes.
+	AdmitRate  float64
+	AdmitBurst float64
+	AdmitQueue bool
 	// Workers is the scheduler's execute-phase worker pool size. The trace is
 	// byte-identical at every setting; the seed matrix runs 1/2/4.
 	Workers int
 	// Steps is the number of actions to generate (default 48). Ignored when
 	// Script is set (the script length decides).
 	Steps int
-	// MPL is the admission limit (default 3).
+	// MPL is each shard's admission limit (default 3).
 	MPL int
 	// RateC is the processing rate in U/s (default 10).
 	RateC float64
 	// Quantum is the virtual-time step in seconds (default 0.5).
 	Quantum float64
-	// Rows is the cardinality of the two scan tables (default 1536).
+	// Rows is the cardinality of each shard's two scan tables (default 1536).
 	Rows int
 	// Script, when non-nil, replaces the rng-driven action stream with an
 	// opaque byte stream: each action consumes two bytes (opcode selector,
 	// argument). The dataset is still built from Seed. This is the FuzzSim
 	// entry point.
 	Script []byte
-	// Fold starts the run with shared-scan folding enabled: same-table,
-	// same-priority seq scans ride one cursor. Folding moves only the engine
-	// cost plane; every charged-plane observable must be unaffected (I12).
+	// Fold starts the run with shared-scan folding enabled on every shard:
+	// same-table, same-priority seq scans ride one cursor. Folding moves only
+	// the engine cost plane; every charged-plane observable must be unaffected
+	// (I12). Least-loaded routing is fold-aware, so under it placement may
+	// differ from a fold-off run.
 	Fold bool
 	// NoDML remaps DML actions to advances, freezing relation cardinalities.
 	// A concurrent insert can legitimately be seen by a folded scan (which
@@ -88,6 +112,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -120,11 +147,14 @@ type Result struct {
 	Violations []string
 	// Actions is the number of actions applied.
 	Actions int
-	// Submitted/Finished/Failed/Aborted count query outcomes.
-	Submitted, Finished, Failed, Aborted int
-	// ExactChecked counts the checks where the stage-model exactness
-	// invariant (I7) actually ran; ExactVoided counts the checks where it was
-	// voided because a query left the fluid model (cost refinement or
+	// Submitted counts accepted submissions, Rejected those the admission
+	// bucket refused; Finished/Failed/Aborted count query outcomes.
+	Submitted, Rejected, Finished, Failed, Aborted int
+	// Plans counts the §3.1–3.3 planner calls that returned an answer.
+	Plans int
+	// ExactChecked counts the per-shard checks where the stage-model
+	// exactness invariant (I7) actually ran; ExactVoided counts those where it
+	// was voided because a query left the fluid model (cost refinement or
 	// chunk-granularity burst/payback). Tests assert the checked share
 	// dominates, so the invariant cannot silently go vacuous.
 	ExactChecked, ExactVoided int
@@ -154,7 +184,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.m.Close()
+	defer s.c.Close()
 	return s.run()
 }
 
@@ -177,8 +207,8 @@ const (
 
 // opTable maps the low 4 bits of an opcode byte to an action, with repeats
 // providing the weighting (submissions and advances dominate, as in a real
-// workload). Both the rng-driven stream and fuzz scripts select through this
-// table, so a fuzz input is just a pre-rolled random stream.
+// workload). A fuzz script and the pre-rolled seeded stream select through
+// this table alike.
 var opTable = [16]opKind{
 	opSubmit, opSubmit, opSubmit, opSubmitDelayed,
 	opAdvance, opAdvance, opAdvance, opAdvance, opAdvance,
@@ -186,34 +216,13 @@ var opTable = [16]opKind{
 	opExec, opPlan, opDiagram,
 }
 
-func (k opKind) String() string {
-	switch k {
-	case opSubmit:
-		return "submit"
-	case opSubmitDelayed:
-		return "submit-delayed"
-	case opAdvance:
-		return "advance"
-	case opBlock:
-		return "block"
-	case opUnblock:
-		return "unblock"
-	case opAbort:
-		return "abort"
-	case opSetPriority:
-		return "priority"
-	case opExec:
-		return "exec"
-	case opPlan:
-		return "plan"
-	case opDiagram:
-		return "diagram"
-	case opFold:
-		return "fold"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(k))
-	}
+var opNames = [...]string{
+	opSubmit: "submit", opSubmitDelayed: "submit-delayed", opAdvance: "advance",
+	opBlock: "block", opUnblock: "unblock", opAbort: "abort", opSetPriority: "priority",
+	opExec: "exec", opPlan: "plan", opDiagram: "diagram", opFold: "fold",
 }
+
+func (k opKind) String() string { return opNames[k] }
 
 // opFor maps an opcode byte to an action under the run's config: NoDML turns
 // DML into advances (same argument, so the advance amount is unchanged), and
@@ -229,53 +238,23 @@ func (s *sim) opFor(op byte) opKind {
 	return kind
 }
 
-// actionSource yields (opcode, argument) byte pairs: from the seeded rng, or
-// from a fuzz script.
-type actionSource interface {
-	next() (op, arg byte, ok bool)
-}
-
-type rngSource struct {
-	rng  *rand.Rand
-	left int
-}
-
-func (r *rngSource) next() (byte, byte, bool) {
-	if r.left <= 0 {
-		return 0, 0, false
-	}
-	r.left--
-	return byte(r.rng.Intn(256)), byte(r.rng.Intn(256)), true
-}
-
-type scriptSource struct {
-	buf []byte
-	pos int
-}
-
-func (s *scriptSource) next() (byte, byte, bool) {
-	if s.pos+1 >= len(s.buf) {
-		return 0, 0, false
-	}
-	op, arg := s.buf[s.pos], s.buf[s.pos+1]
-	s.pos += 2
-	return op, arg, true
-}
-
 // sim is one run's mutable state.
 type sim struct {
-	cfg Config
-	rng *rand.Rand
-	db  *engine.DB
-	m   *service.Manager
-	chk *checker
-	tr  strings.Builder
+	cfg  Config
+	c    *cluster.Cluster
+	chks []*checker // one per shard, in shard order
+	tr   strings.Builder
 
-	src     actionSource
+	script  []byte // the action stream: two bytes per action, opcode then argument
 	actionN int
 	execN   int // deterministic counter for DML value generation
 
-	submitted, aborted int
+	submitted, rejected, aborted, plans int
+	// accepted lists every global id the front door handed out and advanced
+	// totals the virtual seconds pushed through it: the router pass's ledger.
+	accepted   []int
+	advanced   float64
+	violations []string // every checker's, in detection order
 }
 
 // Table geometry: two scan relations of cfg.Rows tuples each and one small
@@ -287,27 +266,16 @@ const (
 	partRows   = 48
 )
 
-func newSim(cfg Config) (*sim, error) {
-	if err := core.ValidEstimator(cfg.Estimator); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// buildDB draws one shard's dataset from rng.
+func buildDB(rng *rand.Rand, rows int) (*engine.DB, error) {
 	db := engine.Open()
-	mk := func(stmt string) error {
-		_, err := db.Exec(stmt)
-		return err
-	}
-	if err := mk(`CREATE TABLE t0 (k BIGINT, v DOUBLE)`); err != nil {
-		return nil, err
-	}
-	if err := mk(`CREATE TABLE t1 (k BIGINT, v DOUBLE)`); err != nil {
-		return nil, err
-	}
-	if err := mk(`CREATE TABLE part (k BIGINT, v DOUBLE)`); err != nil {
-		return nil, err
+	for _, table := range []string{"t0", "t1", "part"} {
+		if _, err := db.Exec("CREATE TABLE " + table + " (k BIGINT, v DOUBLE)"); err != nil {
+			return nil, err
+		}
 	}
 	cat := db.Catalog()
-	for i := 0; i < cfg.Rows; i++ {
+	for i := 0; i < rows; i++ {
 		r0 := types.Row{types.NewInt(int64(i % keyRangeT0)), types.NewFloat(rng.Float64() * 100)}
 		if err := cat.Insert("t0", r0); err != nil {
 			return nil, err
@@ -323,58 +291,102 @@ func newSim(cfg Config) (*sim, error) {
 			return nil, err
 		}
 	}
-	if err := mk(`CREATE INDEX t0_k ON t0 (k)`); err != nil {
+	if _, err := db.Exec(`CREATE INDEX t0_k ON t0 (k)`); err != nil {
 		return nil, err
 	}
 	if err := db.Analyze(); err != nil {
 		return nil, err
 	}
+	return db, nil
+}
 
-	m := service.New(db, service.Config{
-		Sched: sched.Config{
-			RateC:   cfg.RateC,
-			MPL:     cfg.MPL,
-			Quantum: cfg.Quantum,
-			Workers: cfg.Workers,
-			Fold:    cfg.Fold,
-			Weights: map[int]float64{0: 1, 1: 2, 2: 4},
+func newSim(cfg Config) (*sim, error) {
+	if err := core.ValidEstimator(cfg.Estimator); err != nil {
+		return nil, err
+	}
+	// The shards are replicas: each dataset is drawn from its own stream of
+	// the same seed, and the action stream continues from the state every one
+	// of those streams is left in.
+	var rng *rand.Rand
+	c, _, err := cluster.Serve(cluster.Config{
+		Shards:     cfg.Shards,
+		Routing:    cfg.Routing,
+		AdmitRate:  cfg.AdmitRate,
+		AdmitBurst: cfg.AdmitBurst,
+		AdmitQueue: cfg.AdmitQueue,
+		Service: service.Config{
+			Sched: sched.Config{
+				RateC:   cfg.RateC,
+				MPL:     cfg.MPL,
+				Quantum: cfg.Quantum,
+				Workers: cfg.Workers,
+				Fold:    cfg.Fold,
+				Weights: map[int]float64{0: 1, 1: 2, 2: 4},
+			},
+			TickEvery: -1, // manual clock: virtual time moves only through Advance
+			EventCap:  4096,
+			Estimator: cfg.Estimator,
 		},
-		TickEvery: -1, // manual clock: virtual time moves only through Advance
-		EventCap:  4096,
-		Estimator: cfg.Estimator,
+	}, func() (*engine.DB, error) {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+		return buildDB(rng, cfg.Rows)
 	})
-	s := &sim{cfg: cfg, rng: rng, db: db, m: m}
-	s.chk = newChecker(m, cfg)
-	if cfg.Script != nil {
-		s.src = &scriptSource{buf: cfg.Script}
-	} else {
-		s.src = &rngSource{rng: rng, left: cfg.Steps}
+	if err != nil {
+		return nil, err
+	}
+	s := &sim{cfg: cfg, c: c, script: cfg.Script}
+	for i := 0; i < cfg.Shards; i++ {
+		tag := ""
+		if cfg.Shards > 1 {
+			tag = fmt.Sprintf("[%d] ", i)
+		}
+		s.chks = append(s.chks, newChecker(c.Shard(i), cfg, tag, &s.violations))
+	}
+	if s.script == nil {
+		// No script: roll one from the seed's stream, where the datasets left it.
+		s.script = make([]byte, 2*cfg.Steps)
+		for i := range s.script {
+			s.script[i] = byte(rng.Intn(256))
+		}
 	}
 	return s, nil
 }
 
+// allShards is what apply reports, in place of a shard index, for an action
+// that went to every shard (or to none).
+const allShards = -1
+
+// check runs every shard's checker and then the router pass. ctx describes
+// what the action did to shard (or to allShards); any other shard saw nothing.
+func (s *sim) check(shard int, ctx checkCtx) {
+	for i, chk := range s.chks {
+		c := checkCtx{}
+		if shard == allShards || shard == i {
+			c = ctx
+		}
+		c.action = s.actionN
+		chk.check(&s.tr, c)
+	}
+	s.checkRouter()
+}
+
 func (s *sim) run() (*Result, error) {
 	// Initial state line anchors the trace.
-	s.chk.check(&s.tr, checkCtx{})
-	for {
-		op, arg, ok := s.src.next()
-		if !ok || len(s.chk.violations) > 0 {
-			break
-		}
+	s.check(allShards, checkCtx{})
+	for pos := 0; pos+1 < len(s.script) && len(s.violations) == 0; pos += 2 {
 		s.actionN++
-		kind := s.opFor(op)
-		ctx, err := s.apply(kind, arg)
+		kind, arg := s.opFor(s.script[pos]), s.script[pos+1]
+		shard, ctx, err := s.apply(kind, arg)
 		if err != nil {
 			return nil, fmt.Errorf("action %d (%s): %w", s.actionN, kind, err)
 		}
-		ctx.action = s.actionN
-		s.chk.check(&s.tr, ctx)
+		s.check(shard, ctx)
 	}
-	// Drain: advance until the service is idle (or stalled on blocked
-	// queries), so finish-time exactness is checked for every query that can
-	// still finish.
-	for i := 0; i < 64 && len(s.chk.violations) == 0; i++ {
-		ov, err := s.m.Overview()
+	// Drain: advance until the tier is idle (or stalled on blocked queries),
+	// so finish-time exactness is checked for every query that can still
+	// finish.
+	for i := 0; i < 64 && len(s.violations) == 0; i++ {
+		ov, err := s.c.Overview()
 		if err != nil {
 			return nil, err
 		}
@@ -389,22 +401,26 @@ func (s *sim) run() (*Result, error) {
 		}
 		s.actionN++
 		fmt.Fprintf(&s.tr, "a%03d drain advance %s\n", s.actionN, g(4*s.cfg.Quantum))
-		if err := s.m.Advance(4 * s.cfg.Quantum); err != nil {
+		if err := s.advance(4 * s.cfg.Quantum); err != nil {
 			return nil, err
 		}
-		s.chk.check(&s.tr, checkCtx{action: s.actionN, mutated: true, advanced: true})
+		s.check(allShards, checkCtx{mutated: true, advanced: true})
 	}
 
 	res := &Result{
-		Trace:        s.tr.String(),
-		Violations:   s.chk.violations,
-		Actions:      s.actionN,
-		Submitted:    s.submitted,
-		Aborted:      s.aborted,
-		ExactChecked: s.chk.exactChecked,
-		ExactVoided:  s.chk.exactVoided,
+		Trace:      s.tr.String(),
+		Violations: s.violations,
+		Actions:    s.actionN,
+		Submitted:  s.submitted,
+		Rejected:   s.rejected,
+		Aborted:    s.aborted,
+		Plans:      s.plans,
 	}
-	if ov, err := s.m.Overview(); err == nil {
+	for _, chk := range s.chks {
+		res.ExactChecked += chk.exactChecked
+		res.ExactVoided += chk.exactVoided
+	}
+	if ov, err := s.c.Overview(); err == nil {
 		for _, q := range ov.Finished {
 			switch q.Status {
 			case "finished":
@@ -428,87 +444,101 @@ func (s *sim) run() (*Result, error) {
 // g formats a float with full precision: traces must be bit-comparable.
 func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// apply performs one action and reports what the checker needs to know about
+func (s *sim) advance(v float64) error {
+	s.advanced += v
+	return s.c.Advance(v)
+}
+
+// locate is the front door's id bijection, stated independently of it: global
+// id gid is query `local` of shard (gid-1) mod Shards.
+func (s *sim) locate(gid int) (shard, local int) {
+	return (gid - 1) % s.cfg.Shards, (gid-1)/s.cfg.Shards + 1
+}
+
+// target picks a query of class and names it the way its shard does. The
+// actions that address a shard rather than a query (planners, diagram, fold
+// toggle) go to the shard of the query their argument picks — shard 0, which
+// a failed pick names, when there is none.
+func (s *sim) target(arg byte, class string) (shard, local int, ok bool) {
+	gid, ok := s.pick(arg, class)
+	if !ok {
+		return 0, 0, false
+	}
+	shard, local = s.locate(gid)
+	return shard, local, true
+}
+
+// apply performs one action through the front door and reports which shard
+// it touched (or allShards) and what that shard's checker needs to know about
 // it. Action errors that are part of the service contract (unknown ID, wrong
-// state) are traced, not fatal; only harness breakage is returned as error.
-func (s *sim) apply(kind opKind, arg byte) (checkCtx, error) {
+// state, admission) are traced, not fatal; only harness breakage is returned
+// as error. A line about one shard's own output — a planner answer, a
+// diagram, a fold toggle — carries that shard's tag and names its local ids.
+func (s *sim) apply(kind opKind, arg byte) (int, checkCtx, error) {
 	switch kind {
 	case opSubmit, opSubmitDelayed:
 		return s.doSubmit(kind == opSubmitDelayed, arg)
 	case opAdvance:
 		v := s.cfg.Quantum * (0.3 + 3.7*float64(arg)/255)
 		fmt.Fprintf(&s.tr, "a%03d advance %s\n", s.actionN, g(v))
-		if err := s.m.Advance(v); err != nil {
-			return checkCtx{}, err
-		}
-		return checkCtx{mutated: true, advanced: true}, nil
+		return allShards, checkCtx{mutated: true, advanced: true}, s.advance(v)
 	case opBlock:
-		id, ok := s.pick(arg, "running")
-		if !ok {
-			fmt.Fprintf(&s.tr, "a%03d block skip (no runnable)\n", s.actionN)
-			return checkCtx{}, nil
-		}
-		err := s.m.Block(id)
-		fmt.Fprintf(&s.tr, "a%03d block q%d err=%v\n", s.actionN, id, err)
-		return checkCtx{mutated: true, perturbed: err == nil}, nil
+		return s.onQuery(kind, arg, "running", "no runnable", "", s.c.Block)
 	case opUnblock:
-		id, ok := s.pick(arg, "blocked")
-		if !ok {
-			fmt.Fprintf(&s.tr, "a%03d unblock skip (no blocked)\n", s.actionN)
-			return checkCtx{}, nil
-		}
-		err := s.m.Unblock(id)
-		fmt.Fprintf(&s.tr, "a%03d unblock q%d err=%v\n", s.actionN, id, err)
-		return checkCtx{mutated: true, perturbed: err == nil}, nil
+		return s.onQuery(kind, arg, "blocked", "no blocked", "", s.c.Unblock)
 	case opAbort:
-		id, ok := s.pick(arg, "any")
-		if !ok {
-			fmt.Fprintf(&s.tr, "a%03d abort skip (no active)\n", s.actionN)
-			return checkCtx{}, nil
-		}
-		err := s.m.Abort(id)
-		if err == nil {
-			s.aborted++
-		}
-		fmt.Fprintf(&s.tr, "a%03d abort q%d err=%v\n", s.actionN, id, err)
-		return checkCtx{mutated: true, perturbed: err == nil}, nil
+		return s.onQuery(kind, arg, "any", "no active", "", func(gid int) error {
+			err := s.c.Abort(gid)
+			if err == nil {
+				s.aborted++
+			}
+			return err
+		})
 	case opSetPriority:
-		id, ok := s.pick(arg, "active")
-		if !ok {
-			fmt.Fprintf(&s.tr, "a%03d priority skip (no active)\n", s.actionN)
-			return checkCtx{}, nil
-		}
 		prio := int(arg>>4) % 3
-		err := s.m.SetPriority(id, prio)
-		fmt.Fprintf(&s.tr, "a%03d priority q%d=%d err=%v\n", s.actionN, id, prio, err)
-		return checkCtx{mutated: true, perturbed: err == nil}, nil
+		return s.onQuery(kind, arg, "active", "no active", fmt.Sprintf("=%d", prio),
+			func(gid int) error { return s.c.SetPriority(gid, prio) })
 	case opExec:
 		return s.doExec(arg)
 	case opPlan:
-		return s.doPlan(arg)
+		s.doPlan(arg)
+		return allShards, checkCtx{}, nil
 	case opDiagram:
-		d, err := s.m.Diagram(48)
-		if err != nil {
-			return checkCtx{}, err
-		}
-		fmt.Fprintf(&s.tr, "a%03d diagram %d bytes\n%s", s.actionN, len(d), d)
-		return checkCtx{}, nil
+		shard, _, _ := s.target(arg, "any")
+		d, err := s.c.Shard(shard).Diagram(48)
+		fmt.Fprintf(&s.tr, "a%03d %sdiagram %d bytes\n%s", s.actionN, s.chks[shard].tag, len(d), d)
+		return allShards, checkCtx{}, err
 	case opFold:
 		// Folding moves only the cost plane, so the toggle publishes an epoch
 		// but does not perturb any charged-plane prediction.
+		shard, _, _ := s.target(arg, "any")
 		on := arg&1 == 1
-		err := s.m.SetFold(on)
-		fmt.Fprintf(&s.tr, "a%03d fold on=%v err=%v\n", s.actionN, on, err)
-		return checkCtx{mutated: true}, nil
+		err := s.c.Shard(shard).SetFold(on)
+		fmt.Fprintf(&s.tr, "a%03d %sfold on=%v err=%v\n", s.actionN, s.chks[shard].tag, on, err)
+		return shard, checkCtx{mutated: true}, nil
 	default:
-		return checkCtx{}, fmt.Errorf("sim: unknown op %d", kind)
+		return 0, checkCtx{}, fmt.Errorf("sim: unknown op %d", uint8(kind))
 	}
 }
 
-// queryTemplates renders the SQL workload. All templates are scan-driven with
+// onQuery applies a per-query operation to the query pick selects from class,
+// tracing it as "<kind> q<gid><detail>" (or as a skip, for lack of `none`).
+func (s *sim) onQuery(kind opKind, arg byte, class, none, detail string, op func(gid int) error) (int, checkCtx, error) {
+	gid, ok := s.pick(arg, class)
+	if !ok {
+		fmt.Fprintf(&s.tr, "a%03d %s skip (%s)\n", s.actionN, kind, none)
+		return allShards, checkCtx{}, nil
+	}
+	err := op(gid)
+	fmt.Fprintf(&s.tr, "a%03d %s q%d%s err=%v\n", s.actionN, kind, gid, detail, err)
+	shard, _ := s.locate(gid)
+	return shard, checkCtx{mutated: true, perturbed: err == nil}, nil
+}
+
+// querySQL renders the SQL workload. All templates are scan-driven with
 // accurate optimizer statistics, which is what makes the stage-model
 // exactness invariant meaningful (Assumption 2: remaining costs are known).
-func (s *sim) querySQL(arg byte) string {
+func querySQL(arg byte) string {
 	table := "t0"
 	keys := keyRangeT0
 	if arg&8 != 0 {
@@ -532,26 +562,40 @@ func (s *sim) querySQL(arg byte) string {
 	}
 }
 
-func (s *sim) doSubmit(delayed bool, arg byte) (checkCtx, error) {
-	req := service.SubmitRequest{
-		Label:    fmt.Sprintf("q%d", s.submitted+1),
-		SQL:      s.querySQL(arg),
-		Priority: int(arg) % 3,
+// sessionPool is small on purpose: sessions must collide across submissions
+// so affinity routing actually groups work (and abort churn hits live keys).
+const sessionPool = 6
+
+func (s *sim) doSubmit(delayed bool, arg byte) (int, checkCtx, error) {
+	req := cluster.SubmitRequest{
+		SubmitRequest: service.SubmitRequest{
+			Label:    fmt.Sprintf("q%d", s.submitted+s.rejected+1),
+			SQL:      querySQL(arg),
+			Priority: int(arg) % 3,
+		},
+		Session: fmt.Sprintf("session-%d", int(arg>>2)%sessionPool),
 	}
 	if delayed {
 		req.Delay = s.cfg.Quantum * (0.5 + float64(arg%16))
 	}
-	view, err := s.m.Submit(req)
+	view, err := s.c.Submit(req)
+	if errors.Is(err, cluster.ErrAdmission) {
+		s.rejected++
+		fmt.Fprintf(&s.tr, "a%03d submit rejected (admission)\n", s.actionN)
+		return allShards, checkCtx{}, nil
+	}
 	if err != nil {
-		return checkCtx{}, err
+		return 0, checkCtx{}, err
 	}
 	s.submitted++
+	s.accepted = append(s.accepted, view.ID)
 	fmt.Fprintf(&s.tr, "a%03d submit id=%d prio=%d delay=%s status=%s sql=%q\n",
 		s.actionN, view.ID, req.Priority, g(req.Delay), view.Status, req.SQL)
-	return checkCtx{mutated: true, perturbed: true}, nil
+	shard, _ := s.locate(view.ID)
+	return shard, checkCtx{mutated: true, perturbed: true}, nil
 }
 
-func (s *sim) doExec(arg byte) (checkCtx, error) {
+func (s *sim) doExec(arg byte) (int, checkCtx, error) {
 	table := "t0"
 	keys := keyRangeT0
 	if arg&4 != 0 {
@@ -569,58 +613,63 @@ func (s *sim) doExec(arg byte) (checkCtx, error) {
 	default:
 		stmt = fmt.Sprintf("update %s set v = v + 1 where k = %d", table, int(arg)%keys)
 	}
-	n, err := s.m.Exec(stmt)
+	n, err := s.c.Exec(stmt)
 	if err != nil {
-		return checkCtx{}, fmt.Errorf("exec %q: %w", stmt, err)
+		return 0, checkCtx{}, fmt.Errorf("exec %q: %w", stmt, err)
 	}
 	fmt.Fprintf(&s.tr, "a%03d exec %q rows=%d\n", s.actionN, stmt, n)
 	// DML changes relation cardinalities under running scans: every estimate
-	// may legitimately move, so it perturbs predictions for all queries.
-	return checkCtx{mutated: true, perturbed: true}, nil
+	// may legitimately move, so it perturbs predictions for all queries, on
+	// every replica.
+	return allShards, checkCtx{mutated: true, perturbed: true}, nil
 }
 
-func (s *sim) doPlan(arg byte) (checkCtx, error) {
+// doPlan asks a §3.1–3.3 question of the shard that owns the running query
+// the argument picks: planners are pure reads of one shard's mix, not
+// front-door routes.
+func (s *sim) doPlan(arg byte) {
+	shard, id, ok := s.target(arg, "running")
+	m := s.c.Shard(shard)
+	var what, answer string
+	var err error
 	switch arg % 3 {
 	case 0:
-		id, ok := s.pick(arg, "running")
 		if !ok {
 			fmt.Fprintf(&s.tr, "a%03d plan speedup-single skip\n", s.actionN)
-			return checkCtx{}, nil
+			return
 		}
-		victims, err := s.m.SpeedUpSingle(id, 1+int(arg>>6))
-		if err != nil {
-			fmt.Fprintf(&s.tr, "a%03d plan speedup-single q%d err=%v\n", s.actionN, id, err)
-			return checkCtx{}, nil
-		}
-		fmt.Fprintf(&s.tr, "a%03d plan speedup-single q%d ->", s.actionN, id)
+		what = fmt.Sprintf("speedup-single q%d", id)
+		var victims []wm.Victim
+		victims, err = m.SpeedUpSingle(id, 1+int(arg>>6))
+		answer = " ->"
 		for _, v := range victims {
-			fmt.Fprintf(&s.tr, " q%d:%s", v.ID, g(v.Benefit))
+			answer += fmt.Sprintf(" q%d:%s", v.ID, g(v.Benefit))
 		}
-		fmt.Fprintln(&s.tr)
 	case 1:
-		v, err := s.m.SpeedUpOthers()
-		if err != nil {
-			fmt.Fprintf(&s.tr, "a%03d plan speedup-others err=%v\n", s.actionN, err)
-			return checkCtx{}, nil
-		}
-		fmt.Fprintf(&s.tr, "a%03d plan speedup-others -> q%d:%s\n", s.actionN, v.ID, g(v.Benefit))
+		what = "speedup-others"
+		var v wm.Victim
+		v, err = m.SpeedUpOthers()
+		answer = fmt.Sprintf(" -> q%d:%s", v.ID, g(v.Benefit))
 	default:
+		what = "maintenance"
 		deadline := s.cfg.Quantum * float64(4+int(arg>>3))
-		plan, err := s.m.PlanMaintenance(deadline, wm.Case1CompletedWork, false)
-		if err != nil {
-			fmt.Fprintf(&s.tr, "a%03d plan maintenance err=%v\n", s.actionN, err)
-			return checkCtx{}, nil
-		}
-		fmt.Fprintf(&s.tr, "a%03d plan maintenance deadline=%s abort=%v lost=%s quiescent=%s\n",
-			s.actionN, g(deadline), plan.Abort, g(plan.Lost), g(plan.Quiescent))
+		var plan wm.MaintenancePlan
+		plan, err = m.PlanMaintenance(deadline, wm.Case1CompletedWork, false)
+		answer = fmt.Sprintf(" deadline=%s abort=%v lost=%s quiescent=%s",
+			g(deadline), plan.Abort, g(plan.Lost), g(plan.Quiescent))
 	}
-	return checkCtx{}, nil
+	if err != nil {
+		answer = fmt.Sprintf(" err=%v", err)
+	} else {
+		s.plans++
+	}
+	fmt.Fprintf(&s.tr, "a%03d %splan %s%s\n", s.actionN, s.chks[shard].tag, what, answer)
 }
 
 // pick deterministically selects a target query: candidates are gathered from
-// the current overview in ID order and indexed by arg.
+// the merged overview in global-ID order and indexed by arg.
 func (s *sim) pick(arg byte, class string) (int, bool) {
-	ov, err := s.m.Overview()
+	ov, err := s.c.Overview()
 	if err != nil {
 		return 0, false
 	}

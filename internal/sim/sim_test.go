@@ -10,60 +10,96 @@ import (
 // -seeds widens the matrix locally: `go test ./internal/sim -seeds 256`.
 var seedCount = flag.Int("seeds", 32, "number of seeds in the simulation matrix")
 
-// TestSimMatrix is the standing correctness gate: every seed runs the full
-// randomized workload against the real stack at workers 1, 2, and 4, every
-// invariant must hold, and the three traces must be byte-identical — the
-// parallel execute phase may not change a single virtual-time outcome.
-func TestSimMatrix(t *testing.T) {
-	type stats struct {
-		checked, voided int
+// runAcrossWorkers runs cfg at workers 1, 2 and 4, reports every violation,
+// demands byte-identical traces — the parallel execute phase may not change a
+// single virtual-time outcome — and returns the workers=1 result.
+func runAcrossWorkers(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	var base *Result
+	for _, w := range []int{1, 2, 4} {
+		cfg.Workers = w
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("workers=%d: %s", w, v)
+		}
+		if base == nil {
+			base = res
+		} else if res.Trace != base.Trace {
+			t.Errorf("workers=%d trace differs from workers=1 (lengths %d vs %d): %s",
+				w, len(res.Trace), len(base.Trace), firstDiff(base.Trace, res.Trace))
+		}
 	}
-	var mu sync.Mutex
-	total := stats{}
+	if base.Submitted == 0 {
+		t.Error("run submitted no queries; the action stream is broken")
+	}
+	return base
+}
+
+// tally sums over a matrix's cells what its non-vacuity asserts need: a
+// matrix in which nothing was ever aborted, planned, folded or checked for
+// exactness passes every invariant without testing it.
+type tally struct {
+	mu                              sync.Mutex
+	aborted, plans, checked, voided int
+	saved                           float64 // pages the fold registry saved: Σ(done−cost)
+}
+
+func (a *tally) add(r *Result) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.aborted += r.Aborted
+	a.plans += r.Plans
+	a.checked += r.ExactChecked
+	a.voided += r.ExactVoided
+	for _, q := range r.Final {
+		a.saved += q.Done - q.Cost
+	}
+}
+
+// assertExercised fails a matrix that aborted nothing, got no planner answer,
+// or whose stage-model exactness invariant was voided (a cost refinement
+// re-anchored the model) on more than a third as many checks as it ran on.
+func (a *tally) assertExercised(t *testing.T) {
+	t.Helper()
+	if a.aborted == 0 {
+		t.Error("no cell aborted a query")
+	}
+	if a.plans == 0 {
+		t.Error("no cell got a planner answer")
+	}
+	if a.voided*3 > a.checked {
+		t.Errorf("exactness invariant voided too often: checked=%d voided=%d", a.checked, a.voided)
+	}
+	t.Logf("aborts=%d plans=%d pages saved=%g exactness checked=%d voided=%d",
+		a.aborted, a.plans, a.saved, a.checked, a.voided)
+}
+
+// assertFolded fails a fold matrix in which no cell ever shared a page: its
+// fold-on runs would be solo runs under another name.
+func (a *tally) assertFolded(t *testing.T) {
+	t.Helper()
+	a.assertExercised(t)
+	if a.saved == 0 {
+		t.Error("no seed saved any pages; folding never engaged in the matrix")
+	}
+}
+
+// TestSimMatrix is the standing correctness gate: every seed runs the full
+// randomized workload against the real stack (one shard) at workers 1, 2, and
+// 4, every invariant must hold, and the three traces must be byte-identical.
+func TestSimMatrix(t *testing.T) {
+	var total tally
 	for seed := int64(1); seed <= int64(*seedCount); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			base, err := Run(Config{Seed: seed, Workers: 1})
-			if err != nil {
-				t.Fatalf("workers=1: %v", err)
-			}
-			for _, v := range base.Violations {
-				t.Errorf("workers=1: %s", v)
-			}
-			if base.Submitted == 0 {
-				t.Errorf("run submitted no queries; the action stream is broken")
-			}
-			for _, w := range []int{2, 4} {
-				res, err := Run(Config{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				for _, v := range res.Violations {
-					t.Errorf("workers=%d: %s", w, v)
-				}
-				if res.Trace != base.Trace {
-					t.Errorf("workers=%d trace differs from workers=1 (lengths %d vs %d): %s",
-						w, len(res.Trace), len(base.Trace), firstDiff(base.Trace, res.Trace))
-				}
-			}
-			mu.Lock()
-			total.checked += base.ExactChecked
-			total.voided += base.ExactVoided
-			mu.Unlock()
+			total.add(runAcrossWorkers(t, Config{Seed: seed}))
 		})
 	}
-	t.Cleanup(func() {
-		// The stage-model exactness invariant is voided on checks where a
-		// cost refinement re-anchored the model. Voids must stay a small
-		// minority (at most a third of checked), or the invariant has
-		// silently gone vacuous.
-		if total.voided*3 > total.checked {
-			t.Errorf("exactness invariant voided too often: checked=%d voided=%d",
-				total.checked, total.voided)
-		}
-		t.Logf("exactness checked=%d voided=%d", total.checked, total.voided)
-	})
+	t.Cleanup(func() { total.assertExercised(t) })
 }
 
 // TestSimReplayDeterministic pins the replay contract behind
