@@ -32,8 +32,11 @@ benchmark:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
+# vet is the static gate: go vet, and a tree gofmt has nothing to say about.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l names unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -1,11 +1,12 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (§5), plus micro-benchmarks of the core algorithms and
-// the ablations called out in DESIGN.md.
+// Benchmark harness: BenchmarkExperiment has one sub-benchmark per table and
+// figure of the paper's evaluation (§5), the ablations called out in
+// DESIGN.md and the extension experiments; the rest are micro-benchmarks of
+// the core algorithms.
 //
-// Each figure benchmark runs the corresponding experiment end-to-end at a
-// scaled-down configuration and reports headline shape metrics via b.Report-
-// Metric, so `go test -bench=.` regenerates every result in one command.
-// cmd/mqpi-bench prints the full series at paper scale.
+// Each BenchmarkExperiment row runs the corresponding experiment end-to-end
+// at a scaled-down configuration and reports headline shape metrics via
+// b.ReportMetric, so `go test -bench=.` regenerates every result in one
+// command. cmd/mqpi-bench prints the full series at paper scale.
 package mqpi_test
 
 import (
@@ -24,154 +25,173 @@ import (
 // defaults.
 var benchData = workload.DataConfig{LineitemRows: 30000, Seed: 1}
 
-func BenchmarkTable1Dataset(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunDataset(experiments.DatasetConfig{Seed: 1, Data: benchData})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(res.Rows[0].Tuples), "lineitem-rows")
-			b.ReportMetric(res.Rows[1].AvgMatch, "avg-matches")
-		}
-	}
-}
-
-func BenchmarkFigure3MCQEstimates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMCQ(experiments.MCQConfig{Seed: 1, MaxN: 60, Data: benchData})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.ErrStartSingle, "single-err-t0")
-			b.ReportMetric(res.ErrStartMulti, "multi-err-t0")
-		}
-	}
-}
-
-func BenchmarkFigure4MCQSpeed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMCQ(experiments.MCQConfig{Seed: 2, MaxN: 60, Data: benchData})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.SpeedRatio, "speed-growth")
-		}
-	}
-}
-
-func BenchmarkFigure5NAQ(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunNAQ(experiments.NAQConfig{Seed: 1, Data: benchData})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.ErrStartSingle, "single-err-t0")
-			b.ReportMetric(res.ErrStartNoQueue, "noqueue-err-t0")
-			b.ReportMetric(res.ErrStartQueue, "queue-err-t0")
-		}
-	}
+// metric is one headline number a figure benchmark reports.
+type metric struct {
+	unit  string
+	value float64
 }
 
 func scqBenchConfig(seed int64) experiments.SCQConfig {
 	return experiments.SCQConfig{
-		Seed:    seed,
-		Runs:    5,
+		Common:  experiments.Common{Seed: seed, Runs: 5, Data: benchData},
 		Lambdas: []float64{0, 0.05, 0.1},
-		Data:    benchData,
-	}
-}
-
-func BenchmarkFigure6SCQLastQuery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSCQ(scqBenchConfig(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Fig6.Series[0].YAt(0), "single-err-l0")
-			b.ReportMetric(res.Fig6.Series[1].YAt(0), "multi-err-l0")
-		}
-	}
-}
-
-func BenchmarkFigure7SCQAverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSCQ(scqBenchConfig(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Fig7.Series[0].YAt(0.05), "single-err-l05")
-			b.ReportMetric(res.Fig7.Series[1].YAt(0.05), "multi-err-l05")
-		}
 	}
 }
 
 func lambdaErrBenchConfig(seed int64) experiments.SCQConfig {
 	return experiments.SCQConfig{
-		Seed:         seed,
-		Runs:         5,
+		Common:       experiments.Common{Seed: seed, Runs: 5, Data: benchData},
 		FixedLambda:  0.03,
 		LambdaPrimes: []float64{0, 0.03, 0.1, 0.2},
-		Data:         benchData,
 	}
 }
 
-func BenchmarkFigure8LambdaErrLastQuery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+func mcqBench(seed int64) (*experiments.MCQResult, error) {
+	return experiments.RunMCQ(experiments.MCQConfig{Common: experiments.Common{Seed: seed, MaxN: 60, Data: benchData}})
+}
+
+// ablationBench runs the MCQ scenario feeding the PI refined remaining costs
+// (the default) or raw optimizer-remaining costs. On this workload the
+// optimizer estimates are good, so the gap is modest — the refinement matters
+// when cardinality estimates go wrong (see the skewed-stats test in
+// internal/experiments).
+func ablationBench(optimizerOnly bool) ([]metric, error) {
+	res, err := experiments.RunMCQAblation(experiments.MCQConfig{Common: experiments.Common{Seed: 3, MaxN: 60, Data: benchData}}, optimizerOnly)
+	if err != nil {
+		return nil, err
+	}
+	return []metric{{"mean-multi-err", res.MeanMultiErr}}, nil
+}
+
+// experimentBenches is one row per table and figure of the paper, then the
+// DESIGN.md ablation pair and the extension experiments: a name, and a run at
+// a scaled-down configuration returning the headline metrics to report.
+var experimentBenches = []struct {
+	name string
+	run  func() ([]metric, error)
+}{
+	{"Table1Dataset", func() ([]metric, error) {
+		res, err := experiments.RunDataset(experiments.DatasetConfig{Common: experiments.Common{Seed: 1, Data: benchData}})
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"lineitem-rows", float64(res.Rows[0].Tuples)}, {"avg-matches", res.Rows[1].AvgMatch}}, nil
+	}},
+	{"Figure3MCQEstimates", func() ([]metric, error) {
+		res, err := mcqBench(1)
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"single-err-t0", res.ErrStartSingle}, {"multi-err-t0", res.ErrStartMulti}}, nil
+	}},
+	{"Figure4MCQSpeed", func() ([]metric, error) {
+		res, err := mcqBench(2)
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"speed-growth", res.SpeedRatio}}, nil
+	}},
+	{"Figure5NAQ", func() ([]metric, error) {
+		res, err := experiments.RunNAQ(experiments.NAQConfig{Common: experiments.Common{Seed: 1, Data: benchData}})
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"single-err-t0", res.ErrStartSingle}, {"noqueue-err-t0", res.ErrStartNoQueue}, {"queue-err-t0", res.ErrStartQueue}}, nil
+	}},
+	{"Figure6SCQLastQuery", func() ([]metric, error) {
+		res, err := experiments.RunSCQ(scqBenchConfig(1))
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"single-err-l0", res.Fig6.Series[0].YAt(0)}, {"multi-err-l0", res.Fig6.Series[1].YAt(0)}}, nil
+	}},
+	{"Figure7SCQAverage", func() ([]metric, error) {
+		res, err := experiments.RunSCQ(scqBenchConfig(2))
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"single-err-l05", res.Fig7.Series[0].YAt(0.05)}, {"multi-err-l05", res.Fig7.Series[1].YAt(0.05)}}, nil
+	}},
+	{"Figure8LambdaErrLastQuery", func() ([]metric, error) {
 		res, err := experiments.RunSCQLambdaErr(lambdaErrBenchConfig(1))
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		if i == 0 {
-			b.ReportMetric(res.Fig8.Series[1].YAt(0.03), "multi-err-true-lambda")
-			b.ReportMetric(res.Fig8.Series[1].YAt(0.2), "multi-err-wrong-lambda")
-		}
-	}
-}
-
-func BenchmarkFigure9LambdaErrAverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+		return []metric{{"multi-err-true-lambda", res.Fig8.Series[1].YAt(0.03)}, {"multi-err-wrong-lambda", res.Fig8.Series[1].YAt(0.2)}}, nil
+	}},
+	{"Figure9LambdaErrAverage", func() ([]metric, error) {
 		res, err := experiments.RunSCQLambdaErr(lambdaErrBenchConfig(2))
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		if i == 0 {
-			b.ReportMetric(res.Fig9.Series[0].YAt(0.03), "single-err")
-			b.ReportMetric(res.Fig9.Series[1].YAt(0.03), "multi-err-true-lambda")
-		}
-	}
-}
-
-func BenchmarkFigure10LambdaErrTrajectory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSCQTrajectory(experiments.SCQConfig{Seed: 1, Data: benchData}, nil)
+		return []metric{{"single-err", res.Fig9.Series[0].YAt(0.03)}, {"multi-err-true-lambda", res.Fig9.Series[1].YAt(0.03)}}, nil
+	}},
+	{"Figure10LambdaErrTrajectory", func() ([]metric, error) {
+		res, err := experiments.RunSCQTrajectory(experiments.SCQConfig{Common: experiments.Common{Seed: 1, Data: benchData}}, nil)
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		if i == 0 {
-			b.ReportMetric(res.FocusFinish, "focus-finish-s")
-		}
-	}
-}
-
-func BenchmarkFigure11Maintenance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+		return []metric{{"focus-finish-s", res.FocusFinish}}, nil
+	}},
+	{"Figure11Maintenance", func() ([]metric, error) {
 		res, err := experiments.RunMaintenance(experiments.MaintenanceConfig{
-			Seed: 1, Runs: 3, WarmupFinishes: 15, Data: benchData,
+			Common:         experiments.Common{Seed: 1, Runs: 3, Data: benchData},
+			WarmupFinishes: 15,
 		})
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		if i == 0 {
-			b.ReportMetric(res.SingleAtTFinish, "single-UW-at-tfinish")
-			b.ReportMetric(res.MultiVsSingle, "multi-gain-vs-single")
-			b.ReportMetric(res.MultiVsLimit, "multi-excess-vs-limit")
+		return []metric{{"single-UW-at-tfinish", res.SingleAtTFinish}, {"multi-gain-vs-single", res.MultiVsSingle}, {"multi-excess-vs-limit", res.MultiVsLimit}}, nil
+	}},
+	{"AblationRefinedEstimate", func() ([]metric, error) { return ablationBench(false) }},
+	{"AblationOptimizerOnlyEstimate", func() ([]metric, error) { return ablationBench(true) }},
+	// §3.1 victim selection against the heaviest-consumer and random
+	// heuristics on the paper's motivating trap (the heavy consumer is about
+	// to finish).
+	{"ExtSpeedupPolicies", func() ([]metric, error) {
+		res, err := experiments.RunSpeedup(experiments.Common{Seed: 1, Runs: 4, Data: benchData})
+		if err != nil {
+			return nil, err
 		}
+		return []metric{{"multiPI-saving-s", res.MeanSavings[0]}, {"heaviest-saving-s", res.MeanSavings[1]}, {"random-saving-s", res.MeanSavings[2]}}, nil
+	}},
+	// Assumption 3 end-to-end: the measured high/low speed ratio against the
+	// weight ratio of 3, and the weighted stage model's estimate accuracy.
+	{"ExtWeightedPriorities", func() ([]metric, error) {
+		res, err := experiments.RunPriority(experiments.PriorityConfig{Common: experiments.Common{Seed: 1, Data: benchData}})
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"speed-ratio", res.SpeedRatio}, {"multi-err", res.ErrT0Multi}, {"single-err", res.ErrT0Single}}, nil
+	}},
+	// §2.3 across queue depths: the queue-aware estimator's error stays flat
+	// while the queue-blind one grows as the MPL shrinks.
+	{"ExtMPLSweep", func() ([]metric, error) {
+		res, err := experiments.RunMPLSweep(experiments.MPLSweepConfig{Common: experiments.Common{Seed: 1, Runs: 2, Data: benchData}})
+		if err != nil {
+			return nil, err
+		}
+		return []metric{{"blind-err-mpl2", res.Fig.Series[1].YAt(2)}, {"aware-err-mpl2", res.Fig.Series[2].YAt(2)}}, nil
+	}},
+}
+
+// BenchmarkExperiment runs every row of experimentBenches end to end, e.g.
+// `go test -bench Experiment/Figure3`.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experimentBenches {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				metrics, err := e.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					for _, m := range metrics {
+						b.ReportMetric(m.value, m.unit)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -197,36 +217,6 @@ func BenchmarkParallelSCQSweep(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup-x")
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-		}
-	}
-}
-
-// --- ablations (DESIGN.md: refined vs optimizer-only remaining costs) ---
-
-// BenchmarkAblationRefinedEstimate runs the MCQ experiment with refined
-// remaining-cost estimates (the default) and reports the multi-query PI's
-// time-0 error; compare with BenchmarkAblationOptimizerOnlyEstimate.
-func BenchmarkAblationRefinedEstimate(b *testing.B) {
-	benchAblation(b, false)
-}
-
-// BenchmarkAblationOptimizerOnlyEstimate disables progress-based refinement,
-// feeding the PI raw optimizer-remaining costs. On this workload the
-// optimizer estimates are good, so the gap is modest — the refinement
-// matters when cardinality estimates go wrong (see the skewed-stats test in
-// internal/experiments).
-func BenchmarkAblationOptimizerOnlyEstimate(b *testing.B) {
-	benchAblation(b, true)
-}
-
-func benchAblation(b *testing.B, optimizerOnly bool) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMCQAblation(experiments.MCQConfig{Seed: 3, MaxN: 60, Data: benchData}, optimizerOnly)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.MeanMultiErr, "mean-multi-err")
 		}
 	}
 }
@@ -325,58 +315,6 @@ func BenchmarkEngineCorrelatedQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := ds.DB.Query(src); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- extension experiments (beyond the paper's figures) ---
-
-// BenchmarkExtSpeedupPolicies compares §3.1 victim selection against the
-// heaviest-consumer and random heuristics on the paper's motivating trap
-// (the heavy consumer is about to finish).
-func BenchmarkExtSpeedupPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSpeedup(experiments.SpeedupConfig{Seed: 1, Runs: 4, Data: benchData})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.MeanSavings[0], "multiPI-saving-s")
-			b.ReportMetric(res.MeanSavings[1], "heaviest-saving-s")
-			b.ReportMetric(res.MeanSavings[2], "random-saving-s")
-		}
-	}
-}
-
-// BenchmarkExtWeightedPriorities validates Assumption 3 end-to-end: the
-// measured high/low speed ratio against the weight ratio of 3, and the
-// weighted stage model's estimate accuracy.
-func BenchmarkExtWeightedPriorities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunPriority(experiments.PriorityConfig{Seed: 1, Data: benchData})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.SpeedRatio, "speed-ratio")
-			b.ReportMetric(res.ErrT0Multi, "multi-err")
-			b.ReportMetric(res.ErrT0Single, "single-err")
-		}
-	}
-}
-
-// BenchmarkExtMPLSweep quantifies §2.3 across queue depths: the queue-aware
-// estimator's error stays flat while the queue-blind one grows as the MPL
-// shrinks.
-func BenchmarkExtMPLSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMPLSweep(experiments.MPLSweepConfig{Seed: 1, Runs: 2, Data: benchData})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Fig.Series[1].YAt(2), "blind-err-mpl2")
-			b.ReportMetric(res.Fig.Series[2].YAt(2), "aware-err-mpl2")
 		}
 	}
 }

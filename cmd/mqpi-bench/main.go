@@ -1,14 +1,13 @@
 // Command mqpi-bench regenerates the paper's tables and figures as text.
 //
-//	mqpi-bench -exp all                 # every experiment
-//	mqpi-bench -exp mcq -seed 7         # Figures 3-4
-//	mqpi-bench -exp scq -runs 100       # Figures 6-7 at full paper scale
+//	mqpi-bench -exp all                 # every experiment, in battery order
+//	mqpi-bench -exp mcq -seed 7         # one experiment
+//	mqpi-bench -exp scq,maint -runs 100 # a comma list, at full paper scale
 //	mqpi-bench -exp scq -parallel 8     # fan runs across 8 workers
 //	mqpi-bench -exp all -json > figs.jsonl
 //	mqpi-bench -sim -seed 17            # replay one simulator cell with its trace
 //
-// Experiments: dataset (Table 1), mcq (Fig 3-4), naq (Fig 5), scq (Fig 6-7),
-// scq-lambda (Fig 8-9), scq-traj (Fig 10), maint (Fig 11).
+// The experiments are the entries of experiments.All(); -h lists their names.
 //
 // -parallel fans the independent runs of the sweep experiments across worker
 // goroutines (0 = GOMAXPROCS); figures are bit-identical at every setting.
@@ -28,18 +27,22 @@ import (
 	"strings"
 	"time"
 
-	"mqpi/internal/core"
 	"mqpi/internal/experiments"
 	"mqpi/internal/metrics"
 	"mqpi/internal/workload"
 )
 
-// expNames lists every runnable experiment, in battery order, plus the "all"
-// selector; -exp values are validated against it before anything runs.
-var expNames = []string{
-	"dataset", "mcq", "naq", "scq", "scq-lambda", "scq-traj", "stages",
-	"speedup", "priority", "mpl", "robust", "maint", "cluster", "folding",
-	"calibration", "all",
+// allExps is the selector that runs the whole battery.
+const allExps = "all"
+
+// expNames is every valid -exp value: the registry's names in battery order,
+// then the "all" selector.
+func expNames() []string {
+	var names []string
+	for _, e := range experiments.All() {
+		names = append(names, e.Name)
+	}
+	return append(names, allExps)
 }
 
 // unknownExps returns the entries of a comma-split -exp value that name no
@@ -47,25 +50,37 @@ var expNames = []string{
 // whole invocation: silently running the valid prefix would report success
 // for a sweep that never happened.
 func unknownExps(which []string) []string {
+	valid := make(map[string]bool)
+	for _, name := range expNames() {
+		valid[name] = true
+	}
 	var bad []string
 	for _, w := range which {
-		found := false
-		for _, name := range expNames {
-			if w == name {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !valid[w] {
 			bad = append(bad, w)
 		}
 	}
 	return bad
 }
 
+// selected returns the registry entries a comma-split -exp value asks for, in
+// battery order.
+func selected(which []string) []experiments.Experiment {
+	var out []experiments.Experiment
+	for _, e := range experiments.All() {
+		for _, w := range which {
+			if w == e.Name || w == allExps {
+				out = append(out, e)
+				break
+			}
+		}
+	}
+	return out
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: "+strings.Join(expNames, "|"))
+		exp      = flag.String("exp", allExps, "experiment: "+strings.Join(expNames(), "|"))
 		seed     = flag.Int64("seed", 1, "random seed")
 		runs     = flag.Int("runs", 0, "runs per data point (0 = experiment default)")
 		rows     = flag.Int("lineitem", 0, "lineitem row count (0 = experiment default)")
@@ -88,272 +103,83 @@ func main() {
 		for _, w := range bad {
 			fmt.Fprintf(os.Stderr, "mqpi-bench: unknown experiment %q\n", w)
 		}
-		fmt.Fprintf(os.Stderr, "mqpi-bench: valid experiments: %s\n", strings.Join(expNames, ", "))
+		fmt.Fprintf(os.Stderr, "mqpi-bench: valid experiments: %s\n", strings.Join(expNames(), ", "))
 		os.Exit(2)
 	}
-	want := func(name string) bool {
-		for _, w := range which {
-			if w == name || w == "all" {
-				return true
-			}
-		}
-		return false
+	cfg := experiments.Common{
+		Seed: *seed, Runs: *runs, Parallel: *parallel, Workers: *workers,
+		Data: workload.DataConfig{LineitemRows: *rows, Seed: *seed},
 	}
-	data := workload.DataConfig{LineitemRows: *rows, Seed: *seed}
 	// In JSON mode stdout carries only machine-readable lines; human-facing
 	// headlines and diagrams move to stderr.
-	txt := io.Writer(os.Stdout)
+	b := battery{out: os.Stdout, txt: os.Stdout, json: *jsonOut, csvDir: *csvDir, verbose: *verbose}
 	if *jsonOut {
-		txt = os.Stderr
+		b.txt = os.Stderr
 	}
-	saveCSV := func(name string, fig *metrics.Figure) {
-		if *csvDir == "" {
-			return
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "mqpi-bench: csv dir: %v\n", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mqpi-bench: writing %s: %v\n", path, err)
-			os.Exit(1)
-		}
+	if err := b.run(selected(which), cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "mqpi-bench: %v\n", err)
+		os.Exit(1)
 	}
-	// showFig renders a figure to the chosen sink (text table, or one JSON
-	// line named after its CSV file) and writes the CSV copy if requested.
-	showFig := func(name string, fig *metrics.Figure) error {
-		saveCSV(name, fig)
-		if *jsonOut {
-			j, err := fig.JSON()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("{\"name\":%q,\"figure\":%s}\n", name, j)
-			return nil
-		}
-		fmt.Print(fig.Render())
-		return nil
-	}
+}
 
-	step := func(name string, f func() error) {
-		if !want(name) {
-			return
-		}
+// battery renders experiment reports: headline text to txt, figures to out —
+// as text tables, or with json set as one JSON line per figure followed by a
+// timing record per experiment — and, when csvDir is set, a CSV copy of each
+// figure there.
+type battery struct {
+	out, txt io.Writer
+	json     bool
+	csvDir   string
+	verbose  bool // timing for each experiment on stderr
+}
+
+// run runs the experiments in order and renders each one's report.
+func (b battery) run(exps []experiments.Experiment, cfg experiments.Common) error {
+	for _, e := range exps {
 		start := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "mqpi-bench: %s: %v\n", name, err)
-			os.Exit(1)
+		rep, err := e.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		for _, p := range rep.Parts {
+			if p.Fig == nil {
+				fmt.Fprint(b.txt, p.Text)
+			} else if err := b.figure(p.Name, p.Fig); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
 		}
 		elapsed := time.Since(start)
-		if *jsonOut {
-			fmt.Printf("{\"name\":%q,\"seconds\":%.3f,\"parallel\":%d}\n", name, elapsed.Seconds(), *parallel)
+		if b.json {
+			fmt.Fprintf(b.out, "{\"name\":%q,\"seconds\":%.3f,\"parallel\":%d}\n", e.Name, elapsed.Seconds(), cfg.Parallel)
 		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "[%s took %v]\n", name, elapsed.Round(time.Millisecond))
+		if b.verbose {
+			fmt.Fprintf(os.Stderr, "[%s took %v]\n", e.Name, elapsed.Round(time.Millisecond))
 		}
-		fmt.Fprintln(txt)
+		fmt.Fprintln(b.txt)
 	}
+	return nil
+}
 
-	step("dataset", func() error {
-		res, err := experiments.RunDataset(experiments.DatasetConfig{Seed: *seed, Data: data})
-		if err != nil {
-			return err
+// figure renders one figure to the chosen sink (text table, or one JSON line
+// named after its CSV file) and writes the CSV copy if requested.
+func (b battery) figure(name string, fig *metrics.Figure) error {
+	if b.csvDir != "" {
+		if err := os.MkdirAll(b.csvDir, 0o755); err != nil {
+			return fmt.Errorf("csv dir: %w", err)
 		}
-		fmt.Fprint(txt, res.Render())
-		return nil
-	})
-
-	step("mcq", func() error {
-		res, err := experiments.RunMCQ(experiments.MCQConfig{Seed: *seed, Data: data, Workers: *workers})
-		if err != nil {
-			return err
+		path := filepath.Join(b.csvDir, name+".csv")
+		if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
+			return fmt.Errorf("writing %s: %w", path, err)
 		}
-		fmt.Fprintf(txt, "MCQ focus query: %s (finishes at %.0fs; speed grows %.1fx)\n",
-			res.FocusLabel, res.FinishTime, res.SpeedRatio)
-		fmt.Fprintf(txt, "relative error at time 0: single-query %.0f%%, multi-query %.0f%%\n\n",
-			res.ErrStartSingle*100, res.ErrStartMulti*100)
-		if err := showFig("figure3", &res.Fig3); err != nil {
-			return err
-		}
-		fmt.Fprintln(txt)
-		return showFig("figure4", &res.Fig4)
-	})
-
-	step("naq", func() error {
-		res, err := experiments.RunNAQ(experiments.NAQConfig{Seed: *seed, Data: data, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(txt, "NAQ events: Q2 finishes / Q3 starts at %.0fs, Q3 finishes at %.0fs, Q1 finishes at %.0fs\n",
-			res.Q2Finish, res.Q3Finish, res.Q1Finish)
-		fmt.Fprintf(txt, "relative error at time 0: single %.0f%%, multi(no queue) %.0f%%, multi(queue) %.0f%%\n\n",
-			res.ErrStartSingle*100, res.ErrStartNoQueue*100, res.ErrStartQueue*100)
-		return showFig("figure5", &res.Fig5)
-	})
-
-	step("scq", func() error {
-		res, err := experiments.RunSCQ(experiments.SCQConfig{Seed: *seed, Runs: *runs, Data: data, Parallel: *parallel, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(txt, "SCQ: average future-query cost c̄=%.0fU, stability boundary λ*=C/c̄=%.3f\n\n",
-			res.CBar, res.StabilityLambda)
-		if err := showFig("figure6", &res.Fig6); err != nil {
-			return err
-		}
-		fmt.Fprintln(txt)
-		return showFig("figure7", &res.Fig7)
-	})
-
-	step("scq-lambda", func() error {
-		res, err := experiments.RunSCQLambdaErr(experiments.SCQConfig{Seed: *seed, Runs: *runs, Data: data, Parallel: *parallel, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(txt, "SCQ λ′ sensitivity: true λ=%.3g, c̄=%.0fU\n\n", res.Lambda, res.CBar)
-		if err := showFig("figure8", &res.Fig8); err != nil {
-			return err
-		}
-		fmt.Fprintln(txt)
-		return showFig("figure9", &res.Fig9)
-	})
-
-	step("scq-traj", func() error {
-		res, err := experiments.RunSCQTrajectory(experiments.SCQConfig{Seed: *seed, Data: data, Workers: *workers}, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(txt, "SCQ trajectory: focus query finishes at %.0fs\n\n", res.FocusFinish)
-		return showFig("figure10", &res.Fig10)
-	})
-
-	step("stages", func() error {
-		// Figures 1 and 2 are analytic illustrations of the stage model;
-		// render them from the closed form.
-		states := []core.QueryState{
-			{ID: 1, Remaining: 100, Weight: 1},
-			{ID: 2, Remaining: 200, Weight: 1},
-			{ID: 3, Remaining: 300, Weight: 1},
-			{ID: 4, Remaining: 400, Weight: 1},
-		}
-		fmt.Fprintln(txt, "== Figure 1: sample execution of n=4 queries ==")
-		fmt.Fprint(txt, core.StageDiagram(states, 100, 50))
-		fmt.Fprintln(txt, "\n== Figure 2: same, with Q3 blocked at time 0 ==")
-		blocked := append([]core.QueryState(nil), states...)
-		blocked[2].Weight = 0
-		fmt.Fprint(txt, core.StageDiagram(blocked, 100, 50))
-		return nil
-	})
-
-	step("speedup", func() error {
-		res, err := experiments.RunSpeedup(experiments.SpeedupConfig{Seed: *seed, Runs: *runs, Data: data, Parallel: *parallel, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(txt, "== Extension: §3.1 victim-selection policies ==")
-		for i, p := range res.Policies {
-			fmt.Fprintf(txt, "  %-28s mean target speed-up %6.1fs\n", p, res.MeanSavings[i])
-		}
-		fmt.Fprintf(txt, "  §3.1 benefit formula |predicted-actual| = %.1fs on average\n", res.PredictedVsActual)
-		return nil
-	})
-
-	step("priority", func() error {
-		res, err := experiments.RunPriority(experiments.PriorityConfig{Seed: *seed, Runs: *runs, Data: data, Parallel: *parallel, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(txt, "== Extension: weighted priorities (Assumption 3) ==\n")
-		fmt.Fprintf(txt, "measured high/low speed ratio: %.2f (weights predict 3.00)\n", res.SpeedRatio)
-		fmt.Fprintf(txt, "mean time-0 relative error: single %.0f%%, multi %.0f%%\n\n",
-			res.ErrT0Single*100, res.ErrT0Multi*100)
-		return showFig("priority", &res.Fig)
-	})
-
-	step("mpl", func() error {
-		res, err := experiments.RunMPLSweep(experiments.MPLSweepConfig{Seed: *seed, Runs: *runs, Data: data, Parallel: *parallel, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		return showFig("mpl-sweep", &res.Fig)
-	})
-
-	step("robust", func() error {
-		res, err := experiments.RunRobustness(experiments.RobustnessConfig{Seed: *seed, Runs: *runs, Data: data, Parallel: *parallel, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(txt, "== Extension: Assumption 1 violated (rate varies with load) ==")
-		fmt.Fprintf(txt, "mean time-0 relative error: single %.0f%%, multi %.0f%%\n",
-			res.ErrSingle*100, res.ErrMulti*100)
-		fmt.Fprintln(txt, "(the PI still assumes the constant nominal C; §4.1 predicts multi stays superior)")
-		return showFig("robustness", &res.Fig)
-	})
-
-	step("maint", func() error {
-		res, err := experiments.RunMaintenance(experiments.MaintenanceConfig{Seed: *seed, Runs: *runs, Data: data, Parallel: *parallel, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		if err := showFig("figure11", &res.Fig11); err != nil {
-			return err
-		}
-		fmt.Fprintf(txt, "\nsingle-PI method at t=tfinish: UW/TW=%.2f (paper: 0.67)\n", res.SingleAtTFinish)
-		fmt.Fprintf(txt, "multi-PI improvement vs no-PI: %.3f, vs single-PI: %.3f, excess over limit: %.3f (t<tfinish averages)\n",
-			res.MultiVsNoPI, res.MultiVsSingle, res.MultiVsLimit)
-		return nil
-	})
-
-	step("cluster", func() error {
-		res, err := experiments.RunClusterSweep(experiments.ClusterSweepConfig{
-			Seed: *seed, Runs: *runs, Parallel: *parallel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(txt, "== Serving tier: shard count x routing policy on a mixed Zipf workload ==")
-		if err := showFig("cluster-throughput", &res.FigThroughput); err != nil {
-			return err
-		}
-		fmt.Fprintln(txt)
-		return showFig("cluster-eta", &res.FigETA)
-	})
-
-	step("folding", func() error {
-		res, err := experiments.RunFoldingSweep(experiments.FoldingConfig{
-			Seed: *seed, Runs: *runs, Parallel: *parallel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(txt, "== Extension: shared-scan folding on a Zipf-skewed scan workload ==")
-		fmt.Fprintln(txt, "(throughput and ETA series must coincide: folding only moves engine cost)")
-		if err := showFig("folding-throughput", &res.FigThroughput); err != nil {
-			return err
-		}
-		fmt.Fprintln(txt)
-		if err := showFig("folding-eta", &res.FigETA); err != nil {
-			return err
-		}
-		fmt.Fprintln(txt)
-		return showFig("folding-saved", &res.FigSaved)
-	})
-
-	step("calibration", func() error {
-		res, err := experiments.RunCalibration(experiments.CalibrationConfig{
-			Seed: *seed, Data: data, Parallel: *parallel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(txt, "== Estimator ensemble: uncertainty-band calibration ==")
-		for _, sc := range res.Scenarios {
-			fmt.Fprintf(txt, "  %-9s coverage %5.1f%%  (%d/%d intervals)\n",
-				sc.Name, sc.Coverage*100, sc.Within, sc.Samples)
-		}
-		fmt.Fprintf(txt, "  pooled coverage %.1f%% (%d/%d; acceptance floor 80%%)\n\n",
-			res.Coverage*100, res.Within, res.Samples)
-		return showFig("calibration", &res.Fig)
-	})
+	}
+	if !b.json {
+		_, err := fmt.Fprint(b.out, fig.Render())
+		return err
+	}
+	j, err := fig.JSON()
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(b.out, "{\"name\":%q,\"figure\":%s}\n", name, j)
+	return err
 }

@@ -71,8 +71,9 @@ type Interval struct {
 // immutable EstimateInput plus the published calibration state into the full
 // estimate bundle. Implementations may keep internal acceleration structures
 // (the stage member's incremental profile), but their output must be a pure
-// function of (input, state) — the service computes estimates on arbitrary
-// goroutines and caches them per snapshot epoch.
+// function of (input, state) — the service runs one pass per scheduler state
+// on its owner goroutine and publishes the bundle with the snapshot, and the
+// differentials compare that bundle with a from-scratch recomputation.
 type Estimator interface {
 	// Mode reports which estimator this is (one of EstimatorModes).
 	Mode() string

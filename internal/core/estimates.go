@@ -23,8 +23,9 @@ type Estimate struct {
 // EstimateInput is the pure-value input to ComputeEstimates: everything the
 // §2.2–2.4 estimators need, with no pointers into a live scheduler. A service
 // snapshot converts into one of these, which makes the estimate bundle a
-// deterministic function of the snapshot — safe to compute on any goroutine
-// and to share between concurrent pollers of the same epoch.
+// deterministic function of the scheduler state: the service's owner
+// goroutine computes it once per state and publishes it with the snapshot,
+// and every poll of that epoch reads the published bundle.
 type EstimateInput struct {
 	Running  []QueryState    // admitted queries (blocked ones carry Weight 0)
 	Queued   []QueryState    // admission queue, FIFO order
@@ -95,8 +96,8 @@ func quiescentOf(finish map[int]float64) float64 {
 // invariants pin this. When the input has a non-empty admission queue or an
 // arrival model, the event-stepped simulation is the only correct estimator
 // and the call falls back to ComputeEstimates verbatim. The zero value is
-// ready to use; not safe for concurrent use (the service serializes the read
-// path behind a mutex).
+// ready to use; not safe for concurrent use (the service's one estimator is
+// only ever called from the owner goroutine, one pass per scheduler state).
 type stageEstimator struct {
 	prof *IncrementalProfile
 	base Profile // reused materialization target

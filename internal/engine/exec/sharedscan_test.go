@@ -94,7 +94,6 @@ func driveGroup(t testing.TB, runners []*Runner, budget float64) {
 	}
 }
 
-
 // TestSharedScanDedup: two members folded from the start each charge a full
 // lap of progress while the engine reads every page exactly once (the I11
 // conservation law at the exec layer).

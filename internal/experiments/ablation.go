@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mqpi/internal/core"
 	"mqpi/internal/metrics"
 	"mqpi/internal/sched"
-	"mqpi/internal/workload"
 )
 
 // AblationResult reports how the multi-query PI's accuracy depends on the
@@ -29,80 +27,49 @@ type AblationResult struct {
 // over the focus query's lifetime.
 func RunMCQAblation(cfg MCQConfig, optimizerOnly bool) (*AblationResult, error) {
 	cfg = cfg.withDefaults()
-	ds, err := workload.BuildDataset(cfg.Data)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
-	srv := sched.New(sched.Config{RateC: cfg.RateC, Quantum: cfg.Quantum, Workers: cfg.Workers})
-	defer srv.Close()
-	queries := make([]*sched.Query, 0, cfg.NumQueries)
-	for i := 1; i <= cfg.NumQueries; i++ {
-		q, err := buildPartQuery(ds, srv, i, zipf.Sample(rng), 0)
+	return withCell(cfg.Common, mcqSeed, func(cl *cell) (*AblationResult, error) {
+		srv, focus, err := mcqScenario(cl, nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := prework(ds, q, rng, 0.9); err != nil {
+		states := func() []core.QueryState {
+			out := make([]core.QueryState, 0, len(srv.Running()))
+			for _, q := range srv.Running() {
+				rem := q.Runner.EstRemaining()
+				if optimizerOnly {
+					rem = q.Runner.EstRemainingOptimizer()
+				}
+				w := 0.0
+				if q.Status == sched.StatusRunning {
+					w = srv.WeightOf(q.Priority)
+				}
+				out = append(out, core.QueryState{ID: q.ID, Remaining: rem, Weight: w, Done: q.Runner.WorkDone()})
+			}
+			return out
+		}
+
+		type sampleRec struct{ t, est float64 }
+		var samples []sampleRec
+		err = trackFocus(srv, focus, cfg.SampleEvery, func() {
+			samples = append(samples, sampleRec{
+				t:   srv.Now(),
+				est: stageEstimates(states(), cfg.RateC)[focus.ID],
+			})
+		})
+		if err != nil {
 			return nil, err
 		}
-		queries = append(queries, q)
-	}
-	var focus *sched.Query
-	for _, q := range queries {
-		if focus == nil || q.Runner.EstRemaining() > focus.Runner.EstRemaining() {
-			focus = q
+		if len(samples) == 0 {
+			return nil, fmt.Errorf("experiments: no samples collected")
 		}
-	}
-	for _, q := range queries {
-		srv.Submit(q)
-	}
-
-	states := func() []core.QueryState {
-		out := make([]core.QueryState, 0, len(srv.Running()))
-		for _, q := range srv.Running() {
-			rem := q.Runner.EstRemaining()
-			if optimizerOnly {
-				rem = q.Runner.EstRemainingOptimizer()
-			}
-			w := 0.0
-			if q.Status == sched.StatusRunning {
-				w = srv.WeightOf(q.Priority)
-			}
-			out = append(out, core.QueryState{ID: q.ID, Remaining: rem, Weight: w, Done: q.Runner.WorkDone()})
+		var errs []float64
+		for _, s := range samples {
+			errs = append(errs, metrics.RelErr(s.est, focus.FinishTime-s.t))
 		}
-		return out
-	}
-
-	type sampleRec struct{ t, est float64 }
-	var samples []sampleRec
-	runSampled(srv, cfg.SampleEvery, func() {
-		if focus.Status == sched.StatusFinished || focus.Status == sched.StatusFailed {
-			return
-		}
-		samples = append(samples, sampleRec{
-			t:   srv.Now(),
-			est: stageEstimates(states(), cfg.RateC)[focus.ID],
-		})
-	}, func() bool {
-		return focus.Status == sched.StatusFinished || focus.Status == sched.StatusFailed
+		return &AblationResult{
+			MeanMultiErr:  metrics.Mean(errs),
+			ErrT0:         errs[0],
+			OptimizerOnly: optimizerOnly,
+		}, nil
 	})
-	if focus.Status == sched.StatusFailed {
-		return nil, fmt.Errorf("experiments: focus query failed: %w", focus.Err)
-	}
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("experiments: no samples collected")
-	}
-	var errs []float64
-	for _, s := range samples {
-		errs = append(errs, metrics.RelErr(s.est, focus.FinishTime-s.t))
-	}
-	return &AblationResult{
-		MeanMultiErr:  metrics.Mean(errs),
-		ErrT0:         errs[0],
-		OptimizerOnly: optimizerOnly,
-	}, nil
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"mqpi/internal/cluster"
 	"mqpi/internal/core"
+	"mqpi/internal/engine"
 	"mqpi/internal/metrics"
 	"mqpi/internal/sched"
 	"mqpi/internal/service"
@@ -14,7 +16,7 @@ import (
 // CalibrationConfig configures the estimator-band calibration sweep: seven
 // scenarios shaped like the paper's evaluation settings (concurrent batch,
 // queued admission, staggered arrivals, weighted priorities, a blocked
-// query), each driven through a full service.Manager running the ensemble
+// query), each driven through a one-shard serving tier running the ensemble
 // estimate plane on a manual clock. At a fixed cadence the sweep records
 // every live query's reported uncertainty interval [now+eta_low, now+eta_high]
 // and, once the workload drains, scores each interval against the query's
@@ -22,39 +24,16 @@ import (
 // the number a band is FOR; a well-calibrated default band must keep it high
 // without ballooning the interval width.
 type CalibrationConfig struct {
-	Seed    int64
-	RateC   float64 // default 100
-	Quantum float64 // default 0.5
-	// SampleEvery is the virtual-time cadence of band observations (default 5).
-	SampleEvery float64
+	Common // defaults: C = 100, quantum 0.5, a band observation every 5 s
 	// Estimator is the estimate plane under test (default ensemble; stage
 	// would trivially score its degenerate bands).
 	Estimator string
-	// Workers sets the scheduler's execute-phase worker count
-	// (0/1 = inline serial). Results are bit-identical at every setting.
-	Workers int
-	Data    workload.DataConfig
-
-	// Parallel caps the worker goroutines running independent scenarios:
-	// 0 = GOMAXPROCS, 1 = sequential. Output is identical at every setting.
-	Parallel int
 }
 
 func (c CalibrationConfig) withDefaults() CalibrationConfig {
-	if c.RateC <= 0 {
-		c.RateC = 100
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 0.5
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5
-	}
+	c.Common = c.Common.withDefaults(Common{RateC: 100, Quantum: 0.5, SampleEvery: 5})
 	if c.Estimator == "" {
 		c.Estimator = core.EstimatorEnsemble
-	}
-	if c.Data.Seed == 0 {
-		c.Data.Seed = c.Seed
 	}
 	return c
 }
@@ -83,17 +62,11 @@ type calSubmit struct {
 	delay    float64 // virtual seconds before the query enters the system
 }
 
-type calAction struct {
-	at     float64
-	kind   string // "block" | "unblock"
-	target int    // submission index the action aims at
-}
-
 type calScenario struct {
 	name    string
 	mpl     int
 	submits []calSubmit
-	actions []calAction
+	actions []tierAction
 }
 
 // calScenarios is the battery: one scenario per evaluation regime the paper
@@ -116,13 +89,9 @@ func calScenarios() []calScenario {
 		// Perturbation: a mid-run block/unblock invalidates earlier bands for
 		// the victim and shifts everyone else's shares.
 		{name: "perturb", submits: []calSubmit{{n: 10}, {n: 12}, {n: 8}},
-			actions: []calAction{{at: 10, kind: "block", target: 1}, {at: 40, kind: "unblock", target: 1}}},
+			actions: []tierAction{{at: 10, target: 1}, {at: 40, unblock: true, target: 1}}},
 	}
 }
-
-// calMaxSteps caps one scenario's advance loop; at the default quantum it is
-// hours of virtual time, far past any sane drain, so hitting it means a hang.
-const calMaxSteps = 40000
 
 type calCell struct {
 	samples, within int
@@ -135,8 +104,9 @@ func RunCalibration(cfg CalibrationConfig) (*CalibrationResult, error) {
 		return nil, err
 	}
 	scenarios := calScenarios()
-	cells, err := runIndexed(cfg.Parallel, len(scenarios), func(i int) (calCell, error) {
-		return runCalScenario(cfg, int64(i), scenarios[i])
+	seed := func(i int) cellSeed { return cellSeed{off: int64(i) * 7919} }
+	cells, err := runCells(cfg.Common, len(scenarios), seed, func(i int, cl *cell) (calCell, error) {
+		return runCalScenario(cfg, cl.ds, scenarios[i])
 	})
 	if err != nil {
 		return nil, err
@@ -168,40 +138,46 @@ func RunCalibration(cfg CalibrationConfig) (*CalibrationResult, error) {
 	return res, nil
 }
 
-// runCalScenario drives one scenario through a manual-clock service.Manager
-// and returns its interval scorecard.
-func runCalScenario(cfg CalibrationConfig, off int64, sc calScenario) (calCell, error) {
-	ds, err := workload.SharedCache().HydrateSeeded(cfg.Data, datasetSeed(cfg.Seed, off*7919))
-	if err != nil {
-		return calCell{}, err
+func (r *CalibrationResult) report() *Report {
+	rep := new(Report).text("== Estimator ensemble: uncertainty-band calibration ==\n")
+	for _, sc := range r.Scenarios {
+		rep.text("  %-9s coverage %5.1f%%  (%d/%d intervals)\n", sc.Name, sc.Coverage*100, sc.Within, sc.Samples)
 	}
+	return rep.
+		text("  pooled coverage %.1f%% (%d/%d; acceptance floor 80%%)\n\n", r.Coverage*100, r.Within, r.Samples).
+		figure("calibration", &r.Fig)
+}
+
+// runCalScenario drives one scenario through a one-shard manual-clock tier
+// over the cell's dataset and returns its interval scorecard.
+func runCalScenario(cfg CalibrationConfig, ds *workload.Dataset, sc calScenario) (calCell, error) {
 	for i, sub := range sc.submits {
 		if err := ds.CreatePartTable(i+1, sub.n); err != nil {
 			return calCell{}, err
 		}
 	}
-	m := service.New(ds.DB, service.Config{
+	t, err := startTier("calibration scenario "+sc.name, cluster.Config{Service: service.Config{
 		Sched: sched.Config{
 			RateC: cfg.RateC, MPL: sc.mpl, Quantum: cfg.Quantum, Workers: cfg.Workers,
 			Weights: map[int]float64{0: 1, 1: 2, 2: 4},
 		},
-		TickEvery: -1, // manual clock: virtual time moves only through Advance
 		Estimator: cfg.Estimator,
-	})
-	defer m.Close()
+	}}, func() (*engine.DB, error) { return ds.DB, nil })
+	if err != nil {
+		return calCell{}, err
+	}
+	defer t.close()
 
-	ids := make([]int, len(sc.submits))
 	for i, sub := range sc.submits {
-		v, err := m.Submit(service.SubmitRequest{
+		_, err := t.submit(0, service.SubmitRequest{
 			Label:    fmt.Sprintf("%s-q%d", sc.name, i+1),
 			SQL:      workload.QuerySQL(i + 1),
 			Priority: sub.priority,
 			Delay:    sub.delay,
-		})
+		}, "")
 		if err != nil {
 			return calCell{}, err
 		}
-		ids[i] = v.ID
 	}
 
 	type interval struct {
@@ -209,66 +185,28 @@ func runCalScenario(cfg CalibrationConfig, off int64, sc calScenario) (calCell, 
 		lo, hi float64 // absolute virtual-time bounds on the finish
 	}
 	var preds []interval
-	acted := make([]bool, len(sc.actions))
 	nextSample := 0.0
-	for step := 0; ; step++ {
-		if step >= calMaxSteps {
-			return calCell{}, fmt.Errorf("experiments: calibration scenario %s did not drain in %d steps", sc.name, calMaxSteps)
+	finished, err := t.drain(sc.actions, func(now float64, ov cluster.GlobalOverview) {
+		if now+1e-9 < nextSample {
+			return
 		}
-		ov, err := m.Overview()
-		if err != nil {
-			return calCell{}, err
-		}
-		for i, a := range sc.actions {
-			if acted[i] || ov.Now+1e-9 < a.at {
+		nextSample = now + cfg.SampleEvery
+		for _, v := range append(append([]service.QueryView(nil), ov.Running...), ov.Queued...) {
+			lo, hi := float64(v.ETALow), float64(v.ETAHigh)
+			// Infinite bands (blocked queries) contain every finish
+			// trivially; scoring them would inflate coverage.
+			if math.IsNaN(lo) || math.IsInf(hi, 0) {
 				continue
 			}
-			acted[i] = true
-			switch a.kind {
-			case "block":
-				err = m.Block(ids[a.target])
-			case "unblock":
-				err = m.Unblock(ids[a.target])
-			default:
-				err = fmt.Errorf("experiments: unknown calibration action %q", a.kind)
-			}
-			if err != nil {
-				return calCell{}, fmt.Errorf("experiments: calibration %s action %s: %w", sc.name, a.kind, err)
-			}
+			preds = append(preds, interval{id: v.ID, lo: now + lo, hi: now + hi})
 		}
-		if ov.Now+1e-9 >= nextSample {
-			nextSample = ov.Now + cfg.SampleEvery
-			for _, v := range append(append([]service.QueryView(nil), ov.Running...), ov.Queued...) {
-				lo, hi := float64(v.ETALow), float64(v.ETAHigh)
-				// Infinite bands (blocked queries) contain every finish
-				// trivially; scoring them would inflate coverage.
-				if math.IsNaN(lo) || math.IsInf(hi, 0) {
-					continue
-				}
-				preds = append(preds, interval{id: v.ID, lo: ov.Now + lo, hi: ov.Now + hi})
-			}
-		}
-		if len(ov.Running) == 0 && len(ov.Queued) == 0 && len(ov.Scheduled) == 0 {
-			break
-		}
-		if err := m.Advance(cfg.Quantum); err != nil {
-			return calCell{}, err
-		}
-	}
-
-	ov, err := m.Overview()
+	})
 	if err != nil {
 		return calCell{}, err
 	}
-	finish := make(map[int]float64, len(ids))
-	for _, v := range ov.Finished {
-		if v.Status == "failed" {
-			return calCell{}, fmt.Errorf("experiments: calibration query %s failed: %s", v.Label, v.Err)
-		}
+	finish := make(map[int]float64, len(finished))
+	for _, v := range finished {
 		finish[v.ID] = v.FinishTime
-	}
-	if len(finish) != len(ids) {
-		return calCell{}, fmt.Errorf("experiments: calibration scenario %s finished %d of %d queries", sc.name, len(finish), len(ids))
 	}
 
 	// Score every recorded interval against the true finish, with one tick of
@@ -277,9 +215,9 @@ func runCalScenario(cfg CalibrationConfig, off int64, sc calScenario) (calCell, 
 	cell := calCell{}
 	eps := cfg.Quantum
 	for _, p := range preds {
-		t := finish[p.id]
+		at := finish[p.id]
 		cell.samples++
-		if p.lo-eps <= t && t <= p.hi+eps {
+		if p.lo-eps <= at && at <= p.hi+eps {
 			cell.within++
 		}
 	}

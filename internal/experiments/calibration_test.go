@@ -11,7 +11,7 @@ import (
 // of the reported intervals must contain the true finish time at the default
 // band width.
 func TestRunCalibrationCoverage(t *testing.T) {
-	res, err := RunCalibration(CalibrationConfig{Seed: 5, Data: smallData})
+	res, err := RunCalibration(CalibrationConfig{Common: Common{Seed: 5, Data: smallData}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestRunCalibrationCoverage(t *testing.T) {
 // TestRunCalibrationDeterministic pins the harness contract shared by every
 // sweep: the scorecard is identical at any parallelism and worker setting.
 func TestRunCalibrationDeterministic(t *testing.T) {
-	a, err := RunCalibration(CalibrationConfig{Seed: 5, Data: smallData, Parallel: 1})
+	a, err := RunCalibration(CalibrationConfig{Common: Common{Seed: 5, Data: smallData, Parallel: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCalibration(CalibrationConfig{Seed: 5, Data: smallData, Parallel: 4, Workers: 4})
+	b, err := RunCalibration(CalibrationConfig{Common: Common{Seed: 5, Data: smallData, Parallel: 4, Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,10 @@ func TestRunCalibrationDeterministic(t *testing.T) {
 
 // TestRunCalibrationRejectsBadEstimator pins config validation.
 func TestRunCalibrationRejectsBadEstimator(t *testing.T) {
-	if _, err := RunCalibration(CalibrationConfig{Seed: 1, Estimator: "oracle"}); err == nil {
+	if _, err := RunCalibration(CalibrationConfig{Common: Common{Seed: 1}, Estimator: "oracle"}); err == nil {
 		t.Fatal("RunCalibration accepted estimator \"oracle\"")
 	}
-	if _, err := RunCalibration(CalibrationConfig{Seed: 1, Estimator: core.EstimatorStage, Data: smallData}); err != nil {
+	if _, err := RunCalibration(CalibrationConfig{Common: Common{Seed: 1, Data: smallData}, Estimator: core.EstimatorStage}); err != nil {
 		// Stage mode is pointless (degenerate bands) but must still be legal.
 		t.Fatalf("stage mode: %v", err)
 	}

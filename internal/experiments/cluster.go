@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"mqpi/internal/cluster"
@@ -22,46 +21,21 @@ import (
 // quality of the time-0 multi-query ETA (each shard only models its own
 // queries, so bad placement shows up as estimate error, not just latency).
 type ClusterSweepConfig struct {
-	Seed       int64
-	Runs       int      // per cell; default 3
-	NumQueries int      // per run; default 24
-	Shards     []int    // default 1, 2, 4, 8
-	Policies   []string // default all three routing policies
-	ZipfA      float64  // table-size skew; default 1.1
-	RateC      float64  // per-shard processing rate; default 10
-	Quantum    float64  // default 0.5
-	MPL        int      // per-shard admission limit; default 3
-	Workers    int      // per-shard execute workers; results identical at any setting
-	// Parallel caps worker goroutines across independent cells (0 =
-	// GOMAXPROCS, 1 = sequential). Output is identical at every setting.
-	Parallel int
+	Common            // defaults: 3 runs of 24 queries per cell, table-size skew a 1.1, per-shard C = 10, quantum 0.5
+	Shards   []int    // default 1, 2, 4, 8
+	Policies []string // default all three routing policies
+	MPL      int      // per-shard admission limit; default 3
 }
 
 func (c ClusterSweepConfig) withDefaults() ClusterSweepConfig {
-	if c.Runs <= 0 {
-		c.Runs = 3
-	}
-	if c.NumQueries <= 0 {
-		c.NumQueries = 24
-	}
+	c.Common = c.Common.withDefaults(Common{Runs: 3, NumQueries: 24, ZipfA: 1.1, RateC: 10, Quantum: 0.5})
 	if len(c.Shards) == 0 {
 		c.Shards = []int{1, 2, 4, 8}
 	}
 	if len(c.Policies) == 0 {
 		c.Policies = cluster.RoutingPolicies()
 	}
-	if c.ZipfA <= 0 {
-		c.ZipfA = 1.1
-	}
-	if c.RateC <= 0 {
-		c.RateC = 10
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 0.5
-	}
-	if c.MPL <= 0 {
-		c.MPL = 3
-	}
+	c.MPL = orDefault(c.MPL, 3)
 	return c
 }
 
@@ -77,9 +51,9 @@ type ClusterSweepResult struct {
 // small, a few 32× larger).
 const clusterTables = 6
 
-// clusterSweepDB builds one shard's replica: the ladder tables, identical on
-// every shard because the builder reseeds its own rng per call.
-func clusterSweepDB(seed int64) (*engine.DB, error) {
+// ladderDB builds one replica of the ladder tables; every call with the same
+// seed builds the same tables, so the shards of a tier are identical.
+func ladderDB(seed int64) (*engine.DB, error) {
 	rng := rand.New(rand.NewSource(seed ^ 0x7ab1e))
 	db := engine.Open()
 	for k := 0; k < clusterTables; k++ {
@@ -100,6 +74,23 @@ func clusterSweepDB(seed int64) (*engine.DB, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// ladderTier starts a tier of ladder replicas for the sweep cell at seed
+// offset off, and returns it with the cell's arrival rng.
+func ladderTier(c Common, off int64, name string, cfg cluster.Config) (*tier, *rand.Rand, error) {
+	dbSeed := datasetSeed(c.Seed, off)
+	t, err := startTier(name, cfg, func() (*engine.DB, error) { return ladderDB(dbSeed) })
+	return t, rand.New(rand.NewSource(c.Seed + off)), err
+}
+
+// ladderScan is the sweeps' query: one aggregate scan of ladder table zK.
+func ladderScan(i, table, priority int) service.SubmitRequest {
+	return service.SubmitRequest{
+		Label:    fmt.Sprintf("q%d", i+1),
+		SQL:      fmt.Sprintf("select sum(v) from z%d", table),
+		Priority: priority,
+	}
 }
 
 // RunClusterSweep replays the workload for every (policy, shards, run) cell
@@ -125,106 +116,54 @@ func RunClusterSweep(cfg ClusterSweepConfig) (*ClusterSweepResult, error) {
 		},
 	}
 
-	type cell struct {
+	type sweepCell struct {
 		throughput float64
 		errs       []float64
 	}
 	nCells := len(cfg.Policies) * len(cfg.Shards) * cfg.Runs
-	cells, err := runIndexed(cfg.Parallel, nCells, func(j int) (cell, error) {
+	cells, err := runIndexed(cfg.Parallel, nCells, func(j int) (sweepCell, error) {
 		pi := j / (len(cfg.Shards) * cfg.Runs)
 		si := (j / cfg.Runs) % len(cfg.Shards)
 		r := j % cfg.Runs
 		policy, shards := cfg.Policies[pi], cfg.Shards[si]
-		off := int64(pi)*104729 + int64(si)*6977 + int64(r)*7919
-		dbSeed := datasetSeed(cfg.Seed, off)
-		rng := rand.New(rand.NewSource(cfg.Seed + off))
-
-		var dbErr error
-		c, err := cluster.New(cluster.Config{
-			Shards:  shards,
-			Routing: policy,
-			Service: service.Config{
-				Sched: sched.Config{
+		t, rng, err := ladderTier(cfg.Common, int64(pi)*104729+int64(si)*6977+int64(r)*7919,
+			fmt.Sprintf("cluster cell %s/%d", policy, shards),
+			cluster.Config{
+				Shards:  shards,
+				Routing: policy,
+				Service: service.Config{Sched: sched.Config{
 					RateC: cfg.RateC, MPL: cfg.MPL, Quantum: cfg.Quantum, Workers: cfg.Workers,
-				},
-				TickEvery: -1,
-			},
-			OpenDB: func() *engine.DB {
-				db, err := clusterSweepDB(dbSeed)
-				if err != nil {
-					dbErr = err
-					return engine.Open()
-				}
-				return db
-			},
-		})
+				}},
+			})
 		if err != nil {
-			return cell{}, err
+			return sweepCell{}, err
 		}
-		defer c.Close()
-		if dbErr != nil {
-			return cell{}, dbErr
-		}
+		defer t.close()
 
 		// Staggered Zipf workload: heavy mix of table sizes, sessions from a
 		// small pool so affinity has real collisions, a short random gap
 		// before each arrival.
 		eta0 := make(map[int]float64, cfg.NumQueries)
-		clock := 0.0
 		for i := 0; i < cfg.NumQueries; i++ {
 			gap := cfg.Quantum * float64(rng.Intn(3))
-			if gap > 0 {
-				if err := c.Advance(gap); err != nil {
-					return cell{}, err
-				}
-				clock += gap
-			}
 			table := zipf.Sample(rng) - 1
-			view, err := c.Submit(cluster.SubmitRequest{
-				SubmitRequest: service.SubmitRequest{
-					Label:    fmt.Sprintf("q%d", i+1),
-					SQL:      fmt.Sprintf("select sum(v) from z%d", table),
-					Priority: rng.Intn(3),
-				},
-				Session: fmt.Sprintf("session-%d", rng.Intn(4)),
-			})
+			req := ladderScan(i, table, rng.Intn(3))
+			view, err := t.submit(gap, req, fmt.Sprintf("session-%d", rng.Intn(4)))
 			if err != nil {
-				return cell{}, err
+				return sweepCell{}, err
 			}
-			if eta := float64(view.MultiETA); !math.IsNaN(eta) && !math.IsInf(eta, 0) && eta > 0 {
+			if eta, ok := finiteETA(view.MultiETA); ok {
 				eta0[view.ID] = eta
 			}
 		}
 
 		// Drain to quiescence; the makespan is the virtual time consumed.
-		for i := 0; i < 10000; i++ {
-			ov, err := c.Overview()
-			if err != nil {
-				return cell{}, err
-			}
-			done := len(ov.Running) == 0 && len(ov.Queued) == 0 && len(ov.Scheduled) == 0
-			if done {
-				break
-			}
-			if err := c.Advance(cfg.Quantum); err != nil {
-				return cell{}, err
-			}
-			clock += cfg.Quantum
-		}
-
-		ov, err := c.Overview()
+		finished, err := t.drain(nil, nil)
 		if err != nil {
-			return cell{}, err
+			return sweepCell{}, err
 		}
-		if len(ov.Finished) != cfg.NumQueries {
-			return cell{}, fmt.Errorf("experiments: cluster cell %s/%d finished %d of %d queries",
-				policy, shards, len(ov.Finished), cfg.NumQueries)
-		}
-		out := cell{throughput: float64(cfg.NumQueries) / clock}
-		for _, v := range ov.Finished {
-			if v.Status != "finished" {
-				return cell{}, fmt.Errorf("experiments: query %d ended %s: %s", v.ID, v.Status, v.Err)
-			}
+		out := sweepCell{throughput: float64(cfg.NumQueries) / t.clock}
+		for _, v := range finished {
 			// Both timestamps are in the owning shard's virtual clock (which
 			// freezes while that shard idles), so the response time is
 			// consistent with the shard-local ETA taken at submission.
@@ -255,4 +194,10 @@ func RunClusterSweep(cfg ClusterSweepConfig) (*ClusterSweepResult, error) {
 		}
 	}
 	return res, nil
+}
+
+func (r *ClusterSweepResult) report() *Report {
+	return new(Report).
+		text("== Serving tier: shard count x routing policy on a mixed Zipf workload ==\n").
+		figure("cluster-throughput", &r.FigThroughput).text("\n").figure("cluster-eta", &r.FigETA)
 }

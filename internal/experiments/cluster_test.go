@@ -7,10 +7,9 @@ import "testing"
 // and the output is bit-identical across pool parallelism levels.
 func TestClusterSweep(t *testing.T) {
 	cfg := ClusterSweepConfig{
-		Seed: 3, Runs: 2, NumQueries: 10,
+		Common:   Common{Seed: 3, Runs: 2, NumQueries: 10, Parallel: 1},
 		Shards:   []int{1, 2},
 		Policies: []string{"round-robin", "least-loaded"},
-		Parallel: 1,
 	}
 	seq, err := RunClusterSweep(cfg)
 	if err != nil {
@@ -43,10 +42,9 @@ func TestClusterSweep(t *testing.T) {
 	}
 
 	par, err := RunClusterSweep(ClusterSweepConfig{
-		Seed: 3, Runs: 2, NumQueries: 10,
+		Common:   Common{Seed: 3, Runs: 2, NumQueries: 10, Parallel: 4, Workers: 2},
 		Shards:   []int{1, 2},
 		Policies: []string{"round-robin", "least-loaded"},
-		Parallel: 4, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

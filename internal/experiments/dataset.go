@@ -9,11 +9,10 @@ import (
 
 // DatasetConfig configures the Table 1 reproduction.
 type DatasetConfig struct {
-	Seed int64
+	Common
 	// PartSizes lists the N_i of part tables to materialize alongside
 	// lineitem (defaults to the NAQ sizes 50, 10, 20).
 	PartSizes []int
-	Data      workload.DataConfig
 }
 
 // DatasetRow is one row of Table 1.
@@ -36,9 +35,7 @@ func RunDataset(cfg DatasetConfig) (*DatasetResult, error) {
 	if len(cfg.PartSizes) == 0 {
 		cfg.PartSizes = []int{50, 10, 20}
 	}
-	if cfg.Data.Seed == 0 {
-		cfg.Data.Seed = cfg.Seed
-	}
+	cfg.Common = cfg.Common.withDefaults(Common{})
 	ds, err := workload.BuildDataset(cfg.Data)
 	if err != nil {
 		return nil, err
@@ -89,6 +86,8 @@ func RunDataset(cfg DatasetConfig) (*DatasetResult, error) {
 	}
 	return res, nil
 }
+
+func (r *DatasetResult) report() *Report { return new(Report).text("%s", r.Render()) }
 
 // Render draws Table 1 as text.
 func (r *DatasetResult) Render() string {

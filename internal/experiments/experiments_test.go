@@ -11,7 +11,7 @@ import (
 var smallData = workload.DataConfig{LineitemRows: 30000, Seed: 5}
 
 func TestRunDataset(t *testing.T) {
-	res, err := RunDataset(DatasetConfig{Seed: 5, PartSizes: []int{10, 5}, Data: smallData})
+	res, err := RunDataset(DatasetConfig{Common: Common{Seed: 5, Data: smallData}, PartSizes: []int{10, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRunDataset(t *testing.T) {
 }
 
 func TestRunMCQShape(t *testing.T) {
-	res, err := RunMCQ(MCQConfig{Seed: 5, NumQueries: 6, MaxN: 40, SampleEvery: 10, Data: smallData})
+	res, err := RunMCQ(MCQConfig{Common: Common{Seed: 5, NumQueries: 6, MaxN: 40, SampleEvery: 10, Data: smallData}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunMCQShape(t *testing.T) {
 }
 
 func TestRunNAQShape(t *testing.T) {
-	res, err := RunNAQ(NAQConfig{Seed: 5, SampleEvery: 10, Data: smallData})
+	res, err := RunNAQ(NAQConfig{Common: Common{Seed: 5, SampleEvery: 10, Data: smallData}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,7 @@ func TestRunNAQShape(t *testing.T) {
 }
 
 func TestRunSCQShape(t *testing.T) {
-	cfg := SCQConfig{
-		Seed:    5,
-		Runs:    4,
-		Lambdas: []float64{0, 0.05},
-		Data:    smallData,
-	}
+	cfg := SCQConfig{Common: Common{Seed: 5, Runs: 4, Data: smallData}, Lambdas: []float64{0, 0.05}}
 	res, err := RunSCQ(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,11 +113,9 @@ func TestRunSCQShape(t *testing.T) {
 
 func TestRunSCQLambdaErrShape(t *testing.T) {
 	cfg := SCQConfig{
-		Seed:         5,
-		Runs:         3,
+		Common:       Common{Seed: 5, Runs: 3, Data: smallData},
 		FixedLambda:  0.03,
 		LambdaPrimes: []float64{0, 0.03, 0.2},
-		Data:         smallData,
 	}
 	res, err := RunSCQLambdaErr(cfg)
 	if err != nil {
@@ -148,7 +141,7 @@ func TestRunSCQLambdaErrShape(t *testing.T) {
 }
 
 func TestRunSCQTrajectoryShape(t *testing.T) {
-	cfg := SCQConfig{Seed: 5, SampleEvery: 10, Data: smallData}
+	cfg := SCQConfig{Common: Common{Seed: 5, SampleEvery: 10, Data: smallData}}
 	res, err := RunSCQTrajectory(cfg, []float64{0.04, 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +171,9 @@ func TestRunSCQTrajectoryShape(t *testing.T) {
 
 func TestRunMaintenanceShape(t *testing.T) {
 	cfg := MaintenanceConfig{
-		Seed:           5,
-		Runs:           3,
+		Common:         Common{Seed: 5, Runs: 3, Data: smallData},
 		WarmupFinishes: 12,
 		TFracs:         []float64{0.2, 0.5, 1.0},
-		Data:           smallData,
 	}
 	res, err := RunMaintenance(cfg)
 	if err != nil {
@@ -314,7 +305,7 @@ func TestRefinementBeatsOptimizerOnStaleStats(t *testing.T) {
 }
 
 func TestRunSpeedupPolicyComparison(t *testing.T) {
-	res, err := RunSpeedup(SpeedupConfig{Seed: 5, Runs: 4, Data: smallData})
+	res, err := RunSpeedup(Common{Seed: 5, Runs: 4, Data: smallData})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +331,7 @@ func TestRunSpeedupPolicyComparison(t *testing.T) {
 }
 
 func TestRunPriorityAssumption3(t *testing.T) {
-	res, err := RunPriority(PriorityConfig{Seed: 5, Data: smallData})
+	res, err := RunPriority(PriorityConfig{Common: Common{Seed: 5, Data: smallData}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +349,7 @@ func TestRunPriorityAssumption3(t *testing.T) {
 }
 
 func TestRunRobustnessAssumption1(t *testing.T) {
-	res, err := RunRobustness(RobustnessConfig{Seed: 5, Runs: 4, Data: smallData})
+	res, err := RunRobustness(RobustnessConfig{Common: Common{Seed: 5, Runs: 4, Data: smallData}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +360,7 @@ func TestRunRobustnessAssumption1(t *testing.T) {
 	}
 	// But it must be visibly degraded vs the assumption-satisfied case
 	// (sanity: contention really bites).
-	clean, err := RunMCQAblation(MCQConfig{Seed: 5, MaxN: 40, Data: smallData}, false)
+	clean, err := RunMCQAblation(MCQConfig{Common: Common{Seed: 5, MaxN: 40, Data: smallData}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,11 +375,10 @@ func TestRunRobustnessAssumption1(t *testing.T) {
 // dominates the single-query PI at time 0.
 func TestMixedTemplatesStillFavorMultiPI(t *testing.T) {
 	res, err := RunMCQ(MCQConfig{
-		Seed: 5, NumQueries: 6, MaxN: 40, SampleEvery: 10,
+		Common: Common{Seed: 5, NumQueries: 6, MaxN: 40, SampleEvery: 10, Data: smallData},
 		Templates: []workload.QueryTemplate{
 			workload.TemplateRetail, workload.TemplateMaxPrice, workload.TemplateGroupCount,
 		},
-		Data: smallData,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,17 +424,23 @@ func TestTemplateVariantsRunAndCost(t *testing.T) {
 func TestExperimentDeterminism(t *testing.T) {
 	runAll := func() string {
 		var out string
-		mcq, err := RunMCQ(MCQConfig{Seed: 9, NumQueries: 5, MaxN: 30, SampleEvery: 10, Data: workload.DataConfig{LineitemRows: 30000, Seed: 9}})
+		mcq, err := RunMCQ(MCQConfig{
+			Common: Common{Seed: 9, NumQueries: 5, MaxN: 30, SampleEvery: 10, Data: workload.DataConfig{LineitemRows: 30000, Seed: 9}},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out += mcq.Fig3.Render() + mcq.Fig4.Render()
-		naq, err := RunNAQ(NAQConfig{Seed: 9, SampleEvery: 20, Data: workload.DataConfig{LineitemRows: 30000, Seed: 9}})
+		naq, err := RunNAQ(NAQConfig{Common: Common{Seed: 9, SampleEvery: 20, Data: workload.DataConfig{LineitemRows: 30000, Seed: 9}}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out += naq.Fig5.Render()
-		m, err := RunMaintenance(MaintenanceConfig{Seed: 9, Runs: 2, WarmupFinishes: 8, TFracs: []float64{0.5}, Data: workload.DataConfig{LineitemRows: 30000, Seed: 9}})
+		m, err := RunMaintenance(MaintenanceConfig{
+			Common:         Common{Seed: 9, Runs: 2, Data: workload.DataConfig{LineitemRows: 30000, Seed: 9}},
+			WarmupFinishes: 8,
+			TFracs:         []float64{0.5},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,9 +462,10 @@ func TestExperimentDeterminism(t *testing.T) {
 // t=tfinish the no-PI method still loses nothing.
 func TestRunMaintenanceCase1(t *testing.T) {
 	res, err := RunMaintenance(MaintenanceConfig{
-		Seed: 5, Runs: 3, WarmupFinishes: 12, Case1: true,
-		TFracs: []float64{0.3, 0.7, 1.0},
-		Data:   smallData,
+		Common:         Common{Seed: 5, Runs: 3, Data: smallData},
+		WarmupFinishes: 12,
+		Case1:          true,
+		TFracs:         []float64{0.3, 0.7, 1.0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +493,7 @@ func TestRunMaintenanceCase1(t *testing.T) {
 // queue-blind one whenever an admission queue exists, and the two must
 // coincide with no admission limit.
 func TestRunMPLSweep(t *testing.T) {
-	res, err := RunMPLSweep(MPLSweepConfig{Seed: 5, Runs: 2, MPLs: []int{2, 0}, Data: smallData})
+	res, err := RunMPLSweep(MPLSweepConfig{Common: Common{Seed: 5, Runs: 2, Data: smallData}, MPLs: []int{2, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
+	"mqpi/internal/cluster"
 	"mqpi/internal/metrics"
 	"mqpi/internal/sched"
 	"mqpi/internal/service"
@@ -18,38 +17,17 @@ import (
 // throughput and ETA series must coincide exactly between the two modes,
 // while the saved-pages series separates them.
 type FoldingConfig struct {
-	Seed       int64
-	Runs       int       // per cell; default 3
-	NumQueries int       // per run; default 24
-	ZipfAs     []float64 // table-size/popularity skew; default 1.05, 1.3, 1.6, 2.0
-	RateC      float64   // processing rate; default 10
-	Quantum    float64   // default 0.5
-	MPL        int       // admission limit; default 4 (folding needs co-residents)
-	Workers    int       // execute workers; results identical at any setting
-	// Parallel caps worker goroutines across independent cells (0 =
-	// GOMAXPROCS, 1 = sequential). Output is identical at every setting.
-	Parallel int
+	Common           // defaults: 3 runs of 24 queries per cell, C = 10, quantum 0.5
+	ZipfAs []float64 // table-size/popularity skew; default 1.05, 1.3, 1.6, 2.0
+	MPL    int       // admission limit; default 4 (folding needs co-residents)
 }
 
 func (c FoldingConfig) withDefaults() FoldingConfig {
-	if c.Runs <= 0 {
-		c.Runs = 3
-	}
-	if c.NumQueries <= 0 {
-		c.NumQueries = 24
-	}
+	c.Common = c.Common.withDefaults(Common{Runs: 3, NumQueries: 24, RateC: 10, Quantum: 0.5})
 	if len(c.ZipfAs) == 0 {
 		c.ZipfAs = []float64{1.05, 1.3, 1.6, 2.0}
 	}
-	if c.RateC <= 0 {
-		c.RateC = 10
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 0.5
-	}
-	if c.MPL <= 0 {
-		c.MPL = 4
-	}
+	c.MPL = orDefault(c.MPL, 4)
 	return c
 }
 
@@ -89,40 +67,34 @@ func RunFoldingSweep(cfg FoldingConfig) (*FoldingResult, error) {
 		},
 	}
 
-	type cell struct {
+	type foldCell struct {
 		throughput float64
 		errs       []float64
 		done, cost float64
 	}
 	modes := []bool{false, true}
 	nCells := len(cfg.ZipfAs) * len(modes) * cfg.Runs
-	cells, err := runIndexed(cfg.Parallel, nCells, func(j int) (cell, error) {
+	cells, err := runIndexed(cfg.Parallel, nCells, func(j int) (foldCell, error) {
 		ai := j / (len(modes) * cfg.Runs)
 		fold := modes[(j/cfg.Runs)%len(modes)]
 		r := j % cfg.Runs
+		zipf, err := workload.NewZipf(cfg.ZipfAs[ai], clusterTables)
+		if err != nil {
+			return foldCell{}, err
+		}
 		// The seed offset deliberately ignores the fold mode: both modes of a
 		// (zipf-a, run) pair replay the identical dataset and arrival stream,
 		// so any charged-plane divergence is a bug, not noise.
-		off := int64(ai)*104729 + int64(r)*7919
-		dbSeed := datasetSeed(cfg.Seed, off)
-		rng := rand.New(rand.NewSource(cfg.Seed + off))
-		zipf, err := workload.NewZipf(cfg.ZipfAs[ai], clusterTables)
-		if err != nil {
-			return cell{}, err
-		}
-
-		db, err := clusterSweepDB(dbSeed)
-		if err != nil {
-			return cell{}, err
-		}
-		m := service.New(db, service.Config{
-			Sched: sched.Config{
+		t, rng, err := ladderTier(cfg.Common, int64(ai)*104729+int64(r)*7919,
+			fmt.Sprintf("folding cell a=%g fold=%v", cfg.ZipfAs[ai], fold),
+			cluster.Config{Service: service.Config{Sched: sched.Config{
 				RateC: cfg.RateC, MPL: cfg.MPL, Quantum: cfg.Quantum,
 				Workers: cfg.Workers, Fold: fold,
-			},
-			TickEvery: -1,
-		})
-		defer m.Close()
+			}}})
+		if err != nil {
+			return foldCell{}, err
+		}
+		defer t.close()
 
 		// Every multi-query ETA the service publishes is scored against the
 		// realized remaining time: one sample at submission (time 0) and one
@@ -133,66 +105,35 @@ func RunFoldingSweep(cfg FoldingConfig) (*FoldingResult, error) {
 			eta float64
 		}
 		var preds []pred
-		sample := func(id int, at float64, eta float64) {
-			if !math.IsNaN(eta) && !math.IsInf(eta, 0) && eta > 0 {
-				preds = append(preds, pred{id: id, at: at, eta: eta})
+		sample := func(v service.QueryView) {
+			if eta, ok := finiteETA(v.MultiETA); ok {
+				preds = append(preds, pred{id: v.ID, at: t.clock, eta: eta})
 			}
 		}
-		clock := 0.0
 		for i := 0; i < cfg.NumQueries; i++ {
 			gap := cfg.Quantum * float64(rng.Intn(3))
-			if gap > 0 {
-				if err := m.Advance(gap); err != nil {
-					return cell{}, err
-				}
-				clock += gap
-			}
 			// Hottest Zipf rank ⇒ largest ladder table: fold opportunities
 			// concentrate on scans long enough to overlap (z0 is a single page,
 			// below the registry's 2-page sharing floor).
 			table := clusterTables - zipf.Sample(rng)
-			view, err := m.Submit(service.SubmitRequest{
-				Label:    fmt.Sprintf("q%d", i+1),
-				SQL:      fmt.Sprintf("select sum(v) from z%d", table),
-				Priority: rng.Intn(3),
-			})
+			view, err := t.submit(gap, ladderScan(i, table, rng.Intn(3)), "")
 			if err != nil {
-				return cell{}, err
+				return foldCell{}, err
 			}
-			sample(view.ID, clock, float64(view.MultiETA))
+			sample(view)
 		}
-
-		for i := 0; i < 10000; i++ {
-			ov, err := m.Overview()
-			if err != nil {
-				return cell{}, err
-			}
-			if len(ov.Running) == 0 && len(ov.Queued) == 0 && len(ov.Scheduled) == 0 {
-				break
-			}
+		finished, err := t.drain(nil, func(_ float64, ov cluster.GlobalOverview) {
 			for _, v := range ov.Running {
-				sample(v.ID, clock, float64(v.MultiETA))
+				sample(v)
 			}
-			if err := m.Advance(cfg.Quantum); err != nil {
-				return cell{}, err
-			}
-			clock += cfg.Quantum
+		})
+		if err != nil {
+			return foldCell{}, err
 		}
 
-		ov, err := m.Overview()
-		if err != nil {
-			return cell{}, err
-		}
-		if len(ov.Finished) != cfg.NumQueries {
-			return cell{}, fmt.Errorf("experiments: folding cell a=%g fold=%v finished %d of %d queries",
-				cfg.ZipfAs[ai], fold, len(ov.Finished), cfg.NumQueries)
-		}
-		out := cell{throughput: float64(cfg.NumQueries) / clock}
-		finish := make(map[int]float64, len(ov.Finished))
-		for _, v := range ov.Finished {
-			if v.Status != "finished" {
-				return cell{}, fmt.Errorf("experiments: query %d ended %s: %s", v.ID, v.Status, v.Err)
-			}
+		out := foldCell{throughput: float64(cfg.NumQueries) / t.clock}
+		finish := make(map[int]float64, len(finished))
+		for _, v := range finished {
 			out.done += v.Done
 			out.cost += v.Cost
 			finish[v.ID] = v.FinishTime
@@ -203,7 +144,7 @@ func RunFoldingSweep(cfg FoldingConfig) (*FoldingResult, error) {
 			}
 		}
 		if !fold && out.cost != out.done {
-			return cell{}, fmt.Errorf("experiments: fold-off cell a=%g cost %g != done %g",
+			return foldCell{}, fmt.Errorf("experiments: fold-off cell a=%g cost %g != done %g",
 				cfg.ZipfAs[ai], out.cost, out.done)
 		}
 		return out, nil
@@ -240,4 +181,13 @@ func RunFoldingSweep(cfg FoldingConfig) (*FoldingResult, error) {
 		}
 	}
 	return res, nil
+}
+
+func (r *FoldingResult) report() *Report {
+	return new(Report).
+		text("== Extension: shared-scan folding on a Zipf-skewed scan workload ==\n").
+		text("(throughput and ETA series must coincide: folding only moves engine cost)\n").
+		figure("folding-throughput", &r.FigThroughput).text("\n").
+		figure("folding-eta", &r.FigETA).text("\n").
+		figure("folding-saved", &r.FigSaved)
 }

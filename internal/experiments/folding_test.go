@@ -12,11 +12,7 @@ import (
 // fold-on vs fold-off, fold-off saves exactly nothing, and fold-on saves
 // engine work at the hottest skew.
 func TestFoldingSweep(t *testing.T) {
-	cfg := FoldingConfig{
-		Seed: 5, Runs: 2, NumQueries: 16,
-		ZipfAs:   []float64{1.1, 2.0},
-		Parallel: 1,
-	}
+	cfg := FoldingConfig{Common: Common{Seed: 5, Runs: 2, NumQueries: 16, Parallel: 1}, ZipfAs: []float64{1.1, 2.0}}
 	res, err := RunFoldingSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +55,8 @@ func TestFoldingSweep(t *testing.T) {
 
 	// Bit-identical across pool parallelism and scheduler worker counts.
 	par, err := RunFoldingSweep(FoldingConfig{
-		Seed: 5, Runs: 2, NumQueries: 16,
-		ZipfAs:   []float64{1.1, 2.0},
-		Parallel: 4, Workers: 2,
+		Common: Common{Seed: 5, Runs: 2, NumQueries: 16, Parallel: 4, Workers: 2},
+		ZipfAs: []float64{1.1, 2.0},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,39 +59,47 @@ func TestSweepsIncrementalProfileIdentity(t *testing.T) {
 		run  func() error
 	}{
 		{"mcq", func() error {
-			_, err := RunMCQ(MCQConfig{Seed: 5, NumQueries: 6, MaxN: 40, SampleEvery: 10, Data: smallData})
+			_, err := RunMCQ(MCQConfig{Common: Common{Seed: 5, NumQueries: 6, MaxN: 40, SampleEvery: 10, Data: smallData}})
 			return err
 		}},
 		{"naq", func() error {
-			_, err := RunNAQ(NAQConfig{Seed: 5, SampleEvery: 10, Data: smallData})
+			_, err := RunNAQ(NAQConfig{Common: Common{Seed: 5, SampleEvery: 10, Data: smallData}})
 			return err
 		}},
 		{"scq", func() error {
-			_, err := RunSCQ(SCQConfig{Seed: 5, Runs: 2, Lambdas: []float64{0, 0.05}, Data: smallData})
+			_, err := RunSCQ(SCQConfig{Common: Common{Seed: 5, Runs: 2, Data: smallData}, Lambdas: []float64{0, 0.05}})
 			return err
 		}},
 		{"scq-lambda-err", func() error {
-			_, err := RunSCQLambdaErr(SCQConfig{Seed: 5, Runs: 2, FixedLambda: 0.03, LambdaPrimes: []float64{0, 0.2}, Data: smallData})
+			_, err := RunSCQLambdaErr(SCQConfig{
+				Common:       Common{Seed: 5, Runs: 2, Data: smallData},
+				FixedLambda:  0.03,
+				LambdaPrimes: []float64{0, 0.2},
+			})
 			return err
 		}},
 		{"scq-trajectory", func() error {
-			_, err := RunSCQTrajectory(SCQConfig{Seed: 5, SampleEvery: 10, Data: smallData}, []float64{0.05})
+			_, err := RunSCQTrajectory(SCQConfig{Common: Common{Seed: 5, SampleEvery: 10, Data: smallData}}, []float64{0.05})
 			return err
 		}},
 		{"maintenance", func() error {
-			_, err := RunMaintenance(MaintenanceConfig{Seed: 5, Runs: 2, WarmupFinishes: 8, TFracs: []float64{0.5}, Data: smallData})
+			_, err := RunMaintenance(MaintenanceConfig{
+				Common:         Common{Seed: 5, Runs: 2, Data: smallData},
+				WarmupFinishes: 8,
+				TFracs:         []float64{0.5},
+			})
 			return err
 		}},
 		{"priority", func() error {
-			_, err := RunPriority(PriorityConfig{Seed: 5, Data: smallData})
+			_, err := RunPriority(PriorityConfig{Common: Common{Seed: 5, Data: smallData}})
 			return err
 		}},
 		{"robustness", func() error {
-			_, err := RunRobustness(RobustnessConfig{Seed: 5, Data: smallData})
+			_, err := RunRobustness(RobustnessConfig{Common: Common{Seed: 5, Data: smallData}})
 			return err
 		}},
 		{"mpl-sweep", func() error {
-			_, err := RunMPLSweep(MPLSweepConfig{Seed: 5, MPLs: []int{2, 0}, Data: smallData})
+			_, err := RunMPLSweep(MPLSweepConfig{Common: Common{Seed: 5, Data: smallData}, MPLs: []int{2, 0}})
 			return err
 		}},
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mqpi/internal/core"
 	"mqpi/internal/metrics"
@@ -12,62 +11,28 @@ import (
 )
 
 // MaintenanceConfig configures the scheduled-maintenance experiment (§5.3,
-// Figure 11): a steady-state mix of n queries (a query finishing triggers a
-// fresh Zipf-sized submission), inspected at a random time rt to plan
-// maintenance scheduled t seconds later. Case 2 lost work (total cost of
-// aborted queries) is reported, as in the paper.
+// Figure 11): a steady-state mix of NumQueries queries (a query finishing
+// triggers a fresh Zipf-sized submission), inspected at a random time rt to
+// plan maintenance scheduled t seconds later. Case 2 lost work (total cost
+// of aborted queries) is reported, as in the paper. Defaults: 10 runs (as in
+// the paper) at multiprogramming level 10, Zipf a 2.2 over MaxN 20,
+// C = 32 U/s, quantum 1 s.
 type MaintenanceConfig struct {
-	Seed           int64
-	Runs           int     // default 10 (as in the paper)
-	NumQueries     int     // steady-state multiprogramming level; default 10
-	ZipfA          float64 // submission size distribution; default 2.2
-	MaxN           int     // default 20
-	RateC          float64 // default 32 U/s
-	Quantum        float64 // default 1 s
-	// Workers sets the scheduler's execute-phase worker count
-	// (0/1 = inline serial). Results are bit-identical at every setting.
-	Workers int
-	WarmupFinishes int     // completions before rt; default 25
+	Common
+	WarmupFinishes int // completions before rt; default 25
 	// TFracs are the t/tfinish points of Figure 11's x axis.
 	TFracs []float64
 	// Case1 switches the lost-work definition to §3.3's Case 1 (completed
 	// work of aborted queries); the default is the paper's Figure 11 choice,
 	// Case 2 (total cost of aborted queries).
 	Case1 bool
-	Data  workload.DataConfig
-
-	// Parallel caps the worker goroutines used for independent runs:
-	// 0 = GOMAXPROCS, 1 = sequential. Output is identical at every setting.
-	Parallel int
 }
 
 func (c MaintenanceConfig) withDefaults() MaintenanceConfig {
-	if c.Runs <= 0 {
-		c.Runs = 10
-	}
-	if c.NumQueries <= 0 {
-		c.NumQueries = 10
-	}
-	if c.ZipfA <= 0 {
-		c.ZipfA = 2.2
-	}
-	if c.MaxN <= 0 {
-		c.MaxN = 20
-	}
-	if c.RateC <= 0 {
-		c.RateC = 32
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1
-	}
-	if c.WarmupFinishes <= 0 {
-		c.WarmupFinishes = 25
-	}
+	c.Common = c.Common.withDefaults(Common{Runs: 10, NumQueries: 10, ZipfA: 2.2, MaxN: 20, RateC: 32, Quantum: 1})
+	c.WarmupFinishes = orDefault(c.WarmupFinishes, 25)
 	if len(c.TFracs) == 0 {
 		c.TFracs = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	}
-	if c.Data.Seed == 0 {
-		c.Data.Seed = c.Seed
 	}
 	return c
 }
@@ -106,10 +71,6 @@ type MaintenanceResult struct {
 // work-conserving, so post-rt finish times follow the stage model exactly).
 func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 	cfg = cfg.withDefaults()
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
 
 	mode := wm.Case2TotalCost
 	caseName := "Case 2"
@@ -118,37 +79,24 @@ func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 		caseName = "Case 1"
 	}
 
-	type methodKey int
+	// uw is UW/TW at one t under the four methods, in Figure 11's series order.
+	type uw [4]float64
 	const (
-		mNoPI methodKey = iota
+		mNoPI = iota
 		mSingle
 		mMulti
 		mLimit
 	)
-	sums := map[methodKey][]float64{
-		mNoPI:   make([]float64, len(cfg.TFracs)),
-		mSingle: make([]float64, len(cfg.TFracs)),
-		mMulti:  make([]float64, len(cfg.TFracs)),
-		mLimit:  make([]float64, len(cfg.TFracs)),
-	}
 
-	// One pool job per run: simulate the steady state on a private dataset
-	// and return the normalized UW/TW contribution of every (method, t) cell.
-	// The contributions are then summed strictly in run order, so the final
-	// figure matches the sequential accumulation bit for bit.
-	type maintCell struct {
-		noPI, single, multi, limit []float64 // indexed like cfg.TFracs
-	}
-	cells, err := runIndexed(cfg.Parallel, cfg.Runs, func(r int) (maintCell, error) {
-		off := 904537 + int64(r)*7919
-		dsRun, err := workload.SharedCache().HydrateSeeded(cfg.Data, datasetSeed(cfg.Seed, off))
+	// One cell per run: simulate the steady state and return the normalized
+	// UW/TW contribution of every (t, method) point. The contributions are
+	// then summed strictly in run order, so the final figure matches the
+	// sequential accumulation bit for bit.
+	seed := func(r int) cellSeed { return cellSeed{off: 904537 + int64(r)*7919} }
+	cells, err := runCells(cfg.Common, cfg.Runs, seed, func(_ int, cl *cell) ([]uw, error) {
+		snaps, err := runMaintenanceOnce(cl, cfg)
 		if err != nil {
-			return maintCell{}, err
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + off))
-		snaps, err := runMaintenanceOnce(dsRun, cfg, zipf, rng)
-		if err != nil {
-			return maintCell{}, err
+			return nil, err
 		}
 		// tfinish: system quiescent time under no interruption = total true
 		// remaining work / C (work-conserving).
@@ -160,40 +108,37 @@ func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 		}
 		tfinish := totalRem / cfg.RateC
 		if tfinish <= 0 || tw <= 0 {
-			return maintCell{}, fmt.Errorf("experiments: degenerate maintenance run (tfinish=%g, tw=%g)", tfinish, tw)
+			return nil, fmt.Errorf("experiments: degenerate maintenance run (tfinish=%g, tw=%g)", tfinish, tw)
 		}
-		cell := maintCell{
-			noPI:   make([]float64, len(cfg.TFracs)),
-			single: make([]float64, len(cfg.TFracs)),
-			multi:  make([]float64, len(cfg.TFracs)),
-			limit:  make([]float64, len(cfg.TFracs)),
-		}
+		cell := make([]uw, len(cfg.TFracs)) // indexed like cfg.TFracs
 		for ti, frac := range cfg.TFracs {
 			t := frac * tfinish
-			cell.noPI[ti] = evalNoPI(snaps, cfg.RateC, t, mode) / tw
-			cell.single[ti] = evalSinglePI(snaps, cfg.RateC, t, mode) / tw
 			uwMulti, err := evalMultiPI(snaps, cfg.RateC, t, mode)
 			if err != nil {
-				return maintCell{}, err
+				return nil, err
 			}
-			cell.multi[ti] = uwMulti / tw
 			uwLimit, err := evalLimit(snaps, cfg.RateC, t, mode)
 			if err != nil {
-				return maintCell{}, err
+				return nil, err
 			}
-			cell.limit[ti] = uwLimit / tw
+			cell[ti] = uw{
+				mNoPI:   evalNoPI(snaps, cfg.RateC, t, mode) / tw,
+				mSingle: evalSinglePI(snaps, cfg.RateC, t, mode) / tw,
+				mMulti:  uwMulti / tw,
+				mLimit:  uwLimit / tw,
+			}
 		}
 		return cell, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	sums := make([]uw, len(cfg.TFracs))
 	for _, cell := range cells {
-		for ti := range cfg.TFracs {
-			sums[mNoPI][ti] += cell.noPI[ti]
-			sums[mSingle][ti] += cell.single[ti]
-			sums[mMulti][ti] += cell.multi[ti]
-			sums[mLimit][ti] += cell.limit[ti]
+		for ti, v := range cell {
+			for m := range v {
+				sums[ti][m] += v[m]
+			}
 		}
 	}
 
@@ -204,28 +149,23 @@ func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 			YLabel: "UW / TW",
 		},
 	}
-	noPI := res.Fig11.AddSeries("no PI method")
-	single := res.Fig11.AddSeries("single-query PI method")
-	multi := res.Fig11.AddSeries("multi-query PI method")
-	limit := res.Fig11.AddSeries("theoretical limitation")
-	runs := float64(cfg.Runs)
+	var series [4]*metrics.Series
+	for m, name := range [4]string{"no PI method", "single-query PI method", "multi-query PI method", "theoretical limitation"} {
+		series[m] = res.Fig11.AddSeries(name)
+	}
 	var dNo, dSingle, dLimit []float64
 	for ti, frac := range cfg.TFracs {
-		vNo := sums[mNoPI][ti] / runs
-		vSingle := sums[mSingle][ti] / runs
-		vMulti := sums[mMulti][ti] / runs
-		vLimit := sums[mLimit][ti] / runs
-		noPI.Add(frac, vNo)
-		single.Add(frac, vSingle)
-		multi.Add(frac, vMulti)
-		limit.Add(frac, vLimit)
-		if frac >= 0.999 {
-			res.SingleAtTFinish = vSingle
+		v := sums[ti]
+		for m := range v {
+			v[m] /= float64(cfg.Runs)
+			series[m].Add(frac, v[m])
 		}
-		if frac < 0.999 {
-			dNo = append(dNo, vNo-vMulti)
-			dSingle = append(dSingle, vSingle-vMulti)
-			dLimit = append(dLimit, vMulti-vLimit)
+		if frac >= 0.999 {
+			res.SingleAtTFinish = v[mSingle]
+		} else {
+			dNo = append(dNo, v[mNoPI]-v[mMulti])
+			dSingle = append(dSingle, v[mSingle]-v[mMulti])
+			dLimit = append(dLimit, v[mMulti]-v[mLimit])
 		}
 	}
 	res.MultiVsNoPI = metrics.Mean(dNo)
@@ -234,28 +174,27 @@ func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 	return res, nil
 }
 
+func (r *MaintenanceResult) report() *Report {
+	return new(Report).figure("figure11", &r.Fig11).
+		text("\nsingle-PI method at t=tfinish: UW/TW=%.2f (paper: 0.67)\n", r.SingleAtTFinish).
+		text("multi-PI improvement vs no-PI: %.3f, vs single-PI: %.3f, excess over limit: %.3f (t<tfinish averages)\n",
+			r.MultiVsNoPI, r.MultiVsSingle, r.MultiVsLimit)
+}
+
 // runMaintenanceOnce simulates the steady state for one run and returns the
 // snapshots of the queries running at rt, with true costs filled in from the
 // post-rt drain.
-func runMaintenanceOnce(ds *workload.Dataset, cfg MaintenanceConfig, zipf *workload.Zipf, rng *rand.Rand) ([]maintSnapshot, error) {
-	srv := sched.New(sched.Config{RateC: cfg.RateC, Quantum: cfg.Quantum, Workers: cfg.Workers})
-	defer srv.Close()
-	// Distinct table-index space per run so datasets can be reused.
+func runMaintenanceOnce(cl *cell, cfg MaintenanceConfig) ([]maintSnapshot, error) {
+	zipf, err := cl.zipf()
+	if err != nil {
+		return nil, err
+	}
+	srv := cl.server(sched.Config{})
 	nextIdx := 1
-	var created []int
-	defer func() {
-		for _, idx := range created {
-			_ = ds.DropPartTable(idx)
-		}
-	}()
 	newQuery := func() (*sched.Query, error) {
-		q, err := buildPartQuery(ds, srv, nextIdx, zipf.Sample(rng), 0)
-		if err != nil {
-			return nil, err
-		}
-		created = append(created, nextIdx)
+		q, err := buildPartQuery(cl.ds, srv, nextIdx, zipf.Sample(cl.rng), 0, workload.TemplateRetail)
 		nextIdx++
-		return q, nil
+		return q, err
 	}
 
 	finishes := 0
@@ -280,7 +219,7 @@ func runMaintenanceOnce(ds *workload.Dataset, cfg MaintenanceConfig, zipf *workl
 		}
 		// Start the initial mix at random points so early steady state is
 		// less biased toward synchronized finishes.
-		if err := prework(ds, q, rng, 0.9); err != nil {
+		if err := prework(cl.ds, q, cl.rng.Float64()*0.9); err != nil {
 			return nil, err
 		}
 		srv.Submit(q)
@@ -293,7 +232,7 @@ func runMaintenanceOnce(ds *workload.Dataset, cfg MaintenanceConfig, zipf *workl
 			return nil, submitErr
 		}
 	}
-	extra := rng.Intn(20)
+	extra := cl.rng.Intn(20)
 	for i := 0; i < extra && srv.Busy(); i++ {
 		srv.Tick()
 		if submitErr != nil {

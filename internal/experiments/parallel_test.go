@@ -13,11 +13,8 @@ import (
 func TestParallelSCQSweepByteIdentical(t *testing.T) {
 	mk := func(parallel int) string {
 		res, err := RunSCQ(SCQConfig{
-			Seed:     3,
-			Runs:     3,
-			Lambdas:  []float64{0, 0.05},
-			Data:     workload.DataConfig{LineitemRows: 30000, Seed: 5},
-			Parallel: parallel,
+			Common:  Common{Seed: 3, Runs: 3, Data: workload.DataConfig{LineitemRows: 30000, Seed: 5}, Parallel: parallel},
+			Lambdas: []float64{0, 0.05},
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
@@ -35,12 +32,9 @@ func TestParallelSCQSweepByteIdentical(t *testing.T) {
 func TestParallelSCQLambdaErrByteIdentical(t *testing.T) {
 	mk := func(parallel int) string {
 		res, err := RunSCQLambdaErr(SCQConfig{
-			Seed:         3,
-			Runs:         2,
+			Common:       Common{Seed: 3, Runs: 2, Data: workload.DataConfig{LineitemRows: 30000, Seed: 5}, Parallel: parallel},
 			FixedLambda:  0.03,
 			LambdaPrimes: []float64{0, 0.05},
-			Data:         workload.DataConfig{LineitemRows: 30000, Seed: 5},
-			Parallel:     parallel,
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
@@ -55,12 +49,8 @@ func TestParallelSCQLambdaErrByteIdentical(t *testing.T) {
 func TestParallelMPLSweepByteIdentical(t *testing.T) {
 	mk := func(parallel int) string {
 		res, err := RunMPLSweep(MPLSweepConfig{
-			Seed:       3,
-			Runs:       2,
-			NumQueries: 6,
-			MPLs:       []int{2, 0},
-			Data:       workload.DataConfig{LineitemRows: 30000, Seed: 5},
-			Parallel:   parallel,
+			Common: Common{Seed: 3, Runs: 2, NumQueries: 6, Data: workload.DataConfig{LineitemRows: 30000, Seed: 5}, Parallel: parallel},
+			MPLs:   []int{2, 0},
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
@@ -75,13 +65,9 @@ func TestParallelMPLSweepByteIdentical(t *testing.T) {
 func TestParallelMaintenanceByteIdentical(t *testing.T) {
 	mk := func(parallel int) string {
 		res, err := RunMaintenance(MaintenanceConfig{
-			Seed:           3,
-			Runs:           3,
-			NumQueries:     6,
+			Common:         Common{Seed: 3, Runs: 3, NumQueries: 6, Data: workload.DataConfig{LineitemRows: 30000, Seed: 5}, Parallel: parallel},
 			WarmupFinishes: 8,
 			TFracs:         []float64{0.3, 0.7, 1.0},
-			Data:           workload.DataConfig{LineitemRows: 30000, Seed: 5},
-			Parallel:       parallel,
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
@@ -95,12 +81,7 @@ func TestParallelMaintenanceByteIdentical(t *testing.T) {
 
 func TestParallelSpeedupByteIdentical(t *testing.T) {
 	mk := func(parallel int) string {
-		res, err := RunSpeedup(SpeedupConfig{
-			Seed:     3,
-			Runs:     3,
-			Data:     workload.DataConfig{LineitemRows: 30000, Seed: 5},
-			Parallel: parallel,
-		})
+		res, err := RunSpeedup(Common{Seed: 3, Runs: 3, Data: workload.DataConfig{LineitemRows: 30000, Seed: 5}, Parallel: parallel})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -114,10 +95,7 @@ func TestParallelSpeedupByteIdentical(t *testing.T) {
 func TestParallelRobustnessByteIdentical(t *testing.T) {
 	mk := func(parallel int) string {
 		res, err := RunRobustness(RobustnessConfig{
-			Seed:     3,
-			Runs:     3,
-			Data:     workload.DataConfig{LineitemRows: 30000, Seed: 5},
-			Parallel: parallel,
+			Common: Common{Seed: 3, Runs: 3, Data: workload.DataConfig{LineitemRows: 30000, Seed: 5}, Parallel: parallel},
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
@@ -134,12 +112,12 @@ func TestParallelRobustnessByteIdentical(t *testing.T) {
 // distinct workloads identically at every parallelism level.
 func TestParallelPriorityByteIdentical(t *testing.T) {
 	data := workload.DataConfig{LineitemRows: 30000, Seed: 5}
-	base, err := RunPriority(PriorityConfig{Seed: 3, Data: data})
+	base, err := RunPriority(PriorityConfig{Common: Common{Seed: 3, Data: data}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mk := func(parallel int) *PriorityResult {
-		res, err := RunPriority(PriorityConfig{Seed: 3, Runs: 3, Data: data, Parallel: parallel})
+		res, err := RunPriority(PriorityConfig{Common: Common{Seed: 3, Runs: 3, Data: data, Parallel: parallel}})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"testing"
 
 	"mqpi/internal/sched"
@@ -19,7 +18,7 @@ func TestPreworkSurvivesInflatedEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := sched.New(sched.Config{RateC: 100})
-	q, err := buildPartQuery(ds, srv, 1, 20, 0)
+	q, err := buildPartQuery(ds, srv, 1, 20, 0, workload.TemplateRetail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +30,9 @@ func TestPreworkSurvivesInflatedEstimate(t *testing.T) {
 	}
 	estCost := q.Runner.Plan().EstCost()
 
-	// Find a seed whose first Float64 draw gives a large fraction, so the
-	// inflated budget certainly overruns the true cost.
-	var seed int64
-	for seed = 1; ; seed++ {
-		if f := rand.New(rand.NewSource(seed)).Float64(); f > 0.85 {
-			break
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	if err := prework(ds, q, rng, 0.9); err != nil {
+	// A large fraction, so the inflated budget certainly overruns the true
+	// cost.
+	if err := prework(ds, q, 0.88); err != nil {
 		t.Fatal(err)
 	}
 	if q.Runner.Done() {
@@ -69,21 +61,21 @@ func TestPreworkSurvivesInflatedEstimate(t *testing.T) {
 	}
 }
 
-// TestPreworkZeroFraction: a zero draw does nothing and is not an error.
+// TestPreworkZeroFraction: a zero fraction does nothing and is not an error.
 func TestPreworkZeroFraction(t *testing.T) {
 	ds, err := workload.BuildDataset(workload.DataConfig{LineitemRows: 30000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := sched.New(sched.Config{RateC: 100})
-	q, err := buildPartQuery(ds, srv, 2, 5, 0)
+	q, err := buildPartQuery(ds, srv, 2, 5, 0, workload.TemplateRetail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prework(ds, q, rand.New(rand.NewSource(1)), 0); err != nil {
+	if err := prework(ds, q, 0); err != nil {
 		t.Fatal(err)
 	}
 	if q.Runner.WorkDone() != 0 {
-		t.Errorf("maxFrac=0 should do no work, did %g", q.Runner.WorkDone())
+		t.Errorf("frac=0 should do no work, did %g", q.Runner.WorkDone())
 	}
 }

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
-
 	"mqpi/internal/metrics"
 	"mqpi/internal/sched"
-	"mqpi/internal/workload"
 )
 
 // PriorityConfig configures the weighted-priorities extension experiment.
@@ -15,57 +11,17 @@ import (
 // priorities for queries"); this substrate implements the weight table
 // directly, so the weighted stage model can be validated end-to-end.
 type PriorityConfig struct {
-	Seed        int64
-	Runs        int     // independent workloads to average; default 1
-	PerClass    int     // queries per priority class; default 4
-	LowWeight   float64 // default 1
-	HighWeight  float64 // default 3
-	MaxN        int     // default 40
-	ZipfA       float64 // default 1.2
-	RateC       float64 // default 150
-	Quantum     float64 // default 0.5
-	// Workers sets the scheduler's execute-phase worker count
-	// (0/1 = inline serial). Results are bit-identical at every setting.
-	Workers int
-	SampleEvery float64 // default 5
-	Data        workload.DataConfig
-
-	// Parallel caps the worker goroutines used for independent runs:
-	// 0 = GOMAXPROCS, 1 = sequential. Output is identical at every setting.
-	Parallel int
+	Common             // defaults: 1 run, MaxN 40, Zipf a 1.2, C = 150, quantum 0.5
+	PerClass   int     // queries per priority class; default 4
+	LowWeight  float64 // default 1
+	HighWeight float64 // default 3
 }
 
 func (c PriorityConfig) withDefaults() PriorityConfig {
-	if c.Runs <= 0 {
-		c.Runs = 1
-	}
-	if c.PerClass <= 0 {
-		c.PerClass = 4
-	}
-	if c.LowWeight <= 0 {
-		c.LowWeight = 1
-	}
-	if c.HighWeight <= 0 {
-		c.HighWeight = 3
-	}
-	if c.MaxN <= 0 {
-		c.MaxN = 40
-	}
-	if c.ZipfA <= 0 {
-		c.ZipfA = 1.2
-	}
-	if c.RateC <= 0 {
-		c.RateC = 150
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 0.5
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5
-	}
-	if c.Data.Seed == 0 {
-		c.Data.Seed = c.Seed
-	}
+	c.Common = c.Common.withDefaults(Common{Runs: 1, MaxN: 40, ZipfA: 1.2, RateC: 150, Quantum: 0.5})
+	c.PerClass = orDefault(c.PerClass, 4)
+	c.LowWeight = orDefault(c.LowWeight, 1)
+	c.HighWeight = orDefault(c.HighWeight, 3)
 	return c
 }
 
@@ -91,22 +47,13 @@ type PriorityResult struct {
 // the Runs == 1 output.
 func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 	cfg = cfg.withDefaults()
-	results, err := runIndexed(cfg.Parallel, cfg.Runs, func(r int) (*PriorityResult, error) {
-		// Run 0 keeps the historical single-run behaviour exactly: the base
-		// dataset (generator rng stream) and the original rng seed.
-		var ds *workload.Dataset
-		var err error
-		rngSeed := cfg.Seed ^ 0x9E3779B9
-		if r == 0 {
-			ds, err = workload.BuildDataset(cfg.Data)
-		} else {
-			ds, err = workload.SharedCache().HydrateSeeded(cfg.Data, datasetSeed(cfg.Seed, int64(r)*48611))
-			rngSeed = (cfg.Seed + int64(r)*48611) ^ 0x9E3779B9
-		}
-		if err != nil {
-			return nil, err
-		}
-		return runPriorityOnce(ds, cfg, rngSeed)
+	// Run 0 keeps the historical single-run behaviour exactly: the base
+	// dataset (generator rng stream) and the original rng seed.
+	seed := func(r int) cellSeed {
+		return cellSeed{off: int64(r) * 48611, mask: 0x9E3779B9, base: r == 0}
+	}
+	results, err := runCells(cfg.Common, cfg.Runs, seed, func(_ int, cl *cell) (*PriorityResult, error) {
+		return runPriorityOnce(cl, cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -128,79 +75,43 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 	return res, nil
 }
 
-// runPriorityOnce executes one mixed-priority workload on its own dataset.
-func runPriorityOnce(ds *workload.Dataset, cfg PriorityConfig, rngSeed int64) (*PriorityResult, error) {
-	rng := rand.New(rand.NewSource(rngSeed))
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
+// runPriorityOnce executes one mixed-priority workload in its own cell.
+func runPriorityOnce(cl *cell, cfg PriorityConfig) (*PriorityResult, error) {
 	const (
 		lowPri  = 1
 		highPri = 2
 	)
-	srv := sched.New(sched.Config{
-		RateC:   cfg.RateC,
-		Quantum: cfg.Quantum,
-		Workers: cfg.Workers,
-		Weights: map[int]float64{lowPri: cfg.LowWeight, highPri: cfg.HighWeight},
-	})
-	defer srv.Close()
-
-	var queries []*sched.Query
-	idx := 1
-	addQuery := func(n, pri int, preworkFrac float64) (*sched.Query, error) {
-		q, err := buildPartQuery(ds, srv, idx, n, pri)
-		if err != nil {
-			return nil, err
-		}
-		idx++
-		if preworkFrac > 0 {
-			if _, _, err := q.Runner.Step(preworkFrac * q.Runner.Plan().EstCost()); err != nil {
-				return nil, err
-			}
-		}
-		queries = append(queries, q)
-		return q, nil
+	// PerClass low/high pairs at random points of execution, then the probe
+	// pair: identical size, no prework, different priority.
+	batch, err := cl.zipfBatch(2*cfg.PerClass, cfg.MaxN, 0.8)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < cfg.PerClass; i++ {
-		if _, err := addQuery(zipf.Sample(rng), lowPri, rng.Float64()*0.8); err != nil {
-			return nil, err
-		}
-		if _, err := addQuery(zipf.Sample(rng), highPri, rng.Float64()*0.8); err != nil {
-			return nil, err
-		}
-	}
-	// The probe pair: identical size, no prework, different priority.
 	probeN := cfg.MaxN / 2
-	probeLow, err := addQuery(probeN, lowPri, 0)
+	batch = append(batch, batchQuery{n: probeN}, batchQuery{n: probeN})
+	for i := range batch {
+		batch[i].priority = [2]int{lowPri, highPri}[i%2]
+	}
+	srv := cl.server(sched.Config{Weights: map[int]float64{lowPri: cfg.LowWeight, highPri: cfg.HighWeight}})
+	queries, err := cl.submit(srv, batch)
 	if err != nil {
 		return nil, err
 	}
-	probeHigh, err := addQuery(probeN, highPri, 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range queries {
-		srv.Submit(q)
-	}
+	probeLow, probeHigh := queries[len(queries)-2], queries[len(queries)-1]
 
 	// Time-0 estimates.
-	states := srv.StateRunning()
-	multi := stageEstimates(states, cfg.RateC)
-	single := make(map[int]float64, len(queries))
-	for _, q := range queries {
-		single[q.ID] = singleEstimate(srv, q)
-	}
+	multi := stageEstimates(srv.StateRunning(), cfg.RateC)
+	single := singleEstimates(srv, queries)
 
 	// Measure the probes' speeds over an early window, while both classes
 	// are saturated; cumulative work over elapsed time avoids the speed
 	// tracker's window quantization.
-	measure := 120 * cfg.Quantum
-	srv.RunUntil(measure)
+	srv.RunUntil(120 * cfg.Quantum)
 	speedLow := probeLow.Runner.WorkDone() / srv.Now()
 	speedHigh := probeHigh.Runner.WorkDone() / srv.Now()
-	srv.RunUntilIdle(1e9)
+	if err := finishAll(srv, queries); err != nil {
+		return nil, err
+	}
 
 	res := &PriorityResult{
 		Fig: metrics.Figure{
@@ -215,19 +126,20 @@ func runPriorityOnce(ds *workload.Dataset, cfg PriorityConfig, rngSeed int64) (*
 	actualS := res.Fig.AddSeries("actual")
 	singleS := res.Fig.AddSeries("single-query estimate")
 	multiS := res.Fig.AddSeries("multi-query estimate")
-	var errS, errM []float64
 	for _, q := range queries {
-		if q.Status == sched.StatusFailed {
-			return nil, fmt.Errorf("experiments: query %s failed: %w", q.Label, q.Err)
-		}
-		actual := q.FinishTime
-		actualS.Add(float64(q.ID), actual)
+		actualS.Add(float64(q.ID), q.FinishTime)
 		singleS.Add(float64(q.ID), single[q.ID])
 		multiS.Add(float64(q.ID), multi[q.ID])
-		errS = append(errS, metrics.RelErr(single[q.ID], actual))
-		errM = append(errM, metrics.RelErr(multi[q.ID], actual))
 	}
-	res.ErrT0Single = metrics.Mean(errS)
-	res.ErrT0Multi = metrics.Mean(errM)
+	res.ErrT0Single = metrics.Mean(time0Errs(queries, single))
+	res.ErrT0Multi = metrics.Mean(time0Errs(queries, multi))
 	return res, nil
+}
+
+func (r *PriorityResult) report() *Report {
+	return new(Report).
+		text("== Extension: weighted priorities (Assumption 3) ==\n").
+		text("measured high/low speed ratio: %.2f (weights predict 3.00)\n", r.SpeedRatio).
+		text("mean time-0 relative error: single %.0f%%, multi %.0f%%\n\n", r.ErrT0Single*100, r.ErrT0Multi*100).
+		figure("priority", &r.Fig)
 }

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mqpi/internal/metrics"
 	"mqpi/internal/sched"
-	"mqpi/internal/workload"
 )
 
 // RobustnessConfig configures the Assumption 1 violation experiment (§4.1).
@@ -17,51 +15,17 @@ import (
 // multi-query PI "is still likely to be superior" when the assumption
 // breaks; this experiment measures it.
 type RobustnessConfig struct {
-	Seed       int64
-	Runs       int     // default 8
-	NumQueries int     // default 10
-	MaxN       int     // default 40
-	ZipfA      float64 // default 1.2
-	RateC      float64 // nominal C; default 150
-	Quantum    float64 // default 0.5
-	// Workers sets the scheduler's execute-phase worker count
-	// (0/1 = inline serial). Results are bit-identical at every setting.
-	Workers int
+	Common // defaults: 8 runs of 10 queries, MaxN 40, Zipf a 1.2, nominal C = 150, quantum 0.5
 	// Contention is the per-extra-query throughput penalty: with n runnable
 	// queries the actual rate is C × (1 − Contention × (n−1)/n). Default 0.3
 	// (30% total slowdown at high concurrency).
 	Contention float64
-	Data       workload.DataConfig
-
-	// Parallel caps the worker goroutines used for independent runs:
-	// 0 = GOMAXPROCS, 1 = sequential. Output is identical at every setting.
-	Parallel int
 }
 
 func (c RobustnessConfig) withDefaults() RobustnessConfig {
-	if c.Runs <= 0 {
-		c.Runs = 8
-	}
-	if c.NumQueries <= 0 {
-		c.NumQueries = 10
-	}
-	if c.MaxN <= 0 {
-		c.MaxN = 40
-	}
-	if c.ZipfA <= 0 {
-		c.ZipfA = 1.2
-	}
-	if c.RateC <= 0 {
-		c.RateC = 150
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 0.5
-	}
+	c.Common = c.Common.withDefaults(Common{Runs: 8, NumQueries: 10, MaxN: 40, ZipfA: 1.2, RateC: 150, Quantum: 0.5})
 	if c.Contention == 0 {
 		c.Contention = 0.3
-	}
-	if c.Data.Seed == 0 {
-		c.Data.Seed = c.Seed
 	}
 	return c
 }
@@ -80,10 +44,6 @@ type RobustnessResult struct {
 // constant C.
 func RunRobustness(cfg RobustnessConfig) (*RobustnessResult, error) {
 	cfg = cfg.withDefaults()
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
 	res := &RobustnessResult{
 		Fig: metrics.Figure{
 			Title:  fmt.Sprintf("Extension: Assumption 1 violated (contention=%.2f) — mean time-0 error per run", cfg.Contention),
@@ -95,52 +55,32 @@ func RunRobustness(cfg RobustnessConfig) (*RobustnessResult, error) {
 	multiSeries := res.Fig.AddSeries("multi-query estimate")
 	var allS, allM []float64
 
-	// One pool job per run on a private dataset; per-run means are folded
-	// into the figure and the overall averages in run order afterwards.
+	// One cell per run; per-run means are folded into the figure and the
+	// overall averages in run order afterwards.
 	type robCell struct{ ms, mm float64 }
-	cells, err := runIndexed(cfg.Parallel, cfg.Runs, func(r int) (robCell, error) {
-		off := 31337 + int64(r)*104729
-		dsRun, err := workload.SharedCache().HydrateSeeded(cfg.Data, datasetSeed(cfg.Seed, off))
-		if err != nil {
-			return robCell{}, err
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + off))
+	seed := func(r int) cellSeed { return cellSeed{off: 31337 + int64(r)*104729} }
+	cells, err := runCells(cfg.Common, cfg.Runs, seed, func(r int, cl *cell) (robCell, error) {
 		rateFunc := func(runnable int) float64 {
 			if runnable < 1 {
 				runnable = 1
 			}
 			return cfg.RateC * (1 - cfg.Contention*float64(runnable-1)/float64(runnable))
 		}
-		srv := sched.New(sched.Config{RateC: cfg.RateC, RateFunc: rateFunc, Quantum: cfg.Quantum, Workers: cfg.Workers})
-	defer srv.Close()
-		var queries []*sched.Query
-		for i := 1; i <= cfg.NumQueries; i++ {
-			q, err := buildPartQuery(dsRun, srv, i, zipf.Sample(rng), 0)
-			if err != nil {
-				return robCell{}, err
-			}
-			if err := prework(dsRun, q, rng, 0.9); err != nil {
-				return robCell{}, err
-			}
-			queries = append(queries, q)
-			srv.Submit(q)
+		batch, err := cl.zipfBatch(cfg.NumQueries, cfg.MaxN, 0.9)
+		if err != nil {
+			return robCell{}, err
 		}
-		single := make(map[int]float64, len(queries))
-		for _, q := range queries {
-			single[q.ID] = singleEstimate(srv, q)
+		srv := cl.server(sched.Config{RateFunc: rateFunc})
+		queries, err := cl.submit(srv, batch)
+		if err != nil {
+			return robCell{}, err
 		}
+		single := singleEstimates(srv, queries)
 		multi := multiEstimates(srv)
-		srv.RunUntilIdle(1e9)
-
-		var sErrs, mErrs []float64
-		for _, q := range queries {
-			if q.Status == sched.StatusFailed {
-				return robCell{}, fmt.Errorf("experiments: query %s failed: %w", q.Label, q.Err)
-			}
-			sErrs = append(sErrs, metrics.RelErr(single[q.ID], q.FinishTime))
-			mErrs = append(mErrs, metrics.RelErr(multi[q.ID], q.FinishTime))
+		if err := finishAll(srv, queries); err != nil {
+			return robCell{}, err
 		}
-		return robCell{ms: metrics.Mean(sErrs), mm: metrics.Mean(mErrs)}, nil
+		return robCell{ms: metrics.Mean(time0Errs(queries, single)), mm: metrics.Mean(time0Errs(queries, multi))}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -154,4 +94,12 @@ func RunRobustness(cfg RobustnessConfig) (*RobustnessResult, error) {
 	res.ErrSingle = metrics.Mean(allS)
 	res.ErrMulti = metrics.Mean(allM)
 	return res, nil
+}
+
+func (r *RobustnessResult) report() *Report {
+	return new(Report).
+		text("== Extension: Assumption 1 violated (rate varies with load) ==\n").
+		text("mean time-0 relative error: single %.0f%%, multi %.0f%%\n", r.ErrSingle*100, r.ErrMulti*100).
+		text("(the PI still assumes the constant nominal C; §4.1 predicts multi stays superior)\n").
+		figure("robustness", &r.Fig)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"mqpi/internal/core"
@@ -13,19 +12,13 @@ import (
 )
 
 // SCQConfig configures the Stream Concurrent Query experiments (§5.2.3,
-// Figures 6-10): ten initial queries at random points of execution, with new
-// queries arriving as a Poisson process while they run.
+// Figures 6-10): NumQueries initial queries (default ten) at random points
+// of execution, with new queries arriving as a Poisson process while they
+// run. Defaults: 20 runs per data point (paper: 100), Zipf a 2.2 over
+// MaxN 20, quantum 1 s, a trajectory sample (Figure 10) every 2 s, and
+// C = 46 U/s, which puts the stability knee λ* = C/c̄ near the paper's 0.07.
 type SCQConfig struct {
-	Seed       int64
-	Runs       int     // runs per data point (paper: 100; default 20)
-	NumInitial int     // default 10
-	ZipfA      float64 // default 2.2
-	MaxN       int     // default 20
-	RateC      float64 // default 46 U/s (puts the stability knee λ*=C/c̄ near the paper's 0.07)
-	Quantum    float64 // default 1 s
-	// Workers sets the scheduler's execute-phase worker count
-	// (0/1 = inline serial). Results are bit-identical at every setting.
-	Workers int
+	Common
 
 	// Lambdas is the λ sweep of Figures 6-7.
 	Lambdas []float64
@@ -39,56 +32,96 @@ type SCQConfig struct {
 	ArrivalCutoff float64
 	// HardHorizon caps a run's virtual time outright. Default 30000 s.
 	HardHorizon float64
-
-	SampleEvery float64 // trajectory sampling period (Figure 10); default 2 s
-	Data        workload.DataConfig
-
-	// Parallel caps the worker goroutines used for independent runs:
-	// 0 = GOMAXPROCS, 1 = sequential. Output is identical at every setting.
-	Parallel int
 }
 
 func (c SCQConfig) withDefaults() SCQConfig {
-	if c.Runs <= 0 {
-		c.Runs = 20
-	}
-	if c.NumInitial <= 0 {
-		c.NumInitial = 10
-	}
-	if c.ZipfA <= 0 {
-		c.ZipfA = 2.2
-	}
-	if c.MaxN <= 0 {
-		c.MaxN = 20
-	}
-	if c.RateC <= 0 {
-		c.RateC = 46 // puts the stability boundary λ* = C/c̄ near the paper's 0.07
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1
-	}
+	c.Common = c.Common.withDefaults(Common{Runs: 20, NumQueries: 10, ZipfA: 2.2, MaxN: 20, RateC: 46, Quantum: 1, SampleEvery: 2})
 	if len(c.Lambdas) == 0 {
 		c.Lambdas = []float64{0, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2}
 	}
-	if c.FixedLambda <= 0 {
-		c.FixedLambda = 0.03
-	}
+	c.FixedLambda = orDefault(c.FixedLambda, 0.03)
 	if len(c.LambdaPrimes) == 0 {
 		c.LambdaPrimes = []float64{0, 0.01, 0.03, 0.05, 0.075, 0.1, 0.15, 0.2}
 	}
-	if c.ArrivalCutoff <= 0 {
-		c.ArrivalCutoff = 1500
-	}
-	if c.HardHorizon <= 0 {
-		c.HardHorizon = 30000
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 2
-	}
-	if c.Data.Seed == 0 {
-		c.Data.Seed = c.Seed
-	}
+	c.ArrivalCutoff = orDefault(c.ArrivalCutoff, 1500)
+	c.HardHorizon = orDefault(c.HardHorizon, 30000)
 	return c
+}
+
+// scqCBar is the "exact average cost c̄" of future queries the SCQ
+// experiments hand the multi-query PI: the cost model fitted on the cell's
+// dataset, at the mean of the size distribution.
+func scqCBar(cl *cell) (float64, error) {
+	cm, err := fitCostModel(cl.ds)
+	if err != nil {
+		return 0, err
+	}
+	zipf, err := cl.zipf()
+	if err != nil {
+		return 0, err
+	}
+	return cm.Cost(zipf.Mean()), nil
+}
+
+// scqStart submits the initial queries, each at a random point of its
+// execution.
+func scqStart(cl *cell) (*sched.Server, []*sched.Query, error) {
+	batch, err := cl.zipfBatch(cl.NumQueries, cl.MaxN, 0.9)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := cl.server(sched.Config{})
+	initial, err := cl.submit(srv, batch)
+	return srv, initial, err
+}
+
+// scqArrivals ticks the server, with dynamically generated Poisson(λ)
+// arrivals, until every initial query has finished or the horizon is hit,
+// then fails if an initial query failed. beforeTick, when set, runs once per
+// quantum after that quantum's arrivals.
+func scqArrivals(cl *cell, cfg SCQConfig, srv *sched.Server, initial []*sched.Query, lambda float64, beforeTick func()) error {
+	zipf, err := cl.zipf()
+	if err != nil {
+		return err
+	}
+	poisson := workload.Poisson{Lambda: lambda}
+	nextArrival := poisson.NextInterarrival(cl.rng)
+	nextIdx := len(initial) + 1
+	remaining := len(initial)
+	lastInitial := initial[len(initial)-1].ID
+	srv.OnFinish(func(f *sched.Query) {
+		if f.ID <= lastInitial {
+			remaining--
+		}
+	})
+	for remaining > 0 && srv.Now() < cfg.HardHorizon {
+		for nextArrival <= srv.Now() && srv.Now() <= cfg.ArrivalCutoff {
+			q, err := buildPartQuery(cl.ds, srv, nextIdx, zipf.Sample(cl.rng), 0, workload.TemplateRetail)
+			if err != nil {
+				return err
+			}
+			nextIdx++
+			srv.Submit(q)
+			nextArrival += poisson.NextInterarrival(cl.rng)
+		}
+		if beforeTick != nil {
+			beforeTick()
+		}
+		srv.Tick()
+	}
+	return firstFailed(initial)
+}
+
+// arrivalETAs is the multi-query PI's estimate over states under each
+// assumed arrival rate λ′ (§2.4), with c̄ as the future queries' cost.
+func arrivalETAs(states []core.QueryState, C float64, lambdaPrimes []float64, cbar float64) map[float64]map[int]float64 {
+	shadowCheck(states, C)
+	out := make(map[float64]map[int]float64, len(lambdaPrimes))
+	for _, lp := range lambdaPrimes {
+		am := core.ArrivalModel{Lambda: lp, AvgCost: cbar, AvgWeight: 1}
+		out[lp] = multiETAs(core.EstimateInput{Running: states, RateC: C, Arrivals: &am})
+	}
+	return out
 }
 
 // scqRun is the outcome of one SCQ run: per-initial-query actuals and the
@@ -104,86 +137,23 @@ type scqRun struct {
 // runSCQOnce performs one SCQ run: build the initial queries, take time-0
 // estimates (one multi-query estimate per λ′), then simulate with Poisson(λ)
 // arrivals until every initial query finishes.
-func runSCQOnce(ds *workload.Dataset, cfg SCQConfig, lambda float64, lambdaPrimes []float64, cbar float64, rng *rand.Rand) (*scqRun, error) {
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
+func runSCQOnce(cl *cell, cfg SCQConfig, lambda float64, lambdaPrimes []float64, cbar float64) (*scqRun, error) {
+	srv, initial, err := scqStart(cl)
 	if err != nil {
 		return nil, err
 	}
-	srv := sched.New(sched.Config{RateC: cfg.RateC, Quantum: cfg.Quantum, Workers: cfg.Workers})
-	defer srv.Close()
-
-	var created []int
-	defer func() {
-		for _, idx := range created {
-			_ = ds.DropPartTable(idx)
-		}
-	}()
-
-	initial := make([]*sched.Query, 0, cfg.NumInitial)
-	for i := 1; i <= cfg.NumInitial; i++ {
-		q, err := buildPartQuery(ds, srv, i, zipf.Sample(rng), 0)
-		if err != nil {
-			return nil, err
-		}
-		created = append(created, i)
-		if err := prework(ds, q, rng, 0.9); err != nil {
-			return nil, err
-		}
-		initial = append(initial, q)
-	}
-	for _, q := range initial {
-		srv.Submit(q)
-	}
-
 	run := &scqRun{
 		actual: make(map[int]float64, len(initial)),
-		single: make(map[int]float64, len(initial)),
-		multi:  make(map[float64]map[int]float64, len(lambdaPrimes)),
+		single: singleEstimates(srv, initial),
+		multi:  arrivalETAs(srv.StateRunning(), cfg.RateC, lambdaPrimes, cbar),
 	}
-	for _, q := range initial {
-		run.ids = append(run.ids, q.ID)
-		run.single[q.ID] = singleEstimate(srv, q)
-	}
-	states := srv.StateRunning()
-	shadowCheck(states, cfg.RateC)
-	for _, lp := range lambdaPrimes {
-		am := core.ArrivalModel{Lambda: lp, AvgCost: cbar, AvgWeight: 1}
-		run.multi[lp] = multiETAs(core.EstimateInput{Running: states, RateC: cfg.RateC, Arrivals: &am})
-	}
-
-	// Simulate with dynamically generated arrivals until all initial
-	// queries finish.
-	poisson := workload.Poisson{Lambda: lambda}
-	nextArrival := poisson.NextInterarrival(rng)
-	nextIdx := cfg.NumInitial + 1
-	remaining := len(initial)
-	for _, q := range initial {
-		q := q
-		srv.OnFinish(func(f *sched.Query) {
-			if f == q {
-				remaining--
-			}
-		})
-	}
-	for remaining > 0 && srv.Now() < cfg.HardHorizon {
-		for nextArrival <= srv.Now() && srv.Now() <= cfg.ArrivalCutoff {
-			q, err := buildPartQuery(ds, srv, nextIdx, zipf.Sample(rng), 0)
-			if err != nil {
-				return nil, err
-			}
-			created = append(created, nextIdx)
-			nextIdx++
-			srv.Submit(q)
-			nextArrival += poisson.NextInterarrival(rng)
-		}
-		srv.Tick()
+	if err := scqArrivals(cl, cfg, srv, initial, lambda, nil); err != nil {
+		return nil, err
 	}
 
 	lastFinish := -1.0
 	for _, q := range initial {
-		if q.Status == sched.StatusFailed {
-			return nil, fmt.Errorf("experiments: query %s failed: %w", q.Label, q.Err)
-		}
+		run.ids = append(run.ids, q.ID)
 		finish := q.FinishTime
 		if q.Status != sched.StatusFinished {
 			// Horizon hit (extreme overload): extrapolate the tail at the
@@ -222,19 +192,10 @@ type SCQResult struct {
 // arrival rate and average cost).
 func RunSCQ(cfg SCQConfig) (*SCQResult, error) {
 	cfg = cfg.withDefaults()
-	ds, err := workload.BuildDataset(cfg.Data)
+	cbar, err := withCell(cfg.Common, cellSeed{base: true}, scqCBar)
 	if err != nil {
 		return nil, err
 	}
-	cm, err := fitCostModel(ds)
-	if err != nil {
-		return nil, err
-	}
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
-	cbar := cm.Cost(zipf.Mean())
 
 	res := &SCQResult{
 		Fig6: metrics.Figure{
@@ -255,26 +216,20 @@ func RunSCQ(cfg SCQConfig) (*SCQResult, error) {
 	f7single := res.Fig7.AddSeries("single-query estimate")
 	f7multi := res.Fig7.AddSeries("multi-query estimate")
 
-	// Fan the (λ, run) grid across the pool. Every job hydrates a private
-	// dataset from the shared snapshot, so its part tables depend only on
-	// (cfg, li, r) — never on how many runs executed before it — and the
-	// figures are identical at every parallelism level. Aggregation below
-	// walks the cells in the exact (li, r) order the sequential loop used,
-	// preserving float summation order bit for bit.
+	// One cell per (λ, run). Aggregation below walks the cells in the exact
+	// (li, r) order the sequential loop used, preserving float summation
+	// order bit for bit.
 	type scqCell struct{ es, em errPair }
-	cells, err := runIndexed(cfg.Parallel, len(cfg.Lambdas)*cfg.Runs, func(j int) (scqCell, error) {
-		li, r := j/cfg.Runs, j%cfg.Runs
-		off := int64(li)*100003 + int64(r)*7919
-		dsRun, err := workload.SharedCache().HydrateSeeded(cfg.Data, datasetSeed(cfg.Seed, off))
+	seed := func(j int) cellSeed {
+		return cellSeed{off: int64(j/cfg.Runs)*100003 + int64(j%cfg.Runs)*7919}
+	}
+	cells, err := runCells(cfg.Common, len(cfg.Lambdas)*cfg.Runs, seed, func(j int, cl *cell) (scqCell, error) {
+		lambda := cfg.Lambdas[j/cfg.Runs]
+		run, err := runSCQOnce(cl, cfg, lambda, []float64{lambda}, cbar)
 		if err != nil {
 			return scqCell{}, err
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed + off))
-		run, err := runSCQOnce(dsRun, cfg, cfg.Lambdas[li], []float64{cfg.Lambdas[li]}, cbar, rng)
-		if err != nil {
-			return scqCell{}, err
-		}
-		es, em := runErrors(run, cfg.Lambdas[li])
+		es, em := runErrors(run, lambda)
 		return scqCell{es: es, em: em}, nil
 	})
 	if err != nil {
@@ -295,6 +250,12 @@ func RunSCQ(cfg SCQConfig) (*SCQResult, error) {
 		f7multi.Add(lambda, metrics.Mean(avgM))
 	}
 	return res, nil
+}
+
+func (r *SCQResult) report() *Report {
+	return new(Report).
+		text("SCQ: average future-query cost c̄=%.0fU, stability boundary λ*=C/c̄=%.3f\n\n", r.CBar, r.StabilityLambda).
+		figure("figure6", &r.Fig6).text("\n").figure("figure7", &r.Fig7)
 }
 
 type errPair struct{ last, avg float64 }
@@ -338,19 +299,10 @@ type SCQLambdaErrResult struct {
 // with a wrong arrival rate λ′ while queries actually arrive at λ.
 func RunSCQLambdaErr(cfg SCQConfig) (*SCQLambdaErrResult, error) {
 	cfg = cfg.withDefaults()
-	ds, err := workload.BuildDataset(cfg.Data)
+	cbar, err := withCell(cfg.Common, cellSeed{base: true}, scqCBar)
 	if err != nil {
 		return nil, err
 	}
-	cm, err := fitCostModel(ds)
-	if err != nil {
-		return nil, err
-	}
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
-	cbar := cm.Cost(zipf.Mean())
 
 	res := &SCQLambdaErrResult{
 		Fig8: metrics.Figure{
@@ -371,36 +323,22 @@ func RunSCQLambdaErr(cfg SCQConfig) (*SCQLambdaErrResult, error) {
 	f9single := res.Fig9.AddSeries("single-query estimate")
 	f9multi := res.Fig9.AddSeries("multi-query estimate")
 
-	// One pool job per run; each returns the single-query errors plus the
+	// One cell per run; each returns the single-query errors plus the
 	// multi-query errors for every λ′, aligned with cfg.LambdaPrimes.
 	type lerrCell struct {
-		lastS, avgS float64
-		multi       []errPair
+		single errPair
+		multi  []errPair
 	}
-	cells, err := runIndexed(cfg.Parallel, cfg.Runs, func(r int) (lerrCell, error) {
-		off := 424243 + int64(r)*7919
-		dsRun, err := workload.SharedCache().HydrateSeeded(cfg.Data, datasetSeed(cfg.Seed, off))
+	seed := func(r int) cellSeed { return cellSeed{off: 424243 + int64(r)*7919} }
+	cells, err := runCells(cfg.Common, cfg.Runs, seed, func(_ int, cl *cell) (lerrCell, error) {
+		run, err := runSCQOnce(cl, cfg, cfg.FixedLambda, cfg.LambdaPrimes, cbar)
 		if err != nil {
 			return lerrCell{}, err
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed + off))
-		run, err := runSCQOnce(dsRun, cfg, cfg.FixedLambda, cfg.LambdaPrimes, cbar, rng)
-		if err != nil {
-			return lerrCell{}, err
-		}
-		// Single-query errors do not depend on λ′.
-		var sErrs []float64
-		for _, id := range run.ids {
-			sErrs = append(sErrs, metrics.RelErr(run.single[id], run.actual[id]))
-		}
-		cell := lerrCell{
-			lastS: metrics.RelErr(run.single[run.lastID], run.actual[run.lastID]),
-			avgS:  metrics.Mean(sErrs),
-			multi: make([]errPair, 0, len(cfg.LambdaPrimes)),
-		}
-		for _, lp := range cfg.LambdaPrimes {
-			_, em := runErrors(run, lp)
-			cell.multi = append(cell.multi, em)
+		cell := lerrCell{multi: make([]errPair, len(cfg.LambdaPrimes))}
+		for i, lp := range cfg.LambdaPrimes {
+			// Single-query errors do not depend on λ′.
+			cell.single, cell.multi[i] = runErrors(run, lp)
 		}
 		return cell, nil
 	})
@@ -412,8 +350,8 @@ func RunSCQLambdaErr(cfg SCQConfig) (*SCQLambdaErrResult, error) {
 	lastM := make(map[float64][]float64, len(cfg.LambdaPrimes))
 	avgM := make(map[float64][]float64, len(cfg.LambdaPrimes))
 	for _, cell := range cells {
-		lastS = append(lastS, cell.lastS)
-		avgS = append(avgS, cell.avgS)
+		lastS = append(lastS, cell.single.last)
+		avgS = append(avgS, cell.single.avg)
 		for i, lp := range cfg.LambdaPrimes {
 			lastM[lp] = append(lastM[lp], cell.multi[i].last)
 			avgM[lp] = append(avgM[lp], cell.multi[i].avg)
@@ -430,6 +368,12 @@ func RunSCQLambdaErr(cfg SCQConfig) (*SCQLambdaErrResult, error) {
 		f9multi.Add(lp, metrics.Mean(avgM[lp]))
 	}
 	return res, nil
+}
+
+func (r *SCQLambdaErrResult) report() *Report {
+	return new(Report).
+		text("SCQ λ′ sensitivity: true λ=%.3g, c̄=%.0fU\n\n", r.Lambda, r.CBar).
+		figure("figure8", &r.Fig8).text("\n").figure("figure9", &r.Fig9)
 }
 
 // SCQTrajectoryResult holds Figure 10.
@@ -450,114 +394,71 @@ func RunSCQTrajectory(cfg SCQConfig, lambdaPrimes []float64) (*SCQTrajectoryResu
 	if len(lambdaPrimes) == 0 {
 		lambdaPrimes = []float64{0.04, 0.05}
 	}
-	ds, err := workload.BuildDataset(cfg.Data)
-	if err != nil {
-		return nil, err
-	}
-	cm, err := fitCostModel(ds)
-	if err != nil {
-		return nil, err
-	}
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
-	cbar := cm.Cost(zipf.Mean())
-	rng := rand.New(rand.NewSource(cfg.Seed + 777))
-
-	srv := sched.New(sched.Config{RateC: cfg.RateC, Quantum: cfg.Quantum, Workers: cfg.Workers})
-	defer srv.Close()
-	initial := make([]*sched.Query, 0, cfg.NumInitial)
-	for i := 1; i <= cfg.NumInitial; i++ {
-		q, err := buildPartQuery(ds, srv, i, zipf.Sample(rng), 0)
+	return withCell(cfg.Common, cellSeed{off: 777, base: true}, func(cl *cell) (*SCQTrajectoryResult, error) {
+		// The scratch tables of the fit draw from the same dataset stream the
+		// run's part tables continue.
+		cbar, err := scqCBar(cl)
 		if err != nil {
 			return nil, err
 		}
-		if err := prework(ds, q, rng, 0.9); err != nil {
+		srv, initial, err := scqStart(cl)
+		if err != nil {
 			return nil, err
 		}
-		initial = append(initial, q)
-	}
-	for _, q := range initial {
-		srv.Submit(q)
-	}
-
-	type sampleRec struct {
-		t   float64
-		est map[float64]map[int]float64
-	}
-	var samples []sampleRec
-
-	poisson := workload.Poisson{Lambda: cfg.FixedLambda}
-	nextArrival := poisson.NextInterarrival(rng)
-	nextIdx := cfg.NumInitial + 1
-	remaining := len(initial)
-	for _, q := range initial {
-		q := q
-		srv.OnFinish(func(f *sched.Query) {
-			if f == q {
-				remaining--
+		type sampleRec struct {
+			t   float64
+			est map[float64]map[int]float64
+		}
+		var samples []sampleRec
+		nextSample := 0.0
+		err = scqArrivals(cl, cfg, srv, initial, cfg.FixedLambda, func() {
+			if srv.Now()+1e-9 >= nextSample {
+				est := arrivalETAs(srv.StateRunning(), cfg.RateC, lambdaPrimes, cbar)
+				samples = append(samples, sampleRec{t: srv.Now(), est: est})
+				nextSample += cfg.SampleEvery
 			}
 		})
-	}
-	nextSample := 0.0
-	for remaining > 0 && srv.Now() < cfg.HardHorizon {
-		for nextArrival <= srv.Now() && srv.Now() <= cfg.ArrivalCutoff {
-			q, err := buildPartQuery(ds, srv, nextIdx, zipf.Sample(rng), 0)
-			if err != nil {
-				return nil, err
-			}
-			nextIdx++
-			srv.Submit(q)
-			nextArrival += poisson.NextInterarrival(rng)
+		if err != nil {
+			return nil, err
 		}
-		if srv.Now()+1e-9 >= nextSample {
-			states := srv.StateRunning()
-			shadowCheck(states, cfg.RateC)
-			est := make(map[float64]map[int]float64, len(lambdaPrimes))
-			for _, lp := range lambdaPrimes {
-				am := core.ArrivalModel{Lambda: lp, AvgCost: cbar, AvgWeight: 1}
-				est[lp] = multiETAs(core.EstimateInput{Running: states, RateC: cfg.RateC, Arrivals: &am})
-			}
-			samples = append(samples, sampleRec{t: srv.Now(), est: est})
-			nextSample += cfg.SampleEvery
-		}
-		srv.Tick()
-	}
 
-	// Identify the last-finishing initial query.
-	var focus *sched.Query
-	for _, q := range initial {
-		if q.Status == sched.StatusFailed {
-			return nil, fmt.Errorf("experiments: query %s failed: %w", q.Label, q.Err)
-		}
-		if focus == nil || q.FinishTime > focus.FinishTime {
-			focus = q
-		}
-	}
-	res := &SCQTrajectoryResult{
-		Fig10: metrics.Figure{
-			Title:  fmt.Sprintf("Figure 10: remaining time estimated by the multi-query PI over time (lambda=%.3g)", cfg.FixedLambda),
-			XLabel: "time (s)",
-			YLabel: "estimated remaining query execution time (s)",
-		},
-		FocusFinish: focus.FinishTime,
-	}
-	actual := res.Fig10.AddSeries("actual")
-	series := make(map[float64]*metrics.Series, len(lambdaPrimes))
-	for _, lp := range lambdaPrimes {
-		series[lp] = res.Fig10.AddSeries(fmt.Sprintf("lambda'=%.3g", lp))
-	}
-	for _, s := range samples {
-		if s.t > focus.FinishTime {
-			break
-		}
-		actual.Add(s.t, math.Max(0, focus.FinishTime-s.t))
-		for _, lp := range lambdaPrimes {
-			if est, ok := s.est[lp][focus.ID]; ok {
-				series[lp].Add(s.t, est)
+		// Identify the last-finishing initial query.
+		focus := initial[0]
+		for _, q := range initial {
+			if q.FinishTime > focus.FinishTime {
+				focus = q
 			}
 		}
-	}
-	return res, nil
+		res := &SCQTrajectoryResult{
+			Fig10: metrics.Figure{
+				Title:  fmt.Sprintf("Figure 10: remaining time estimated by the multi-query PI over time (lambda=%.3g)", cfg.FixedLambda),
+				XLabel: "time (s)",
+				YLabel: "estimated remaining query execution time (s)",
+			},
+			FocusFinish: focus.FinishTime,
+		}
+		actual := res.Fig10.AddSeries("actual")
+		series := make(map[float64]*metrics.Series, len(lambdaPrimes))
+		for _, lp := range lambdaPrimes {
+			series[lp] = res.Fig10.AddSeries(fmt.Sprintf("lambda'=%.3g", lp))
+		}
+		for _, s := range samples {
+			if s.t > focus.FinishTime {
+				break
+			}
+			actual.Add(s.t, math.Max(0, focus.FinishTime-s.t))
+			for _, lp := range lambdaPrimes {
+				if est, ok := s.est[lp][focus.ID]; ok {
+					series[lp].Add(s.t, est)
+				}
+			}
+		}
+		return res, nil
+	})
+}
+
+func (r *SCQTrajectoryResult) report() *Report {
+	return new(Report).
+		text("SCQ trajectory: focus query finishes at %.0fs\n\n", r.FocusFinish).
+		figure("figure10", &r.Fig10)
 }

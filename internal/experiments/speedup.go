@@ -2,61 +2,20 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mqpi/internal/metrics"
 	"mqpi/internal/sched"
 	"mqpi/internal/wm"
-	"mqpi/internal/workload"
 )
 
-// SpeedupConfig configures the §3.1 policy-comparison experiment. The paper
-// reports that its workload-management experiments behaved like the
-// maintenance one and shows only Figure 11; this experiment fills that gap:
-// it compares the multi-query PI's victim choice against the heuristics the
-// paper's introduction argues against.
-type SpeedupConfig struct {
-	Seed       int64
-	Runs       int     // default 10
-	NumQueries int     // default 8
-	MaxN       int     // default 25
-	ZipfA      float64 // default 1.2
-	RateC      float64 // default 80
-	Quantum    float64 // default 0.5
-	// Workers sets the scheduler's execute-phase worker count
-	// (0/1 = inline serial). Results are bit-identical at every setting.
-	Workers int
-	Data       workload.DataConfig
-
-	// Parallel caps the worker goroutines used for independent runs:
-	// 0 = GOMAXPROCS, 1 = sequential. Output is identical at every setting.
-	Parallel int
-}
-
-func (c SpeedupConfig) withDefaults() SpeedupConfig {
-	if c.Runs <= 0 {
-		c.Runs = 10
-	}
-	if c.NumQueries <= 0 {
-		c.NumQueries = 8
-	}
-	if c.MaxN <= 0 {
-		c.MaxN = 25
-	}
-	if c.ZipfA <= 0 {
-		c.ZipfA = 1.2
-	}
-	if c.RateC <= 0 {
-		c.RateC = 80
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 0.5
-	}
-	if c.Data.Seed == 0 {
-		c.Data.Seed = c.Seed
-	}
-	return c
-}
+// speedupDefaults are the defaults of the §3.1 policy-comparison experiment
+// (RunSpeedup). The paper reports that its workload-management experiments
+// behaved like the maintenance one and shows only Figure 11; this experiment
+// fills that gap: it compares the multi-query PI's victim choice against the
+// heuristics the paper's introduction argues against.
+var speedupDefaults = Common{Runs: 10, NumQueries: 8, MaxN: 25, ZipfA: 1.2, RateC: 80, Quantum: 0.5}
 
 // SpeedupPolicy names a victim-selection policy.
 type SpeedupPolicy string
@@ -90,71 +49,47 @@ type SpeedupResult struct {
 
 // speedupScenario rebuilds the identical workload for one run. Determinism
 // makes policy comparisons exact: each policy replays the same queries with
-// the same prework. The shape realizes the paper's motivating trap: query 1
-// is the heaviest resource consumer (most work done) but is about to finish,
-// while query 2 is equally large and has barely started; the remaining
-// queries are a small Zipf mix, and the target sits in the middle.
-func speedupScenario(ds *workload.Dataset, cfg SpeedupConfig, seed int64) (*sched.Server, []*sched.Query, error) {
-	rng := rand.New(rand.NewSource(seed))
-	zipf, err := workload.NewZipf(cfg.ZipfA, cfg.MaxN/4)
+// the same prework, on the cell's dataset with its rng rewound to rngSeed.
+// The shape realizes the paper's motivating trap: query 1 is the heaviest
+// resource consumer (most work done) but is about to finish, while query 2
+// is equally large and has barely started; the remaining queries are a small
+// Zipf mix, and the target sits in the middle.
+func speedupScenario(cl *cell, rngSeed int64) (*sched.Server, []*sched.Query, error) {
+	cl.rng.Seed(rngSeed)
+	batch := []batchQuery{
+		{n: cl.MaxN, frac: 0.85 + 0.1*cl.rng.Float64()}, // the trap: heavy consumer, nearly done
+		{n: cl.MaxN, frac: 0.05 * cl.rng.Float64()},     // the real victim: heavy and fresh
+		{n: cl.MaxN / 2, frac: 0.3 * cl.rng.Float64()},  // the target
+	}
+	rest, err := cl.zipfBatch(max(0, cl.NumQueries-len(batch)), cl.MaxN/4, 0.8)
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := sched.New(sched.Config{RateC: cfg.RateC, Quantum: cfg.Quantum, Workers: cfg.Workers})
-	defer srv.Close()
-	type spec struct {
-		n       int
-		prework float64
-	}
-	specs := []spec{
-		{cfg.MaxN, 0.85 + 0.1*rng.Float64()}, // the trap: heavy consumer, nearly done
-		{cfg.MaxN, 0.05 * rng.Float64()},     // the real victim: heavy and fresh
-		{cfg.MaxN / 2, 0.3 * rng.Float64()},  // the target
-	}
-	for len(specs) < cfg.NumQueries {
-		specs = append(specs, spec{zipf.Sample(rng), rng.Float64() * 0.8})
-	}
-	var queries []*sched.Query
-	for i, sp := range specs {
-		q, err := buildPartQuery(ds, srv, i+1, sp.n, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		if sp.prework > 0 {
-			if _, _, err := q.Runner.Step(sp.prework * q.Runner.Plan().EstCost()); err != nil {
-				return nil, nil, err
-			}
-		}
-		queries = append(queries, q)
-		srv.Submit(q)
-	}
-	return srv, queries, nil
+	srv := cl.server(sched.Config{})
+	queries, err := cl.submit(srv, append(batch, rest...))
+	return srv, queries, err
 }
 
-// targetPos is the index of the target query in the scenario's spec order.
+// targetPos is the index of the target query in the scenario's batch order.
 const targetPos = 2
 
 // RunSpeedup compares victim-selection policies for the single-query
 // speed-up problem across Runs deterministic scenarios.
-func RunSpeedup(cfg SpeedupConfig) (*SpeedupResult, error) {
-	cfg = cfg.withDefaults()
+func RunSpeedup(cfg Common) (*SpeedupResult, error) {
+	cfg = cfg.withDefaults(speedupDefaults)
 	policies := []SpeedupPolicy{PolicyMultiPI, PolicyHeaviestConsumer, PolicyRandom}
 
-	// One pool job per run. The four replays of a scenario (baseline + three
-	// policies) share the job's private dataset sequentially, exactly as the
-	// sequential code shared the global one within a run.
+	// One cell per run. The four replays of a scenario (baseline + three
+	// policies) share the cell's private dataset sequentially.
 	type spdCell struct {
 		savings []float64 // aligned with policies
 		predErr float64   // |predicted − actual| for the PI policy
 	}
-	cells, err := runIndexed(cfg.Parallel, cfg.Runs, func(r int) (spdCell, error) {
-		dsRun, err := workload.SharedCache().HydrateSeeded(cfg.Data, datasetSeed(cfg.Seed, int64(r)*65537))
-		if err != nil {
-			return spdCell{}, err
-		}
-		seed := cfg.Seed + int64(r)*65537
+	seed := func(r int) cellSeed { return cellSeed{off: int64(r) * 65537} }
+	cells, err := runCells(cfg, cfg.Runs, seed, func(r int, cl *cell) (spdCell, error) {
+		rngSeed := cfg.Seed + seed(r).off
 		// Baseline replay: find the target and its unassisted finish time.
-		srv, queries, err := speedupScenario(dsRun, cfg, seed)
+		srv, queries, err := speedupScenario(cl, rngSeed)
 		if err != nil {
 			return spdCell{}, err
 		}
@@ -166,12 +101,12 @@ func RunSpeedup(cfg SpeedupConfig) (*SpeedupResult, error) {
 
 		cell := spdCell{savings: make([]float64, 0, len(policies))}
 		for _, policy := range policies {
-			srv, queries, err := speedupScenario(dsRun, cfg, seed)
+			srv, queries, err := speedupScenario(cl, rngSeed)
 			if err != nil {
 				return spdCell{}, err
 			}
 			target := queries[targetPos]
-			victimID, predicted, err := pickVictim(policy, srv, target, seed)
+			victimID, predicted, err := pickVictim(policy, srv, target, rngSeed)
 			if err != nil {
 				return spdCell{}, err
 			}
@@ -187,11 +122,7 @@ func RunSpeedup(cfg SpeedupConfig) (*SpeedupResult, error) {
 			saving := baseline - target.FinishTime
 			cell.savings = append(cell.savings, saving)
 			if policy == PolicyMultiPI {
-				d := predicted - saving
-				if d < 0 {
-					d = -d
-				}
-				cell.predErr = d
+				cell.predErr = math.Abs(predicted - saving)
 			}
 		}
 		return cell, nil
@@ -224,6 +155,14 @@ func RunSpeedup(cfg SpeedupConfig) (*SpeedupResult, error) {
 		s.Add(float64(i+1), mean)
 	}
 	return res, nil
+}
+
+func (r *SpeedupResult) report() *Report {
+	rep := new(Report).text("== Extension: §3.1 victim-selection policies ==\n")
+	for i, p := range r.Policies {
+		rep.text("  %-28s mean target speed-up %6.1fs\n", p, r.MeanSavings[i])
+	}
+	return rep.text("  §3.1 benefit formula |predicted-actual| = %.1fs on average\n", r.PredictedVsActual)
 }
 
 // pickVictim applies one policy to the time-0 state and returns the chosen

@@ -19,49 +19,60 @@ func TestWorkersByteIdenticalAcrossSweeps(t *testing.T) {
 		run  func(workers int) string
 	}{
 		{"scq", func(w int) string {
-			res, err := RunSCQ(SCQConfig{Seed: 3, Runs: 2, Lambdas: []float64{0, 0.05}, Data: data, Parallel: 1, Workers: w})
+			res, err := RunSCQ(SCQConfig{Common: Common{Seed: 3, Runs: 2, Data: data, Parallel: 1, Workers: w}, Lambdas: []float64{0, 0.05}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fig6.Render() + res.Fig7.Render()
 		}},
 		{"scq-lambda-err", func(w int) string {
-			res, err := RunSCQLambdaErr(SCQConfig{Seed: 3, Runs: 2, FixedLambda: 0.03, LambdaPrimes: []float64{0, 0.05}, Data: data, Parallel: 1, Workers: w})
+			res, err := RunSCQLambdaErr(SCQConfig{
+				Common:       Common{Seed: 3, Runs: 2, Data: data, Parallel: 1, Workers: w},
+				FixedLambda:  0.03,
+				LambdaPrimes: []float64{0, 0.05},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fig8.Render() + res.Fig9.Render()
 		}},
 		{"mpl-sweep", func(w int) string {
-			res, err := RunMPLSweep(MPLSweepConfig{Seed: 3, Runs: 2, NumQueries: 6, MPLs: []int{2, 0}, Data: data, Parallel: 1, Workers: w})
+			res, err := RunMPLSweep(MPLSweepConfig{
+				Common: Common{Seed: 3, Runs: 2, NumQueries: 6, Data: data, Parallel: 1, Workers: w},
+				MPLs:   []int{2, 0},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fig.Render()
 		}},
 		{"maintenance", func(w int) string {
-			res, err := RunMaintenance(MaintenanceConfig{Seed: 3, Runs: 2, NumQueries: 6, WarmupFinishes: 8, TFracs: []float64{0.3, 1.0}, Data: data, Parallel: 1, Workers: w})
+			res, err := RunMaintenance(MaintenanceConfig{
+				Common:         Common{Seed: 3, Runs: 2, NumQueries: 6, Data: data, Parallel: 1, Workers: w},
+				WarmupFinishes: 8,
+				TFracs:         []float64{0.3, 1.0},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fig11.Render()
 		}},
 		{"speedup", func(w int) string {
-			res, err := RunSpeedup(SpeedupConfig{Seed: 3, Runs: 2, Data: data, Parallel: 1, Workers: w})
+			res, err := RunSpeedup(Common{Seed: 3, Runs: 2, Data: data, Parallel: 1, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fig.Render()
 		}},
 		{"robustness", func(w int) string {
-			res, err := RunRobustness(RobustnessConfig{Seed: 3, Runs: 2, Data: data, Parallel: 1, Workers: w})
+			res, err := RunRobustness(RobustnessConfig{Common: Common{Seed: 3, Runs: 2, Data: data, Parallel: 1, Workers: w}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fig.Render()
 		}},
 		{"priority", func(w int) string {
-			res, err := RunPriority(PriorityConfig{Seed: 3, Data: data, Workers: w})
+			res, err := RunPriority(PriorityConfig{Common: Common{Seed: 3, Data: data, Workers: w}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,18 +8,18 @@ import (
 
 // Event types recorded in the per-query trace.
 const (
-	EventSubmitted = "submitted"         // accepted for execution
-	EventQueued    = "queued"            // parked in the admission queue (MPL full)
-	EventScheduled = "scheduled"         // registered as a future arrival
-	EventAdmitted  = "admitted"          // granted an MPL slot, now running
-	EventBlocked   = "blocked"           // suspended (a §3.1 victim operation)
-	EventUnblocked = "unblocked"         // resumed
-	EventPriority  = "priority_changed"  // weight changed via SetPriority
-	EventRevised   = "estimate_revised"  // predicted finish time moved materially
-	EventFinished  = "finished"          // completed successfully
-	EventFailed    = "failed"            // terminated with an execution error
-	EventAborted   = "aborted"           // killed by a client or a planner
-	EventFold      = "fold_toggled"      // shared-scan folding switched on or off (queryID 0)
+	EventSubmitted = "submitted"        // accepted for execution
+	EventQueued    = "queued"           // parked in the admission queue (MPL full)
+	EventScheduled = "scheduled"        // registered as a future arrival
+	EventAdmitted  = "admitted"         // granted an MPL slot, now running
+	EventBlocked   = "blocked"          // suspended (a §3.1 victim operation)
+	EventUnblocked = "unblocked"        // resumed
+	EventPriority  = "priority_changed" // weight changed via SetPriority
+	EventRevised   = "estimate_revised" // predicted finish time moved materially
+	EventFinished  = "finished"         // completed successfully
+	EventFailed    = "failed"           // terminated with an execution error
+	EventAborted   = "aborted"          // killed by a client or a planner
+	EventFold      = "fold_toggled"     // shared-scan folding switched on or off (queryID 0)
 )
 
 // Event is one entry in a query's trace. Seq is a global, strictly

@@ -91,10 +91,10 @@ type Overview struct {
 	Estimator    string             `json:"estimator"`
 	Weights      map[string]float64 `json:"estimator_weights,omitempty"`
 	QuiescentETA Seconds            `json:"quiescent_eta"` // until ALL known work drains
-	Running      []QueryView `json:"running"`
-	Queued       []QueryView `json:"queued"`
-	Scheduled    []QueryView `json:"scheduled"`
-	Finished     []QueryView `json:"finished"`
+	Running      []QueryView        `json:"running"`
+	Queued       []QueryView        `json:"queued"`
+	Scheduled    []QueryView        `json:"scheduled"`
+	Finished     []QueryView        `json:"finished"`
 }
 
 func makeView(info sched.QueryInfo, est core.Estimate) QueryView {
