@@ -12,9 +12,13 @@ test:
 # bench tracks the poll-path baseline committed in BENCH_pollpath.json, the
 # tick-path baseline (MPL 1/4/16 × worker counts) in BENCH_tickpath.json, and
 # the shared-scan baseline (1/2/4/8 members, solo vs folded) in
-# BENCH_sharedscan.json.
+# BENCH_sharedscan.json. OwnerWakeup prices the owner's cost of three quanta at
+# depth 1000 both ways (observe and publish per tick vs per wake-up): the layer
+# saving behind the live clock rate, in seconds instead of `make benchmark`'s
+# five minutes.
 bench:
 	$(GO) test -run '^$$' -bench ConcurrentPoll -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench OwnerWakeup -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench ParallelTick -benchmem ./internal/sched/
 	$(GO) test -run '^$$' -bench SharedScan -benchmem ./internal/sched/
 
@@ -56,7 +60,9 @@ ci: vet build race
 	# any illegal cross-runner ordering dependence) differs between the two.
 	# -count=1: GOMAXPROCS is not in the test cache key, so without it the
 	# second run would silently replay the first run's cached verdict.
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers' ./internal/sched/ ./internal/service/
+	# The live-clock test rides the one-core line: there the owner and its
+	# clients share a core, which is where a clock falls behind first.
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers|TestLiveClockKeepsWallRate' ./internal/sched/ ./internal/service/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers' ./internal/sched/ ./internal/service/
 	# The simulator package, whole (no name regex to go stale): every matrix —
 	# one shard and three, fold on and off, each estimator mode — must hold

@@ -50,3 +50,38 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotAllocsIndependentOfHistory pins the O(live) snapshot: with the
+// same queries in the system, a server that has terminated hundreds more
+// allocates exactly as much per Snapshot as one that has terminated none —
+// Done is a view of the append-only history, not a copy of it.
+func TestSnapshotAllocsIndependentOfHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	db := benchDB(t)
+	allocs := func(history int) float64 {
+		srv := New(Config{RateC: 8, Quantum: 1, MPL: 4})
+		defer srv.Close()
+		for i := 0; i < 8+history; i++ {
+			r, err := db.Prepare("SELECT SUM(a) FROM big")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Submit(srv.NewQuery(fmt.Sprintf("q%d", i), "", 0, r))
+		}
+		for id := 9; id <= 8+history; id++ { // the queue's tail becomes history
+			if err := srv.Abort(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Tick()
+		if got := len(srv.Snapshot().Done); got != history {
+			t.Fatalf("Done holds %d queries, want %d", got, history)
+		}
+		return testing.AllocsPerRun(20, func() { srv.Snapshot() })
+	}
+	if bare, deep := allocs(0), allocs(500); deep != bare {
+		t.Fatalf("Snapshot allocates %.0f times with 500 terminated queries, %.0f with none", deep, bare)
+	}
+}

@@ -199,6 +199,7 @@ type Server struct {
 	running  []*Query
 	queue    []*Query
 	done     []*Query
+	doneInfo []QueryInfo // Snapshot's capture of done[:len(doneInfo)], append-only
 	arrivals arrivalHeap
 	onFinish []func(*Query)
 
@@ -1019,7 +1020,10 @@ type Snapshot struct {
 	Running     []QueryInfo // admitted queries (running and blocked), admission order
 	Queued      []QueryInfo // admission queue, FIFO order
 	Scheduled   []QueryInfo // future arrivals, ascending arrival time
-	Done        []QueryInfo // terminated queries, termination order
+	// Done lists the terminated queries in termination order. It is a
+	// read-only view shared with later snapshots of the same server, which
+	// see it as a prefix of theirs.
+	Done []QueryInfo
 }
 
 // Lookup finds one query's info in the snapshot, searching admitted, queued,
@@ -1094,23 +1098,40 @@ func (s *Server) Snapshot() Snapshot {
 		Fold:        s.FoldStats(),
 		FoldTables:  s.FoldTables(),
 	}
-	for _, q := range s.running {
-		snap.Running = append(snap.Running, s.InfoOf(q))
-	}
-	for _, q := range s.queue {
-		snap.Queued = append(snap.Queued, s.InfoOf(q))
-	}
+	snap.Running = s.infosOf(s.running)
+	snap.Queued = s.infosOf(s.queue)
 	if len(s.arrivals) > 0 {
 		arr := append([]arrival(nil), s.arrivals...)
 		sort.Slice(arr, func(i, j int) bool { return arr[i].at < arr[j].at })
-		for _, a := range arr {
-			info := s.InfoOf(a.q)
-			info.SubmitTime = a.at // the time it will be submitted
-			snap.Scheduled = append(snap.Scheduled, info)
+		snap.Scheduled = make([]QueryInfo, len(arr))
+		for i, a := range arr {
+			snap.Scheduled[i] = s.InfoOf(a.q)
+			snap.Scheduled[i].SubmitTime = a.at // the time it will be submitted
 		}
 	}
-	for _, q := range s.done {
-		snap.Done = append(snap.Done, s.InfoOf(q))
+	// A terminated query never changes again, so its info is captured once,
+	// by the first snapshot that sees it, and every snapshot's Done is a view
+	// of the one append-only history: the cost of a snapshot follows the live
+	// queries, not everything that ever ran. The view's capacity is capped at
+	// its length, so an older snapshot keeps exactly the prefix it was given —
+	// later appends land beyond it or in a fresh array — and a holder that
+	// appends to its Done copies instead of writing into the shared history.
+	for _, q := range s.done[len(s.doneInfo):] {
+		s.doneInfo = append(s.doneInfo, s.InfoOf(q))
 	}
+	n := len(s.doneInfo)
+	snap.Done = s.doneInfo[:n:n]
 	return snap
+}
+
+// infosOf captures qs as values, nil when there are none.
+func (s *Server) infosOf(qs []*Query) []QueryInfo {
+	if len(qs) == 0 {
+		return nil
+	}
+	out := make([]QueryInfo, len(qs))
+	for i, q := range qs {
+		out[i] = s.InfoOf(q)
+	}
+	return out
 }

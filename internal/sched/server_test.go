@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"mqpi/internal/engine"
@@ -677,5 +678,95 @@ func TestSnapshotStatesMatchLive(t *testing.T) {
 	}
 	if _, ok := snap.Lookup(999); ok {
 		t.Error("snapshot Lookup(999) found a ghost")
+	}
+}
+
+// TestSnapshotDoneIsImmutableSharedPrefix: every snapshot's Done is a view of
+// one append-only history, so a snapshot held across later terminations must
+// keep its length and content, must not be reachable by an append through a
+// newer view, and must be readable by other goroutines while the owner keeps
+// terminating queries and snapshotting (run under -race).
+func TestSnapshotDoneIsImmutableSharedPrefix(t *testing.T) {
+	db := engine.Open()
+	srv := newServer(Config{RateC: 10, Quantum: 0.5, MPL: 2})
+	r := prepare(t, db, "t1", 4)
+	const n = 40
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			var err error
+			if r, err = db.Prepare("SELECT SUM(a) FROM t1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Submit(srv.NewQuery("q", "", 0, r))
+	}
+	for id := 1; id <= 5; id++ {
+		if err := srv.Abort(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := srv.Snapshot()
+	want := append([]QueryInfo(nil), held.Done...)
+	if len(want) != 5 || cap(held.Done) != len(held.Done) {
+		t.Fatalf("held Done: len %d cap %d, want 5 and 5", len(held.Done), cap(held.Done))
+	}
+
+	// Readers walk the held snapshot while the owner goroutine (this one)
+	// terminates the rest, by abort and by running them to completion.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for i, q := range held.Done {
+					if q != want[i] {
+						t.Errorf("held Done[%d] changed: %+v, was %+v", i, q, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	var last Snapshot
+	for id := 6; id <= 20; id++ {
+		if err := srv.Abort(id); err != nil {
+			t.Fatal(err)
+		}
+		last = srv.Snapshot()
+	}
+	srv.RunUntilIdle(1e6)
+	last = srv.Snapshot()
+	close(done)
+	wg.Wait()
+
+	if len(last.Done) != n || len(last.Running)+len(last.Queued) != 0 {
+		t.Fatalf("final snapshot: %d done, %d running, %d queued", len(last.Done), len(last.Running), len(last.Queued))
+	}
+	if len(held.Done) != len(want) {
+		t.Fatalf("held Done grew to %d", len(held.Done))
+	}
+	for i := range want {
+		if held.Done[i] != want[i] || last.Done[i] != want[i] {
+			t.Fatalf("Done[%d]: held %+v, latest %+v, was %+v", i, held.Done[i], last.Done[i], want[i])
+		}
+	}
+	// The live queries' infos in Done are final: they match a fresh capture.
+	for _, info := range last.Done {
+		fresh, ok := srv.SnapshotQuery(info.ID)
+		if !ok || fresh != info {
+			t.Fatalf("Done entry of query %d is stale: %+v, now %+v", info.ID, info, fresh)
+		}
+	}
+	// Appending through a view must copy, not write into the shared history.
+	grown := append(held.Done, QueryInfo{ID: -1})
+	if got := srv.Snapshot().Done[len(want)]; got.ID == -1 || grown[len(want)].ID != -1 {
+		t.Fatal("append through a snapshot's Done wrote into the shared history")
 	}
 }

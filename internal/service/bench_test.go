@@ -89,3 +89,72 @@ func BenchmarkConcurrentPoll(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkOwnerWakeup prices what the owner pays to move the clock three
+// quanta at depth 1000 (64 running, 936 queued, a manual clock so nothing
+// else moves it). per-tick is three Advance(quantum) calls — tick, observe
+// and publish three times, which is what the manual clock does and what the
+// live ticker did for every tick it owed; wakeup is the live ticker's path —
+// three ticks, then one observe and one publish. Their ratio is the layer
+// saving behind clock_rate_ratio on the backlog_submit workload of
+// `make benchmark`, reproducible in seconds.
+func BenchmarkOwnerWakeup(b *testing.B) {
+	const quantum, depth = 0.25, 1000
+	// fill tops the system up to depth; queries finish as the clock moves.
+	fill := func(b *testing.B, m *Manager) {
+		l := m.Load()
+		for i := l.Admitted + l.Queued; i < depth; i++ {
+			if _, err := m.Submit(SubmitRequest{SQL: fmt.Sprintf("SELECT SUM(a) FROM w%d", i%8), Priority: i % 3}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	deep := func(b *testing.B) *Manager {
+		db := engine.Open()
+		for i := 0; i < 8; i++ {
+			loadTable(b, db, fmt.Sprintf("w%d", i), 8*(i+1))
+		}
+		m := New(db, Config{
+			Sched:     sched.Config{RateC: 200, Quantum: quantum, MPL: 64},
+			TickEvery: -1,
+		})
+		b.Cleanup(m.Close)
+		fill(b, m)
+		return m
+	}
+	// Every iteration runs at full depth however long the benchmark goes on;
+	// the refill is not timed.
+	refill := func(b *testing.B, m *Manager) {
+		if l := m.Load(); l.Admitted+l.Queued < depth {
+			b.StopTimer()
+			fill(b, m)
+			b.StartTimer()
+		}
+	}
+	b.Run("per-tick", func(b *testing.B) {
+		m := deep(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			refill(b, m)
+			for k := 0; k < 3; k++ {
+				if err := m.Advance(quantum); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("wakeup", func(b *testing.B) {
+		m := deep(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			refill(b, m)
+			// call publishes after the closure, as the ticker does after its
+			// advance; observe has left the bundle for it.
+			if err := m.call(func() { m.advance(3*quantum, false) }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

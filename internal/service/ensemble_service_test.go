@@ -209,7 +209,7 @@ func TestStageModeNoEnsembleSurface(t *testing.T) {
 
 // TestEnsembleServesScoredBand pins that the uncertainty band clients read is
 // the band being calibrated. After every one-tick Advance, the eta_low/eta_high
-// a poll returns for a query are the interval afterTick handed to
+// a poll returns for a query are the interval observe handed to
 // EnsembleCalib.Observe on that tick — the estimator's output under the
 // calibration state from *before* that Observe, recomputed here by the
 // stateless oracle — and scoring each finish against the last band a client

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -31,6 +32,12 @@ type Event struct {
 	QueryID int       `json:"query"`
 	Type    string    `json:"type"`
 	Detail  string    `json:"detail,omitempty"`
+
+	// An estimate_revised event is stored as the two predicted finish times
+	// it moved between; rendered fills Detail in when the log is read. The
+	// owner records up to one of these per live query per estimate pass, and
+	// almost all are overwritten unread, so the text is the reader's cost.
+	from, to float64
 }
 
 // EventLog keeps a bounded ring of events per query: the newest capPerQuery
@@ -58,22 +65,28 @@ func newEventLog(capPerQuery int) *EventLog {
 }
 
 func (l *EventLog) add(virtual float64, queryID int, typ, detail string) {
+	l.put(Event{Virtual: virtual, QueryID: queryID, Type: typ, Detail: detail})
+}
+
+// addRevised records that queryID's predicted absolute finish time moved
+// from one virtual time to another.
+func (l *EventLog) addRevised(virtual float64, queryID int, from, to float64) {
+	l.put(Event{Virtual: virtual, QueryID: queryID, Type: EventRevised, from: from, to: to})
+}
+
+// put stamps ev with the next sequence number and the wall clock and stores
+// it in its query's ring.
+func (l *EventLog) put(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r := l.rings[queryID]
+	r := l.rings[ev.QueryID]
 	if r == nil {
 		r = &eventRing{buf: make([]Event, 0, l.capPerQuery)}
-		l.rings[queryID] = r
+		l.rings[ev.QueryID] = r
 	}
 	l.seq++
-	ev := Event{
-		Seq:     l.seq,
-		Wall:    time.Now(),
-		Virtual: virtual,
-		QueryID: queryID,
-		Type:    typ,
-		Detail:  detail,
-	}
+	ev.Seq = l.seq
+	ev.Wall = time.Now()
 	if len(r.buf) < l.capPerQuery {
 		r.buf = append(r.buf, ev)
 		return
@@ -83,37 +96,47 @@ func (l *EventLog) add(virtual float64, queryID int, typ, detail string) {
 	r.full = true
 }
 
-// snapshot returns the ring's events oldest-first.
-func (r *eventRing) snapshot() []Event {
-	out := make([]Event, 0, len(r.buf))
+// appendTo appends the ring's events to out, oldest first.
+func (r *eventRing) appendTo(out []Event) []Event {
 	if r.full {
 		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
+		return append(out, r.buf[:r.next]...)
 	}
-	return out
+	return append(out, r.buf...)
 }
 
 // Query returns the retained events of one query, oldest first.
 func (l *EventLog) Query(id int) []Event {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	r := l.rings[id]
-	if r == nil {
-		return nil
+	var out []Event
+	if r := l.rings[id]; r != nil {
+		out = r.appendTo(make([]Event, 0, len(r.buf)))
 	}
-	return r.snapshot()
+	l.mu.Unlock()
+	return rendered(out)
 }
 
 // All returns the retained events of every query, merged in sequence order.
 func (l *EventLog) All() []Event {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []Event
 	for _, r := range l.rings {
-		out = append(out, r.snapshot()...)
+		out = r.appendTo(out)
 	}
+	l.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return rendered(out)
+}
+
+// rendered fills in the details the estimate_revised events of a reader's
+// private copy were stored without. Readers call it after releasing l.mu:
+// however much they asked for, the owner's next put waited only for the copy,
+// not for the formatting.
+func rendered(evs []Event) []Event {
+	for i := range evs {
+		if e := &evs[i]; e.Type == EventRevised && e.Detail == "" {
+			e.Detail = fmt.Sprintf("predicted finish moved %+.3fs (t=%.3fs -> t=%.3fs)", e.to-e.from, e.from, e.to)
+		}
+	}
+	return evs
 }

@@ -76,3 +76,59 @@ func TestEventLogAllMergedBySeq(t *testing.T) {
 		}
 	}
 }
+
+// TestRevisedDetailRendersLikeSprintf is the golden test for the lazily
+// rendered estimate_revised detail: what Query and All return must be, byte
+// for byte, the string the owner used to format eagerly — across signs,
+// rounding at the third decimal, and a ring that overwrote its oldest events.
+func TestRevisedDetailRendersLikeSprintf(t *testing.T) {
+	eager := func(last, abs float64) string {
+		return fmt.Sprintf("predicted finish moved %+.3fs (t=%.3fs -> t=%.3fs)", abs-last, last, abs)
+	}
+	moves := [][2]float64{
+		{10, 12.5},            // later
+		{12.5, 10},            // earlier
+		{3, 3},                // no move: +0.000
+		{1.0004, 1.0009},      // rounds to +0.001 from below
+		{1.0009, 1.0004},      // -0.0005 rounds to -0.001 or -0.000, as Sprintf decides
+		{0.1, 0.3},            // 0.19999999999999998
+		{2.5, 2.50049},        // +0.000 with a positive sign
+		{2.50049, 2.5},        // -0.000 keeps its sign
+		{123456.789, 1e6 / 3}, // wide values
+		{0.0005, 0.0015},      // ties at the rounding digit
+	}
+	const cap = 4
+	l := newEventLog(cap)
+	var want []string
+	for i, mv := range moves {
+		l.addRevised(float64(i), 1, mv[0], mv[1])
+		want = append(want, eager(mv[0], mv[1]))
+	}
+	l.add(99, 2, EventFinished, "latency 1.000s, 2.0 U") // eager details pass through
+
+	got := l.Query(1)
+	if len(got) != cap {
+		t.Fatalf("ring retained %d events, want %d", len(got), cap)
+	}
+	for i, ev := range got {
+		if w := want[len(want)-cap+i]; ev.Detail != w || ev.Type != EventRevised {
+			t.Errorf("event %d: detail %q, want %q", i, ev.Detail, w)
+		}
+	}
+	all := l.All()
+	if len(all) != cap+1 {
+		t.Fatalf("All returned %d events, want %d", len(all), cap+1)
+	}
+	for i := 0; i < cap; i++ {
+		if all[i] != got[i] {
+			t.Errorf("All()[%d] = %+v, Query(1)[%d] = %+v", i, all[i], i, got[i])
+		}
+	}
+	if all[cap].Detail != "latency 1.000s, 2.0 U" {
+		t.Errorf("eager detail came back as %q", all[cap].Detail)
+	}
+	// Rendering works on the reader's copy: the stored event keeps no text.
+	if stored := l.rings[1].buf[0]; stored.Detail != "" {
+		t.Errorf("stored event was rendered in place: %q", stored.Detail)
+	}
+}

@@ -8,17 +8,25 @@
 // unbuffered request channel and wait for the owner to run it; a wall-clock
 // ticker feeding the same loop drives sched.Tick, bridging the virtual clock
 // to real time with a configurable time scale (an hour-long workload can
-// replay in seconds). Nothing inside the simulator needs a mutex, and every
-// value that crosses the goroutine boundary is a copy (sched.QueryInfo,
-// QueryView, Event), never a live pointer.
+// replay in seconds). Each wake-up owes the clock the wall time that passed
+// since the previous one, times the scale — not one interval per fire, since
+// a busy owner misses fires — and what it cannot pay is carried as debt.
+// Nothing inside the simulator needs a mutex, and every value that crosses
+// the goroutine boundary is a copy (sched.QueryInfo, QueryView, Event),
+// never a live pointer.
 //
 // Reads take a different path entirely. After every mutation and tick batch
 // the owner publishes an immutable, epoch-stamped Snapshot through an atomic
 // pointer, and the snapshot carries the estimate bundle for that state: the
-// Manager's one estimator runs one pass per state — in afterTick, or in
-// publish when a request rather than a tick changed the state — backed by an
-// incremental stage structure that patches only what changed since the last
-// pass. Progress, Overview, Diagram, and the §3 planners load the latest
+// Manager's one estimator runs one pass per published state — in observe
+// after the ticks, or in publish when a request rather than a tick changed
+// the state — backed by an incremental stage structure that patches only
+// what changed since the last pass. The owner's cost is per wake-up, not per
+// tick: a ticker wake-up runs every tick it owes, then observes once and
+// publishes once, because no reader can see a state between two ticks of one
+// wake-up; a manual Advance observes after every tick, because there each
+// step is one somebody asked for. A wake-up that ran no tick publishes
+// nothing. Progress, Overview, Diagram, and the §3 planners load the latest
 // snapshot and build their views on the *caller's* goroutine: load a pointer,
 // look up, encode — no mutex, no channel wait, no estimator on any poll — so
 // polls scale with reader parallelism instead of serializing behind each
@@ -61,8 +69,9 @@ var ErrBusy = errors.New("service: owner busy, exec deadline exceeded")
 type Config struct {
 	// Sched configures the wrapped scheduler (rate C, weights, MPL, quantum).
 	Sched sched.Config
-	// TickEvery is the wall-clock interval between scheduler advances
-	// (default 50ms). A negative value disables the ticker entirely:
+	// TickEvery is the wall-clock interval between ticker wake-ups (default
+	// 50ms); each wake-up runs the ticks owed for the wall time that actually
+	// passed since the last. A negative value disables the ticker entirely:
 	// virtual time then only moves through Advance, which is what
 	// deterministic tests and batch drivers use.
 	TickEvery time.Duration
@@ -229,6 +238,7 @@ func (m *Manager) loop() {
 		defer ticker.Stop()
 		tickC = ticker.C
 	}
+	lastWakeup := time.Now()
 	for {
 		select {
 		case <-m.quit:
@@ -247,8 +257,16 @@ func (m *Manager) loop() {
 		case f := <-m.reqs:
 			f()
 		case <-tickC:
-			m.advance(m.cfg.TickEvery.Seconds() * m.cfg.TimeScale)
-			m.publish()
+			// The clock is owed the wall time that passed since the last
+			// wake-up, not one TickEvery per fire received: a time.Ticker
+			// drops the fires it could not deliver while the owner was busy.
+			now := time.Now()
+			ticks := m.advance(now.Sub(lastWakeup).Seconds()*m.cfg.TimeScale, false)
+			lastWakeup = now
+			m.metrics.observeWakeup(ticks, m.debt)
+			if ticks > 0 {
+				m.publish() // no tick, no change: the published epoch stands
+			}
 		}
 	}
 }
@@ -296,7 +314,7 @@ func (m *Manager) callDeadline(f func(), d time.Duration) (*Snapshot, error) {
 }
 
 // publish installs a fresh immutable snapshot, estimates included, for the
-// read path: the bundle afterTick just computed when the publish follows a
+// read path: the bundle observe just computed when the publish follows a
 // tick, otherwise one pass over the live state. Owner goroutine only (called
 // from New before the loop starts, then from the loop).
 func (m *Manager) publish() *Snapshot {
@@ -328,27 +346,32 @@ func (m *Manager) read() (*Snapshot, error) {
 	}
 }
 
-// advance accrues vsec virtual seconds of debt and ticks the scheduler while
-// at least one quantum is owed. The virtual clock freezes while the server
-// is idle (no queries, no arrivals) so a quiet service does not spin.
-func (m *Manager) advance(vsec float64) {
+// advance accrues vsec virtual seconds of debt, ticks the scheduler while at
+// least one quantum is owed, and returns how many ticks it ran. The virtual
+// clock freezes while the server is idle (no queries, no arrivals) so a quiet
+// service does not spin. With perTick the observe pass follows every tick —
+// the manual clock, where each Advance is a step somebody asked for and the
+// sim traces, the event log and the calibration pin what each step saw;
+// without it one pass follows the whole batch — the wall-clock ticker, where
+// nobody can read a state between two ticks of one wake-up.
+func (m *Manager) advance(vsec float64, perTick bool) (ticks int) {
 	if vsec <= 0 {
-		return
+		return 0
 	}
 	quantum := m.srv.Quantum()
 	m.debt += vsec
-	for i := 0; m.debt >= quantum-1e-12; i++ {
+	for m.debt >= quantum-1e-12 {
 		if !m.srv.Busy() {
 			// Idle server: the virtual clock freezes, so nothing is owed.
 			m.debt = 0
-			return
+			break
 		}
-		if i >= m.cfg.MaxTicksPerAdvance {
+		if ticks >= m.cfg.MaxTicksPerAdvance {
 			// Backstop against a pathological time scale: stop ticking now,
 			// but keep the residual debt so the clock catches up across
 			// subsequent advances instead of silently losing virtual time.
 			m.metrics.incAdvanceBackstop()
-			return
+			break
 		}
 		start := time.Now()
 		m.srv.Tick()
@@ -356,8 +379,16 @@ func (m *Manager) advance(vsec float64) {
 		st := m.srv.TickStats()
 		m.metrics.observeExecutePhase(st.ExecuteSeconds, st.Rounds)
 		m.debt -= quantum
-		m.afterTick()
+		ticks++
+		m.recordAdmissions() // per tick: its events carry this tick's clock
+		if perTick {
+			m.observe()
+		}
 	}
+	if !perTick && ticks > 0 {
+		m.observe()
+	}
+	return ticks
 }
 
 // onFinish runs inside sched.Tick on the owner goroutine.
@@ -366,8 +397,8 @@ func (m *Manager) onFinish(q *sched.Query) {
 	// A query can be admitted and finish within the same tick (a scheduled
 	// arrival or queue refill followed by a fast plan): its pending
 	// submitted/admitted events have not been emitted yet, and once the query
-	// retires afterTick will no longer see it in Running. Emit them here so
-	// the lifecycle stays ordered ahead of the finished/failed event.
+	// retires recordAdmissions will no longer see it in Running. Emit them
+	// here so the lifecycle stays ordered ahead of the finished/failed event.
 	if m.schedSet[info.ID] {
 		delete(m.schedSet, info.ID)
 		m.events.add(info.SubmitTime, info.ID, EventSubmitted, "scheduled arrival")
@@ -394,16 +425,13 @@ func (m *Manager) onFinish(q *sched.Query) {
 		fmt.Sprintf("latency %.3fs, %.1f U", info.FinishTime-info.SubmitTime, info.Done))
 }
 
-// afterTick records lifecycle transitions the tick caused (admissions,
-// scheduled arrivals entering the system) and the movement of every query's
-// predicted finish time.
-func (m *Manager) afterTick() {
+// observe is the estimate pass over the state the last tick left, and
+// everything read off it: the calibration fold, the movement of every query's
+// predicted finish time since the previous pass (histogram and
+// estimate_revised events), fold statistics and queue depths. It leaves the
+// bundle in place for the publish that follows.
+func (m *Manager) observe() {
 	now := m.srv.Now()
-	m.recordAdmissions()
-	// Iterate estimates in query-ID order: map iteration order is random, and
-	// the estimate_revised events appended here must land in the event log in
-	// the same order on every run (and at every worker count) for /events to
-	// be deterministic.
 	in := m.estimate()
 	bundle := m.bundle
 	if m.calib != nil {
@@ -418,6 +446,10 @@ func (m *Manager) afterTick() {
 	for id := range est {
 		ids = append(ids, id)
 	}
+	// Iterate estimates in query-ID order: map iteration order is random, and
+	// the estimate_revised events appended here must land in the event log in
+	// the same order on every run (and at every worker count) for /events to
+	// be deterministic.
 	sort.Ints(ids)
 	for _, id := range ids {
 		eta := est[id].MultiQuery
@@ -429,8 +461,7 @@ func (m *Manager) afterTick() {
 			rev := math.Abs(abs - last)
 			m.metrics.revision.RecordSeconds(rev)
 			if rev >= m.cfg.RevisionEpsilon {
-				m.events.add(now, id, EventRevised,
-					fmt.Sprintf("predicted finish moved %+.3fs (t=%.3fs -> t=%.3fs)", abs-last, last, abs))
+				m.events.addRevised(now, id, last, abs)
 			}
 		}
 		m.lastFinish[id] = abs
@@ -505,8 +536,9 @@ func (m *Manager) estimate() core.EstimateInput {
 // estimateInput assembles the pure-value estimator input from the live
 // scheduler state. Owner goroutine only.
 func (m *Manager) estimateInput() core.EstimateInput {
-	speeds := make(map[int]float64)
-	for _, q := range m.srv.Running() {
+	running := m.srv.Running()
+	speeds := make(map[int]float64, len(running))
+	for _, q := range running {
 		speeds[q.ID] = q.ObservedSpeed()
 	}
 	return core.EstimateInput{
@@ -752,7 +784,7 @@ func (m *Manager) Advance(vsec float64) error {
 	if math.IsNaN(vsec) || math.IsInf(vsec, 0) || vsec <= 0 || vsec > 1e9 {
 		return fmt.Errorf("service: advance of %g seconds out of range", vsec)
 	}
-	return m.call(func() { m.advance(vsec) })
+	return m.call(func() { m.advance(vsec, true) })
 }
 
 // Diagram renders the §2.2 stage diagram of the currently admitted queries.

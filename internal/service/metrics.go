@@ -29,7 +29,8 @@ type Metrics struct {
 	ownerRequests uint64 // operations marshalled onto the owner goroutine
 	execBusy      uint64 // Exec calls bounced with ErrBusy (deadline exceeded)
 
-	advanceBackstops uint64 // advances truncated by MaxTicksPerAdvance (debt carried)
+	advanceBackstops uint64  // advances truncated by MaxTicksPerAdvance (debt carried)
+	clockDebt        float64 // virtual seconds still owed after the last ticker wake-up
 
 	tickRounds uint64 // cumulative allocate→execute→settle rounds across ticks
 	workers    int    // configured execute-phase worker count
@@ -53,8 +54,13 @@ type Metrics struct {
 
 	tickDur  metrics.Histogram // wall seconds per scheduler tick
 	execDur  metrics.Histogram // wall seconds in the tick's execute phase
-	revision metrics.Histogram // |Δ predicted finish| per tick, virtual seconds
+	revision metrics.Histogram // |Δ predicted finish| per estimate pass, virtual seconds
 	pollDur  metrics.Histogram // wall seconds per progress/overview poll
+	// wakeupTicks counts the scheduler ticks each ticker wake-up ran, one
+	// tick recorded as one of the histogram's seconds: the le edges read as
+	// tick counts (le="1.073741824" is "at most one tick", every edge below
+	// it "none") and _sum is the ticks run by the ticker.
+	wakeupTicks metrics.Histogram
 
 	// snapshotInfo, when wired by the Manager, reports the published
 	// read-path snapshot's epoch and wall-clock age in seconds. It must not
@@ -73,6 +79,15 @@ func (m *Metrics) incOwnerRequest() { m.mu.Lock(); m.ownerRequests++; m.mu.Unloc
 func (m *Metrics) incExecBusy()     { m.mu.Lock(); m.execBusy++; m.mu.Unlock() }
 
 func (m *Metrics) incAdvanceBackstop() { m.mu.Lock(); m.advanceBackstops++; m.mu.Unlock() }
+
+// observeWakeup records one ticker wake-up: the ticks it ran and the virtual
+// time it left owed (less than a quantum unless the backstop cut it short).
+func (m *Metrics) observeWakeup(ticks int, debt float64) {
+	m.wakeupTicks.RecordSeconds(float64(ticks))
+	m.mu.Lock()
+	m.clockDebt = debt
+	m.mu.Unlock()
+}
 
 // advanceBackstopCount reports how many advances hit the tick backstop; the
 // regression test for the debt-carry fix reads it directly.
@@ -209,6 +224,7 @@ func (m *Metrics) Text() string {
 	writeScalar(&b, "mqpi_fold_groups", "gauge", "Live shared-scan groups.", float64(m.foldGroups))
 	writeScalar(&b, "mqpi_fold_members", "gauge", "Queries currently riding a shared cursor.", float64(m.foldMembers))
 	writeScalar(&b, "mqpi_advance_backstop_total", "counter", "Advances truncated by MaxTicksPerAdvance; the residual virtual-time debt is carried into later advances.", float64(m.advanceBackstops))
+	writeScalar(&b, "mqpi_clock_debt_seconds", "gauge", "Virtual seconds the clock still owed after the last ticker wake-up: under one quantum when it keeps the wall rate, growing when it falls behind.", m.clockDebt)
 	if m.estimatorMode != "" {
 		fmt.Fprintf(&b, "# HELP mqpi_estimator_weight Current ensemble blend weight per estimator member.\n# TYPE mqpi_estimator_weight gauge\n")
 		for _, it := range core.SortedWeights(m.estimatorWeights) {
@@ -220,12 +236,13 @@ func (m *Metrics) Text() string {
 	WriteBuildInfo(&b, m.buildInfo)
 	if m.snapshotInfo != nil {
 		epoch, age := m.snapshotInfo()
-		writeScalar(&b, "mqpi_snapshot_epoch", "gauge", "Epoch of the published read-path snapshot.", float64(epoch))
-		writeScalar(&b, "mqpi_snapshot_age_seconds", "gauge", "Wall-clock age of the published read-path snapshot.", age)
+		writeScalar(&b, "mqpi_snapshot_epoch", "gauge", "Epoch of the published read-path snapshot: one per state change (a request, or a ticker wake-up that ran a tick).", float64(epoch))
+		writeScalar(&b, "mqpi_snapshot_age_seconds", "gauge", "Wall-clock age of the published read-path snapshot; it grows while the server is idle, since an unchanged state is not republished.", age)
 	}
 	m.tickDur.WritePrometheus(&b, "mqpi_tick_duration_seconds", "Wall-clock duration of one scheduler tick.")
 	m.execDur.WritePrometheus(&b, "mqpi_execute_phase_seconds", "Wall-clock duration of the parallel execute phase within one tick.")
-	m.revision.WritePrometheus(&b, "mqpi_estimate_revision_seconds", "Per-tick change of a query's predicted finish time, in virtual seconds.")
+	m.revision.WritePrometheus(&b, "mqpi_estimate_revision_seconds", "Change of a query's predicted finish time between two consecutive estimate passes (one per ticker wake-up, one per tick of a manual advance), in virtual seconds.")
+	m.wakeupTicks.WritePrometheus(&b, "mqpi_wakeup_ticks", "Scheduler ticks run per ticker wake-up (one tick counts 1; 0 = nothing was owed or the server was idle).")
 	m.pollDur.WritePrometheus(&b, "mqpi_poll_duration_seconds", "Wall-clock latency of one progress or overview poll on the lock-free read path.")
 	return b.String()
 }

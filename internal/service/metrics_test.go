@@ -110,3 +110,35 @@ func TestManagerWiresReadPathMetrics(t *testing.T) {
 		t.Errorf("snapshot age gauge missing:\n%s", text)
 	}
 }
+
+// TestWakeupMetricsExposition: the clock-debt gauge shows the last wake-up's
+// residue and the wake-up histogram counts ticks — a tick is one unit, so the
+// edge just above 1 holds the wake-ups that ran at most one tick and every
+// edge below it the ones that ran none.
+func TestWakeupMetricsExposition(t *testing.T) {
+	m := new(Metrics)
+	m.observeWakeup(0, 0.1)
+	m.observeWakeup(1, 0.2)
+	m.observeWakeup(3, 0.05)
+	m.observeWakeup(400, 12.5) // past the last finite edge: +Inf only
+
+	text := m.Text()
+	assertPrometheusText(t, text)
+	for _, want := range []string{
+		"# TYPE mqpi_clock_debt_seconds gauge",
+		"mqpi_clock_debt_seconds 12.5",
+		"# TYPE mqpi_wakeup_ticks histogram",
+		`mqpi_wakeup_ticks_bucket{le="0.536870912"} 1`,
+		`mqpi_wakeup_ticks_bucket{le="1.073741824"} 2`,
+		`mqpi_wakeup_ticks_bucket{le="2.147483648"} 2`,
+		`mqpi_wakeup_ticks_bucket{le="4.294967296"} 3`,
+		`mqpi_wakeup_ticks_bucket{le="274.877906944"} 3`,
+		`mqpi_wakeup_ticks_bucket{le="+Inf"} 4`,
+		"mqpi_wakeup_ticks_sum 404",
+		"mqpi_wakeup_ticks_count 4",
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
+	}
+}

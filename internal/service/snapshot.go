@@ -11,8 +11,10 @@ import (
 // owner goroutine publishes (through an atomic pointer) after every mutation:
 // each tick batch, submission, block/unblock/abort, and priority change.
 // Readers load the latest snapshot and derive whatever view they need on
-// their own goroutine — nothing in a Snapshot aliases live scheduler state,
-// so no locking is required and polls never stall the scheduler.
+// their own goroutine — nothing in a Snapshot aliases state the scheduler
+// will write again (Sched.Done is this epoch's prefix of the scheduler's
+// append-only terminated history), so no locking is required and polls never
+// stall the scheduler.
 //
 // Epoch increases by exactly one per publication; every reader of one epoch
 // sees the same scheduler state and the same estimates of it.
