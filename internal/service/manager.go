@@ -452,23 +452,37 @@ func (m *Manager) observe() {
 	// be deterministic.
 	sort.Ints(ids)
 	for _, id := range ids {
-		eta := est[id].MultiQuery
-		if math.IsInf(eta, 1) || math.IsNaN(eta) {
-			continue
-		}
-		abs := now + eta
-		if last, ok := m.lastFinish[id]; ok {
-			rev := math.Abs(abs - last)
-			m.metrics.revision.RecordSeconds(rev)
-			if rev >= m.cfg.RevisionEpsilon {
-				m.events.addRevised(now, id, last, abs)
-			}
-		}
-		m.lastFinish[id] = abs
+		m.revise(now, id, est[id].MultiQuery)
 	}
 	fs := m.srv.FoldStats()
 	m.metrics.setFoldStats(fs.Attaches, fs.PagesSaved, fs.Groups, fs.Members)
 	m.updateDepths()
+}
+
+// revisionSlack is the relative slack on the RevisionEpsilon comparison. A
+// query that makes no progress slides its absolute predicted finish by exactly
+// one quantum per tick, and the default epsilon is one quantum, so a bare
+// rev >= eps is decided by the last ulp of now + eta - last: the same move
+// records on one tick and not on the next. With the slack a move of exactly
+// the threshold always records, whichever way the subtraction rounded.
+const revisionSlack = 1e-9
+
+// revise folds one query's multi-query ETA at virtual time now into the
+// revision histogram and, when its absolute predicted finish moved by at
+// least RevisionEpsilon since the previous pass, the event log.
+func (m *Manager) revise(now float64, id int, eta float64) {
+	if math.IsInf(eta, 1) || math.IsNaN(eta) {
+		return
+	}
+	abs := now + eta
+	if last, ok := m.lastFinish[id]; ok {
+		rev := math.Abs(abs - last)
+		m.metrics.revision.RecordSeconds(rev)
+		if rev >= m.cfg.RevisionEpsilon*(1-revisionSlack) {
+			m.events.addRevised(now, id, last, abs)
+		}
+	}
+	m.lastFinish[id] = abs
 }
 
 // recordAdmissions emits the lifecycle events for queries that left the

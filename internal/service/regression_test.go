@@ -175,3 +175,50 @@ func TestLoadProbe(t *testing.T) {
 		t.Fatal("epoch not stamped")
 	}
 }
+
+// TestRevisionAtThresholdAlwaysRecords pins the estimate_revised threshold
+// fix. A query that makes no progress keeps its ETA while the clock moves one
+// quantum per tick, so its absolute predicted finish moves by exactly the
+// default RevisionEpsilon — up to the rounding of now + eta - last, which lands
+// one ulp below 0.5 on some ticks and one ulp above on others. Pre-fix the
+// bare rev >= eps recorded only the latter, so the event was a coin flip on
+// float noise; every such move must record.
+func TestRevisionAtThresholdAlwaysRecords(t *testing.T) {
+	m := manual(t, engine.Open(), sched.Config{RateC: 10, Quantum: 0.5})
+	if m.cfg.RevisionEpsilon != 0.5 {
+		t.Fatalf("default RevisionEpsilon = %g, want one quantum", m.cfg.RevisionEpsilon)
+	}
+	cases := []struct {
+		id         int
+		eta        float64
+		from, to   float64 // clock before and after the move
+		wantMoveBy float64 // the construction's float result, asserted below
+	}{
+		{id: 1, eta: 0.2, from: 0, to: 0.5, wantMoveBy: 0.49999999999999994},
+		{id: 2, eta: 0.1, from: 0.5, to: 1.0, wantMoveBy: 0.5000000000000001},
+		{id: 3, eta: 0.25, from: 0, to: 0.5, wantMoveBy: 0.5},
+	}
+	for _, c := range cases {
+		if got := (c.to + c.eta) - (c.from + c.eta); got != c.wantMoveBy {
+			t.Fatalf("construction for id %d moved by %v, want %v", c.id, got, c.wantMoveBy)
+		}
+		m.revise(c.from, c.id, c.eta)
+		m.revise(c.to, c.id, c.eta)
+		revised := 0
+		for _, e := range m.events.Query(c.id) {
+			if e.Type == EventRevised {
+				revised++
+			}
+		}
+		if revised != 1 {
+			t.Errorf("a move of %v against epsilon 0.5 recorded %d estimate_revised events, want 1",
+				c.wantMoveBy, revised)
+		}
+	}
+	// A move clearly under the threshold still does not record.
+	m.revise(0, 4, 1)
+	m.revise(0.25, 4, 1)
+	if evs := m.events.Query(4); len(evs) != 0 {
+		t.Errorf("a quarter-quantum move recorded %d events, want none", len(evs))
+	}
+}
