@@ -15,10 +15,13 @@ test:
 # BENCH_sharedscan.json. OwnerWakeup prices the owner's cost of three quanta at
 # depth 1000 both ways (observe and publish per tick vs per wake-up): the layer
 # saving behind the live clock rate, in seconds instead of `make benchmark`'s
-# five minutes.
+# five minutes. QueueAwareEstimate prices the largest piece of such a wake-up,
+# the §2.3 queue-aware estimate pass, against the event-stepped oracle it
+# replaced (r64/q936 = backlog_submit's depth, r8/q40 = a lightly queued tier).
 bench:
 	$(GO) test -run '^$$' -bench ConcurrentPoll -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench OwnerWakeup -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench QueueAwareEstimate -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench ParallelTick -benchmem ./internal/sched/
 	$(GO) test -run '^$$' -bench SharedScan -benchmem ./internal/sched/
 
@@ -174,4 +177,5 @@ ifeq ($(SHORT),1)
 else
 	$(GO) test -run '^$$' -fuzz FuzzSim -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/engine/sql
+	$(GO) test -run '^$$' -fuzz FuzzQueueProfile -fuzztime 10s ./internal/core
 endif

@@ -160,8 +160,8 @@ func blendWeights(mode string, st EnsembleState) [numMembers]float64 {
 const bandRelFloor = 0.10
 
 // Estimates runs the member ensemble. The stage member reuses the same
-// incremental structure (and the same queue/arrival fallbacks) as the classic
-// path; the cost and speed members are O(n) closed forms over the input.
+// incremental structure (and the same queue pass and arrival fallback) as the
+// classic path; the cost and speed members are O(n) closed forms over the input.
 func (e *ensembleEstimator) Estimates(in EstimateInput, st EnsembleState) Estimates {
 	base := e.inc.Estimates(in, st)
 	stage := make(map[int]float64, len(base.PerQuery))

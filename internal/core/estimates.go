@@ -54,32 +54,45 @@ type Estimates struct {
 // snapshot of the system. It is a pure function: the same input always yields
 // the same output, nothing is retained, and nothing live is touched.
 func ComputeEstimates(in EstimateInput) Estimates {
-	var base Profile
+	var fin []float64
 	if len(in.Queued) == 0 {
 		// An empty admission queue degenerates to §2.2 exactly, so it takes
-		// the closed form instead of the event-stepped simulation (the two
-		// agree to float rounding, a property the tests pin) — the same
-		// materialization the incremental stage structure reproduces
-		// bit-for-bit.
-		base = ComputeProfile(in.Running, in.RateC)
+		// the closed form — the same materialization the incremental stage
+		// structure reproduces bit-for-bit.
+		fin = finishesByPosition(in, ComputeProfile(in.Running, in.RateC).Finish, nil)
 	} else {
-		base = SimulateProfile(in.Running, in.RateC, SimOptions{MPL: in.MPL, Queued: in.Queued})
+		// §2.3: FIFO admission into freed slots, replayed on finish tags.
+		var pass queuePass
+		fin = pass.finishes(in, nil)
 	}
-	multi := base.Finish
+	quiescent := quiescentOf(fin)
 	if in.Arrivals != nil {
-		multi = SimulateProfile(in.Running, in.RateC,
-			SimOptions{MPL: in.MPL, Queued: in.Queued, Arrivals: in.Arrivals}).Finish
+		// §2.4: virtual arrivals enter on the real clock, which only the
+		// event-stepped simulation models.
+		fin = finishesByPosition(in, SimulateProfile(in.Running, in.RateC,
+			SimOptions{MPL: in.MPL, Queued: in.Queued, Arrivals: in.Arrivals}).Finish, fin)
 	}
-	return Estimates{
-		PerQuery:  bundleEstimates(in.Running, in.Queued, in.Speeds, multi),
-		Quiescent: quiescentOf(base.Finish),
+	return Estimates{PerQuery: bundleEstimates(in, fin), Quiescent: quiescent}
+}
+
+// finishesByPosition lays a profile's Finish map out in Running ++ Queued
+// order, the layout queuePass.finishes writes, reusing fin when it is long
+// enough.
+func finishesByPosition(in EstimateInput, finish map[int]float64, fin []float64) []float64 {
+	fin = fin[:0]
+	for _, q := range in.Running {
+		fin = append(fin, finish[q.ID])
 	}
+	for _, q := range in.Queued {
+		fin = append(fin, finish[q.ID])
+	}
+	return fin
 }
 
 // quiescentOf is the last finite finish time: when all known work drains.
-func quiescentOf(finish map[int]float64) float64 {
+func quiescentOf(fin []float64) float64 {
 	quiescent := 0.0
-	for _, f := range finish {
+	for _, f := range fin {
 		if !math.IsInf(f, 1) && f > quiescent {
 			quiescent = f
 		}
@@ -87,20 +100,25 @@ func quiescentOf(finish map[int]float64) float64 {
 	return quiescent
 }
 
-// stageEstimator is the production stage-model path: ComputeEstimates with a
-// maintained stage structure. Repeated calls over a slowly changing mix reuse
-// the sorted stage order and patch only what changed, refilling the bundle in
-// O(n + changed·log n) instead of re-sorting in O(n log n). Results are
-// bit-identical to ComputeEstimates on the same input, with its degenerate
-// bands (Low == High == point) — the service tests and the sim's I6 and I13
-// invariants pin this. When the input has a non-empty admission queue or an
-// arrival model, the event-stepped simulation is the only correct estimator
-// and the call falls back to ComputeEstimates verbatim. The zero value is
-// ready to use; not safe for concurrent use (the service's one estimator is
-// only ever called from the owner goroutine, one pass per scheduler state).
+// stageEstimator is the production stage-model path: ComputeEstimates with
+// its working state kept across calls. With an empty admission queue it
+// maintains the §2.2 stage structure: repeated calls over a slowly changing
+// mix reuse the sorted stage order and patch only what changed, refilling the
+// bundle in O(n + changed·log n) instead of re-sorting in O(n log n). With a
+// non-empty queue it runs the same §2.3 finish-tag pass ComputeEstimates runs,
+// into a reused heap and finish slice. Results are bit-identical to
+// ComputeEstimates on the same input, with its degenerate bands
+// (Low == High == point) — the service tests and the sim's I6 and I13
+// invariants pin this. Only an arrival model (§2.4) still needs the
+// event-stepped simulation, and that call goes to ComputeEstimates verbatim.
+// The zero value is ready to use; not safe for concurrent use (the service's
+// one estimator is only ever called from the owner goroutine, one pass per
+// scheduler state).
 type stageEstimator struct {
-	prof *IncrementalProfile
-	base Profile // reused materialization target
+	prof  *IncrementalProfile
+	base  Profile   // reused materialization target
+	queue queuePass // reused finish-tag heap
+	fin   []float64 // reused finishes, Running ++ Queued order
 }
 
 func (e *stageEstimator) Mode() string { return EstimatorStage }
@@ -108,36 +126,38 @@ func (e *stageEstimator) Mode() string { return EstimatorStage }
 // Estimates computes the same bundle ComputeEstimates would, maintaining the
 // incremental stage structure across calls.
 func (e *stageEstimator) Estimates(in EstimateInput, _ EnsembleState) Estimates {
-	if len(in.Queued) > 0 || in.Arrivals != nil {
+	if in.Arrivals != nil {
 		return ComputeEstimates(in)
 	}
-	if e.prof == nil {
-		e.prof = NewIncrementalProfile()
+	if len(in.Queued) > 0 {
+		e.fin = e.queue.finishes(in, e.fin)
+	} else {
+		if e.prof == nil {
+			e.prof = NewIncrementalProfile()
+		}
+		e.prof.Sync(in.Running)
+		e.prof.ProfileInto(in.RateC, &e.base)
+		e.fin = finishesByPosition(in, e.base.Finish, e.fin)
 	}
-	e.prof.Sync(in.Running)
-	e.prof.ProfileInto(in.RateC, &e.base)
-	return Estimates{
-		PerQuery:  bundleEstimates(in.Running, in.Queued, in.Speeds, e.base.Finish),
-		Quiescent: quiescentOf(e.base.Finish),
-	}
+	return Estimates{PerQuery: bundleEstimates(in, e.fin), Quiescent: quiescentOf(e.fin)}
 }
 
-// bundleEstimates pairs the per-query multi-query finish times with the
-// single-query c/s estimates.
-func bundleEstimates(running, queued []QueryState, speeds map[int]float64, multi map[int]float64) map[int]Estimate {
-	out := make(map[int]Estimate, len(running)+len(queued))
-	add := func(states []QueryState) {
-		for _, q := range states {
-			m := multi[q.ID]
+// bundleEstimates pairs the multi-query finish times, given in
+// Running ++ Queued order, with the single-query c/s estimates.
+func bundleEstimates(in EstimateInput, fin []float64) map[int]Estimate {
+	out := make(map[int]Estimate, len(fin))
+	add := func(states []QueryState, fin []float64) {
+		for i, q := range states {
+			m := fin[i]
 			out[q.ID] = Estimate{
-				SingleQuery: SingleQueryRemainingTime(q.Remaining, speeds[q.ID]),
+				SingleQuery: SingleQueryRemainingTime(q.Remaining, in.Speeds[q.ID]),
 				MultiQuery:  m,
 				ETALow:      m,
 				ETAHigh:     m,
 			}
 		}
 	}
-	add(running)
-	add(queued)
+	add(in.Running, fin)
+	add(in.Queued, fin[len(in.Running):])
 	return out
 }

@@ -226,6 +226,12 @@ const maxVirtualArrivals = 10000
 // profile carries no Shared inventory: fold membership is a property of the
 // live mix, and the simulation's hypothetical admissions and arrivals do not
 // model which future scans would fold.
+//
+// Each event rescans the active set, so a replay costs O((r+q)·MPL). The
+// estimate pass reaches it only with an arrival model; without one the §2.3
+// case belongs to queuePass, which replays the same admissions on finish tags
+// in O((r+q)·log MPL), and this function is the oracle that pass is held
+// against (the core differential and fuzz tests, the sim's I14).
 func SimulateProfile(running []QueryState, C float64, opt SimOptions) Profile {
 	prof := Profile{Finish: make(map[int]float64, len(running)+len(opt.Queued))}
 	C = sanitizeRate(C)

@@ -860,19 +860,15 @@ func (s *Server) TotalRemaining() float64 {
 }
 
 // QuiescentEstimate predicts when all admitted and queued queries will have
-// finished, from the stage model.
+// finished, from the stage model: the quiescent ETA of the estimate pass the
+// serving tier publishes, on the absolute virtual clock.
 func (s *Server) QuiescentEstimate() float64 {
-	prof := core.SimulateProfile(s.StateRunning(), s.cfg.RateC, core.SimOptions{
-		MPL:    s.cfg.MPL,
-		Queued: s.StateQueued(),
-	})
-	t := 0.0
-	for _, f := range prof.Finish {
-		if !math.IsInf(f, 1) && f > t {
-			t = f
-		}
-	}
-	return s.now + t
+	return s.now + core.ComputeEstimates(core.EstimateInput{
+		Running: s.StateRunning(),
+		Queued:  s.StateQueued(),
+		MPL:     s.cfg.MPL,
+		RateC:   s.cfg.RateC,
+	}).Quiescent
 }
 
 // SortQueriesByRemainingTime returns admitted query IDs sorted ascending by

@@ -537,6 +537,7 @@ func (m *Manager) updateDepths() {
 // core.ComputeEstimates in stage mode — leaving it in m.bundle, and returns
 // the input it ran on. Owner goroutine only.
 func (m *Manager) estimate() core.EstimateInput {
+	start := time.Now()
 	var st core.EnsembleState
 	if m.calib != nil {
 		st = m.calib.State()
@@ -544,6 +545,7 @@ func (m *Manager) estimate() core.EstimateInput {
 	in := m.estimateInput()
 	bundle := m.est.Estimates(in, st)
 	m.bundle = &bundle
+	m.metrics.estimate.Record(time.Since(start))
 	return in
 }
 

@@ -55,6 +55,7 @@ type Metrics struct {
 	tickDur  metrics.Histogram // wall seconds per scheduler tick
 	execDur  metrics.Histogram // wall seconds in the tick's execute phase
 	revision metrics.Histogram // |Δ predicted finish| per estimate pass, virtual seconds
+	estimate metrics.Histogram // wall seconds per estimate pass (input assembly + estimator)
 	pollDur  metrics.Histogram // wall seconds per progress/overview poll
 	// wakeupTicks counts the scheduler ticks each ticker wake-up ran, one
 	// tick recorded as one of the histogram's seconds: the le edges read as
@@ -241,6 +242,7 @@ func (m *Metrics) Text() string {
 	}
 	m.tickDur.WritePrometheus(&b, "mqpi_tick_duration_seconds", "Wall-clock duration of one scheduler tick.")
 	m.execDur.WritePrometheus(&b, "mqpi_execute_phase_seconds", "Wall-clock duration of the parallel execute phase within one tick.")
+	m.estimate.WritePrometheus(&b, "mqpi_estimate_pass_seconds", "Wall-clock duration of one estimate pass on the owner goroutine: one per request and one per ticker wake-up (per tick on a manual advance), over every admitted and queued query.")
 	m.revision.WritePrometheus(&b, "mqpi_estimate_revision_seconds", "Change of a query's predicted finish time between two consecutive estimate passes (one per ticker wake-up, one per tick of a manual advance), in virtual seconds.")
 	m.wakeupTicks.WritePrometheus(&b, "mqpi_wakeup_ticks", "Scheduler ticks run per ticker wake-up (one tick counts 1; 0 = nothing was owed or the server was idle).")
 	m.pollDur.WritePrometheus(&b, "mqpi_poll_duration_seconds", "Wall-clock latency of one progress or overview poll on the lock-free read path.")

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"mqpi/internal/engine"
 	"mqpi/internal/sched"
@@ -140,5 +141,50 @@ func TestWakeupMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestEstimatePassMetricExposition: mqpi_estimate_pass_seconds is a histogram
+// of the owner's estimate passes — the layer the queue-aware pass lives in —
+// with the shared power-of-two edges, and the Manager records one sample per
+// pass: one for the snapshot New publishes, one for the publish after a
+// submit, one for the tick of a manual advance (whose publish reuses the
+// tick's bundle).
+func TestEstimatePassMetricExposition(t *testing.T) {
+	m := new(Metrics)
+	m.estimate.Record(3 * time.Microsecond)
+	m.estimate.Record(70 * time.Microsecond)
+	m.estimate.Record(600 * time.Microsecond)
+	text := m.Text()
+	assertPrometheusText(t, text)
+	for _, want := range []string{
+		"# TYPE mqpi_estimate_pass_seconds histogram",
+		`mqpi_estimate_pass_seconds_bucket{le="2.048e-06"} 0`,
+		`mqpi_estimate_pass_seconds_bucket{le="4.096e-06"} 1`,
+		`mqpi_estimate_pass_seconds_bucket{le="0.000131072"} 2`,
+		`mqpi_estimate_pass_seconds_bucket{le="0.001048576"} 3`,
+		`mqpi_estimate_pass_seconds_bucket{le="+Inf"} 3`,
+		"mqpi_estimate_pass_seconds_sum 0.000673",
+		"mqpi_estimate_pass_seconds_count 3",
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
+	}
+
+	db := engine.Open()
+	loadTable(t, db, "t1", 10)
+	mgr := manual(t, db, sched.Config{RateC: 10, Quantum: 0.5})
+	if _, err := mgr.Submit(SubmitRequest{SQL: "SELECT SUM(a) FROM t1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Advance(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Overview(); err != nil { // a poll runs no pass
+		t.Fatal(err)
+	}
+	if text := mgr.Metrics().Text(); !strings.Contains(text, "mqpi_estimate_pass_seconds_count 3\n") {
+		t.Errorf("want 3 estimate passes (New, submit, tick):\n%s", text)
 	}
 }

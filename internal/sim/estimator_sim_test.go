@@ -12,8 +12,10 @@ import (
 // be byte-identical to the default-config baseline — the pluggable estimate
 // plane may not change a single traced observable until a non-stage mode is
 // opted into — and must stay byte-identical at workers 1, 2, and 4 (the
-// per-action I13/I6 checks run inside every one of these cells).
+// per-action I6/I13/I14 checks run inside every one of these cells).
 func TestSimEstimatorMatrix(t *testing.T) {
+	var total tally
+	t.Cleanup(func() { total.assertExercised(t) })
 	for seed := int64(1); seed <= int64(*seedCount); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -26,6 +28,7 @@ func TestSimEstimatorMatrix(t *testing.T) {
 				t.Errorf("default: %s", v)
 			}
 			stage := runAcrossWorkers(t, Config{Seed: seed, Estimator: core.EstimatorStage})
+			total.add(stage)
 			if stage.Trace != base.Trace {
 				t.Errorf("stage trace differs from default baseline: %s", firstDiff(base.Trace, stage.Trace))
 			}
@@ -36,7 +39,7 @@ func TestSimEstimatorMatrix(t *testing.T) {
 // TestSimEnsembleMode smoke-tests a non-stage estimate plane under the full
 // randomized workload: the structural invariants (work conservation, MPL,
 // epochs, metrics, lifecycle, fold, incremental profile) must all still hold
-// — only the estimate-exactness checks (I6, I7, I13) are out of scope for
+// — only the estimate-exactness checks (I6, I7, I13, I14) are out of scope for
 // blended points — and the run must stay byte-deterministic across worker
 // counts, bands and all.
 func TestSimEnsembleMode(t *testing.T) {

@@ -53,6 +53,12 @@ import (
 //	    live view's band is degenerate at its point estimate
 //	    (ETALow == MultiETA == ETAHigh, bitwise): the pluggable estimate
 //	    plane is a perfect wrapper until a non-stage mode is opted into.
+//	I14 queue-aware oracle agreement — on every state with a non-empty
+//	    admission queue, each published multi-query ETA and the quiescent
+//	    ETA agree with core.SimulateProfile, the event-stepped §2.3 replay,
+//	    on the same published state: +Inf for +Inf, finite values within
+//	    1e-9·max(1, |oracle|). I6 and I13 compare the finish-tag pass with
+//	    itself, so they cannot see it drift from the model; this can.
 //
 // The router pass (checkRouter) then checks, on the front door's merged
 // overview and counters, what no single shard can see:
@@ -72,7 +78,7 @@ import (
 // observable — is a cross-run property, checked by TestFoldSimMatrix rather
 // than by this per-action checker. Its estimator-plane sibling — stage-mode
 // traces byte-identical between Estimator "" and "stage" configs — lives in
-// TestSimEstimatorMatrix. The estimate-exactness invariants (I6, I7, I13)
+// TestSimEstimatorMatrix. The estimate-exactness invariants (I6, I7, I13, I14)
 // only run in stage mode; ensemble modes serve blended heuristic points that
 // the paper's exact stage model does not govern.
 type checker struct {
@@ -105,6 +111,9 @@ type checker struct {
 	// assert exactChecked dominates, so I7 cannot silently go vacuous.
 	exactChecked int
 	exactVoided  int
+	// queueChecked counts the states I14 ran on — those with a non-empty
+	// admission queue — so a matrix that never queued anything fails too.
+	queueChecked int
 
 	// incProf is I10's long-lived incremental stage structure: one instance
 	// survives the whole run, patched (never rebuilt) at every check, so the
@@ -113,7 +122,7 @@ type checker struct {
 	incProf *core.IncrementalProfile
 	incOut  core.Profile
 
-	// stageMode gates the estimate-exactness invariants (I6, I7, I13): they
+	// stageMode gates the estimate-exactness invariants (I6, I7, I13, I14): they
 	// only hold for the exact stage plane, not for blended ensemble points.
 	// plane is I13's run-long stage-mode Estimator instance — like incProf,
 	// one instance survives the whole run, so any state the pluggable plane
@@ -508,6 +517,33 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 	}
 	if !sameFloat(got.Quiescent, want.Quiescent) {
 		c.fail(tr, ctx, "I13 plane quiescent %s, oracle %s (bitwise)", g(got.Quiescent), g(want.Quiescent))
+	}
+
+	// I14: with a queue, what was published came from the finish-tag pass;
+	// hold it against the event-stepped replay of the same admissions.
+	if len(queued) == 0 {
+		return
+	}
+	c.queueChecked++
+	agrees := func(got, oracle float64) bool {
+		if !isFinite(got) || !isFinite(oracle) {
+			return sameFloat(got, oracle)
+		}
+		return math.Abs(got-oracle) <= 1e-9*math.Max(1, math.Abs(oracle))
+	}
+	oracle := core.SimulateProfile(running, ov.RateC, core.SimOptions{MPL: ov.MPL, Queued: queued}).Finish
+	quiescent := 0.0
+	for _, v := range views {
+		o := oracle[v.ID]
+		if !agrees(float64(v.MultiETA), o) {
+			c.fail(tr, ctx, "I14 q%d multi ETA %s, event-stepped oracle %s", v.ID, g(float64(v.MultiETA)), g(o))
+		}
+		if isFinite(o) && o > quiescent {
+			quiescent = o
+		}
+	}
+	if !agrees(float64(ov.QuiescentETA), quiescent) {
+		c.fail(tr, ctx, "I14 quiescent ETA %s, event-stepped oracle %s", g(float64(ov.QuiescentETA)), g(quiescent))
 	}
 }
 

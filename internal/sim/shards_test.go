@@ -13,7 +13,7 @@ var routingPolicies = cluster.RoutingPolicies()
 
 // TestClusterSimMatrix is the sharded tier's correctness gate: for every seed
 // and every routing policy, three shards behind the front door must each
-// satisfy I1–I13, the router pass must hold (placement, gid uniqueness, no
+// satisfy I1–I14, the router pass must hold (placement, gid uniqueness, no
 // lost work across aborts, admission accounting), and the traces must be
 // byte-identical at per-shard workers 1, 2, and 4.
 func TestClusterSimMatrix(t *testing.T) {

@@ -15,7 +15,7 @@
 //	go run ./cmd/mqpi-bench -sim -seed 17 -workers 4 # replay one cell, full trace
 //
 // After every action one checker per shard validates that shard's state (see
-// invariants.go for I1–I13: work conservation, stage-model exactness,
+// invariants.go for I1–I14: work conservation, stage-model exactness,
 // re-prediction at boundaries, epoch monotonicity, MPL, slot conservation,
 // metrics/view consistency, event lifecycle ordering, ...), and one router
 // pass validates on the merged overview what no shard can see (placement, gid
@@ -106,7 +106,7 @@ type Config struct {
 	// "" means the default stage path). The I13 matrix runs "" and "stage"
 	// runs of the same seed and demands byte-identical traces — the
 	// pluggable plane must be a perfect wrapper until opted in. Non-stage
-	// modes disable the stage-exactness invariants (I6, I7, I13): blended
+	// modes disable the stage-exactness invariants (I6, I7, I13, I14): blended
 	// points are heuristics, not the paper's exact model.
 	Estimator string
 }
@@ -158,6 +158,10 @@ type Result struct {
 	// chunk-granularity burst/payback). Tests assert the checked share
 	// dominates, so the invariant cannot silently go vacuous.
 	ExactChecked, ExactVoided int
+	// QueueChecked counts the per-shard checks made with a non-empty
+	// admission queue — the states I14 holds against the event-stepped
+	// oracle.
+	QueueChecked int
 	// Final summarizes every query's last published view in ID order. The
 	// I12 cross-run comparison keys on it: a fold-on run must agree with the
 	// fold-off baseline on everything except the cost plane.
@@ -419,6 +423,7 @@ func (s *sim) run() (*Result, error) {
 	for _, chk := range s.chks {
 		res.ExactChecked += chk.exactChecked
 		res.ExactVoided += chk.exactVoided
+		res.QueueChecked += chk.queueChecked
 	}
 	if ov, err := s.c.Overview(); err == nil {
 		for _, q := range ov.Finished {

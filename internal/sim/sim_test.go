@@ -39,11 +39,12 @@ func runAcrossWorkers(t *testing.T, cfg Config) *Result {
 }
 
 // tally sums over a matrix's cells what its non-vacuity asserts need: a
-// matrix in which nothing was ever aborted, planned, folded or checked for
-// exactness passes every invariant without testing it.
+// matrix in which nothing was ever aborted, planned, folded, queued or checked
+// for exactness passes every invariant without testing it.
 type tally struct {
 	mu                              sync.Mutex
 	aborted, plans, checked, voided int
+	queued                          int     // states checked with a non-empty admission queue (I14)
 	saved                           float64 // pages the fold registry saved: Σ(done−cost)
 }
 
@@ -54,13 +55,15 @@ func (a *tally) add(r *Result) {
 	a.plans += r.Plans
 	a.checked += r.ExactChecked
 	a.voided += r.ExactVoided
+	a.queued += r.QueueChecked
 	for _, q := range r.Final {
 		a.saved += q.Done - q.Cost
 	}
 }
 
 // assertExercised fails a matrix that aborted nothing, got no planner answer,
-// or whose stage-model exactness invariant was voided (a cost refinement
+// never checked a state with a queue against the queue-aware oracle (I14), or
+// whose stage-model exactness invariant was voided (a cost refinement
 // re-anchored the model) on more than a third as many checks as it ran on.
 func (a *tally) assertExercised(t *testing.T) {
 	t.Helper()
@@ -70,11 +73,14 @@ func (a *tally) assertExercised(t *testing.T) {
 	if a.plans == 0 {
 		t.Error("no cell got a planner answer")
 	}
+	if a.queued == 0 {
+		t.Error("no cell checked a state with a non-empty admission queue; I14 ran on nothing")
+	}
 	if a.voided*3 > a.checked {
 		t.Errorf("exactness invariant voided too often: checked=%d voided=%d", a.checked, a.voided)
 	}
-	t.Logf("aborts=%d plans=%d pages saved=%g exactness checked=%d voided=%d",
-		a.aborted, a.plans, a.saved, a.checked, a.voided)
+	t.Logf("aborts=%d plans=%d pages saved=%g exactness checked=%d voided=%d queue-aware checked=%d",
+		a.aborted, a.plans, a.saved, a.checked, a.voided, a.queued)
 }
 
 // assertFolded fails a fold matrix in which no cell ever shared a page: its
