@@ -73,3 +73,29 @@ func TestComputeEstimatesQuiescent(t *testing.T) {
 		t.Errorf("blocked query multi ETA = %g, want +Inf", blocked.PerQuery[9].MultiQuery)
 	}
 }
+
+// TestWeightlessArrivalModelIsInactive: an arrival model with no weight (here
+// AvgWeight left at its zero value) predicts queries that could never run.
+// They used to enter as blocked, and the one that took the slot Q1 frees kept
+// it for ever: Q2 read MultiQuery = +Inf beside Quiescent = 15 in one bundle.
+// Such a model is inactive, like one with no rate or no cost.
+func TestWeightlessArrivalModelIsInactive(t *testing.T) {
+	in := EstimateInput{
+		Running: []QueryState{{ID: 1, Remaining: 100, Weight: 1}},
+		Queued:  []QueryState{{ID: 2, Remaining: 50, Weight: 1}},
+		MPL:     1, RateC: 10,
+	}
+	want := ComputeEstimates(in)
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		in.Arrivals = &ArrivalModel{Lambda: 1, AvgCost: 5, AvgWeight: w}
+		got := ComputeEstimates(in)
+		if got.Quiescent != 15 {
+			t.Errorf("AvgWeight %v: quiescent = %v, want 15", w, got.Quiescent)
+		}
+		for id, e := range want.PerQuery {
+			if g := got.PerQuery[id].MultiQuery; g != e.MultiQuery {
+				t.Errorf("AvgWeight %v: Q%d multi-query ETA = %v, want %v as without the model", w, id, g, e.MultiQuery)
+			}
+		}
+	}
+}

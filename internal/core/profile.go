@@ -184,6 +184,19 @@ type ArrivalModel struct {
 	AvgWeight float64 // weight of the average priority p̄
 }
 
+// query returns the query the model predicts every 1/Lambda seconds, clamped
+// the way query states are (the numbers come from workload statistics), and
+// whether the model is active: it needs a positive rate, cost and weight. A
+// weightless model is inactive because its queries would enter blocked, and
+// each one that took a freed MPL slot would keep it for ever.
+func (m *ArrivalModel) query() (QueryState, bool) {
+	if m == nil || !(m.Lambda > 0) || !(m.AvgCost > 0) {
+		return QueryState{}, false
+	}
+	q := sanitize(QueryState{Remaining: m.AvgCost, Weight: m.AvgWeight})
+	return q, q.Weight > 0
+}
+
 // SimOptions configures SimulateProfile.
 type SimOptions struct {
 	// MPL caps the number of concurrently running queries (the admission
@@ -262,10 +275,7 @@ func SimulateProfile(running []QueryState, C float64, opt SimOptions) Profile {
 	var nextArrival float64 = math.Inf(1)
 	var interarrival, arrivalWindow float64
 	var arrivalCost, arrivalWeight float64
-	if opt.Arrivals != nil && opt.Arrivals.Lambda > 0 && opt.Arrivals.AvgCost > 0 {
-		// The model's numbers come from workload statistics; clamp them the
-		// same way query states are clamped.
-		am := sanitize(QueryState{Remaining: opt.Arrivals.AvgCost, Weight: opt.Arrivals.AvgWeight})
+	if am, ok := opt.Arrivals.query(); ok {
 		arrivalCost, arrivalWeight = am.Remaining, am.Weight
 		interarrival = 1 / opt.Arrivals.Lambda
 		nextArrival = interarrival
