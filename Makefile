@@ -1,7 +1,7 @@
 GO ?= go
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test bench bench-all bench-check benchmark loc race vet ci serve cover cover-check fuzz-smoke calibration-smoke load-smoke bench-load
+.PHONY: build test bench bench-all bench-check benchmark loc race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke load-smoke bench-load
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,7 @@ ci: vet build race
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/sim/
 	$(MAKE) cover-check
+	$(MAKE) trace-check
 	$(MAKE) bench-check
 	$(MAKE) calibration-smoke
 	$(MAKE) load-smoke
@@ -95,6 +96,32 @@ cover-check:
 	echo "coverage: $$total% of statements (floor $$floor%)"; \
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 < f+0) }' || \
 		{ echo "coverage $$total% fell below the committed baseline $$floor%"; exit 1; }
+
+# trace-check is the byte-identity fence on the simulator: the stdout of
+# `mqpi-bench -sim` over seeds 1-32 (every action and event of each run; the
+# summaries go to stderr) must hash to the sha256 committed in TRACE_SHA256, at
+# -workers 1 and at -workers 4. A PR that claims "same behaviour" leaves the
+# file alone; one that means to move a trace regenerates it and says why.
+# SHORT=1 skips it.
+trace-check:
+ifeq ($(SHORT),1)
+	@echo "SHORT=1: skipping trace-check"
+else
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/mqpi-bench" ./cmd/mqpi-bench || exit 1; \
+	want=$$(cat TRACE_SHA256); \
+	for w in 1 4; do \
+		for s in $$(seq 1 32); do \
+			"$$dir/mqpi-bench" -sim -seed $$s -workers $$w 2>/dev/null || exit 1; \
+		done > "$$dir/trace"; \
+		got=$$(sha256sum < "$$dir/trace" | cut -d' ' -f1); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "trace-check: -sim seeds 1-32 at -workers $$w hash to $$got ($$(wc -l < "$$dir/trace") lines); TRACE_SHA256 says $$want"; \
+			exit 1; \
+		fi; \
+	done; \
+	echo "trace-check: -sim seeds 1-32 match TRACE_SHA256 at -workers 1 and 4"
+endif
 
 # bench-check is the allocation ratchet: short BenchmarkParallelTick and
 # BenchmarkSharedScan runs' allocs/op must not exceed the figures committed in

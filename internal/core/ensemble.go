@@ -69,8 +69,8 @@ type Interval struct {
 
 // Estimator is the pluggable estimate plane: anything that turns one
 // immutable EstimateInput plus the published calibration state into the full
-// estimate bundle. Implementations may keep internal acceleration structures
-// (the stage member's incremental profile), but their output must be a pure
+// estimate bundle. Implementations may keep scratch memory between calls (the
+// stage member's finish-tag heap), but their output must be a pure
 // function of (input, state) — the service runs one pass per scheduler state
 // on its owner goroutine and publishes the bundle with the snapshot, and the
 // differentials compare that bundle with a from-scratch recomputation.
@@ -113,8 +113,8 @@ type EnsembleState struct {
 
 // ensembleEstimator runs all three members and selects or blends per mode.
 type ensembleEstimator struct {
-	mode string
-	inc  stageEstimator // stage member backing structure
+	mode  string
+	stage stageEstimator // the stage member
 }
 
 func (e *ensembleEstimator) Mode() string { return e.mode }
@@ -159,11 +159,11 @@ func blendWeights(mode string, st EnsembleState) [numMembers]float64 {
 // fraction of true finish times inside this default band.
 const bandRelFloor = 0.10
 
-// Estimates runs the member ensemble. The stage member reuses the same
-// incremental structure (and the same queue pass and arrival fallback) as the
-// classic path; the cost and speed members are O(n) closed forms over the input.
+// Estimates runs the member ensemble. The stage member is the classic path's
+// stageEstimator, finish-tag pass and all; the cost and speed members are O(n)
+// closed forms over the input.
 func (e *ensembleEstimator) Estimates(in EstimateInput, st EnsembleState) Estimates {
-	base := e.inc.Estimates(in, st)
+	base := e.stage.Estimates(in, st)
 	stage := make(map[int]float64, len(base.PerQuery))
 	for id, b := range base.PerQuery {
 		stage[id] = b.MultiQuery

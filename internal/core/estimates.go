@@ -54,39 +54,8 @@ type Estimates struct {
 // snapshot of the system. It is a pure function: the same input always yields
 // the same output, nothing is retained, and nothing live is touched.
 func ComputeEstimates(in EstimateInput) Estimates {
-	var fin []float64
-	if len(in.Queued) == 0 {
-		// An empty admission queue degenerates to §2.2 exactly, so it takes
-		// the closed form — the same materialization the incremental stage
-		// structure reproduces bit-for-bit.
-		fin = finishesByPosition(in, ComputeProfile(in.Running, in.RateC).Finish, nil)
-	} else {
-		// §2.3: FIFO admission into freed slots, replayed on finish tags.
-		var pass queuePass
-		fin = pass.finishes(in, nil)
-	}
-	quiescent := quiescentOf(fin)
-	if in.Arrivals != nil {
-		// §2.4: virtual arrivals enter on the real clock, which only the
-		// event-stepped simulation models.
-		fin = finishesByPosition(in, SimulateProfile(in.Running, in.RateC,
-			SimOptions{MPL: in.MPL, Queued: in.Queued, Arrivals: in.Arrivals}).Finish, fin)
-	}
-	return Estimates{PerQuery: bundleEstimates(in, fin), Quiescent: quiescent}
-}
-
-// finishesByPosition lays a profile's Finish map out in Running ++ Queued
-// order, the layout queuePass.finishes writes, reusing fin when it is long
-// enough.
-func finishesByPosition(in EstimateInput, finish map[int]float64, fin []float64) []float64 {
-	fin = fin[:0]
-	for _, q := range in.Running {
-		fin = append(fin, finish[q.ID])
-	}
-	for _, q := range in.Queued {
-		fin = append(fin, finish[q.ID])
-	}
-	return fin
+	var e stageEstimator
+	return e.Estimates(in, EnsembleState{})
 }
 
 // quiescentOf is the last finite finish time: when all known work drains.
@@ -100,46 +69,32 @@ func quiescentOf(fin []float64) float64 {
 	return quiescent
 }
 
-// stageEstimator is the production stage-model path: ComputeEstimates with
-// its working state kept across calls. With an empty admission queue it
-// maintains the §2.2 stage structure: repeated calls over a slowly changing
-// mix reuse the sorted stage order and patch only what changed, refilling the
-// bundle in O(n + changed·log n) instead of re-sorting in O(n log n). With a
-// non-empty queue it runs the same §2.3 finish-tag pass ComputeEstimates runs,
-// into a reused heap and finish slice. Results are bit-identical to
-// ComputeEstimates on the same input, with its degenerate bands
+// stageEstimator is the stage-model estimate: one finish-tag pass (queuePass)
+// for the known queries — an empty admission queue is §2.2, a non-empty one
+// §2.3 — which gives the quiescent ETA, and the same pass again with the
+// arrival model (§2.4) when the input carries one. It keeps the heap and the
+// finish slice across calls and nothing else: every call is a function of its
+// input alone, bit-identical to ComputeEstimates, with degenerate bands
 // (Low == High == point) — the service tests and the sim's I6 and I13
-// invariants pin this. Only an arrival model (§2.4) still needs the
-// event-stepped simulation, and that call goes to ComputeEstimates verbatim.
-// The zero value is ready to use; not safe for concurrent use (the service's
-// one estimator is only ever called from the owner goroutine, one pass per
-// scheduler state).
+// invariants pin this. The zero value is ready to use; not safe for concurrent
+// use (the service's one estimator is only ever called from the owner
+// goroutine, one pass per scheduler state).
 type stageEstimator struct {
-	prof  *IncrementalProfile
-	base  Profile   // reused materialization target
-	queue queuePass // reused finish-tag heap
-	fin   []float64 // reused finishes, Running ++ Queued order
+	pass queuePass
+	fin  []float64 // finishes, Running ++ Queued order
 }
 
 func (e *stageEstimator) Mode() string { return EstimatorStage }
 
-// Estimates computes the same bundle ComputeEstimates would, maintaining the
-// incremental stage structure across calls.
 func (e *stageEstimator) Estimates(in EstimateInput, _ EnsembleState) Estimates {
+	known := in
+	known.Arrivals = nil
+	e.fin = e.pass.finishes(known, e.fin)
+	quiescent := quiescentOf(e.fin)
 	if in.Arrivals != nil {
-		return ComputeEstimates(in)
+		e.fin = e.pass.finishes(in, e.fin)
 	}
-	if len(in.Queued) > 0 {
-		e.fin = e.queue.finishes(in, e.fin)
-	} else {
-		if e.prof == nil {
-			e.prof = NewIncrementalProfile()
-		}
-		e.prof.Sync(in.Running)
-		e.prof.ProfileInto(in.RateC, &e.base)
-		e.fin = finishesByPosition(in, e.base.Finish, e.fin)
-	}
-	return Estimates{PerQuery: bundleEstimates(in, e.fin), Quiescent: quiescentOf(e.fin)}
+	return Estimates{PerQuery: bundleEstimates(in, e.fin), Quiescent: quiescent}
 }
 
 // bundleEstimates pairs the multi-query finish times, given in

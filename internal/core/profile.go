@@ -70,6 +70,10 @@ func (p Profile) QuiescentTime() float64 {
 // and query k finishes at r_k = Σ_{j≤k} t_j. Time O(n log n), space O(n).
 // Queries with non-positive weight are treated as blocked: they consume no
 // capacity and never finish.
+//
+// This is the paper's formula as written, with its stage order and durations:
+// StageDiagram, the §3 planners and the experiments read those. Estimates come
+// from queuePass, whose no-queue case is held against this function.
 func ComputeProfile(states []QueryState, C float64) Profile {
 	prof := Profile{Finish: make(map[int]float64, len(states))}
 	var active []QueryState
@@ -240,11 +244,11 @@ const maxVirtualArrivals = 10000
 // live mix, and the simulation's hypothetical admissions and arrivals do not
 // model which future scans would fold.
 //
-// Each event rescans the active set, so a replay costs O((r+q)·MPL). The
-// estimate pass reaches it only with an arrival model; without one the §2.3
-// case belongs to queuePass, which replays the same admissions on finish tags
-// in O((r+q)·log MPL), and this function is the oracle that pass is held
-// against (the core differential and fuzz tests, the sim's I14).
+// Each event rescans the active set, so a replay costs O((r+q+a)·MPL), a the
+// virtual arrivals. No estimate is computed this way: queuePass replays the
+// same admissions and arrivals on finish tags in O((r+q+a)·log MPL), and this
+// function is the reference implementation that pass is held against (the
+// core differential and fuzz tests, the sim's I14).
 func SimulateProfile(running []QueryState, C float64, opt SimOptions) Profile {
 	prof := Profile{Finish: make(map[int]float64, len(running)+len(opt.Queued))}
 	C = sanitizeRate(C)

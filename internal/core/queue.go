@@ -2,20 +2,35 @@ package core
 
 import "math"
 
-// queuePass is the §2.3 queue-aware PI for a system with no predicted
-// arrivals, in virtual-time form. Under weighted fair sharing every runnable
-// query's c_i/w_i falls at the common rate C/W, W the runnable weight at that
-// instant. On a virtual clock V with dV/dt = C/W(t), a query admitted at V_a
-// with remaining cost c and weight w therefore finishes when V reaches
+// queuePass is the multi-query PI of §2.2–2.4 in virtual-time form, and the one
+// finish computation behind every estimate. Under weighted fair sharing every
+// runnable query's c_i/w_i falls at the common rate C/W, W the runnable weight
+// at that instant. On a virtual clock V with dV/dt = C/W(t), a query admitted
+// at V_a with remaining cost c and weight w therefore finishes when V reaches
 // V_a + c/w, whatever is admitted or finishes in between: its finish tag is
-// fixed at admission. FIFO admission into the slots finishers free is then a
-// min-heap on (tag, ID): each pop advances V to the tag, charges
-// dt = (tag − V)·W/C of real time, frees a slot and admits the queue head at
-// the new V. That is O((r+q)·log MPL), against the O((r+q)·MPL) of
-// SimulateProfile's event stepping, which rescans the active set at every
-// finish — and which stays as the oracle, and as the only implementation of
-// the §2.4 arrival model (a virtual arrival enters on the real clock, not at a
-// finish, so it has no tag to wait for).
+// fixed at admission.
+//
+// §2.2, no admission queue (MPL 0, or no more queries than slots), is the
+// degenerate case: everything is admitted at V = 0, the tags are the c_i/w_i
+// the closed form sorts by, and popping them in order charges stage k its
+// (c_k/w_k − c_{k−1}/w_{k−1})·W_k/C.
+//
+// §2.3, FIFO admission into the slots finishers free, is a min-heap on
+// (tag, ID): each pop advances V to the tag, charges dt = (tag − V)·W/C of real
+// time, frees a slot and admits the queue head at the new V. That is
+// O((r+q)·log MPL), against the O((r+q)·MPL) of SimulateProfile's event
+// stepping, which rescans the active set at every finish.
+//
+// §2.4, a predicted arrival every 1/λ seconds, is one more event on the same
+// clock: between events V moves linearly, so an arrival due at real time t
+// lands at V + (t − now)·C/W and is admitted there with tag V + c̄/w̄. As in
+// SimulateProfile, the oracle the pass is held against, a virtual arrival
+// starts running when it arrives — it does not wait in the admission queue —
+// but it does occupy a slot until it finishes, so queued queries wait for it;
+// an arrival due within arrivalTie of the next finish comes first; arrivals
+// stop at the default window (the known work's drain time plus one gap) or
+// after maxVirtualArrivals; and the pass ends once every known query has its
+// finish, however many virtual ones are still running.
 //
 // Blocked queries (weight 0) hold their slot and never finish; when every slot
 // is held by one, the rest of the queue never finishes either. Exact tag ties
@@ -26,7 +41,8 @@ type queuePass struct {
 	v    float64 // virtual clock
 	w    float64 // runnable weight: Σ w over the heap
 	wRef float64 // largest w since it was last summed afresh
-	used int     // occupied slots, blocked holders included
+	used int     // occupied slots, blocked holders and virtual arrivals included
+	left int     // known queries still without a finish
 }
 
 // finishTag is one admitted runnable query waiting for the virtual clock.
@@ -34,7 +50,7 @@ type finishTag struct {
 	tag float64 // V at admission + c/w
 	w   float64
 	id  int
-	pos int // index into Running ++ Queued
+	pos int // index into Running ++ Queued; -1 for a virtual arrival
 }
 
 func (a finishTag) before(b finishTag) bool {
@@ -44,9 +60,13 @@ func (a finishTag) before(b finishTag) bool {
 	return a.id < b.id
 }
 
+// arrivalTie is how close, in seconds, the next finish may come before a
+// predicted arrival and still be processed after it (SimulateProfile's rule).
+const arrivalTie = 1e-12
+
 // finishes writes the predicted remaining time of every query of in, in
 // Running ++ Queued order, into fin (reallocated when too short) and returns
-// it; +Inf marks a query that never finishes. in.Arrivals is not consulted.
+// it; +Inf marks a query that never finishes.
 func (p *queuePass) finishes(in EstimateInput, fin []float64) []float64 {
 	r, n := len(in.Running), len(in.Running)+len(in.Queued)
 	if cap(fin) < n {
@@ -61,9 +81,24 @@ func (p *queuePass) finishes(in EstimateInput, fin []float64) []float64 {
 		}
 		return fin
 	}
-	p.heap, p.v, p.w, p.wRef, p.used = p.heap[:0], 0, 0, 0, 0
+	p.heap, p.v, p.w, p.wRef, p.used, p.left = p.heap[:0], 0, 0, 0, 0, n
 	for i, q := range in.Running {
 		p.admit(i, q, fin)
+	}
+	// The arrival stream: the next one is due at real time arrival (+Inf once
+	// there is none), one every gap seconds while inside the window.
+	arrival, gap, window, arrived := inf, 0.0, 0.0, 0
+	virtual, predicted := in.Arrivals.query()
+	if predicted {
+		known := 0.0
+		for _, q := range in.Running {
+			known += sanitize(q).Remaining
+		}
+		for _, q := range in.Queued {
+			known += sanitize(q).Remaining
+		}
+		gap = 1 / in.Arrivals.Lambda
+		arrival, window = gap, known/C+gap
 	}
 	now, next := 0.0, 0 // real clock; head of the admission queue
 	for {
@@ -71,17 +106,39 @@ func (p *queuePass) finishes(in EstimateInput, fin []float64) []float64 {
 			p.admit(r+next, in.Queued[next], fin)
 			next++
 		}
-		if len(p.heap) == 0 {
+		if p.left == 0 || len(p.heap) == 0 {
 			break
 		}
-		top := p.pop()
-		// tag == V is a tie with the previous finisher or a zero-cost
-		// admission: no time passes, and Inf − Inf stays out of the arithmetic.
-		if top.tag != p.v {
-			now += mulDiv(top.tag-p.v, p.w, C)
+		// tag <= V is a tie with the previous finisher, a zero-cost admission or
+		// a finish an arrival came in front of: no time passes, and Inf − Inf
+		// stays out of the arithmetic.
+		top, dt := p.heap[0], 0.0
+		if top.tag > p.v {
+			dt = mulDiv(top.tag-p.v, p.w, C)
+		}
+		if now+dt > arrival-arrivalTie {
+			if d := arrival - now; d > 0 {
+				p.v += mulDiv(d, C, p.w)
+				now = arrival
+			}
+			arrived++
+			virtual.ID = futureIDBase - arrived
+			p.admit(-1, virtual, fin)
+			arrival += gap
+			if arrival > window || arrived >= maxVirtualArrivals {
+				arrival = inf
+			}
+			continue
+		}
+		p.pop()
+		now += dt
+		if top.tag > p.v {
 			p.v = top.tag
 		}
-		fin[top.pos] = now
+		if top.pos >= 0 {
+			fin[top.pos] = now
+			p.left--
+		}
 		p.used--
 		p.w -= top.w
 		// W is kept by add and subtract, so a heavy finisher leaves the light
@@ -99,13 +156,15 @@ func (p *queuePass) finishes(in EstimateInput, fin []float64) []float64 {
 	return fin
 }
 
-// admit gives the query at position pos a slot at the current virtual time: a
-// finish tag when it is runnable, +Inf when it is blocked.
+// admit gives q a slot at the current virtual time: a finish tag when it is
+// runnable, +Inf when it is blocked. pos is its position in Running ++ Queued,
+// -1 for a virtual arrival, which is always runnable and gets no finish.
 func (p *queuePass) admit(pos int, q QueryState, fin []float64) {
 	q = sanitize(q)
 	p.used++
 	if q.Weight <= 0 {
 		fin[pos] = math.Inf(1)
+		p.left--
 		return
 	}
 	p.w += q.Weight

@@ -19,7 +19,6 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"sort"
 
 	"mqpi/internal/core"
@@ -849,16 +848,6 @@ func (s *Server) StateQueued() []core.QueryState {
 	return out
 }
 
-// TotalRemaining returns the sum of refined remaining costs of admitted
-// queries, in U's.
-func (s *Server) TotalRemaining() float64 {
-	t := 0.0
-	for _, q := range s.running {
-		t += q.Runner.EstRemaining()
-	}
-	return t
-}
-
 // QuiescentEstimate predicts when all admitted and queued queries will have
 // finished, from the stage model: the quiescent ETA of the estimate pass the
 // serving tier publishes, on the absolute virtual clock.
@@ -869,33 +858,6 @@ func (s *Server) QuiescentEstimate() float64 {
 		MPL:     s.cfg.MPL,
 		RateC:   s.cfg.RateC,
 	}).Quiescent
-}
-
-// SortQueriesByRemainingTime returns admitted query IDs sorted ascending by
-// c_i/s_i (the paper's canonical ordering), using refined remaining costs
-// and current weights.
-func (s *Server) SortQueriesByRemainingTime() []int {
-	states := s.StateRunning()
-	sort.SliceStable(states, func(i, j int) bool {
-		ri := ratioOf(states[i])
-		rj := ratioOf(states[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return states[i].ID < states[j].ID
-	})
-	ids := make([]int, len(states))
-	for i, st := range states {
-		ids[i] = st.ID
-	}
-	return ids
-}
-
-func ratioOf(st core.QueryState) float64 {
-	if st.Weight <= 0 {
-		return math.Inf(1)
-	}
-	return st.Remaining / st.Weight
 }
 
 // QueryInfo is a value snapshot of one query. Unlike *Query — whose fields
@@ -953,16 +915,6 @@ func (s *Server) InfoOf(q *Query) QueryInfo {
 		info.Err = q.Err.Error()
 	}
 	return info
-}
-
-// SnapshotQuery returns the info snapshot of the query with the given ID,
-// looking among running, queued, terminated, and scheduled queries.
-func (s *Server) SnapshotQuery(id int) (QueryInfo, bool) {
-	q, ok := s.Lookup(id)
-	if !ok {
-		return QueryInfo{}, false
-	}
-	return s.InfoOf(q), true
 }
 
 // FoldStats summarizes a server's shared-scan folding state: live gauges plus

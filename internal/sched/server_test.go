@@ -321,19 +321,6 @@ func TestQuiescentEstimateMatchesIdleTime(t *testing.T) {
 	}
 }
 
-func TestSortQueriesByRemainingTime(t *testing.T) {
-	db := engine.Open()
-	srv := newServer(Config{RateC: 10})
-	small := srv.NewQuery("small", "", 0, prepare(t, db, "t1", 3))
-	large := srv.NewQuery("large", "", 0, prepare(t, db, "t2", 30))
-	srv.Submit(large)
-	srv.Submit(small)
-	ids := srv.SortQueriesByRemainingTime()
-	if len(ids) != 2 || ids[0] != small.ID || ids[1] != large.ID {
-		t.Errorf("order: %v (small=%d large=%d)", ids, small.ID, large.ID)
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	for st, want := range map[Status]string{
 		StatusQueued: "queued", StatusRunning: "running", StatusBlocked: "blocked",
@@ -759,9 +746,9 @@ func TestSnapshotDoneIsImmutableSharedPrefix(t *testing.T) {
 	}
 	// The live queries' infos in Done are final: they match a fresh capture.
 	for _, info := range last.Done {
-		fresh, ok := srv.SnapshotQuery(info.ID)
-		if !ok || fresh != info {
-			t.Fatalf("Done entry of query %d is stale: %+v, now %+v", info.ID, info, fresh)
+		q, ok := srv.Lookup(info.ID)
+		if !ok || srv.InfoOf(q) != info {
+			t.Fatalf("Done entry of query %d is stale: %+v, live %+v", info.ID, info, q)
 		}
 	}
 	// Appending through a view must copy, not write into the shared history.

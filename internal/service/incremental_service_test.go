@@ -25,7 +25,7 @@ func (s *Snapshot) estimateInput(arrivals *core.ArrivalModel) core.EstimateInput
 }
 
 // estimates is the stateless oracle: the bundle a fresh estimator — no
-// incremental structure, no history of earlier passes — derives from the
+// scratch memory, no history of earlier passes — derives from the
 // snapshot alone under calibration state st. The bundle the manager publishes
 // with the snapshot is tested against it.
 func (s *Snapshot) estimates(arrivals *core.ArrivalModel, st core.EnsembleState) core.Estimates {
@@ -44,7 +44,7 @@ func sameEstimate(a, b core.Estimate) bool {
 }
 
 // checkPublishedEstimates compares the bundle published with the current
-// snapshot — the owner's one pass through its incremental stage structure —
+// snapshot — the owner's one pass through its run-long estimator —
 // against the stateless oracle Snapshot.estimates, bit for bit.
 func checkPublishedEstimates(t *testing.T, m *Manager, step string) {
 	t.Helper()
@@ -72,9 +72,10 @@ func checkPublishedEstimates(t *testing.T, m *Manager, step string) {
 // abort, and thirty ticks of drainage, checking after every transition that
 // the bundle published with the snapshot is exactly — bitwise — what the
 // stateless oracle derives from that snapshot, whether the tick's pass or
-// publish's own produced it. This pins the service-layer half of
-// the incremental profile's bit-identity contract (the core half is pinned by
-// the differential tests in internal/core, the sim half by invariant I10).
+// publish's own produced it. This pins the service-layer half of the
+// contract that the owner's run-long estimator carries nothing from one pass
+// into the next (the core half is TestStageEstimatorReusesQueuePass, the sim
+// half invariants I6 and I13).
 func TestIncrementalEstimatesMatchStateless(t *testing.T) {
 	db := engine.Open()
 	for i := 0; i < 6; i++ {
@@ -143,10 +144,13 @@ func TestIncrementalEstimatesMatchStateless(t *testing.T) {
 	}
 }
 
-// TestIncrementalEstimatesArrivalsFallback pins the fallback contract: with a
-// §2.4 arrival model configured, the incremental estimator must defer to the
-// stateless event-stepped simulation verbatim.
-func TestIncrementalEstimatesArrivalsFallback(t *testing.T) {
+// TestPublishedEstimatesWithArrivals: with a §2.4 arrival model configured the
+// owner's estimator runs its pass twice per state — without the model for the
+// quiescent ETA, with it for the per-query ETAs — into the same heap and
+// finish slice, and the published bundle is still, bit for bit, what a fresh
+// estimator derives from the snapshot; the predicted arrivals delay the
+// queries but not the quiescent ETA.
+func TestPublishedEstimatesWithArrivals(t *testing.T) {
 	db := engine.Open()
 	loadTable(t, db, "arr0", 10)
 	loadTable(t, db, "arr1", 14)
@@ -165,6 +169,19 @@ func TestIncrementalEstimatesArrivalsFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkPublishedEstimates(t, m, fmt.Sprintf("submit %d", i))
+	}
+	snap, err := m.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blind := snap.estimates(nil, core.EnsembleState{})
+	if snap.est.Quiescent != blind.Quiescent {
+		t.Errorf("quiescent ETA %v with the arrival model, %v without", snap.est.Quiescent, blind.Quiescent)
+	}
+	for id, b := range blind.PerQuery {
+		if g := snap.est.PerQuery[id].MultiQuery; !(g > b.MultiQuery) {
+			t.Errorf("query %d: multi-query ETA %v with predicted arrivals, %v without: want later", id, g, b.MultiQuery)
+		}
 	}
 	for step := 0; step < 6; step++ {
 		if err := m.Advance(0.5); err != nil {

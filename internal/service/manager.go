@@ -20,8 +20,9 @@
 // pointer, and the snapshot carries the estimate bundle for that state: the
 // Manager's one estimator runs one pass per published state — in observe
 // after the ticks, or in publish when a request rather than a tick changed
-// the state — backed by an incremental stage structure that patches only
-// what changed since the last pass. The owner's cost is per wake-up, not per
+// the state — one finish-tag pass over the running set and the admission
+// queue (two with an arrival model), into a heap and a finish slice it keeps
+// between passes. The owner's cost is per wake-up, not per
 // tick: a ticker wake-up runs every tick it owes, then observes once and
 // publishes once, because no reader can see a state between two ticks of one
 // wake-up; a manual Advance observes after every tick, because there each
@@ -151,9 +152,9 @@ type Manager struct {
 	lastFinish map[int]float64 // query -> last predicted absolute finish time
 	queuedSet  map[int]bool    // queries last seen in the admission queue
 	schedSet   map[int]bool    // queries still waiting as future arrivals
-	// est is the Manager's one estimator. Its stage member maintains an
-	// incremental stage structure, so successive passes over a slowly
-	// changing mix cost O(changed·log n) instead of a full re-sort.
+	// est is the Manager's one estimator. Every pass is a function of its
+	// input alone; what est keeps between passes is scratch memory (the
+	// stage member's finish-tag heap and finish slice).
 	est core.Estimator
 	// bundle is est's output for the live scheduler state, or nil once a
 	// request may have changed that state; the next publish fills it in.

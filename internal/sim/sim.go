@@ -158,10 +158,10 @@ type Result struct {
 	// chunk-granularity burst/payback). Tests assert the checked share
 	// dominates, so the invariant cannot silently go vacuous.
 	ExactChecked, ExactVoided int
-	// QueueChecked counts the per-shard checks made with a non-empty
-	// admission queue — the states I14 holds against the event-stepped
-	// oracle.
-	QueueChecked int
+	// OracleChecked counts the per-shard checks I14 held against the
+	// event-stepped oracle, QueueChecked those of them made with a non-empty
+	// admission queue.
+	OracleChecked, QueueChecked int
 	// Final summarizes every query's last published view in ID order. The
 	// I12 cross-run comparison keys on it: a fold-on run must agree with the
 	// fold-off baseline on everything except the cost plane.
@@ -423,6 +423,7 @@ func (s *sim) run() (*Result, error) {
 	for _, chk := range s.chks {
 		res.ExactChecked += chk.exactChecked
 		res.ExactVoided += chk.exactVoided
+		res.OracleChecked += chk.oracleChecked
 		res.QueueChecked += chk.queueChecked
 	}
 	if ov, err := s.c.Overview(); err == nil {
