@@ -1,7 +1,7 @@
 GO ?= go
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test bench bench-all bench-check benchmark loc race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke load-smoke bench-load
+.PHONY: build test bench bench-all bench-check benchmark loc loc-check race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke load-smoke bench-load
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,15 @@ benchmark:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
+# loc-check is the size ratchet: `make loc` must not exceed the count committed
+# in LOC_BASELINE. Lower the number whenever a PR shrinks the tree; raise it
+# only with a sentence in CHANGES.md saying what the added lines bought.
+loc-check:
+	@loc=$$($(MAKE) -s loc); base=$$(cat LOC_BASELINE); \
+	echo "size: $$loc lines of non-test Go outside benchmark/ (baseline $$base)"; \
+	[ "$$loc" -le "$$base" ] || \
+		{ echo "make loc = $$loc exceeds LOC_BASELINE = $$base: shrink the change, or raise the baseline and say in CHANGES.md what the lines bought"; exit 1; }
+
 # vet is the static gate: go vet, and a tree gofmt has nothing to say about.
 vet:
 	$(GO) vet ./...
@@ -74,6 +83,7 @@ ci: vet build race
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/sim/
 	$(MAKE) cover-check
+	$(MAKE) loc-check
 	$(MAKE) trace-check
 	$(MAKE) bench-check
 	$(MAKE) calibration-smoke

@@ -60,9 +60,9 @@ func main() {
 		log.Fatal(err)
 	}
 	finish := est.Estimates(core.EstimateInput{Running: states, RateC: srv.RateC()}, core.EnsembleState{}).PerQuery
-	for _, st := range states {
+	for i, st := range states { // finish[i] is the estimate of states[i]
 		fmt.Printf("%-6s %9.0f %14.0f %16.1f\n",
-			mustLookup(srv, st.ID).Label, st.Done, st.Remaining, finish[st.ID].MultiQuery)
+			mustLookup(srv, st.ID).Label, st.Done, st.Remaining, finish[i].MultiQuery)
 	}
 
 	for _, frac := range []float64{0.25, 0.5, 0.75} {

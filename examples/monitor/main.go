@@ -74,14 +74,16 @@ func render(srv *sched.Server) {
 	finish := est.Estimates(core.EstimateInput{
 		Running: srv.StateRunning(), Queued: srv.StateQueued(), MPL: srv.MPL(), RateC: srv.RateC(),
 	}, core.EnsembleState{}).PerQuery
-	for _, q := range srv.Running() {
+	// finish is in the input's order: the running set, then the queue.
+	for i, q := range srv.Running() {
 		bar := progressBar(q.Runner.Progress(), 24)
-		eta := finish[q.ID].MultiQuery
+		eta := finish[i].MultiQuery
 		fmt.Printf("  %-10s %s %5.1f%%  eta t=%5.0fs\n",
 			q.Label, bar, 100*q.Runner.Progress(), srv.Now()+eta)
 	}
-	for _, q := range srv.Queued() {
-		fmt.Printf("  %-10s [ queued ]              eta t=%5.0fs\n", q.Label, srv.Now()+finish[q.ID].MultiQuery)
+	for i, q := range srv.Queued() {
+		eta := finish[len(srv.Running())+i].MultiQuery
+		fmt.Printf("  %-10s [ queued ]              eta t=%5.0fs\n", q.Label, srv.Now()+eta)
 	}
 }
 

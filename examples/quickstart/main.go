@@ -52,8 +52,10 @@ func main() {
 	for srv.Busy() {
 		if big.Status == sched.StatusRunning {
 			single := core.SingleQueryRemainingTime(big.Runner.EstRemaining(), speedOf(srv, big))
+			// Estimates come back in the input's order; big was admitted first
+			// and stays at the head of the running set until it finishes.
 			multi := est.Estimates(core.EstimateInput{Running: srv.StateRunning(), RateC: srv.RateC()},
-				core.EnsembleState{}).PerQuery[big.ID].MultiQuery
+				core.EnsembleState{}).PerQuery[0].MultiQuery
 			fmt.Printf("%4.0fs  %4.0f%%   %13.1fs   %12.1fs\n",
 				srv.Now(), 100*big.Runner.Progress(), single, multi)
 		}

@@ -434,6 +434,77 @@ func TestLeastLoadedFoldAware(t *testing.T) {
 	}
 }
 
+// eagerPick is least-loaded placement with the parse up front — every
+// submission's SQL, then a scan of the shards: the reference for
+// leastLoaded.pick, which parses only once a shard reports a live fold group.
+func eagerPick(c *Cluster, sqlText string) (shard int, colocated bool) {
+	table := driverTable(sqlText)
+	best, foldBest := -1, -1
+	loads := c.Loads()
+	for i, l := range loads {
+		if best < 0 || l.RemainingU < loads[best].RemainingU {
+			best = i
+		}
+		if table != "" && hasFoldTable(l.FoldTables, table) && (foldBest < 0 || l.RemainingU < loads[foldBest].RemainingU) {
+			foldBest = i
+		}
+	}
+	if foldBest >= 0 {
+		return foldBest, foldBest != best
+	}
+	return best, false
+}
+
+// TestLeastLoadedParsesOnlyForLiveFoldGroups: over a corpus of scans on two
+// tables with ticks in between, folding on and folding off, every placement is
+// the one the eager policy makes from the same loads; the fold-on run does
+// take the co-locating branch; and with folding off — no shard ever reports a
+// live group — a routing decision runs no parser, which shows as no
+// allocation at all.
+func TestLeastLoadedParsesOnlyForLiveFoldGroups(t *testing.T) {
+	corpus := []string{"SELECT SUM(a) FROM t1", "SELECT SUM(b) FROM t2", "SELECT COUNT(*) FROM t1"}
+	for _, fold := range []bool{true, false} {
+		cfg := Config{Shards: 3, Routing: "least-loaded"}
+		cfg.Service.Sched = sched.Config{RateC: 10, Quantum: 0.5, Fold: fold}
+		c := manualCluster(t, cfg, 40)
+		if _, err := c.Exec("CREATE TABLE t2 (b BIGINT)"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Exec("INSERT INTO t2 VALUES (1),(2),(3)"); err != nil {
+			t.Fatal(err)
+		}
+		colocations := 0
+		for i := 0; i < 24; i++ {
+			req := SubmitRequest{SubmitRequest: service.SubmitRequest{SQL: corpus[i%len(corpus)]}}
+			want, colocated := eagerPick(c, req.SQL)
+			if colocated {
+				colocations++
+			}
+			v, err := c.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, _ := c.locate(v.ID); got != want {
+				t.Fatalf("fold=%v submission %d (%s) placed on shard %d, eager policy says %d", fold, i, req.SQL, got, want)
+			}
+			if i%2 == 1 {
+				if err := c.Advance(0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if fold != (colocations > 0) {
+			t.Fatalf("fold=%v: %d placements left the least-loaded shard for a live fold group", fold, colocations)
+		}
+		if !fold {
+			req := SubmitRequest{SubmitRequest: service.SubmitRequest{SQL: corpus[0]}}
+			if n := testing.AllocsPerRun(100, func() { c.router.pick(c, req) }); n != 0 {
+				t.Errorf("a routing decision with no live fold group allocates %v times, want 0 (no parse)", n)
+			}
+		}
+	}
+}
+
 // TestOpErrorsNameGlobalID: an operation the owning shard refuses must be
 // reported under the id the client sent, not the shard's own id for the
 // query (gid 7 on three shards is shard 0's query 3).

@@ -60,19 +60,26 @@ func (r *roundRobin) name() string { return "round-robin" }
 // submission's driver table already has a live fold group on some shard, the
 // query goes to the least-loaded shard among those — co-locating same-table
 // scans so they ride one cursor instead of each paying full I/O on separate
-// shards. With no live fold groups anywhere (folding off, or nothing
-// currently folded) the scan below never finds a candidate and placement is
-// identical to plain least-loaded.
+// shards. The submission's SQL is parsed for its driver table only once some
+// shard reports a live group: with none anywhere (folding off, or nothing
+// currently folded) no shard could be a candidate, placement is plain
+// least-loaded, and the parser never runs.
 type leastLoaded struct{}
 
 func (leastLoaded) pick(c *Cluster, req SubmitRequest) int {
-	table := driverTable(req.SQL)
+	table, parsed := "", false
 	best, bestRemaining := -1, 0.0
 	foldBest, foldRemaining := -1, 0.0
 	for i, m := range c.shards {
 		l := m.Load()
 		if best < 0 || l.RemainingU < bestRemaining {
 			best, bestRemaining = i, l.RemainingU
+		}
+		if len(l.FoldTables) == 0 {
+			continue
+		}
+		if !parsed {
+			table, parsed = driverTable(req.SQL), true
 		}
 		if table != "" && hasFoldTable(l.FoldTables, table) {
 			if foldBest < 0 || l.RemainingU < foldRemaining {

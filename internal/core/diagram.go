@@ -25,9 +25,11 @@ func StageDiagram(states []QueryState, C float64, width int) string {
 
 // StageDiagramBands is StageDiagram with per-query uncertainty bands: each
 // finish annotation gains its estimator interval ("finishes at 12.0s
-// ±[10.8,13.4]"). A nil bands map renders byte-identically to StageDiagram —
-// the stage-mode service passes nil, so classic diagrams are unchanged.
-func StageDiagramBands(states []QueryState, C float64, width int, bands map[int]Interval) string {
+// ±[10.8,13.4]"). bands[i] is the band of states[i]; an empty or unbounded
+// one (High <= Low, High = +Inf, a NaN end) is not drawn. Nil bands render
+// byte-identically to StageDiagram — the stage-mode service passes nil, so
+// classic diagrams are unchanged.
+func StageDiagramBands(states []QueryState, C float64, width int, bands []Interval) string {
 	if width <= 0 {
 		width = 60
 	}
@@ -40,15 +42,15 @@ func StageDiagramBands(states []QueryState, C float64, width int, bands map[int]
 		return "(all queries already finished)\n"
 	}
 
-	byID := make(map[int]QueryState, len(states))
-	for _, q := range states {
-		byID[q.ID] = q
+	pos := make(map[int]int, len(states)) // query id -> index in states
+	for i, q := range states {
+		pos[q.ID] = i
 	}
 	// Suffix weights per stage determine speeds: during stage k the
 	// remaining queries share C by weight.
 	suffixW := make([]float64, len(prof.Order)+1)
 	for i := len(prof.Order) - 1; i >= 0; i-- {
-		suffixW[i] = suffixW[i+1] + byID[prof.Order[i]].Weight
+		suffixW[i] = suffixW[i+1] + states[pos[prof.Order[i]]].Weight
 	}
 	glyphs := []rune("▁▂▃▄▅▆▇█")
 
@@ -71,7 +73,7 @@ func StageDiagramBands(states []QueryState, C float64, width int, bands map[int]
 			if cells == 0 && dur > 0 {
 				cells = 1
 			}
-			speed := C * byID[id].Weight / suffixW[stage]
+			speed := C * states[pos[id]].Weight / suffixW[stage]
 			level := int(speed / C * float64(len(glyphs)))
 			if level >= len(glyphs) {
 				level = len(glyphs) - 1
@@ -82,8 +84,8 @@ func StageDiagramBands(states []QueryState, C float64, width int, bands map[int]
 			b.WriteByte('|')
 		}
 		fmt.Fprintf(&b, "  finishes at %.1fs", prof.Finish[id])
-		if band, ok := bands[id]; ok && band.High > band.Low {
-			fmt.Fprintf(&b, " ±[%.1f,%.1f]", band.Low, band.High)
+		if i := pos[id]; i < len(bands) && bands[i].High > bands[i].Low && !math.IsInf(bands[i].High, 1) {
+			fmt.Fprintf(&b, " ±[%.1f,%.1f]", bands[i].Low, bands[i].High)
 		}
 		if g, ok := foldOf[id]; ok {
 			fmt.Fprintf(&b, "  [fold g%d]", g)

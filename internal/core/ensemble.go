@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file is the pluggable estimate plane: a small interface over the
@@ -161,58 +160,44 @@ const bandRelFloor = 0.10
 
 // Estimates runs the member ensemble. The stage member is the classic path's
 // stageEstimator, finish-tag pass and all; the cost and speed members are O(n)
-// closed forms over the input.
+// closed forms over the input. Every member's ETAs are a slice in the input's
+// Running ++ Queued order, like the bundle.
 func (e *ensembleEstimator) Estimates(in EstimateInput, st EnsembleState) Estimates {
-	base := e.stage.Estimates(in, st)
-	stage := make(map[int]float64, len(base.PerQuery))
-	for id, b := range base.PerQuery {
-		stage[id] = b.MultiQuery
+	out := e.stage.Estimates(in, st)
+	stage := make([]float64, len(out.PerQuery))
+	for i, b := range out.PerQuery {
+		stage[i] = b.MultiQuery
 	}
-	cost := costMemberETAs(in)
-	speed := speedMemberETAs(in, st.SpeedEWMA)
+	out.members = [numMembers][]float64{stage, costMemberETAs(in), speedMemberETAs(in, st.SpeedEWMA)}
 
 	w := blendWeights(e.mode, st)
-	weights := make(map[string]float64, numMembers)
-	for i, name := range MemberNames {
-		weights[name] = w[i]
-	}
-
+	out.Weights = make(map[string]float64, numMembers)
 	// wErr is the error-calibrated half-width component: the blend-weighted
 	// rolling error of the members (0 until residuals arrive).
 	wErr := 0.0
 	for i, name := range MemberNames {
+		out.Weights[name] = w[i]
 		wErr += w[i] * st.Errors[name]
 	}
 
-	out := Estimates{
-		PerQuery:  make(map[int]Estimate, len(base.PerQuery)),
-		Quiescent: base.Quiescent,
-		Weights:   weights,
-	}
-	out.members[memberStage] = stage
-	out.members[memberCost] = cost
-	out.members[memberSpeed] = speed
-	for id, b := range base.PerQuery {
-		etas := [numMembers]float64{stage[id], cost[id], speed[id]}
+	// The stage bundle becomes the blended one in place: the single-query
+	// estimate stays, the point and the band are the blend's.
+	for i := range out.PerQuery {
+		var etas [numMembers]float64
+		for m := range etas {
+			etas[m] = out.members[m][i]
+		}
 		point, lo, hi := blendPoint(etas, w)
+		b := &out.PerQuery[i]
+		b.MultiQuery, b.ETALow, b.ETAHigh = point, point, point
 		if !isFiniteETA(point) {
-			out.PerQuery[id] = Estimate{
-				SingleQuery: b.SingleQuery, MultiQuery: point,
-				ETALow: point, ETAHigh: point,
-			}
 			continue
 		}
 		half := wErr + bandRelFloor*point
-		low := lo - half
-		if low < 0 {
-			low = 0
+		if b.ETALow = lo - half; b.ETALow < 0 {
+			b.ETALow = 0
 		}
-		out.PerQuery[id] = Estimate{
-			SingleQuery: b.SingleQuery,
-			MultiQuery:  point,
-			ETALow:      low,
-			ETAHigh:     hi + half,
-		}
+		b.ETAHigh = hi + half
 	}
 	return out
 }
@@ -246,46 +231,46 @@ func blendPoint(etas [numMembers]float64, w [numMembers]float64) (point, lo, hi 
 }
 
 // runnableShare computes each running query's weighted fair share C·w/W over
-// the runnable set — the model speed both heuristic members fall back to when
-// no (or no trustworthy) observation exists.
-func runnableShare(in EstimateInput) (share map[int]float64, C float64) {
+// the runnable set, by position in in.Running — the model speed both heuristic
+// members fall back to when no (or no trustworthy) observation exists.
+func runnableShare(in EstimateInput) (share []float64, C float64) {
 	C = sanitizeRate(in.RateC)
-	share = make(map[int]float64, len(in.Running))
+	share = make([]float64, len(in.Running))
 	W := 0.0
 	for _, q := range in.Running {
 		if s := sanitize(q); s.Weight > 0 {
 			W += s.Weight
 		}
 	}
-	for _, q := range in.Running {
-		s := sanitize(q)
-		if s.Weight <= 0 || W <= 0 || C <= 0 {
-			share[s.ID] = 0
-			continue
+	if W <= 0 || C <= 0 {
+		return share, C
+	}
+	for i, q := range in.Running {
+		if s := sanitize(q); s.Weight > 0 {
+			share[i] = C * (s.Weight / W)
 		}
-		share[s.ID] = C * (s.Weight / W)
 	}
 	return share, C
 }
 
 // queuedBacklogETAs gives every queued query the optimizer-cost view of its
 // wait: all runnable remaining work plus the queue ahead of it drains at the
-// aggregate rate C before its own cost does.
-func queuedBacklogETAs(in EstimateInput, C float64, out map[int]float64) {
+// aggregate rate C before its own cost does. out is the queued tail of a
+// member's slice.
+func queuedBacklogETAs(in EstimateInput, C float64, out []float64) {
 	backlog := 0.0
 	for _, q := range in.Running {
 		if s := sanitize(q); s.Weight > 0 {
 			backlog += s.Remaining
 		}
 	}
-	for _, q := range in.Queued {
-		s := sanitize(q)
-		backlog += s.Remaining
+	for i, q := range in.Queued {
+		backlog += sanitize(q).Remaining
 		if C <= 0 {
-			out[s.ID] = math.Inf(1)
+			out[i] = math.Inf(1)
 			continue
 		}
-		out[s.ID] = backlog / C
+		out[i] = backlog / C
 	}
 }
 
@@ -294,31 +279,31 @@ func queuedBacklogETAs(in EstimateInput, C float64, out map[int]float64) {
 // fair share C·w/W (falling back to the share alone before any observation).
 // It reacts faster than the stage model when observed speeds drift from the
 // model (Assumption 1 violations) but ignores upcoming stage transitions.
-func costMemberETAs(in EstimateInput) map[int]float64 {
+func costMemberETAs(in EstimateInput) []float64 {
 	share, C := runnableShare(in)
-	out := make(map[int]float64, len(in.Running)+len(in.Queued))
-	for _, q := range in.Running {
+	out := make([]float64, len(in.Running)+len(in.Queued))
+	for i, q := range in.Running {
 		s := sanitize(q)
-		sp := share[s.ID]
+		sp := share[i]
 		if obs := in.Speeds[s.ID]; obs > 0 && sp > 0 {
 			sp = (obs + sp) / 2
 		}
-		out[s.ID] = remainingOver(s.Remaining, sp)
+		out[i] = SingleQueryRemainingTime(s.Remaining, sp)
 	}
-	queuedBacklogETAs(in, C, out)
+	queuedBacklogETAs(in, C, out[len(in.Running):])
 	return out
 }
 
 // speedMemberETAs is the speed-history member: remaining cost divided by the
 // EWMA of the query's observed speed — a pure extrapolation of measured
 // throughput, robust to a mis-specified rate C but blind to the future mix.
-func speedMemberETAs(in EstimateInput, ewma map[int]float64) map[int]float64 {
+func speedMemberETAs(in EstimateInput, ewma map[int]float64) []float64 {
 	share, C := runnableShare(in)
-	out := make(map[int]float64, len(in.Running)+len(in.Queued))
-	for _, q := range in.Running {
+	out := make([]float64, len(in.Running)+len(in.Queued))
+	for i, q := range in.Running {
 		s := sanitize(q)
 		if s.Weight <= 0 {
-			out[s.ID] = remainingOver(s.Remaining, 0)
+			out[i] = SingleQueryRemainingTime(s.Remaining, 0)
 			continue
 		}
 		sp := ewma[s.ID]
@@ -326,24 +311,12 @@ func speedMemberETAs(in EstimateInput, ewma map[int]float64) map[int]float64 {
 			sp = in.Speeds[s.ID]
 		}
 		if sp <= 0 {
-			sp = share[s.ID]
+			sp = share[i]
 		}
-		out[s.ID] = remainingOver(s.Remaining, sp)
+		out[i] = SingleQueryRemainingTime(s.Remaining, sp)
 	}
-	queuedBacklogETAs(in, C, out)
+	queuedBacklogETAs(in, C, out[len(in.Running):])
 	return out
-}
-
-// remainingOver is c/s with the blocked/degenerate conventions of
-// SingleQueryRemainingTime.
-func remainingOver(remaining, speed float64) float64 {
-	if remaining <= 0 {
-		return 0
-	}
-	if speed <= 0 {
-		return math.Inf(1)
-	}
-	return remaining / speed
 }
 
 // speedEWMAAlpha smooths the speed-history member's per-query speed; errAlpha
@@ -382,8 +355,8 @@ func NewEnsembleCalib() *EnsembleCalib {
 // EWMAs for the speed-history member, each member's absolute predicted finish
 // (now + member ETA) for residual accounting, and the reported absolute band
 // for coverage accounting. est must come from an ensemble-mode Estimator run
-// on the same input (stage-mode bundles carry no member breakdown and are
-// ignored).
+// on in — its positions are zipped with in's ids (stage-mode bundles carry no
+// member breakdown and are ignored).
 func (c *EnsembleCalib) Observe(now float64, in EstimateInput, est Estimates) {
 	for _, q := range in.Running {
 		if s := in.Speeds[q.ID]; s > 0 {
@@ -397,10 +370,11 @@ func (c *EnsembleCalib) Observe(now float64, in EstimateInput, est Estimates) {
 	if est.members[memberStage] == nil {
 		return
 	}
-	for id, e := range est.PerQuery {
+	for i, e := range est.PerQuery {
+		id := in.Query(i).ID
 		var p [numMembers]float64
 		for m := range p {
-			eta := est.members[m][id]
+			eta := est.members[m][i]
 			if isFiniteETA(eta) {
 				p[m] = now + eta
 			} else {
@@ -481,46 +455,4 @@ func (c *EnsembleCalib) State() EnsembleState {
 		}
 	}
 	return st
-}
-
-// SortedWeights renders a weights map in canonical member order, for
-// deterministic exposition (metrics, overview JSON, experiment tables).
-func SortedWeights(w map[string]float64) []struct {
-	Member string
-	Weight float64
-} {
-	out := make([]struct {
-		Member string
-		Weight float64
-	}, 0, len(w))
-	for _, name := range MemberNames {
-		if v, ok := w[name]; ok {
-			out = append(out, struct {
-				Member string
-				Weight float64
-			}{name, v})
-		}
-	}
-	// Any non-canonical members (future-proofing) go last, sorted.
-	var extra []string
-	for name := range w {
-		known := false
-		for _, m := range MemberNames {
-			if m == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			extra = append(extra, name)
-		}
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		out = append(out, struct {
-			Member string
-			Weight float64
-		}{name, w[name]})
-	}
-	return out
 }

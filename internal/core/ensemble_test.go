@@ -52,7 +52,7 @@ func TestStageEstimatorBitIdentical(t *testing.T) {
 		if got.Weights != nil {
 			t.Fatalf("trial %d: stage mode reported weights %v", trial, got.Weights)
 		}
-		for id, e := range got.PerQuery {
+		for id, e := range byID(in, got) {
 			if e.ETALow != e.MultiQuery || e.ETAHigh != e.MultiQuery {
 				if !(math.IsInf(e.MultiQuery, 1) && math.IsInf(e.ETALow, 1) && math.IsInf(e.ETAHigh, 1)) {
 					t.Fatalf("trial %d Q%d: stage band not degenerate: %+v", trial, id, e)
@@ -122,7 +122,7 @@ func TestEnsembleBandsContainPoint(t *testing.T) {
 			if math.Abs(sum-1) > 1e-9 {
 				t.Fatalf("%s trial %d: weights %v sum to %g", mode, trial, got.Weights, sum)
 			}
-			for id, e := range got.PerQuery {
+			for id, e := range byID(in, got) {
 				if math.IsInf(e.MultiQuery, 1) {
 					if !math.IsInf(e.ETALow, 1) || !math.IsInf(e.ETAHigh, 1) {
 						t.Fatalf("%s trial %d Q%d: infinite point with finite band %+v", mode, trial, id, e)
@@ -164,8 +164,8 @@ func TestForcedMemberModes(t *testing.T) {
 	}
 	// Q1: share = 100·(1/3) = 33.33, blended with observed 20 → 26.67 U/s.
 	wantQ1 := 100 / ((20 + 100.0/3) / 2)
-	if math.Abs(got.PerQuery[1].MultiQuery-wantQ1) > 1e-9 {
-		t.Fatalf("cost mode Q1 = %g, want %g", got.PerQuery[1].MultiQuery, wantQ1)
+	if math.Abs(byID(in, got)[1].MultiQuery-wantQ1) > 1e-9 {
+		t.Fatalf("cost mode Q1 = %g, want %g", byID(in, got)[1].MultiQuery, wantQ1)
 	}
 
 	speedEst, _ := NewEstimator(EstimatorSpeed)
@@ -173,8 +173,8 @@ func TestForcedMemberModes(t *testing.T) {
 	if got.Weights[EstimatorSpeed] != 1 {
 		t.Fatalf("speed mode weights = %v", got.Weights)
 	}
-	if want := 100 / 25.0; math.Abs(got.PerQuery[1].MultiQuery-want) > 1e-9 {
-		t.Fatalf("speed mode Q1 = %g, want %g (EWMA speed 25)", got.PerQuery[1].MultiQuery, want)
+	if want := 100 / 25.0; math.Abs(byID(in, got)[1].MultiQuery-want) > 1e-9 {
+		t.Fatalf("speed mode Q1 = %g, want %g (EWMA speed 25)", byID(in, got)[1].MultiQuery, want)
 	}
 }
 
@@ -194,8 +194,8 @@ func TestEnsembleBlockedQueryInfinite(t *testing.T) {
 	for _, mode := range []string{EstimatorCost, EstimatorSpeed, EstimatorEnsemble} {
 		est, _ := NewEstimator(mode)
 		got := est.Estimates(in, st)
-		if !math.IsInf(got.PerQuery[2].MultiQuery, 1) {
-			t.Fatalf("%s: blocked query ETA = %g, want +Inf", mode, got.PerQuery[2].MultiQuery)
+		if !math.IsInf(byID(in, got)[2].MultiQuery, 1) {
+			t.Fatalf("%s: blocked query ETA = %g, want +Inf", mode, byID(in, got)[2].MultiQuery)
 		}
 	}
 }
@@ -217,11 +217,11 @@ func TestEnsembleQueuedBacklog(t *testing.T) {
 	}
 	est, _ := NewEstimator(EstimatorCost)
 	got := est.Estimates(in, EnsembleState{})
-	if want := (100 + 200.0) / 100; math.Abs(got.PerQuery[2].MultiQuery-want) > 1e-9 {
-		t.Fatalf("queued Q2 = %g, want %g", got.PerQuery[2].MultiQuery, want)
+	if want := (100 + 200.0) / 100; math.Abs(byID(in, got)[2].MultiQuery-want) > 1e-9 {
+		t.Fatalf("queued Q2 = %g, want %g", byID(in, got)[2].MultiQuery, want)
 	}
-	if want := (100 + 200 + 100.0) / 100; math.Abs(got.PerQuery[3].MultiQuery-want) > 1e-9 {
-		t.Fatalf("queued Q3 = %g, want %g", got.PerQuery[3].MultiQuery, want)
+	if want := (100 + 200 + 100.0) / 100; math.Abs(byID(in, got)[3].MultiQuery-want) > 1e-9 {
+		t.Fatalf("queued Q3 = %g, want %g", byID(in, got)[3].MultiQuery, want)
 	}
 }
 
@@ -321,17 +321,5 @@ func TestEnsembleStateIsolated(t *testing.T) {
 	calib.Observe(1, EstimateInput{Running: in.Running, Speeds: map[int]float64{1: 50}, RateC: 10}, Estimates{})
 	if st.SpeedEWMA[1] != 5 {
 		t.Fatalf("published state mutated: EWMA = %g, want 5", st.SpeedEWMA[1])
-	}
-}
-
-// TestSortedWeights: canonical member order first, unknown members last.
-func TestSortedWeights(t *testing.T) {
-	w := map[string]float64{EstimatorSpeed: 0.2, EstimatorStage: 0.5, EstimatorCost: 0.3}
-	got := SortedWeights(w)
-	if len(got) != 3 || got[0].Member != EstimatorStage || got[1].Member != EstimatorCost || got[2].Member != EstimatorSpeed {
-		t.Fatalf("SortedWeights order = %+v", got)
-	}
-	if got[0].Weight != 0.5 {
-		t.Fatalf("SortedWeights dropped values: %+v", got)
 	}
 }

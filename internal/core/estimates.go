@@ -25,7 +25,9 @@ type Estimate struct {
 // snapshot converts into one of these, which makes the estimate bundle a
 // deterministic function of the scheduler state: the service's owner
 // goroutine computes it once per state and publishes it with the snapshot,
-// and every poll of that epoch reads the published bundle.
+// and every poll of that epoch reads the published bundle. The order of
+// Running ++ Queued is the order of everything computed from the input:
+// position i of a bundle is the estimate of Query(i).
 type EstimateInput struct {
 	Running  []QueryState    // admitted queries (blocked ones carry Weight 0)
 	Queued   []QueryState    // admission queue, FIFO order
@@ -35,19 +37,31 @@ type EstimateInput struct {
 	Arrivals *ArrivalModel   // optional §2.4 future-arrival model
 }
 
+// Query returns the query at position i of Running ++ Queued.
+func (in EstimateInput) Query(i int) QueryState {
+	if i < len(in.Running) {
+		return in.Running[i]
+	}
+	return in.Queued[i-len(in.Running)]
+}
+
 // Estimates is the bundle ComputeEstimates derives from one input: both
 // indicators for every admitted and queued query, plus the system quiescent
 // ETA — seconds until all *known* work drains, ignoring hypothetical future
 // arrivals (matching §2.3's definition of quiescence).
 type Estimates struct {
-	PerQuery  map[int]Estimate
+	// PerQuery is in the input's Running ++ Queued order: PerQuery[i] is the
+	// estimate of in.Query(i). It carries no ids; whoever holds the input (or
+	// the snapshot the input was derived from) holds them.
+	PerQuery  []Estimate
 	Quiescent float64
 	// Weights maps ensemble member name to its blend weight for this pass
 	// (nil on the classic stage path, which runs no ensemble).
 	Weights map[string]float64
-	// members holds each member's raw per-query ETA (index order follows
-	// MemberNames); only ensemble modes fill it, for calibration accounting.
-	members [numMembers]map[int]float64
+	// members holds each member's raw ETAs, positional like PerQuery (index
+	// order follows MemberNames); only ensemble modes fill it, for
+	// calibration accounting.
+	members [numMembers][]float64
 }
 
 // ComputeEstimates computes the full estimate bundle from one immutable
@@ -98,21 +112,18 @@ func (e *stageEstimator) Estimates(in EstimateInput, _ EnsembleState) Estimates 
 }
 
 // bundleEstimates pairs the multi-query finish times, given in
-// Running ++ Queued order, with the single-query c/s estimates.
-func bundleEstimates(in EstimateInput, fin []float64) map[int]Estimate {
-	out := make(map[int]Estimate, len(fin))
-	add := func(states []QueryState, fin []float64) {
-		for i, q := range states {
-			m := fin[i]
-			out[q.ID] = Estimate{
-				SingleQuery: SingleQueryRemainingTime(q.Remaining, in.Speeds[q.ID]),
-				MultiQuery:  m,
-				ETALow:      m,
-				ETAHigh:     m,
-			}
+// Running ++ Queued order, with the single-query c/s estimates: the one slice
+// a pass allocates, which the caller publishes.
+func bundleEstimates(in EstimateInput, fin []float64) []Estimate {
+	out := make([]Estimate, len(fin))
+	for i, m := range fin {
+		q := in.Query(i)
+		out[i] = Estimate{
+			SingleQuery: SingleQueryRemainingTime(q.Remaining, in.Speeds[q.ID]),
+			MultiQuery:  m,
+			ETALow:      m,
+			ETAHigh:     m,
 		}
 	}
-	add(in.Running, fin)
-	add(in.Queued, fin[len(in.Running):])
 	return out
 }

@@ -20,6 +20,16 @@ func TestSingleQueryRemainingTime(t *testing.T) {
 	}
 }
 
+// byID zips a bundle's positions with its input's ids, for the tests that
+// name queries by id.
+func byID(in EstimateInput, est Estimates) map[int]Estimate {
+	out := make(map[int]Estimate, len(est.PerQuery))
+	for i, e := range est.PerQuery {
+		out[in.Query(i).ID] = e
+	}
+	return out
+}
+
 // stageEstimates asks the production entry point, the stage-mode Estimator,
 // for one input's per-query bundle.
 func stageEstimates(t *testing.T, in EstimateInput) map[int]Estimate {
@@ -28,7 +38,7 @@ func stageEstimates(t *testing.T, in EstimateInput) map[int]Estimate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return est.Estimates(in, EnsembleState{}).PerQuery
+	return byID(in, est.Estimates(in, EnsembleState{}))
 }
 
 func TestStageEstimatorClosedForm(t *testing.T) {
@@ -192,7 +202,7 @@ func TestStageEstimatorBundle(t *testing.T) {
 	// Multi-query is the stateless pass bit for bit, and the event-stepped
 	// queue-aware oracle to rounding (the finish-tag pass lands Q4 on 1.5, the
 	// oracle's repeated subtraction on 1.5000000000000002).
-	want := ComputeEstimates(in).PerQuery
+	want := byID(in, ComputeEstimates(in))
 	multi := SimulateProfile(running, 100, SimOptions{Queued: queued}).Finish
 	for id, e := range got {
 		if math.Float64bits(e.MultiQuery) != math.Float64bits(want[id].MultiQuery) {

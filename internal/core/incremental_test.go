@@ -369,8 +369,8 @@ func TestIncrementalEstimatorMatchesComputeEstimates(t *testing.T) {
 		if len(got.PerQuery) != len(want.PerQuery) {
 			t.Fatalf("step %d: %d estimates, want %d", step, len(got.PerQuery), len(want.PerQuery))
 		}
-		for id, w := range want.PerQuery {
-			g := got.PerQuery[id]
+		for i, w := range want.PerQuery {
+			g, id := got.PerQuery[i], in.Query(i).ID
 			if math.Float64bits(g.MultiQuery) != math.Float64bits(w.MultiQuery) ||
 				math.Float64bits(g.SingleQuery) != math.Float64bits(w.SingleQuery) {
 				t.Fatalf("step %d q%d: got %+v, want %+v", step, id, g, w)

@@ -442,9 +442,9 @@ func TestStageEstimatorReusesQueuePass(t *testing.T) {
 		if len(got.PerQuery) != len(want.PerQuery) {
 			t.Fatalf("pass %d: %d estimates, stateless %d", i, len(got.PerQuery), len(want.PerQuery))
 		}
-		for id, w := range want.PerQuery {
-			if g := got.PerQuery[id]; math.Float64bits(g.MultiQuery) != math.Float64bits(w.MultiQuery) {
-				t.Fatalf("pass %d Q%d: %v, stateless %v", i, id, g.MultiQuery, w.MultiQuery)
+		for pos, w := range want.PerQuery {
+			if g := got.PerQuery[pos]; math.Float64bits(g.MultiQuery) != math.Float64bits(w.MultiQuery) {
+				t.Fatalf("pass %d Q%d: %v, stateless %v", i, in.Query(pos).ID, g.MultiQuery, w.MultiQuery)
 			}
 		}
 	}

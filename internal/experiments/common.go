@@ -327,8 +327,9 @@ func shadowCheck(states []core.QueryState, C float64) {
 
 // multiETAs is the sweeps' one way to ask for multi-query remaining times:
 // the production estimate plane in stage mode — §2.2's closed form over
-// in.Running, §2.3 once in.Queued is set, §2.4 once in.Arrivals is. The map
-// is the caller's own.
+// in.Running, §2.3 once in.Queued is set, §2.4 once in.Arrivals is. The
+// plane answers by position in the input; the sweeps score queries long after
+// they left it, so they get a map by id, which is the caller's own.
 func multiETAs(in core.EstimateInput) map[int]float64 {
 	est, err := core.NewEstimator(core.EstimatorStage)
 	if err != nil {
@@ -336,8 +337,8 @@ func multiETAs(in core.EstimateInput) map[int]float64 {
 	}
 	per := est.Estimates(in, core.EnsembleState{}).PerQuery
 	out := make(map[int]float64, len(per))
-	for id, e := range per {
-		out[id] = e.MultiQuery
+	for i, e := range per {
+		out[in.Query(i).ID] = e.MultiQuery
 	}
 	return out
 }

@@ -77,13 +77,17 @@ func TestDifferentialPredictionVsMeasured(t *testing.T) {
 			}
 		}
 		snapNow := srv.Now()
-		pred := core.ComputeEstimates(core.EstimateInput{
+		in := core.EstimateInput{
 			Running: srv.StateRunning(), Queued: srv.StateQueued(), MPL: srv.MPL(), RateC: srv.RateC(),
-		}).PerQuery
+		}
+		pred := make(map[int]float64) // estimates are positional; the scoring below is by id
+		for i, e := range core.ComputeEstimates(in).PerQuery {
+			pred[in.Query(i).ID] = e.MultiQuery
+		}
 		srv.RunUntilIdle(1e6)
 		for _, q := range queries {
-			p := pred[q.ID].MultiQuery
-			if _, ok := pred[q.ID]; !ok || math.IsInf(p, 1) {
+			p, ok := pred[q.ID]
+			if !ok || math.IsInf(p, 1) {
 				continue // finished before the snapshot, or blocked forever
 			}
 			if q.Status != StatusFinished {

@@ -974,17 +974,36 @@ type Snapshot struct {
 	Done []QueryInfo
 }
 
-// Lookup finds one query's info in the snapshot, searching admitted, queued,
-// scheduled, and terminated queries.
-func (s *Snapshot) Lookup(id int) (QueryInfo, bool) {
-	for _, list := range [4][]QueryInfo{s.Running, s.Queued, s.Scheduled, s.Done} {
-		for _, q := range list {
-			if q.ID == id {
-				return q, true
+// Locate finds one query's info in the snapshot, searching admitted, queued,
+// scheduled, and terminated queries, and reports its position in
+// Running ++ Queued — where an estimate bundle computed from this snapshot
+// holds its estimate — or -1 for a scheduled or terminated query, which has
+// none.
+func (s *Snapshot) Locate(id int) (info QueryInfo, pos int, ok bool) {
+	for i := range s.Running {
+		if s.Running[i].ID == id {
+			return s.Running[i], i, true
+		}
+	}
+	for i := range s.Queued {
+		if s.Queued[i].ID == id {
+			return s.Queued[i], len(s.Running) + i, true
+		}
+	}
+	for _, list := range [2][]QueryInfo{s.Scheduled, s.Done} {
+		for i := range list {
+			if list[i].ID == id {
+				return list[i], -1, true
 			}
 		}
 	}
-	return QueryInfo{}, false
+	return QueryInfo{}, -1, false
+}
+
+// Lookup is Locate without the position.
+func (s *Snapshot) Lookup(id int) (QueryInfo, bool) {
+	info, _, ok := s.Locate(id)
+	return info, ok
 }
 
 // StatesRunning converts the snapshot's admitted queries to the PI's

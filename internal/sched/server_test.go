@@ -666,6 +666,26 @@ func TestSnapshotStatesMatchLive(t *testing.T) {
 	if _, ok := snap.Lookup(999); ok {
 		t.Error("snapshot Lookup(999) found a ghost")
 	}
+	// Locate adds the position in Running ++ Queued — where the states above
+	// put the query, so where an estimate computed from them is — and -1 once
+	// a query is in neither.
+	states := append(gotRun, gotQ...)
+	for i, st := range states {
+		if info, pos, ok := snap.Locate(st.ID); !ok || info.ID != st.ID || pos != i {
+			t.Errorf("snapshot Locate(%d) = q%d at %d, %v; want position %d", st.ID, info.ID, pos, ok, i)
+		}
+	}
+	if err := srv.Abort(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	late := srv.NewQuery("late", "", 0, prepare(t, db, "sd", 5))
+	srv.ScheduleArrival(srv.Now()+10, late)
+	snap = srv.Snapshot()
+	for _, id := range []int{c.ID, late.ID} {
+		if info, pos, ok := snap.Locate(id); !ok || info.ID != id || pos != -1 {
+			t.Errorf("snapshot Locate(%d) = q%d at %d, %v; want found at -1", id, info.ID, pos, ok)
+		}
+	}
 }
 
 // TestSnapshotDoneIsImmutableSharedPrefix: every snapshot's Done is a view of

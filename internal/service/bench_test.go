@@ -151,7 +151,7 @@ func BenchmarkOwnerWakeup(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refill(b, m)
 			// call publishes after the closure, as the ticker does after its
-			// advance; observe has left the bundle for it.
+			// advance; observe has left its capture for it.
 			if err := m.call(func() { m.advance(3*quantum, false) }); err != nil {
 				b.Fatal(err)
 			}

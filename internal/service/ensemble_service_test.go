@@ -93,16 +93,19 @@ func TestEnsembleServiceEndToEnd(t *testing.T) {
 		t.Fatalf("finished %d queries, want 3", len(ov.Finished))
 	}
 
-	text := m.Metrics().Text()
+	// The gauges come in core.MemberNames order, then the band counters.
+	text, at := m.Metrics().Text(), 0
 	for _, want := range []string{
 		`mqpi_estimator_weight{member="stage"}`,
 		`mqpi_estimator_weight{member="cost"}`,
 		`mqpi_estimator_weight{member="speed"}`,
 		"mqpi_eta_band_finishes_total 3",
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics text missing %q", want)
+		i := strings.Index(text[at:], want)
+		if i < 0 {
+			t.Fatalf("metrics text has no %q after offset %d", want, at)
 		}
+		at += i + len(want)
 	}
 
 	// Residuals landed → weights are no longer uniform thirds (the members
@@ -277,7 +280,8 @@ func TestEnsembleServesScoredBand(t *testing.T) {
 		}
 		want := snap.estimates(nil, pre)
 		for id, p := range views {
-			w := want.PerQuery[id]
+			_, pos, _ := snap.Sched.Locate(id)
+			w := want.PerQuery[pos]
 			if math.Float64bits(float64(p.ETALow)) != math.Float64bits(w.ETALow) ||
 				math.Float64bits(float64(p.ETAHigh)) != math.Float64bits(w.ETAHigh) {
 				t.Fatalf("tick %d query %d: served band [%v, %v], scored band [%v, %v]",

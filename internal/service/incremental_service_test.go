@@ -10,20 +10,6 @@ import (
 	"mqpi/internal/sched"
 )
 
-// estimateInput converts the snapshot to the pure-value input of the §2.2–2.4
-// estimators. arrivals is the manager's configured §2.4 model, which the
-// snapshot does not carry.
-func (s *Snapshot) estimateInput(arrivals *core.ArrivalModel) core.EstimateInput {
-	return core.EstimateInput{
-		Running:  s.Sched.StatesRunning(),
-		Queued:   s.Sched.StatesQueued(),
-		MPL:      s.Sched.MPL,
-		RateC:    s.Sched.RateC,
-		Speeds:   s.Sched.Speeds(),
-		Arrivals: arrivals,
-	}
-}
-
 // estimates is the stateless oracle: the bundle a fresh estimator — no
 // scratch memory, no history of earlier passes — derives from the
 // snapshot alone under calibration state st. The bundle the manager publishes
@@ -60,9 +46,9 @@ func checkPublishedEstimates(t *testing.T, m *Manager, step string) {
 	if len(got.PerQuery) != len(want.PerQuery) {
 		t.Fatalf("%s: %d estimates, want %d", step, len(got.PerQuery), len(want.PerQuery))
 	}
-	for id, w := range want.PerQuery {
-		if g, ok := got.PerQuery[id]; !ok || !sameEstimate(g, w) {
-			t.Fatalf("%s: query %d estimate = %+v, want %+v", step, id, got.PerQuery[id], w)
+	for i, w := range want.PerQuery { // positional: query i of Sched.Running ++ Sched.Queued
+		if g := got.PerQuery[i]; !sameEstimate(g, w) {
+			t.Fatalf("%s: position %d estimate = %+v, want %+v", step, i, g, w)
 		}
 	}
 }
@@ -178,9 +164,9 @@ func TestPublishedEstimatesWithArrivals(t *testing.T) {
 	if snap.est.Quiescent != blind.Quiescent {
 		t.Errorf("quiescent ETA %v with the arrival model, %v without", snap.est.Quiescent, blind.Quiescent)
 	}
-	for id, b := range blind.PerQuery {
-		if g := snap.est.PerQuery[id].MultiQuery; !(g > b.MultiQuery) {
-			t.Errorf("query %d: multi-query ETA %v with predicted arrivals, %v without: want later", id, g, b.MultiQuery)
+	for i, b := range blind.PerQuery {
+		if g := snap.est.PerQuery[i].MultiQuery; !(g > b.MultiQuery) {
+			t.Errorf("position %d: multi-query ETA %v with predicted arrivals, %v without: want later", i, g, b.MultiQuery)
 		}
 	}
 	for step := 0; step < 6; step++ {

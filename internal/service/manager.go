@@ -17,21 +17,25 @@
 //
 // Reads take a different path entirely. After every mutation and tick batch
 // the owner publishes an immutable, epoch-stamped Snapshot through an atomic
-// pointer, and the snapshot carries the estimate bundle for that state: the
-// Manager's one estimator runs one pass per published state — in observe
-// after the ticks, or in publish when a request rather than a tick changed
-// the state — one finish-tag pass over the running set and the admission
-// queue (two with an arrival model), into a heap and a finish slice it keeps
-// between passes. The owner's cost is per wake-up, not per
+// pointer, and the snapshot carries the estimate bundle for that state. A
+// state is captured once (Manager.capture) — in observe after the ticks, or in
+// publish when a request rather than a tick changed the state: sched.Snapshot
+// is the one walk of the runners, the estimator's input is derived from that
+// copy, the Manager's one estimator runs one finish-tag pass over it (two
+// with an arrival model, into a heap and a finish slice it keeps between
+// passes) and answers with one slice in the copy's own order — estimate i
+// belongs to query i of Sched.Running ++ Sched.Queued — and the depth and fold
+// gauges are read off the same copy. The owner's cost is per wake-up, not per
 // tick: a ticker wake-up runs every tick it owes, then observes once and
 // publishes once, because no reader can see a state between two ticks of one
 // wake-up; a manual Advance observes after every tick, because there each
 // step is one somebody asked for. A wake-up that ran no tick publishes
 // nothing. Progress, Overview, Diagram, and the §3 planners load the latest
 // snapshot and build their views on the *caller's* goroutine: load a pointer,
-// look up, encode — no mutex, no channel wait, no estimator on any poll — so
-// polls scale with reader parallelism instead of serializing behind each
-// other and the scheduler ticks.
+// one scan for the query and the position of its estimate, encode — no mutex,
+// no channel wait, no estimator on any poll — so polls scale with reader
+// parallelism instead of serializing behind each other and the scheduler
+// ticks.
 //
 // On top of the session manager sits the observability layer: Prometheus
 // counters/gauges/histograms (Metrics, including snapshot age and poll
@@ -40,10 +44,11 @@
 package service
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,9 +161,11 @@ type Manager struct {
 	// input alone; what est keeps between passes is scratch memory (the
 	// stage member's finish-tag heap and finish slice).
 	est core.Estimator
-	// bundle is est's output for the live scheduler state, or nil once a
-	// request may have changed that state; the next publish fills it in.
-	bundle *core.Estimates
+	// pending is the capture of the live scheduler state that observe left for
+	// the publish that follows it, which consumes it; nil otherwise, and a
+	// publish then takes its own.
+	pending *Snapshot
+	revs    []revision // observe's scratch, kept between passes
 	// calib accumulates finish-time residuals and band coverage for the
 	// ensemble blender; nil in stage mode, where no calibration runs and the
 	// estimate path is the classic pipeline verbatim.
@@ -290,7 +297,6 @@ func (m *Manager) callDeadline(f func(), d time.Duration) (*Snapshot, error) {
 	var snap *Snapshot
 	fin := make(chan struct{})
 	req := func() {
-		m.bundle = nil // f may change what the estimates are of
 		f()
 		snap = m.publish()
 		close(fin)
@@ -315,24 +321,41 @@ func (m *Manager) callDeadline(f func(), d time.Duration) (*Snapshot, error) {
 }
 
 // publish installs a fresh immutable snapshot, estimates included, for the
-// read path: the bundle observe just computed when the publish follows a
-// tick, otherwise one pass over the live state. Owner goroutine only (called
-// from New before the loop starts, then from the loop).
+// read path: the capture observe just took when the publish follows a tick,
+// otherwise one of the live state. Owner goroutine only (called from New
+// before the loop starts, then from the loop).
 func (m *Manager) publish() *Snapshot {
+	snap := m.pending
+	if snap == nil {
+		snap, _ = m.capture()
+	}
+	m.pending = nil
 	m.epoch++
-	if m.bundle == nil {
-		m.estimate()
-	}
-	snap := &Snapshot{
-		Epoch:     m.epoch,
-		Published: time.Now(),
-		Sched:     m.srv.Snapshot(),
-		TimeScale: m.cfg.TimeScale,
-		Estimator: m.est.Mode(),
-		est:       m.bundle,
-	}
+	snap.Epoch, snap.Published = m.epoch, time.Now()
 	m.snap.Store(snap)
 	return snap
+}
+
+// capture is the one walk of the runners a scheduler state gets, and
+// everything derived from it: sched.Snapshot copies the live set out; the
+// estimator's input is that copy in the copy's own order, so position i of
+// the bundle is the estimate of query i of Sched.Running ++ Sched.Queued —
+// bit-identical to the stateless core.ComputeEstimates in stage mode; the
+// depth and fold gauges are read off the same copy. It returns the snapshot,
+// complete but for its epoch, and the input its estimates were computed from.
+// Owner goroutine only.
+func (m *Manager) capture() (*Snapshot, core.EstimateInput) {
+	snap := &Snapshot{Sched: m.srv.Snapshot(), TimeScale: m.cfg.TimeScale, Estimator: m.est.Mode()}
+	start := time.Now()
+	var st core.EnsembleState
+	if m.calib != nil {
+		st = m.calib.State()
+	}
+	in := snap.estimateInput(m.cfg.Arrivals)
+	snap.est = m.est.Estimates(in, st)
+	m.metrics.estimate.Record(time.Since(start))
+	m.metrics.setState(&snap.Sched)
+	return snap, in
 }
 
 // read returns the latest published snapshot without touching the owner
@@ -426,38 +449,40 @@ func (m *Manager) onFinish(q *sched.Query) {
 		fmt.Sprintf("latency %.3fs, %.1f U", info.FinishTime-info.SubmitTime, info.Done))
 }
 
-// observe is the estimate pass over the state the last tick left, and
-// everything read off it: the calibration fold, the movement of every query's
-// predicted finish time since the previous pass (histogram and
-// estimate_revised events), fold statistics and queue depths. It leaves the
-// bundle in place for the publish that follows.
+// revision is one query's multi-query ETA of one pass, keyed for the
+// id-ordered walk observe makes of them.
+type revision struct {
+	id  int
+	eta float64
+}
+
+// observe captures the state the last tick left and reads off the capture
+// what only a tick moves: the calibration fold, and the movement of every
+// query's predicted finish time since the previous pass (histogram and
+// estimate_revised events). It leaves the capture for the publish that
+// follows.
 func (m *Manager) observe() {
-	now := m.srv.Now()
-	in := m.estimate()
-	bundle := m.bundle
+	snap, in := m.capture()
+	m.pending = snap
+	now := snap.Sched.Now
 	if m.calib != nil {
 		// Fold this pass into the calibration state: per-query speed EWMAs,
 		// each member's absolute predicted finish, and the reported band.
-		m.calib.Observe(now, in, *bundle)
+		m.calib.Observe(now, in, snap.est)
 		within, finishes := m.calib.Coverage()
-		m.metrics.setEstimatorStats(bundle.Weights, within, finishes)
+		m.metrics.setEstimatorStats(snap.est.Weights, within, finishes)
 	}
-	est := bundle.PerQuery
-	ids := make([]int, 0, len(est))
-	for id := range est {
-		ids = append(ids, id)
+	// Estimates come in admission order; the estimate_revised events appended
+	// here land in the event log in query-ID order, which the trace fence
+	// pins: /events reads the same on every run and at every worker count.
+	m.revs = m.revs[:0]
+	for i, e := range snap.est.PerQuery {
+		m.revs = append(m.revs, revision{in.Query(i).ID, e.MultiQuery})
 	}
-	// Iterate estimates in query-ID order: map iteration order is random, and
-	// the estimate_revised events appended here must land in the event log in
-	// the same order on every run (and at every worker count) for /events to
-	// be deterministic.
-	sort.Ints(ids)
-	for _, id := range ids {
-		m.revise(now, id, est[id].MultiQuery)
+	slices.SortFunc(m.revs, func(a, b revision) int { return cmp.Compare(a.id, b.id) })
+	for _, r := range m.revs {
+		m.revise(now, r.id, r.eta)
 	}
-	fs := m.srv.FoldStats()
-	m.metrics.setFoldStats(fs.Attaches, fs.PagesSaved, fs.Groups, fs.Members)
-	m.updateDepths()
 }
 
 // revisionSlack is the relative slack on the RevisionEpsilon comparison. A
@@ -514,58 +539,6 @@ func (m *Manager) recordAdmissions() {
 			m.events.add(q.SubmitTime, q.ID, EventQueued, "")
 		}
 	}
-	for id := range m.schedSet { // arrivals aborted before arriving
-		if q, ok := m.srv.Lookup(id); ok && q.Status != sched.StatusScheduled {
-			delete(m.schedSet, id)
-		}
-	}
-}
-
-func (m *Manager) updateDepths() {
-	running, blocked := 0, 0
-	for _, q := range m.srv.Running() {
-		if q.Status == sched.StatusBlocked {
-			blocked++
-		} else {
-			running++
-		}
-	}
-	m.metrics.setDepths(running, blocked, len(m.srv.Queued()), len(m.schedSet))
-}
-
-// estimate runs the one estimate pass for the live scheduler state — every
-// admitted and queued query's bundle, bit-identical to the stateless
-// core.ComputeEstimates in stage mode — leaving it in m.bundle, and returns
-// the input it ran on. Owner goroutine only.
-func (m *Manager) estimate() core.EstimateInput {
-	start := time.Now()
-	var st core.EnsembleState
-	if m.calib != nil {
-		st = m.calib.State()
-	}
-	in := m.estimateInput()
-	bundle := m.est.Estimates(in, st)
-	m.bundle = &bundle
-	m.metrics.estimate.Record(time.Since(start))
-	return in
-}
-
-// estimateInput assembles the pure-value estimator input from the live
-// scheduler state. Owner goroutine only.
-func (m *Manager) estimateInput() core.EstimateInput {
-	running := m.srv.Running()
-	speeds := make(map[int]float64, len(running))
-	for _, q := range running {
-		speeds[q.ID] = q.ObservedSpeed()
-	}
-	return core.EstimateInput{
-		Running:  m.srv.StateRunning(),
-		Queued:   m.srv.StateQueued(),
-		MPL:      m.srv.MPL(),
-		RateC:    m.srv.RateC(),
-		Speeds:   speeds,
-		Arrivals: m.cfg.Arrivals,
-	}
 }
 
 // SubmitRequest describes one query submission.
@@ -615,7 +588,6 @@ func (m *Manager) Submit(req SubmitRequest) (QueryView, error) {
 				m.events.add(now, q.ID, EventAdmitted, "")
 			}
 		}
-		m.updateDepths()
 		id = q.ID
 	}, 0)
 	if err != nil {
@@ -669,7 +641,7 @@ func (m *Manager) Overview() (Overview, error) {
 	}
 	start := time.Now()
 	defer func() { m.metrics.pollDur.Record(time.Since(start)) }()
-	est := snap.est
+	est := &snap.est
 	out := Overview{
 		Now:          snap.Sched.Now,
 		Epoch:        snap.Epoch,
@@ -683,17 +655,20 @@ func (m *Manager) Overview() (Overview, error) {
 		Weights:      est.Weights,
 		QuiescentETA: Seconds(est.Quiescent),
 	}
-	for _, info := range snap.Sched.Running {
-		out.Running = append(out.Running, makeView(info, est.PerQuery[info.ID]))
+	// The bundle is in Running ++ Queued order; a scheduled or terminated
+	// query has no estimate and makeView asks for none.
+	nr := len(snap.Sched.Running)
+	for i, info := range snap.Sched.Running {
+		out.Running = append(out.Running, makeView(info, est.PerQuery[i]))
 	}
-	for _, info := range snap.Sched.Queued {
-		out.Queued = append(out.Queued, makeView(info, est.PerQuery[info.ID]))
+	for i, info := range snap.Sched.Queued {
+		out.Queued = append(out.Queued, makeView(info, est.PerQuery[nr+i]))
 	}
 	for _, info := range snap.Sched.Scheduled {
-		out.Scheduled = append(out.Scheduled, makeView(info, est.PerQuery[info.ID]))
+		out.Scheduled = append(out.Scheduled, makeView(info, core.Estimate{}))
 	}
 	for _, info := range snap.Sched.Done {
-		out.Finished = append(out.Finished, makeView(info, est.PerQuery[info.ID]))
+		out.Finished = append(out.Finished, makeView(info, core.Estimate{}))
 	}
 	return out, nil
 }
@@ -763,9 +738,6 @@ func (m *Manager) op(id int, kind string) error {
 				m.recordAdmissions()
 			}
 		}
-		if rerr == nil {
-			m.updateDepths()
-		}
 	})
 	if err != nil {
 		return err
@@ -814,13 +786,12 @@ func (m *Manager) Diagram(width int) (string, error) {
 	// Non-stage modes annotate each finish with its uncertainty band; stage
 	// mode passes nil bands, rendering byte-identically to the classic
 	// diagram (the sim traces embed diagrams, so this is load-bearing).
-	var bands map[int]core.Interval
+	var bands []core.Interval
 	if snap.Estimator != core.EstimatorStage {
-		bands = make(map[int]core.Interval, len(snap.est.PerQuery))
-		for id, e := range snap.est.PerQuery {
-			if !math.IsInf(e.ETAHigh, 0) && !math.IsNaN(e.ETALow) {
-				bands[id] = core.Interval{Low: e.ETALow, High: e.ETAHigh}
-			}
+		bands = make([]core.Interval, len(snap.Sched.Running))
+		for i := range bands {
+			e := snap.est.PerQuery[i]
+			bands[i] = core.Interval{Low: e.ETALow, High: e.ETAHigh}
 		}
 	}
 	return core.StageDiagramBands(snap.Sched.StatesRunning(), snap.Sched.RateC, width, bands), nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -157,8 +158,19 @@ func TestScheduledArrivalAndAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scheduled := func(n int) bool {
+		return strings.Contains(m.Metrics().Text(), fmt.Sprintf("\nmqpi_queries_scheduled %d\n", n))
+	}
+	if !scheduled(2) {
+		t.Error("two arrivals on the calendar, mqpi_queries_scheduled is not 2")
+	}
 	if err := m.Abort(v2.ID); err != nil {
 		t.Fatal(err)
+	}
+	// The abort takes the arrival off the calendar and out of the manager's
+	// books at once; no later tick has anything left to reconcile for it.
+	if !scheduled(1) {
+		t.Error("one of two scheduled arrivals aborted, mqpi_queries_scheduled is not 1")
 	}
 	// A tick must exist for the clock to move past the arrival: 1.25 lands
 	// mid-quantum and the segmented Tick submits it there.
@@ -174,6 +186,17 @@ func TestScheduledArrivalAndAbort(t *testing.T) {
 	}
 	if p2, _ := m.Progress(v2.ID); p2.Status != "aborted" {
 		t.Errorf("aborted arrival = %+v", p2)
+	}
+	// Ticks past its arrival time and all, the aborted arrival's whole life is
+	// two events.
+	if err := m.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eventTypes(m, v2.ID), []string{EventScheduled, EventAborted}; !slices.Equal(got, want) {
+		t.Errorf("aborted arrival's events = %v, want %v", got, want)
+	}
+	if !scheduled(0) {
+		t.Error("the other arrival arrived, mqpi_queries_scheduled is not 0")
 	}
 }
 

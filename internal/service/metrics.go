@@ -10,6 +10,7 @@ import (
 
 	"mqpi/internal/core"
 	"mqpi/internal/metrics"
+	"mqpi/internal/sched"
 )
 
 // Metrics is the service's observability state, rendered in the Prometheus
@@ -129,14 +130,22 @@ func (m *Metrics) SetBuildInfo(labels map[string]string) {
 	m.mu.Unlock()
 }
 
-// setFoldStats installs the scheduler's folding summary. The counter inputs
-// are lifetime totals maintained by the fold registry (monotonic across
-// SetFold toggles), so storing absolute values keeps the exposed counters
-// Prometheus-correct.
-func (m *Metrics) setFoldStats(attaches, pagesSaved uint64, groups, members int) {
+// setState installs the gauges of one captured scheduler state: the depths
+// and the folding summary. The fold counters are lifetime totals maintained by
+// the fold registry (monotonic across SetFold toggles), so storing absolute
+// values keeps the exposed counters Prometheus-correct.
+func (m *Metrics) setState(s *sched.Snapshot) {
+	blocked := 0
+	for i := range s.Running {
+		if s.Running[i].Status == sched.StatusBlocked {
+			blocked++
+		}
+	}
 	m.mu.Lock()
-	m.foldAttaches, m.foldPagesSaved = attaches, pagesSaved
-	m.foldGroups, m.foldMembers = groups, members
+	m.runningDepth, m.blockedDepth = len(s.Running)-blocked, blocked
+	m.queuedDepth, m.scheduledDepth = len(s.Queued), len(s.Scheduled)
+	m.foldAttaches, m.foldPagesSaved = s.Fold.Attaches, s.Fold.PagesSaved
+	m.foldGroups, m.foldMembers = s.Fold.Groups, s.Fold.Members
 	m.mu.Unlock()
 }
 
@@ -156,12 +165,6 @@ func (m *Metrics) readStats() (ownerRequests, polls uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.ownerRequests, m.pollDur.Count()
-}
-
-func (m *Metrics) setDepths(running, blocked, queued, scheduled int) {
-	m.mu.Lock()
-	m.runningDepth, m.blockedDepth, m.queuedDepth, m.scheduledDepth = running, blocked, queued, scheduled
-	m.mu.Unlock()
 }
 
 func fmtFloat(v float64) string {
@@ -228,8 +231,10 @@ func (m *Metrics) Text() string {
 	writeScalar(&b, "mqpi_clock_debt_seconds", "gauge", "Virtual seconds the clock still owed after the last ticker wake-up: under one quantum when it keeps the wall rate, growing when it falls behind.", m.clockDebt)
 	if m.estimatorMode != "" {
 		fmt.Fprintf(&b, "# HELP mqpi_estimator_weight Current ensemble blend weight per estimator member.\n# TYPE mqpi_estimator_weight gauge\n")
-		for _, it := range core.SortedWeights(m.estimatorWeights) {
-			fmt.Fprintf(&b, "mqpi_estimator_weight{member=%q} %s\n", it.Member, fmtFloat(it.Weight))
+		for _, member := range core.MemberNames {
+			if w, ok := m.estimatorWeights[member]; ok {
+				fmt.Fprintf(&b, "mqpi_estimator_weight{member=%q} %s\n", member, fmtFloat(w))
+			}
 		}
 		writeScalar(&b, "mqpi_eta_band_finishes_total", "counter", "Query finishes for which an uncertainty band had been reported.", float64(m.bandFinishes))
 		writeScalar(&b, "mqpi_eta_band_within_total", "counter", "Query finishes whose true finish time fell inside the reported band.", float64(m.bandWithin))

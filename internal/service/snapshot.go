@@ -25,23 +25,42 @@ type Snapshot struct {
 	TimeScale float64
 	// Estimator is the configured estimate-plane mode (core.EstimatorModes).
 	Estimator string
-	// est is the estimate bundle the Manager's estimator produced for Sched:
-	// both indicators for every admitted and queued query, the quiescent ETA
-	// and, in ensemble modes, the blend weights. Never written after publish.
-	est *core.Estimates
+	// est is the estimate bundle the Manager's estimator produced from Sched:
+	// both indicators for every admitted and queued query, by position in
+	// Sched.Running ++ Sched.Queued, the quiescent ETA and, in ensemble modes,
+	// the blend weights. Never written after publish.
+	est core.Estimates
+}
+
+// estimateInput converts the snapshot to the pure-value input of the §2.2–2.4
+// estimators, in the snapshot's own order. arrivals is the manager's
+// configured §2.4 model, which the snapshot does not carry.
+func (s *Snapshot) estimateInput(arrivals *core.ArrivalModel) core.EstimateInput {
+	return core.EstimateInput{
+		Running:  s.Sched.StatesRunning(),
+		Queued:   s.Sched.StatesQueued(),
+		MPL:      s.Sched.MPL,
+		RateC:    s.Sched.RateC,
+		Speeds:   s.Sched.Speeds(),
+		Arrivals: arrivals,
+	}
 }
 
 // view builds the client view of one query: the single snapshot→view step
-// behind Progress and the view Submit returns. It stamps the view with the
-// snapshot's virtual clock so clients can turn the relative ETA into an
-// absolute predicted finish (now + eta) and audit it against finish_time
-// once the query completes.
+// behind Progress and the view Submit returns — one scan finds the query and
+// the position of its estimate. It stamps the view with the snapshot's virtual
+// clock so clients can turn the relative ETA into an absolute predicted finish
+// (now + eta) and audit it against finish_time once the query completes.
 func (s *Snapshot) view(id int) (QueryView, bool) {
-	info, ok := s.Sched.Lookup(id)
+	info, pos, ok := s.Sched.Locate(id)
 	if !ok {
 		return QueryView{}, false
 	}
-	view := makeView(info, s.est.PerQuery[id])
+	var est core.Estimate // none for a scheduled or terminated query
+	if pos >= 0 {
+		est = s.est.PerQuery[pos]
+	}
+	view := makeView(info, est)
 	view.Now = Seconds(s.Sched.Now)
 	return view, true
 }

@@ -28,8 +28,10 @@ import (
 //	    throughout delivers at least C×Δt of aggregate work;
 //	I6  estimate consistency — every published view's single- and multi-query
 //	    ETA (and the quiescent ETA) is bit-identical to recomputing
-//	    core.ComputeEstimates from the same published state: the read path
-//	    re-predicts at every boundary, never serving stale estimates;
+//	    core.ComputeEstimates from the same published state, position by
+//	    position, and to what a poll of that one query finds by id: the read
+//	    path re-predicts at every boundary, never serving stale estimates or
+//	    another query's;
 //	I7  stage-model exactness — between unplanned perturbations (arrivals,
 //	    block/unblock, priority changes, aborts, DML), each query's measured
 //	    finish time matches its last prediction, and predictions do not
@@ -468,9 +470,18 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 	sameFloat := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 	}
+	// Estimates are positional: want.PerQuery[i] belongs to query i of
+	// running ++ queued, which is the order the overview lists them in. The
+	// poll of one query finds its estimate by id instead, and must find the
+	// same one — the ids line up with the positions.
 	views := append(append([]service.QueryView(nil), ov.Running...), ov.Queued...)
-	for _, v := range views {
-		w := want.PerQuery[v.ID]
+	for i, v := range views {
+		w := want.PerQuery[i]
+		if p, err := c.m.Progress(v.ID); err != nil || p.ID != v.ID ||
+			!sameFloat(float64(p.MultiETA), float64(v.MultiETA)) || !sameFloat(float64(p.SingleETA), float64(v.SingleETA)) {
+			c.fail(tr, ctx, "I6 q%d polled by id (%s,%s) (err %v), at position %d of the overview (%s,%s)", v.ID,
+				g(float64(p.SingleETA)), g(float64(p.MultiETA)), err, i, g(float64(v.SingleETA)), g(float64(v.MultiETA)))
+		}
 		if !sameFloat(float64(v.MultiETA), w.MultiQuery) {
 			c.fail(tr, ctx, "I6 q%d multi ETA stale: view %s, recomputed %s",
 				v.ID, g(float64(v.MultiETA)), g(w.MultiQuery))
@@ -500,13 +511,10 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 	if len(got.PerQuery) != len(want.PerQuery) {
 		c.fail(tr, ctx, "I13 stage estimator returned %d estimates, oracle %d",
 			len(got.PerQuery), len(want.PerQuery))
+		return
 	}
-	for id, w := range want.PerQuery {
-		ge, ok := got.PerQuery[id]
-		if !ok {
-			c.fail(tr, ctx, "I13 stage estimator missing q%d", id)
-			continue
-		}
+	for i, w := range want.PerQuery {
+		id, ge := in.Query(i).ID, got.PerQuery[i]
 		if !sameFloat(ge.MultiQuery, w.MultiQuery) || !sameFloat(ge.SingleQuery, w.SingleQuery) {
 			c.fail(tr, ctx, "I13 q%d plane ETA (%s,%s), oracle (%s,%s) (bitwise)",
 				id, g(ge.SingleQuery), g(ge.MultiQuery), g(w.SingleQuery), g(w.MultiQuery))
