@@ -1,7 +1,7 @@
 GO ?= go
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test bench bench-all bench-check benchmark loc loc-check race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke load-smoke bench-load
+.PHONY: build test bench bench-all bench-check benchmark loc loc-check race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke
 
 build:
 	$(GO) build ./...
@@ -43,7 +43,7 @@ loc:
 # in LOC_BASELINE. Lower the number whenever a PR shrinks the tree; raise it
 # only with a sentence in CHANGES.md saying what the added lines bought.
 loc-check:
-	@loc=$$($(MAKE) -s loc); base=$$(cat LOC_BASELINE); \
+	@loc=$$($(MAKE) -s --no-print-directory loc); base=$$(cat LOC_BASELINE); \
 	echo "size: $$loc lines of non-test Go outside benchmark/ (baseline $$base)"; \
 	[ "$$loc" -le "$$base" ] || \
 		{ echo "make loc = $$loc exceeds LOC_BASELINE = $$base: shrink the change, or raise the baseline and say in CHANGES.md what the lines bought"; exit 1; }
@@ -87,7 +87,6 @@ ci: vet build race
 	$(MAKE) trace-check
 	$(MAKE) bench-check
 	$(MAKE) calibration-smoke
-	$(MAKE) load-smoke
 	$(MAKE) fuzz-smoke
 
 # cover prints the per-package coverage table and the repo-wide total.
@@ -180,30 +179,6 @@ ifeq ($(SHORT),1)
 else
 	$(GO) run ./cmd/mqpi-bench -exp calibration -lineitem 30000 -seed 5
 endif
-
-# load-smoke drives the YCSB-style swarm end to end through the real CLI under
-# the race detector: a seconds-scale closed-loop swarm against the in-process
-# single-engine service and a second against the 2-shard least-loaded front
-# door, each with -selfcheck asserting non-empty histograms, ordered
-# percentiles, completions, and zero errors. SHORT=1 skips it.
-load-smoke:
-ifeq ($(SHORT),1)
-	@echo "SHORT=1: skipping load smoke"
-else
-	$(GO) run -race ./cmd/mqpi-load -clients 32 -ops 96 -think 1ms -poll 1ms \
-		-duration 30s -timescale 800 -tick 1ms -selfcheck
-	$(GO) run -race ./cmd/mqpi-load -clients 32 -ops 64 -think 1ms -poll 1ms \
-		-duration 30s -timescale 800 -tick 1ms \
-		-shards 2 -routing least-loaded -admit-rate 1e6 -admit-burst 1e6 -selfcheck
-endif
-
-# bench-load regenerates the committed load baseline: the same >=1000-client
-# closed-loop swarm against the single-engine service and the 2-shard
-# least-loaded cluster with queue-on-full admission. Wall-clock latencies are
-# host-dependent; regenerate on the committing host and compare shapes, not
-# absolute times.
-bench-load:
-	$(GO) run ./cmd/mqpi-load -bench -out BENCH_load.json
 
 # fuzz-smoke gives each native fuzz target a short budget on every ci run, so
 # the harnesses can't rot and the checked-in corpora keep replaying. SHORT=1

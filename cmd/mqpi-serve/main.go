@@ -73,8 +73,8 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.quantum, "quantum", 0.5, "scheduler quantum Δ, virtual seconds")
 	fs.Float64Var(&o.timeScale, "timescale", 1, "virtual seconds per wall second")
 	fs.DurationVar(&o.tickEvery, "tick", 50*time.Millisecond, "wall interval between scheduler advances")
-	fs.IntVar(&o.eventCap, "events", 128, "events retained per query")
-	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "execute-phase worker goroutines per tick (1 = serial; results identical at every setting)")
+	fs.IntVar(&o.eventCap, "events", 128, "events retained per query (at least 1)")
+	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "execute-phase worker goroutines per tick, at least 1 (1 = serial; results identical at every setting)")
 	fs.DurationVar(&o.execDeadline, "exec-deadline", 2*time.Second, "max wait for /exec DDL/DML to reach the owner before 409 (0 = wait forever)")
 	fs.BoolVar(&o.demo, "demo", false, "preload the scaled-down Table 1 dataset (lineitem, part_1..3)")
 	fs.IntVar(&o.demoRows, "rows", 30000, "lineitem rows for -demo")
@@ -99,8 +99,11 @@ func parseFlags(args []string) (options, error) {
 	if o.readTimeout <= 0 || o.writeTimeout <= 0 || o.idleTimeout <= 0 || o.shutdownGrace <= 0 {
 		return o, errors.New("read-timeout, write-timeout, idle-timeout, and shutdown-grace must be positive")
 	}
-	if o.shards < 1 {
-		return o, errors.New("shards must be at least 1")
+	if o.shards < 1 || o.eventCap < 1 || o.workers < 1 {
+		return o, errors.New("shards, events, and workers must be at least 1")
+	}
+	if o.mpl < 0 || o.execDeadline < 0 {
+		return o, errors.New("mpl and exec-deadline must be non-negative")
 	}
 	if o.admitRate < 0 || o.admitBurst < 0 {
 		return o, errors.New("admit-rate and admit-burst must be non-negative")

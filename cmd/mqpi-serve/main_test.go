@@ -148,6 +148,12 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-admit-rate", "-1"},
 		{"-admit-burst", "-2"},
 		{"-estimator", "oracle"},
+		{"-mpl", "-3"},
+		{"-events", "0"},
+		{"-events", "-1"},
+		{"-workers", "0"},
+		{"-workers", "-2"},
+		{"-exec-deadline", "-1s"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("parseFlags(%v) accepted", args)

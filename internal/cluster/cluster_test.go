@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -538,10 +542,14 @@ func TestOpErrorsNameGlobalID(t *testing.T) {
 	}
 }
 
-// TestOverviewRowsAreOneEpoch hammers the merged overview while live tickers
-// and a writer move every shard: each shard row's remaining_u must be the sum
-// over that shard's own views in the same body. A row assembled from two
-// snapshot loads mixes epochs and misses by at least a tick's work.
+// TestOverviewRowsAreOneEpoch hammers the merged overview over HTTP while live
+// tickers and a writer move every shard: each shard row's remaining_u in a
+// GET /overview body must be the sum over that shard's own views in the same
+// body. A row assembled from two snapshot loads mixes epochs and misses by at
+// least a tick's work. The readers also poll single queries by global ID, so
+// concurrent clients, the front door and the live tickers share the race
+// detector; no request may fail and every submitted query must reach a
+// terminal status.
 func TestOverviewRowsAreOneEpoch(t *testing.T) {
 	const shards = 2
 	c, err := New(Config{
@@ -557,6 +565,31 @@ func TestOverviewRowsAreOneEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	ts := httptest.NewServer(NewHandler(c))
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
+	defer client.CloseIdleConnections()
+
+	// call sends one request and decodes a 2xx body into out.
+	call := func(method, path string, body io.Reader, out any) error {
+		req, err := http.NewRequest(method, ts.URL+path, body)
+		if err != nil {
+			return err
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode/100 != 2 {
+			return fmt.Errorf("%s %s = %d: %s", method, path, resp.StatusCode, data)
+		}
+		return json.Unmarshal(data, out)
+	}
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -564,21 +597,23 @@ func TestOverviewRowsAreOneEpoch(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for {
+			for k := 0; ; k++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				ov, err := c.Overview()
-				if err != nil {
+				var ov GlobalOverview
+				if err := call("GET", "/overview", nil, &ov); err != nil {
 					t.Errorf("overview: %v", err)
 					return
 				}
 				var sum [shards]float64
+				var ids []int
 				for _, sec := range [][]service.QueryView{ov.Running, ov.Queued, ov.Scheduled} {
 					for _, v := range sec {
 						sum[(v.ID-1)%shards] += v.Remaining
+						ids = append(ids, v.ID)
 					}
 				}
 				for i, row := range ov.Shards {
@@ -589,17 +624,25 @@ func TestOverviewRowsAreOneEpoch(t *testing.T) {
 						return
 					}
 				}
+				if len(ids) > 0 {
+					var v service.QueryView
+					if err := call("GET", fmt.Sprintf("/queries/%d", ids[k%len(ids)]), nil, &v); err != nil {
+						t.Errorf("progress: %v", err)
+						return
+					}
+				}
 			}
 		}()
 	}
+	var submitted []int
 	for k := 0; k < 150; k++ {
-		v, err := c.Submit(SubmitRequest{SubmitRequest: service.SubmitRequest{
-			SQL: "SELECT SUM(a) FROM t1", Delay: float64(k%3) * 0.05,
-		}})
-		if err != nil {
+		body := fmt.Sprintf(`{"sql": "SELECT SUM(a) FROM t1", "delay": %g}`, float64(k%3)*0.05)
+		var v service.QueryView
+		if err := call("POST", "/queries", strings.NewReader(body), &v); err != nil {
 			t.Errorf("submit: %v", err)
 			break
 		}
+		submitted = append(submitted, v.ID)
 		if k%4 == 2 {
 			_ = c.Abort(v.ID) // may race a finish
 		}
@@ -607,4 +650,21 @@ func TestOverviewRowsAreOneEpoch(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
+
+	deadline := time.Now().Add(30 * time.Second)
+	for _, id := range submitted {
+		for {
+			var v service.QueryView
+			if err := call("GET", fmt.Sprintf("/queries/%d", id), nil, &v); err != nil {
+				t.Fatalf("progress: %v", err)
+			}
+			if v.Status == "finished" || v.Status == "aborted" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("query %d still %s after 30s", id, v.Status)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }

@@ -22,15 +22,13 @@ const (
 )
 
 // Histogram is a lock-free log-bucketed latency histogram. The zero value is
-// ready to use. Record and the read-side accessors may race benignly: reads
-// see some linearization of concurrent increments, which is all a percentile
-// report needs.
+// ready to use. Record and the readers may race benignly: a scrape sees some
+// linearization of concurrent increments, which is all a /metrics page needs.
 type Histogram struct {
 	counts [numBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64 // nanoseconds; saturating in practice (584y of latency)
 	max    atomic.Uint64
-	min    atomic.Uint64 // stored as ^value so zero means "unset"
 }
 
 // bucketIndex maps a nanosecond value to its bucket.
@@ -42,17 +40,6 @@ func bucketIndex(v uint64) int {
 	shift := e - subBits
 	sub := int(v>>uint(shift)) - subCount // in [0, subCount)
 	return subCount + shift*subCount + sub
-}
-
-// bucketBounds returns the inclusive value range [lo, hi] of bucket idx.
-func bucketBounds(idx int) (lo, hi uint64) {
-	if idx < subCount {
-		return uint64(idx), uint64(idx)
-	}
-	shift := uint((idx - subCount) / subCount)
-	sub := uint64((idx - subCount) % subCount)
-	lo = (subCount + sub) << shift
-	return lo, lo + (1 << shift) - 1
 }
 
 // Record adds one duration. Non-positive durations count as zero.
@@ -67,12 +54,6 @@ func (h *Histogram) Record(d time.Duration) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.min.Load()
-		if ^v <= cur || h.min.CompareAndSwap(cur, ^v) {
 			break
 		}
 	}
@@ -93,23 +74,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Max returns the largest recorded value in nanoseconds (0 when empty).
 func (h *Histogram) Max() uint64 { return h.max.Load() }
 
-// Min returns the smallest recorded value in nanoseconds (0 when empty).
-func (h *Histogram) Min() uint64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return ^h.min.Load()
-}
-
-// Mean returns the mean recorded value in nanoseconds.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // snapshot copies the bucket counts once, so a concurrent recorder cannot
 // make a reader's walk disagree with the total it was computed from.
 func (h *Histogram) snapshot() (counts [numBuckets]uint64, total uint64) {
@@ -118,36 +82,6 @@ func (h *Histogram) snapshot() (counts [numBuckets]uint64, total uint64) {
 		total += counts[i]
 	}
 	return counts, total
-}
-
-// Quantile returns the q-quantile (q in [0,1]) in nanoseconds, approximated
-// to the midpoint of the bucket holding the q-th value. The error is bounded
-// by half the bucket width: at most ~1/subCount of the value itself.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	snap, total := h.snapshot()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	seen := uint64(0)
-	for i, c := range snap {
-		seen += c
-		if seen >= rank {
-			lo, hi := bucketBounds(i)
-			return (lo + hi) / 2
-		}
-	}
-	lo, hi := bucketBounds(numBuckets - 1)
-	return (lo + hi) / 2
 }
 
 // Prometheus exposition: one le edge per octave from 2^promMinExp ns (~1 µs)

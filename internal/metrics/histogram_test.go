@@ -6,9 +6,22 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// bucketBounds returns the inclusive value range [lo, hi] of bucket idx: the
+// inverse of bucketIndex the geometry test checks it against.
+func bucketBounds(idx int) (lo, hi uint64) {
+	if idx < subCount {
+		return uint64(idx), uint64(idx)
+	}
+	shift := uint((idx - subCount) / subCount)
+	sub := uint64((idx - subCount) % subCount)
+	lo = (subCount + sub) << shift
+	return lo, lo + (1 << shift) - 1
+}
 
 // TestBucketIndexBounds pins the bucket geometry: every value maps into a
 // bucket whose [lo, hi] range contains it, indexes are monotone in the value,
@@ -42,14 +55,12 @@ func TestBucketIndexBounds(t *testing.T) {
 	}
 }
 
-// TestQuantileAgainstSortedOracle is the histogram correctness property: on
-// randomized inputs spanning six orders of magnitude, every reported
-// percentile must land within one bucket's relative error (1/subCount, plus
-// the half-bucket midpoint rounding) of the exact sorted-sample oracle.
-func TestQuantileAgainstSortedOracle(t *testing.T) {
-	quantiles := []float64{0, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+// TestCountAndMaxAgainstSortedOracle pins the count and the max: on randomized
+// inputs spanning six orders of magnitude, both must equal the exact
+// sorted-sample oracle's.
+func TestCountAndMaxAgainstSortedOracle(t *testing.T) {
 	var empty Histogram
-	if empty.Quantile(0.5) != 0 || empty.Min() != 0 || empty.Max() != 0 || empty.Mean() != 0 {
+	if empty.Count() != 0 || empty.Max() != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 	for trial := 0; trial < 20; trial++ {
@@ -57,44 +68,15 @@ func TestQuantileAgainstSortedOracle(t *testing.T) {
 		n := 100 + rng.Intn(20000)
 		h := &Histogram{}
 		vals := make([]uint64, n)
-		sum := 0.0
 		for i := range vals {
 			// Mix scales: sub-microsecond through minutes, in nanoseconds.
 			v := uint64(rng.Int63n(int64(1) << uint(10+rng.Intn(26))))
 			vals[i] = v
-			sum += float64(v)
 			h.Record(time.Duration(v))
 		}
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		if h.Count() != uint64(n) {
-			t.Fatalf("trial %d: count %d, want %d", trial, h.Count(), n)
-		}
-		if h.Max() != vals[n-1] || h.Min() != vals[0] {
-			t.Fatalf("trial %d: min/max (%d,%d), want (%d,%d)", trial, h.Min(), h.Max(), vals[0], vals[n-1])
-		}
-		if mean := sum / float64(n); math.Abs(h.Mean()-mean) > 1e-9*mean {
-			t.Fatalf("trial %d: mean %g, want %g", trial, h.Mean(), mean)
-		}
-		if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
-			t.Fatalf("trial %d: out-of-range q not clamped to [0, 1]", trial)
-		}
-		for _, q := range quantiles {
-			rank := int(float64(n)*q+0.9999) - 1
-			if rank < 0 {
-				rank = 0
-			}
-			if rank >= n {
-				rank = n - 1
-			}
-			exact := float64(vals[rank])
-			got := float64(h.Quantile(q))
-			// The quantile's sample sits in some bucket; the midpoint answer
-			// can miss the exact value by at most the bucket width, which is
-			// bounded by exact/subCount (and 0 below subCount).
-			tol := exact/subCount + 1
-			if got < exact-tol || got > exact+tol {
-				t.Fatalf("trial %d: q%.3f = %g, oracle %g (tol %g, n=%d)", trial, q, got, exact, tol, n)
-			}
+		if h.Count() != uint64(n) || h.Max() != vals[n-1] {
+			t.Fatalf("trial %d: count/max (%d,%d), want (%d,%d)", trial, h.Count(), h.Max(), n, vals[n-1])
 		}
 	}
 }
@@ -102,7 +84,7 @@ func TestQuantileAgainstSortedOracle(t *testing.T) {
 // TestWritePrometheusExact pins the exposition: the le edges are powers of two
 // in nanoseconds, every cumulative count equals the exact number of recorded
 // values below its edge, +Inf and _count agree, _sum is in seconds, and NaN
-// is dropped.
+// is dropped while a negative value counts as zero.
 func TestWritePrometheusExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var h Histogram
@@ -114,6 +96,10 @@ func TestWritePrometheusExact(t *testing.T) {
 		sum += float64(vals[i])
 	}
 	h.RecordSeconds(math.NaN())
+	// Negative values count as zero, not as huge unsigned ones.
+	h.Record(-time.Second)
+	h.RecordSeconds(-2)
+	vals = append(vals, 0, 0)
 	var b strings.Builder
 	h.WritePrometheus(&b, "x_seconds", "help text")
 	text := b.String()
@@ -138,5 +124,49 @@ func TestWritePrometheusExact(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("missing %q in:\n%s", want, text)
 		}
+	}
+}
+
+// TestHistogramConcurrentRecord hammers one histogram from many recorders
+// while a scrape renders it, as the service's concurrent pollers do to
+// pollDur: under -race nothing may tear, and once the recorders are joined
+// _count must hold every value.
+func TestHistogramConcurrentRecord(t *testing.T) {
+	const recorders, perRecorder = 16, 20000
+	var h Histogram
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				var b strings.Builder
+				h.WritePrometheus(&b, "x_seconds", "help")
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for g := 0; g < recorders; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perRecorder; i++ {
+				h.Record(time.Duration(rng.Int63n(1 << 30)))
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	scraper.Wait()
+
+	var b strings.Builder
+	h.WritePrometheus(&b, "x_seconds", "help")
+	if want := fmt.Sprintf("x_seconds_count %d\n", recorders*perRecorder); !strings.Contains(b.String(), want) {
+		t.Fatalf("missing %q in:\n%s", want, b.String())
 	}
 }

@@ -1,8 +1,8 @@
 // Package metrics provides the small amount of plumbing the experiment
 // harness needs: named (x, y) series, text rendering of figures as aligned
 // tables, and relative-error helpers matching the paper's definition. It is
-// also the stdlib-only home of the one lock-free Histogram the serving tier
-// (/metrics) and the load harness (scorecard percentiles) both record into.
+// also the stdlib-only home of the lock-free Histogram the serving tier
+// records into and renders on /metrics.
 package metrics
 
 import (

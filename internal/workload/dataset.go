@@ -79,11 +79,10 @@ func BuildDataset(cfg DataConfig) (*Dataset, error) {
 	return sharedCache.Hydrate(cfg)
 }
 
-// DemoDB is the demo database of mqpi-serve -demo, mqpi-load and the shell's
-// \demo: lineitem scaled to rows plus part_1..part_3 in the paper's Table 1
-// proportions (N = 50, 10, 20). The seed is fixed, so every replica a
-// sharded tier builds is identical. part_1's 500 distinct partkeys need
-// rows >= 15000.
+// DemoDB is the demo database of mqpi-serve -demo and the shell's \demo:
+// lineitem scaled to rows plus part_1..part_3 in the paper's Table 1
+// proportions (N = 50, 10, 20). The seed is fixed, so every replica a sharded
+// tier builds is identical. part_1's 500 distinct partkeys need rows >= 15000.
 func DemoDB(rows int) (*engine.DB, error) {
 	ds, err := BuildDataset(DataConfig{LineitemRows: rows, Seed: 1})
 	if err != nil {
