@@ -19,8 +19,10 @@ import (
 // Without one (64 and 1000 runners, all admitted) every iteration first moves
 // the mix as one scheduler tick does — under fair sharing every runner's c/w
 // falls by the same amount, so every key changes and no two swap — and then
-// "pass" runs from scratch, "closedform" is ComputeProfile's sort, and "treap"
-// is the incremental stage structure patched to the new keys (Sync) and
+// "pass" runs from scratch, "profile" is ComputeProfile (the same pass with
+// its stage record on, laid out as a Profile), "closedform" is the paper's
+// formula as the tests' closedFormProfile sorts and sums it, and "treap" is
+// the incremental stage structure patched to the new keys (Sync) and
 // materialized (ProfileInto).
 func BenchmarkQueueAwareEstimate(b *testing.B) {
 	pass := func(in EstimateInput, tick func()) func(*testing.B) {
@@ -80,15 +82,20 @@ func BenchmarkQueueAwareEstimate(b *testing.B) {
 		}
 		name := fmt.Sprintf("r%d_q0", r)
 		b.Run(name+"/pass", pass(in, tick))
-		b.Run(name+"/closedform", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tick()
-				if prof := ComputeProfile(states, in.RateC); len(prof.Finish) != r {
-					b.Fatal("short profile")
+		for _, row := range []struct {
+			name    string
+			profile func([]QueryState, float64) Profile
+		}{{"profile", ComputeProfile}, {"closedform", closedFormProfile}} {
+			b.Run(name+"/"+row.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tick()
+					if prof := row.profile(states, in.RateC); len(prof.Finish) != r {
+						b.Fatal("short profile")
+					}
 				}
-			}
-		})
+			})
+		}
 		b.Run(name+"/treap", func(b *testing.B) {
 			b.ReportAllocs()
 			ip := NewIncrementalProfile()

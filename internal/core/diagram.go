@@ -46,12 +46,6 @@ func StageDiagramBands(states []QueryState, C float64, width int, bands []Interv
 	for i, q := range states {
 		pos[q.ID] = i
 	}
-	// Suffix weights per stage determine speeds: during stage k the
-	// remaining queries share C by weight.
-	suffixW := make([]float64, len(prof.Order)+1)
-	for i := len(prof.Order) - 1; i >= 0; i-- {
-		suffixW[i] = suffixW[i+1] + states[pos[prof.Order[i]]].Weight
-	}
 	glyphs := []rune("▁▂▃▄▅▆▇█")
 
 	// Folded queries are annotated with their shared-scan group so the rows
@@ -64,8 +58,12 @@ func StageDiagramBands(states []QueryState, C float64, width int, bands []Interv
 	}
 
 	var b strings.Builder
-	// Render rows in finish order, like the paper's figures.
+	staged := make(map[int]bool, len(prof.Order))
+	// Render rows in finish order, like the paper's figures. During stage k
+	// the queries still running share C by weight: C·w/W_k each.
 	for qi, id := range prof.Order {
+		staged[id] = true
+		w := Sanitize(states[pos[id]]).Weight
 		fmt.Fprintf(&b, "%-6s ", fmt.Sprintf("Q%d", id))
 		for stage := 0; stage <= qi; stage++ {
 			dur := prof.StageDur[stage]
@@ -73,7 +71,7 @@ func StageDiagramBands(states []QueryState, C float64, width int, bands []Interv
 			if cells == 0 && dur > 0 {
 				cells = 1
 			}
-			speed := C * states[pos[id]].Weight / suffixW[stage]
+			speed := C * w / prof.StageW[stage]
 			level := int(speed / C * float64(len(glyphs)))
 			if level >= len(glyphs) {
 				level = len(glyphs) - 1
@@ -92,11 +90,11 @@ func StageDiagramBands(states []QueryState, C float64, width int, bands []Interv
 		}
 		b.WriteByte('\n')
 	}
-	// Blocked queries (never finish) render as flat lines.
-	blockedIDs := make([]int, 0)
-	for _, q := range states {
-		if q.Weight <= 0 {
-			blockedIDs = append(blockedIDs, q.ID)
+	// Blocked queries — a +Inf finish and no stage — render as flat lines.
+	var blockedIDs []int
+	for id, f := range prof.Finish {
+		if math.IsInf(f, 1) && !staged[id] {
+			blockedIDs = append(blockedIDs, id)
 		}
 	}
 	sort.Ints(blockedIDs)

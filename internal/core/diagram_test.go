@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,30 @@ func TestStageDiagramFoldMarker(t *testing.T) {
 	for _, line := range strings.Split(d, "\n") {
 		if strings.HasPrefix(line, "Q3") && strings.Contains(line, "fold") {
 			t.Errorf("solo query marked folded: %s", line)
+		}
+	}
+}
+
+// TestStageDiagramNonFiniteWeights: a NaN or ±Inf weight sanitizes to 0, so the
+// profile has the query blocked with a +Inf finish; the diagram must draw it
+// as a blocked row, not drop it.
+func TestStageDiagramNonFiniteWeights(t *testing.T) {
+	states := []QueryState{
+		{ID: 1, Remaining: 10, Weight: 1},
+		{ID: 2, Remaining: 10, Weight: math.NaN()},
+		{ID: 3, Remaining: 20, Weight: math.Inf(1)},
+	}
+	out := StageDiagram(states, 10, 20)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 4 { // one stage row, two blocked rows, the time axis
+		t.Fatalf("want 4 lines, got %d:\n%s", len(lines), out)
+	}
+	if !strings.HasPrefix(lines[0], "Q1 ") || !strings.Contains(lines[0], "finishes at 1.0s") {
+		t.Errorf("stage row: %q", lines[0])
+	}
+	for i, id := range []string{"Q2", "Q3"} {
+		if row := lines[1+i]; !strings.HasPrefix(row, id+" ") || !strings.HasSuffix(row, "  blocked") {
+			t.Errorf("blocked row %d: %q, want %s blocked", i, row, id)
 		}
 	}
 }

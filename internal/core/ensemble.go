@@ -238,7 +238,7 @@ func runnableShare(in EstimateInput) (share []float64, C float64) {
 	share = make([]float64, len(in.Running))
 	W := 0.0
 	for _, q := range in.Running {
-		if s := sanitize(q); s.Weight > 0 {
+		if s := Sanitize(q); s.Weight > 0 {
 			W += s.Weight
 		}
 	}
@@ -246,7 +246,7 @@ func runnableShare(in EstimateInput) (share []float64, C float64) {
 		return share, C
 	}
 	for i, q := range in.Running {
-		if s := sanitize(q); s.Weight > 0 {
+		if s := Sanitize(q); s.Weight > 0 {
 			share[i] = C * (s.Weight / W)
 		}
 	}
@@ -260,12 +260,12 @@ func runnableShare(in EstimateInput) (share []float64, C float64) {
 func queuedBacklogETAs(in EstimateInput, C float64, out []float64) {
 	backlog := 0.0
 	for _, q := range in.Running {
-		if s := sanitize(q); s.Weight > 0 {
+		if s := Sanitize(q); s.Weight > 0 {
 			backlog += s.Remaining
 		}
 	}
 	for i, q := range in.Queued {
-		backlog += sanitize(q).Remaining
+		backlog += Sanitize(q).Remaining
 		if C <= 0 {
 			out[i] = math.Inf(1)
 			continue
@@ -283,7 +283,7 @@ func costMemberETAs(in EstimateInput) []float64 {
 	share, C := runnableShare(in)
 	out := make([]float64, len(in.Running)+len(in.Queued))
 	for i, q := range in.Running {
-		s := sanitize(q)
+		s := Sanitize(q)
 		sp := share[i]
 		if obs := in.Speeds[s.ID]; obs > 0 && sp > 0 {
 			sp = (obs + sp) / 2
@@ -301,7 +301,7 @@ func speedMemberETAs(in EstimateInput, ewma map[int]float64) []float64 {
 	share, C := runnableShare(in)
 	out := make([]float64, len(in.Running)+len(in.Queued))
 	for i, q := range in.Running {
-		s := sanitize(q)
+		s := Sanitize(q)
 		if s.Weight <= 0 {
 			out[i] = SingleQueryRemainingTime(s.Remaining, 0)
 			continue

@@ -3,10 +3,13 @@ package core
 import "math"
 
 // This file is the incremental stage model: a maintained sorted-by-c/w stage
-// structure that patches per scheduling event instead of re-sorting, with
-// ComputeProfile retained as the from-scratch oracle it must match bit for
-// bit (pinned by the lockstep differential tests and the sim's I10
-// invariant).
+// structure that patches per scheduling event instead of re-sorting. It
+// computes the paper's closed form exactly as written (suffix weights summed
+// from the last stage back), and the core tests hold it bit for bit against
+// that formula run from scratch (closedFormProfile) in randomized
+// event-sequence, Sync and edge differentials. No production path reads it:
+// ComputeProfile is the finish-tag pass, which agrees with both to rounding.
+// It stays only because the benchmark still times it.
 //
 // The structure is a treap (an order-statistic tree keyed by the stage
 // model's (c_i/w_i, ID) sort key) over a flat node slab, augmented with
@@ -200,13 +203,13 @@ func (p *IncrementalProfile) deleteKey(t int32, ratio float64, id int) int32 {
 // Upsert applies one event for query q — arrival, priority change (new
 // weight), block/unblock (weight to/from 0), or cost refinement (new
 // remaining) — re-keying its node in O(log n). Inputs pass through the same
-// sanitize as ComputeProfile's. It reports whether the stage order changed.
+// Sanitize as ComputeProfile's. It reports whether the stage order changed.
 func (p *IncrementalProfile) Upsert(q QueryState) bool {
 	if p.byID == nil {
 		p.byID = make(map[int]incEntry)
 		p.free, p.root = -1, -1
 	}
-	q = sanitize(q)
+	q = Sanitize(q)
 	e, ok := p.byID[q.ID]
 	if q.Weight <= 0 {
 		if ok && e.node >= 0 {
@@ -296,8 +299,8 @@ func (p *IncrementalProfile) Sync(states []QueryState) int {
 }
 
 // ProfileInto materializes the stage model into out, reusing its slices and
-// map. The result is bit-identical to ComputeProfile over the same states and
-// C: the in-order traversal yields exactly the (ratio, ID) order the sort
+// map. The result is bit-identical to the paper's closed form over the same
+// states and C, computed from scratch: the in-order traversal yields exactly the (ratio, ID) order the sort
 // produces, ratios are the same single division, and the suffix-weight and
 // stage-duration passes run the same float operations in the same order.
 func (p *IncrementalProfile) ProfileInto(C float64, out *Profile) {
@@ -308,6 +311,7 @@ func (p *IncrementalProfile) ProfileInto(C float64, out *Profile) {
 	}
 	out.Order = out.Order[:0]
 	out.StageDur = out.StageDur[:0]
+	out.StageW = out.StageW[:0]
 	out.Shared = nil
 	inf := math.Inf(1)
 	for id, e := range p.byID {
@@ -361,6 +365,7 @@ func (p *IncrementalProfile) ProfileInto(C float64, out *Profile) {
 		}
 		elapsed += t
 		out.StageDur = append(out.StageDur, t)
+		out.StageW = append(out.StageW, suffixW[k])
 		out.Order = append(out.Order, nd.id)
 		out.Finish[nd.id] = elapsed
 		prevRatio = nd.ratio
@@ -383,7 +388,7 @@ func (p *IncrementalProfile) Profile(C float64) Profile {
 //
 //	r_i = (Σ_{j≤i} c_j + (c_i/w_i)·Σ_{j>i} w_j) / C
 //
-// (Abel summation of ComputeProfile's stage durations). The reassociated
+// (Abel summation of the closed form's stage durations). The reassociated
 // additions agree with ProfileInto to float rounding, not bit-for-bit — this
 // is the cheap point query for scheduling decisions, while the bit-pinned
 // read path goes through ProfileInto. Returns (+Inf, true) for blocked

@@ -8,7 +8,8 @@ import (
 )
 
 // bitEqualProfiles fails the test unless got and want are bit-identical:
-// same finish order, same stage-duration bits, same finish-time bits.
+// same finish order, same stage-duration and stage-weight bits, same
+// finish-time bits.
 func bitEqualProfiles(t *testing.T, got, want Profile, label string) {
 	t.Helper()
 	if len(got.Order) != len(want.Order) {
@@ -24,6 +25,9 @@ func bitEqualProfiles(t *testing.T, got, want Profile, label string) {
 			t.Fatalf("%s: stage %d duration %v (bits %x), want %v (bits %x)",
 				label, i, got.StageDur[i], math.Float64bits(got.StageDur[i]),
 				want.StageDur[i], math.Float64bits(want.StageDur[i]))
+		}
+		if math.Float64bits(got.StageW[i]) != math.Float64bits(want.StageW[i]) {
+			t.Fatalf("%s: stage %d weight %v, want %v (bitwise)", label, i, got.StageW[i], want.StageW[i])
 		}
 	}
 	if len(got.Finish) != len(want.Finish) {
@@ -62,7 +66,7 @@ func statesOf(m map[int]QueryState) []QueryState {
 	for _, q := range m {
 		out = append(out, q)
 	}
-	// ComputeProfile's result is input-order independent (the (ratio, ID)
+	// closedFormProfile's result is input-order independent (the (ratio, ID)
 	// comparator is a total order over unique IDs); shuffle-resistance is part
 	// of what the differential test exercises, so any order works.
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -70,7 +74,7 @@ func statesOf(m map[int]QueryState) []QueryState {
 }
 
 // randomState draws a query state, including pathological values, so the
-// incremental structure proves it sanitizes exactly like ComputeProfile.
+// incremental structure proves it sanitizes exactly like closedFormProfile.
 func randomState(rng *rand.Rand, id int) QueryState {
 	q := QueryState{ID: id}
 	switch rng.Intn(12) {
@@ -109,7 +113,7 @@ func randomState(rng *rand.Rand, id int) QueryState {
 // the tentpole: random event sequences — arrival, finish, priority change,
 // block, unblock, cost refinement, plus poisoned inputs — applied to
 // IncrementalProfile one event at a time, with the materialized profile
-// compared bit-for-bit against the ComputeProfile oracle after every event.
+// compared bit-for-bit against the closedFormProfile oracle after every event.
 func TestIncrementalProfileEventSequences(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -196,7 +200,7 @@ func TestIncrementalProfileEventSequences(t *testing.T) {
 				}
 			}
 			states := statesOf(model)
-			want := ComputeProfile(states, C)
+			want := closedFormProfile(states, C)
 			got := inc.Profile(C)
 			bitEqualProfiles(t, got, want, "event sequence")
 			if inc.Len() != len(model) {
@@ -251,7 +255,7 @@ func TestIncrementalProfileSync(t *testing.T) {
 			prev = next
 			inc.Sync(next)
 			C := []float64{100, 7, 0}[rng.Intn(3)]
-			bitEqualProfiles(t, inc.Profile(C), ComputeProfile(next, C), "sync")
+			bitEqualProfiles(t, inc.Profile(C), closedFormProfile(next, C), "sync")
 		}
 	}
 }
@@ -271,7 +275,7 @@ func TestIncrementalSyncNoChange(t *testing.T) {
 	if changed := inc.Sync(states); changed != 0 {
 		t.Fatalf("no-op sync changed %d, want 0", changed)
 	}
-	bitEqualProfiles(t, inc.Profile(10), ComputeProfile(states, 10), "no-change")
+	bitEqualProfiles(t, inc.Profile(10), closedFormProfile(states, 10), "no-change")
 	if inc.RunnableLen() != 2 {
 		t.Fatalf("RunnableLen = %d, want 2", inc.RunnableLen())
 	}
@@ -302,14 +306,14 @@ func TestIncrementalProfileMatchesSimulate(t *testing.T) {
 func TestIncrementalProfileEdges(t *testing.T) {
 	inc := NewIncrementalProfile()
 	// Empty.
-	bitEqualProfiles(t, inc.Profile(10), ComputeProfile(nil, 10), "empty")
+	bitEqualProfiles(t, inc.Profile(10), closedFormProfile(nil, 10), "empty")
 	if _, ok := inc.FinishOf(1, 10); ok {
 		t.Error("FinishOf on empty structure reported tracked")
 	}
 	// All blocked.
 	blocked := []QueryState{{ID: 1, Remaining: 10, Weight: 0}, {ID: 2, Remaining: 5, Weight: -3}}
 	inc.Sync(blocked)
-	bitEqualProfiles(t, inc.Profile(10), ComputeProfile(blocked, 10), "all blocked")
+	bitEqualProfiles(t, inc.Profile(10), closedFormProfile(blocked, 10), "all blocked")
 	if r, ok := inc.FinishOf(1, 10); !ok || !math.IsInf(r, 1) {
 		t.Errorf("blocked FinishOf = %v, %v", r, ok)
 	}
@@ -317,7 +321,7 @@ func TestIncrementalProfileEdges(t *testing.T) {
 	mixed := []QueryState{{ID: 1, Remaining: 10, Weight: 1}, {ID: 2, Remaining: 5, Weight: 0}}
 	inc.Sync(mixed)
 	for _, C := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		bitEqualProfiles(t, inc.Profile(C), ComputeProfile(mixed, C), "degenerate C")
+		bitEqualProfiles(t, inc.Profile(C), closedFormProfile(mixed, C), "degenerate C")
 	}
 	// Removing everything returns to empty.
 	inc.Remove(1)
@@ -325,7 +329,7 @@ func TestIncrementalProfileEdges(t *testing.T) {
 	if inc.Len() != 0 || inc.RunnableLen() != 0 {
 		t.Fatalf("Len=%d RunnableLen=%d after removing all", inc.Len(), inc.RunnableLen())
 	}
-	bitEqualProfiles(t, inc.Profile(10), ComputeProfile(nil, 10), "emptied")
+	bitEqualProfiles(t, inc.Profile(10), closedFormProfile(nil, 10), "emptied")
 	// Upsert is idempotent and the zero value is usable.
 	var zero IncrementalProfile
 	q := QueryState{ID: 9, Remaining: 42, Weight: 2}
@@ -335,7 +339,7 @@ func TestIncrementalProfileEdges(t *testing.T) {
 	if zero.Upsert(q) {
 		t.Error("identical Upsert reported a change")
 	}
-	bitEqualProfiles(t, zero.Profile(10), ComputeProfile([]QueryState{q}, 10), "zero value")
+	bitEqualProfiles(t, zero.Profile(10), closedFormProfile([]QueryState{q}, 10), "zero value")
 }
 
 // TestIncrementalEstimatorMatchesComputeEstimates pins the estimator wrapper:

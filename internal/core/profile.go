@@ -44,6 +44,9 @@ type Profile struct {
 	Order []int
 	// StageDur[i] is t_{i+1}, the duration of stage i+1 in seconds.
 	StageDur []float64
+	// StageW[i] is W_{i+1}, the runnable weight during stage i+1: query q
+	// runs at C·w_q/StageW[i] in it while q has not finished.
+	StageW []float64
 	// Finish maps query ID to its predicted remaining execution time r_i in
 	// seconds. Queries that never finish (zero weight, or C <= 0) map to +Inf.
 	Finish map[int]float64
@@ -62,62 +65,37 @@ func (p Profile) QuiescentTime() float64 {
 	return t
 }
 
-// ComputeProfile runs the closed-form stage algorithm of Section 2.2:
-// sort the n queries in ascending c_i/w_i; stage k then lasts
+// ComputeProfile is the stage model of Section 2.2: the n queries finish in
+// ascending c_i/w_i, and stage k lasts
 //
 //	t_k = (c_k/w_k − c_{k−1}/w_{k−1}) × W_k / C,  W_k = Σ_{j≥k} w_j,
 //
-// and query k finishes at r_k = Σ_{j≤k} t_j. Time O(n log n), space O(n).
-// Queries with non-positive weight are treated as blocked: they consume no
-// capacity and never finish.
+// so query k finishes at r_k = Σ_{j≤k} t_j. Queries with non-positive
+// (sanitized) weight are blocked: they consume no capacity and never finish.
 //
-// This is the paper's formula as written, with its stage order and durations:
-// StageDiagram, the §3 planners and the experiments read those. Estimates come
-// from queuePass, whose no-queue case is held against this function.
+// It is the finish-tag pass over states as the running set, with its stage
+// record on: StageDiagram, the §3 planners and the experiments read the
+// finishes an estimate of the same running set and an empty queue publishes,
+// bit for bit. Time O(n log n).
 func ComputeProfile(states []QueryState, C float64) Profile {
-	prof := Profile{Finish: make(map[int]float64, len(states))}
-	var active []QueryState
-	for _, q := range states {
-		q = sanitize(q)
-		if q.Weight <= 0 {
-			prof.Finish[q.ID] = math.Inf(1)
-			continue
-		}
-		active = append(active, q)
+	var p queuePass
+	stages := make([]passStage, 0, len(states))
+	p.stages = &stages
+	fin := p.finishes(EstimateInput{Running: states, RateC: C}, nil)
+	prof := Profile{
+		Order:    make([]int, 0, len(stages)),
+		StageDur: make([]float64, 0, len(stages)),
+		StageW:   make([]float64, 0, len(stages)),
+		Finish:   make(map[int]float64, len(states)),
 	}
-	C = sanitizeRate(C)
-	if C <= 0 {
-		for _, q := range active {
-			prof.Finish[q.ID] = math.Inf(1)
-		}
-		return prof
+	for i, q := range states {
+		prof.Finish[q.ID] = fin[i]
 	}
-	sort.SliceStable(active, func(i, j int) bool {
-		ri := active[i].Remaining / active[i].Weight
-		rj := active[j].Remaining / active[j].Weight
-		if ri != rj {
-			return ri < rj
-		}
-		return active[i].ID < active[j].ID
-	})
-	// Suffix weight sums W_k.
-	suffixW := make([]float64, len(active)+1)
-	for i := len(active) - 1; i >= 0; i-- {
-		suffixW[i] = suffixW[i+1] + active[i].Weight
-	}
-	prevRatio := 0.0
-	elapsed := 0.0
-	for k, q := range active {
-		ratio := q.Remaining / q.Weight
-		t := (ratio - prevRatio) * suffixW[k] / C
-		if math.IsNaN(t) || t < 0 {
-			t = 0 // floating-point jitter, or Inf-Inf from degenerate inputs
-		}
-		elapsed += t
-		prof.StageDur = append(prof.StageDur, t)
+	for _, s := range stages {
+		q := states[s.pos]
 		prof.Order = append(prof.Order, q.ID)
-		prof.Finish[q.ID] = elapsed
-		prevRatio = ratio
+		prof.StageDur = append(prof.StageDur, s.dt)
+		prof.StageW = append(prof.StageW, s.w)
 		if q.Fold != 0 {
 			prof.Shared = appendFoldStage(prof.Shared, q.Fold, q.ID)
 		}
@@ -158,10 +136,12 @@ func sanitizeRate(C float64) float64 {
 	return C
 }
 
-// sanitize clamps pathological inputs so the algorithms cannot loop or
+// Sanitize clamps pathological inputs so the algorithms cannot loop or
 // propagate NaNs: NaN or negative remaining costs become 0, NaN or infinite
-// weights become 0 (blocked).
-func sanitize(q QueryState) QueryState {
+// weights become 0 (blocked). Every stage-model computation sees its inputs
+// through it, so a consumer that pairs a Profile with per-query costs or
+// weights (the §3 planners, the diagram) must too.
+func Sanitize(q QueryState) QueryState {
 	if math.IsNaN(q.Remaining) || q.Remaining < 0 {
 		q.Remaining = 0
 	}
@@ -197,7 +177,7 @@ func (m *ArrivalModel) query() (QueryState, bool) {
 	if m == nil || !(m.Lambda > 0) || !(m.AvgCost > 0) {
 		return QueryState{}, false
 	}
-	q := sanitize(QueryState{Remaining: m.AvgCost, Weight: m.AvgWeight})
+	q := Sanitize(QueryState{Remaining: m.AvgCost, Weight: m.AvgWeight})
 	return q, q.Weight > 0
 }
 
@@ -268,11 +248,11 @@ func SimulateProfile(running []QueryState, C float64, opt SimOptions) Profile {
 	}
 	var active []simQ
 	for _, q := range running {
-		active = append(active, simQ{QueryState: sanitize(q)})
+		active = append(active, simQ{QueryState: Sanitize(q)})
 	}
 	queue := make([]QueryState, 0, len(opt.Queued))
 	for _, q := range opt.Queued {
-		queue = append(queue, sanitize(q))
+		queue = append(queue, Sanitize(q))
 	}
 
 	horizon := opt.Horizon

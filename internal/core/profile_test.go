@@ -1,12 +1,153 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// closedFormProfile is the paper's §2.2 formula as written, the oracle
+// ComputeProfile (the finish-tag pass) and the incremental treap are held
+// against: sort the sanitized runnable queries by (c_i/w_i, ID), then
+//
+//	t_k = (c_k/w_k − c_{k−1}/w_{k−1}) × W_k / C,  W_k = Σ_{j≥k} w_j,
+//
+// with W_k summed from the last stage back and r_k = Σ_{j≤k} t_j.
+func closedFormProfile(states []QueryState, C float64) Profile {
+	prof := Profile{Finish: make(map[int]float64, len(states))}
+	var active []QueryState
+	for _, q := range states {
+		q = Sanitize(q)
+		if q.Weight <= 0 {
+			prof.Finish[q.ID] = math.Inf(1)
+			continue
+		}
+		active = append(active, q)
+	}
+	C = sanitizeRate(C)
+	if C <= 0 {
+		for _, q := range active {
+			prof.Finish[q.ID] = math.Inf(1)
+		}
+		return prof
+	}
+	sort.SliceStable(active, func(i, j int) bool {
+		ri := active[i].Remaining / active[i].Weight
+		rj := active[j].Remaining / active[j].Weight
+		if ri != rj {
+			return ri < rj
+		}
+		return active[i].ID < active[j].ID
+	})
+	suffixW := make([]float64, len(active)+1)
+	for i := len(active) - 1; i >= 0; i-- {
+		suffixW[i] = suffixW[i+1] + active[i].Weight
+	}
+	prevRatio := 0.0
+	elapsed := 0.0
+	for k, q := range active {
+		ratio := q.Remaining / q.Weight
+		t := (ratio - prevRatio) * suffixW[k] / C
+		if math.IsNaN(t) || t < 0 {
+			t = 0 // floating-point jitter, or Inf-Inf from degenerate inputs
+		}
+		elapsed += t
+		prof.StageDur = append(prof.StageDur, t)
+		prof.StageW = append(prof.StageW, suffixW[k])
+		prof.Order = append(prof.Order, q.ID)
+		prof.Finish[q.ID] = elapsed
+		prevRatio = ratio
+		if q.Fold != 0 {
+			prof.Shared = appendFoldStage(prof.Shared, q.Fold, q.ID)
+		}
+	}
+	sortFoldStages(prof.Shared)
+	return prof
+}
+
+// TestComputeProfileMatchesClosedForm holds the pass-built profile against
+// the formula on random mixes with exact c/w ties, blocked, zero-cost and
+// fold-tagged queries, extreme c/w (tiny costs, a weight of 1e-300 that
+// sends c/w to +Inf, the +Inf cost Sanitize clamps) and pathological rates C:
+// Order and Shared are identical; StageDur, StageW and Finish agree within
+// 1e-9·max(1, |closed form|), +Inf for +Inf.
+func TestComputeProfileMatchesClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	rates := []float64{0, -1, math.NaN(), math.Inf(1), 1e-300}
+	var ties, blocked, extreme, folded, stalled int
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(16)
+		states := make([]QueryState, n)
+		for i := range states {
+			q := QueryState{ID: i + 1, Remaining: 1000 * rng.Float64(), Weight: []float64{1, 2, 4, 0.5}[rng.Intn(4)]}
+			if trial%2 == 1 {
+				q.Weight = 0.1 + 9.9*rng.Float64()
+			}
+			switch rng.Intn(16) {
+			case 0:
+				q.Remaining = 0
+			case 1:
+				q.Remaining = []float64{1e-300, 1e250, math.Inf(1), math.NaN(), -5}[rng.Intn(5)]
+				extreme++
+			case 2:
+				q.Weight = 1e-300
+				extreme++
+			case 3:
+				q.Weight = []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(5)]
+				blocked++
+			case 4:
+				if i > 0 { // an exact tie with the previous query's c/w
+					prev := states[i-1]
+					q.Remaining, q.Weight = 2*prev.Remaining, 2*prev.Weight
+					ties++
+				}
+			}
+			if rng.Intn(4) == 0 {
+				q.Fold = 1 + rng.Intn(3)
+				folded++
+			}
+			states[i] = q
+		}
+		rng.Shuffle(n, func(i, j int) { states[i].ID, states[j].ID = states[j].ID, states[i].ID })
+		C := 1 + 999*rng.Float64()
+		if trial%10 == 0 {
+			C = rates[rng.Intn(len(rates))]
+			stalled++
+		}
+		got, want := ComputeProfile(states, C), closedFormProfile(states, C)
+		label := fmt.Sprintf("trial %d (n=%d C=%g)", trial, n, C)
+		if len(got.Order) != len(want.Order) || len(got.StageDur) != len(want.Order) || len(got.StageW) != len(want.Order) {
+			t.Fatalf("%s: %d/%d/%d stages, closed form %d", label, len(got.Order), len(got.StageDur), len(got.StageW), len(want.Order))
+		}
+		for k, id := range want.Order {
+			if got.Order[k] != id {
+				t.Fatalf("%s: order %v, closed form %v", label, got.Order, want.Order)
+			}
+			if !sameFinish(got.StageDur[k], want.StageDur[k]) || !sameFinish(got.StageW[k], want.StageW[k]) {
+				t.Fatalf("%s: stage %d (t, W) = (%v, %v), closed form (%v, %v)",
+					label, k, got.StageDur[k], got.StageW[k], want.StageDur[k], want.StageW[k])
+			}
+		}
+		if len(got.Finish) != len(want.Finish) {
+			t.Fatalf("%s: %d finishes, closed form %d", label, len(got.Finish), len(want.Finish))
+		}
+		for id, w := range want.Finish {
+			if g, ok := got.Finish[id]; !ok || !sameFinish(g, w) {
+				t.Fatalf("%s: q%d finish %v, closed form %v", label, id, g, w)
+			}
+		}
+		if fmt.Sprint(got.Shared) != fmt.Sprint(want.Shared) {
+			t.Fatalf("%s: shared %v, closed form %v", label, got.Shared, want.Shared)
+		}
+	}
+	if ties < 100 || blocked < 100 || extreme < 100 || folded < 100 || stalled < 100 {
+		t.Fatalf("corners under-drawn: %d ties, %d blocked, %d extreme, %d folded, %d bad rates", ties, blocked, extreme, folded, stalled)
+	}
+}
 
 func almostEq(a, b float64) bool {
 	if math.IsInf(a, 1) && math.IsInf(b, 1) {
@@ -130,7 +271,7 @@ func TestSimulationMatchesClosedForm(t *testing.T) {
 			}
 		}
 		C := 10 + 100*rng.Float64()
-		closed := ComputeProfile(states, C)
+		closed := closedFormProfile(states, C)
 		sim := SimulateProfile(states, C, SimOptions{})
 		for id, want := range closed.Finish {
 			if !almostEq(sim.Finish[id], want) {
@@ -434,7 +575,7 @@ func TestSimulateSimultaneousFinishTieOrder(t *testing.T) {
 			t.Fatalf("order %v, want %v (ties must retire by ascending ID)", prof.Order, want)
 		}
 	}
-	closed := ComputeProfile(states, 10)
+	closed := closedFormProfile(states, 10)
 	for i := range want {
 		if prof.Order[i] != closed.Order[i] {
 			t.Fatalf("simulated order %v differs from closed-form order %v", prof.Order, closed.Order)
@@ -515,7 +656,7 @@ func TestSimulateProfileBoundaries(t *testing.T) {
 	// and on the quiescent time, which is just c/C at full capacity.
 	states := []QueryState{{ID: 1, Remaining: 123, Weight: 2}}
 	sim := SimulateProfile(states, 10, SimOptions{})
-	closed := ComputeProfile(states, 10)
+	closed := closedFormProfile(states, 10)
 	if !almostEq(sim.Finish[1], closed.Finish[1]) {
 		t.Errorf("single query: sim %g vs closed %g", sim.Finish[1], closed.Finish[1])
 	}

@@ -13,7 +13,9 @@ import "math"
 // §2.2, no admission queue (MPL 0, or no more queries than slots), is the
 // degenerate case: everything is admitted at V = 0, the tags are the c_i/w_i
 // the closed form sorts by, and popping them in order charges stage k its
-// (c_k/w_k − c_{k−1}/w_{k−1})·W_k/C.
+// (c_k/w_k − c_{k−1}/w_{k−1})·W_k/C. ComputeProfile is this case with the
+// stage record on: each pop is one stage of the paper's Figure 1, and the
+// records (position, dt, W) are the profile's Order, StageDur and StageW.
 //
 // §2.3, FIFO admission into the slots finishers free, is a min-heap on
 // (tag, ID): each pop advances V to the tag, charges dt = (tag − V)·W/C of real
@@ -43,6 +45,22 @@ type queuePass struct {
 	wRef float64 // largest w since it was last summed afresh
 	used int     // occupied slots, blocked holders and virtual arrivals included
 	left int     // known queries still without a finish
+
+	// stages, when non-nil, receives one record per pop: the stage that pop
+	// ends. ComputeProfile sets it; the estimate path leaves it nil and so
+	// allocates nothing.
+	stages *[]passStage
+}
+
+// passStage is one pop of the pass: the stage that ends when query pos (-1 for
+// a virtual arrival) finishes, which lasted dt seconds of real time at
+// runnable weight w. With no arrivals the dt of the first k records sum, in
+// order, to the k-th finish; an arrival advances the clock between pops, and
+// that time is in no record.
+type passStage struct {
+	pos int
+	dt  float64
+	w   float64
 }
 
 // finishTag is one admitted runnable query waiting for the virtual clock.
@@ -92,10 +110,10 @@ func (p *queuePass) finishes(in EstimateInput, fin []float64) []float64 {
 	if predicted {
 		known := 0.0
 		for _, q := range in.Running {
-			known += sanitize(q).Remaining
+			known += Sanitize(q).Remaining
 		}
 		for _, q := range in.Queued {
-			known += sanitize(q).Remaining
+			known += Sanitize(q).Remaining
 		}
 		gap = 1 / in.Arrivals.Lambda
 		arrival, window = gap, known/C+gap
@@ -131,6 +149,9 @@ func (p *queuePass) finishes(in EstimateInput, fin []float64) []float64 {
 			continue
 		}
 		p.pop()
+		if p.stages != nil {
+			*p.stages = append(*p.stages, passStage{pos: top.pos, dt: dt, w: p.w})
+		}
 		now += dt
 		if top.tag > p.v {
 			p.v = top.tag
@@ -160,7 +181,7 @@ func (p *queuePass) finishes(in EstimateInput, fin []float64) []float64 {
 // runnable, +Inf when it is blocked. pos is its position in Running ++ Queued,
 // -1 for a virtual arrival, which is always runnable and gets no finish.
 func (p *queuePass) admit(pos int, q QueryState, fin []float64) {
-	q = sanitize(q)
+	q = Sanitize(q)
 	p.used++
 	if q.Weight <= 0 {
 		fin[pos] = math.Inf(1)

@@ -237,7 +237,7 @@ func TestQueuePassMatchesSimulate(t *testing.T) {
 
 // TestQueuePassMatchesClosedForm holds the degenerate case against the paper's
 // own formula: with no admission queue and no arrivals the pass is §2.2, and
-// its finishes are ComputeProfile's — finite within 1e-9·max(1, |closed
+// its finishes are closedFormProfile's — finite within 1e-9·max(1, |closed
 // form|), +Inf for +Inf, and one shared finish for queries whose c/w tie.
 func TestQueuePassMatchesClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -256,7 +256,7 @@ func TestQueuePassMatchesClosedForm(t *testing.T) {
 			}
 		}
 		got := queueFinishes(in)
-		want := finishesByPosition(in, ComputeProfile(in.Running, in.RateC).Finish)
+		want := finishesByPosition(in, closedFormProfile(in.Running, in.RateC).Finish)
 		for k := range got {
 			if !sameFinish(got[k], want[k]) {
 				t.Fatalf("input %d position %d (r=%d C=%g): pass %v, closed form %v",
@@ -351,7 +351,7 @@ func TestQueuePassAdversarial(t *testing.T) {
 			states = append(states, virtual)
 		}
 		for _, q := range states {
-			if s := sanitize(q); s.Weight > 0 {
+			if s := Sanitize(q); s.Weight > 0 {
 				W += s.Weight
 				minW = math.Min(minW, s.Weight)
 				modelFinite = modelFinite && !math.IsInf(s.Remaining/s.Weight, 1)

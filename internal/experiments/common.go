@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"mqpi/internal/core"
 	"mqpi/internal/metrics"
@@ -306,30 +305,11 @@ func time0Errs(queries []*sched.Query, est map[int]float64) []float64 {
 	return errs
 }
 
-// incrementalShadow, when non-nil, receives every §2.2 closed-form input the
-// sweeps evaluate (states plus rate C). The experiments test installs a
-// differential checker that patches a run-long core.IncrementalProfile and
-// demands bit-identity with the from-scratch profile, so the paper sweeps
-// double as a corpus for the incremental stage structure. Sweeps may evaluate
-// estimates from pool workers, so the hook is called under shadowMu.
-var (
-	shadowMu          sync.Mutex
-	incrementalShadow func(states []core.QueryState, C float64)
-)
-
-func shadowCheck(states []core.QueryState, C float64) {
-	shadowMu.Lock()
-	if incrementalShadow != nil {
-		incrementalShadow(states, C)
-	}
-	shadowMu.Unlock()
-}
-
 // multiETAs is the sweeps' one way to ask for multi-query remaining times:
-// the production estimate plane in stage mode — §2.2's closed form over
-// in.Running, §2.3 once in.Queued is set, §2.4 once in.Arrivals is. The
-// plane answers by position in the input; the sweeps score queries long after
-// they left it, so they get a map by id, which is the caller's own.
+// the production estimate plane in stage mode — §2.2 over in.Running, §2.3
+// once in.Queued is set, §2.4 once in.Arrivals is. The plane answers by
+// position in the input; the sweeps score queries long after they left it, so
+// they get a map by id, which is the caller's own.
 func multiETAs(in core.EstimateInput) map[int]float64 {
 	est, err := core.NewEstimator(core.EstimatorStage)
 	if err != nil {
@@ -343,11 +323,9 @@ func multiETAs(in core.EstimateInput) map[int]float64 {
 	return out
 }
 
-// stageEstimates is the §2.2 closed form over explicit states, mirrored
-// through the incremental shadow checker when one is installed. Every sweep's
-// no-queue/no-arrival estimate goes through here.
+// stageEstimates is §2.2 over explicit states: every sweep's no-queue,
+// no-arrival estimate goes through here.
 func stageEstimates(states []core.QueryState, C float64) map[int]float64 {
-	shadowCheck(states, C)
 	return multiETAs(core.EstimateInput{Running: states, RateC: C})
 }
 

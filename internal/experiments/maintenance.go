@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"mqpi/internal/core"
 	"mqpi/internal/metrics"
@@ -290,48 +291,19 @@ func lostAtAbort(s maintSnapshot, doneSinceRt float64, mode wm.LostWorkMode) flo
 	return s.trueCost
 }
 
-// workDoneBy computes, for equal-weight fair sharing over the kept queries'
-// true remaining costs, how much work each query completes within the first
-// t seconds (stage-by-stage, the §2.2 schedule).
-func workDoneBy(kept []maintSnapshot, C, t float64) map[int]float64 {
-	type qs struct {
-		id  int
-		rem float64
-	}
-	active := make([]qs, 0, len(kept))
-	done := make(map[int]float64, len(kept))
-	for _, s := range kept {
-		active = append(active, qs{id: s.id, rem: s.trueRem})
-		done[s.id] = 0
-	}
-	// Process stages in ascending remaining order.
-	for now := 0.0; now < t && len(active) > 0; {
-		minRem := active[0].rem
-		for _, q := range active {
-			if q.rem < minRem {
-				minRem = q.rem
-			}
+// workDoneBy returns how much work each query of prof, a profile of
+// unit-weight queries, completes within its first t seconds: stage k runs
+// every query still in it at C/W_k, so a query has done C·Σ dt_k/W_k over the
+// part of each of its stages before t.
+func workDoneBy(prof core.Profile, C, t float64) map[int]float64 {
+	done := make(map[int]float64, len(prof.Order))
+	perWeight, start := 0.0, 0.0
+	for k, id := range prof.Order {
+		if start < t {
+			perWeight += C * math.Min(prof.StageDur[k], t-start) / prof.StageW[k]
+			start += prof.StageDur[k]
 		}
-		share := C / float64(len(active))
-		stage := minRem / share // time until the smallest query finishes
-		dt := stage
-		if now+dt > t {
-			dt = t - now
-		}
-		kept2 := active[:0]
-		for _, q := range active {
-			amount := share * dt
-			if amount > q.rem {
-				amount = q.rem
-			}
-			done[q.id] += amount
-			q.rem -= amount
-			if q.rem > 1e-9 {
-				kept2 = append(kept2, q)
-			}
-		}
-		active = kept2
-		now += dt
+		done[id] = perWeight
 	}
 	return done
 }
@@ -344,11 +316,10 @@ func keptUnfinished(kept []maintSnapshot, C, t float64, mode wm.LostWorkMode) fl
 	for i, s := range kept {
 		states[i] = core.QueryState{ID: s.id, Remaining: s.trueRem, Weight: 1, Done: s.doneWork}
 	}
-	shadowCheck(states, C)
 	prof := core.ComputeProfile(states, C)
 	var doneBy map[int]float64
 	if mode == wm.Case1CompletedWork {
-		doneBy = workDoneBy(kept, C, t)
+		doneBy = workDoneBy(prof, C, t)
 	}
 	lost := 0.0
 	for _, s := range kept {

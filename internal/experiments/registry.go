@@ -70,7 +70,7 @@ func All() []Experiment {
 }
 
 // stagesReport renders Figures 1 and 2, the paper's analytic illustrations of
-// the stage model, from the closed form.
+// the stage model, from core.ComputeProfile.
 func stagesReport() *Report {
 	states := []core.QueryState{
 		{ID: 1, Remaining: 100, Weight: 1},

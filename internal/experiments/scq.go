@@ -115,7 +115,6 @@ func scqArrivals(cl *cell, cfg SCQConfig, srv *sched.Server, initial []*sched.Qu
 // arrivalETAs is the multi-query PI's estimate over states under each
 // assumed arrival rate λ′ (§2.4), with c̄ as the future queries' cost.
 func arrivalETAs(states []core.QueryState, C float64, lambdaPrimes []float64, cbar float64) map[float64]map[int]float64 {
-	shadowCheck(states, C)
 	out := make(map[float64]map[int]float64, len(lambdaPrimes))
 	for _, lp := range lambdaPrimes {
 		am := core.ArrivalModel{Lambda: lp, AvgCost: cbar, AvgWeight: 1}

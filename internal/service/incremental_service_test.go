@@ -176,3 +176,54 @@ func TestPublishedEstimatesWithArrivals(t *testing.T) {
 		checkPublishedEstimates(t, m, fmt.Sprintf("tick %d", step))
 	}
 }
+
+// TestStageProfileMatchesPolledETA: the diagram and the §3 planners read
+// core.ComputeProfile over the snapshot's running set, and polls read the
+// published estimates. With an empty admission queue both are one stage
+// computation, so every running query's profile finish is, bit for bit, the
+// MultiETA a poll of that snapshot returns. The weights are not powers of two,
+// so a second derivation that sums W_k in another order would show here.
+func TestStageProfileMatchesPolledETA(t *testing.T) {
+	db := engine.Open()
+	for i := 0; i < 7; i++ {
+		loadTable(t, db, fmt.Sprintf("ord%d", i), 5+3*i)
+	}
+	m := manual(t, db, sched.Config{
+		RateC:   13,
+		Quantum: 0.5,
+		MPL:     8,
+		Weights: map[int]float64{0: 0.3, 1: 1.7, 2: 2.9},
+	})
+	for i := 0; i < 7; i++ {
+		if _, err := m.Submit(SubmitRequest{SQL: fmt.Sprintf("SELECT SUM(a) FROM ord%d", i), Priority: i % 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checked := 0
+	for step := 0; step < 6; step++ {
+		if err := m.Advance(0.5); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Sched.Queued) != 0 {
+			t.Fatalf("step %d: %d queued, want an empty queue", step, len(snap.Sched.Queued))
+		}
+		prof := core.ComputeProfile(snap.Sched.StatesRunning(), snap.Sched.RateC)
+		for _, q := range snap.Sched.Running {
+			p, err := m.Progress(q.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := float64(p.MultiETA), prof.Finish[q.ID]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d: q%d polled MultiETA %v, profile finish %v (bitwise)", step, q.ID, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("only %d running queries compared", checked)
+	}
+}

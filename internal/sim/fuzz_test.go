@@ -13,8 +13,8 @@ func FuzzSim(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x00, 0x57, 0x09, 0x00, 0x04, 0xff, 0x0a, 0x00, 0x0b, 0x01, 0x04, 0x40})
 	f.Add([]byte{0x03, 0x22, 0x04, 0xc0, 0x0d, 0x05, 0x0c, 0x31, 0x04, 0x20, 0x0e, 0x09, 0x0f, 0x00})
 	// Priority-change churn: repeated SetPriority between short advances keeps
-	// re-keying the incremental stage structure (I10) while predictions are
-	// repeatedly voided and re-taken (I6/I7).
+	// re-weighting the stage model while predictions are repeatedly voided and
+	// re-taken (I6/I7) and held against the event-stepped oracle (I14).
 	f.Add([]byte{0x00, 0x10, 0x00, 0x57, 0x00, 0x91, 0x0c, 0x11, 0x04, 0x30, 0x0c, 0x52, 0x04, 0x30,
 		0x0c, 0x93, 0x0c, 0x20, 0x04, 0x60, 0x0c, 0x64, 0x04, 0xff})
 	// Fold churn (opcode 0x08 toggles folding under FoldToggle): same-table

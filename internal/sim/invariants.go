@@ -40,15 +40,14 @@ import (
 //	    the published snapshot, lifecycle counters match the terminated set;
 //	I9  event lifecycle ordering — no query finishes before it was admitted,
 //	    is admitted before it was submitted, or unblocks before it blocked;
-//	I10 incremental-profile identity — a single incremental stage structure,
-//	    patched across every action of the run, materializes a profile
-//	    bit-identical (Order, StageDur, Finish, Shared) to core.ComputeProfile
-//	    built from scratch on the same published states;
 //	I11 fold conservation — shared-scan folding moves only the engine-cost
 //	    plane: no query's cost exceeds its charged work, the registry's saved
 //	    pages equal Σ(done−cost) over every query ever admitted exactly (all
 //	    charges are whole units, so the equality is float-exact), and with
 //	    folding never enabled the two planes are identical.
+//	(I10 is retired and its number not reused: it held the incremental stage
+//	    structure, which no production path reads, against the closed form;
+//	    core's differential tests do that now.)
 //	I13 estimator-plane transparency — a run-long stage-mode core.Estimator
 //	    fed the published state returns a bundle bit-identical to
 //	    core.ComputeEstimates (no blend weights, degenerate bands), and every
@@ -118,18 +117,11 @@ type checker struct {
 	// anything fails too.
 	oracleChecked, queueChecked int
 
-	// incProf is I10's long-lived incremental stage structure: one instance
-	// survives the whole run, patched (never rebuilt) at every check, so the
-	// invariant exercises the structure's event path rather than a fresh
-	// build. incOut is its reused materialization target.
-	incProf *core.IncrementalProfile
-	incOut  core.Profile
-
 	// stageMode gates the estimate-exactness invariants (I6, I7, I13, I14): they
 	// only hold for the exact stage plane, not for blended ensemble points.
-	// plane is I13's run-long stage-mode Estimator instance — like incProf,
-	// one instance survives the whole run, so any state the pluggable plane
-	// accidentally accreted would surface as drift from the pure oracle.
+	// plane is I13's run-long stage-mode Estimator instance: one instance
+	// survives the whole run, so any state the pluggable plane accidentally
+	// accreted would surface as drift from the pure oracle.
 	stageMode bool
 	plane     core.Estimator
 
@@ -181,7 +173,6 @@ func newChecker(m *service.Manager, cfg Config, tag string, violations *[]string
 		predSlack: make(map[int]float64),
 		prevRun:   make(map[int]bool),
 		seen:      make(map[int]map[string]bool),
-		incProf:   core.NewIncrementalProfile(),
 		stageMode: stage,
 		plane:     plane,
 	}
@@ -450,12 +441,6 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 		queued = append(queued, core.QueryState{ID: v.ID, Remaining: v.Remaining, Weight: v.Weight, Done: v.Done})
 	}
 
-	// I10: the run-long incremental profile, synced to the published running
-	// set, must materialize bit-for-bit what a from-scratch build produces.
-	// It concerns the stage structure, not the estimate surface, so it runs
-	// in every estimator mode.
-	c.checkIncremental(tr, ctx, running, ov.RateC)
-
 	if !c.stageMode {
 		return
 	}
@@ -553,61 +538,6 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 	}
 	if !agrees(float64(ov.QuiescentETA), quiescent) {
 		c.fail(tr, ctx, "I14 quiescent ETA %s, event-stepped oracle %s", g(float64(ov.QuiescentETA)), g(quiescent))
-	}
-}
-
-// checkIncremental is invariant I10: patch the checker's long-lived
-// incremental stage structure to the published running set and demand its
-// materialized profile be bit-identical to core.ComputeProfile built from
-// scratch. Because the same structure persists across all of the run's
-// arrivals, finishes, blocks, priority flips, and cost refinements, any
-// divergence between the O(log n) patch path and the O(n log n) oracle
-// surfaces at the first action that breaks it.
-func (c *checker) checkIncremental(tr *strings.Builder, ctx checkCtx, running []core.QueryState, rateC float64) {
-	c.incProf.Sync(running)
-	c.incProf.ProfileInto(rateC, &c.incOut)
-	want := core.ComputeProfile(running, rateC)
-	if len(c.incOut.Order) != len(want.Order) || len(c.incOut.Finish) != len(want.Finish) {
-		c.fail(tr, ctx, "I10 incremental profile shape: %d stages/%d finishes, want %d/%d",
-			len(c.incOut.Order), len(c.incOut.Finish), len(want.Order), len(want.Finish))
-		return
-	}
-	for i, id := range want.Order {
-		if c.incOut.Order[i] != id {
-			c.fail(tr, ctx, "I10 stage %d is q%d, want q%d", i, c.incOut.Order[i], id)
-			return
-		}
-		if math.Float64bits(c.incOut.StageDur[i]) != math.Float64bits(want.StageDur[i]) {
-			c.fail(tr, ctx, "I10 stage %d duration %s, want %s (bitwise)",
-				i, g(c.incOut.StageDur[i]), g(want.StageDur[i]))
-			return
-		}
-	}
-	for id, w := range want.Finish {
-		got, ok := c.incOut.Finish[id]
-		if !ok || (math.Float64bits(got) != math.Float64bits(w) && !(math.IsNaN(got) && math.IsNaN(w))) {
-			c.fail(tr, ctx, "I10 q%d finish %s, want %s (bitwise)", id, g(got), g(w))
-			return
-		}
-	}
-	// The shared-stage inventory (fold groups in stage order, member IDs
-	// ascending) must match exactly as well.
-	if len(c.incOut.Shared) != len(want.Shared) {
-		c.fail(tr, ctx, "I10 %d shared stages, want %d", len(c.incOut.Shared), len(want.Shared))
-		return
-	}
-	for i, w := range want.Shared {
-		got := c.incOut.Shared[i]
-		if got.Fold != w.Fold || len(got.IDs) != len(w.IDs) {
-			c.fail(tr, ctx, "I10 shared stage %d = g%d/%d members, want g%d/%d", i, got.Fold, len(got.IDs), w.Fold, len(w.IDs))
-			return
-		}
-		for j := range w.IDs {
-			if got.IDs[j] != w.IDs[j] {
-				c.fail(tr, ctx, "I10 shared stage %d member %d is q%d, want q%d", i, j, got.IDs[j], w.IDs[j])
-				return
-			}
-		}
 	}
 }
 

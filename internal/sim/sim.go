@@ -15,14 +15,15 @@
 //	go run ./cmd/mqpi-bench -sim -seed 17 -workers 4 # replay one cell, full trace
 //
 // After every action one checker per shard validates that shard's state (see
-// invariants.go for I1–I14: work conservation, stage-model exactness,
-// re-prediction at boundaries, epoch monotonicity, MPL, slot conservation,
-// metrics/view consistency, event lifecycle ordering, ...), and one router
-// pass validates on the merged overview what no shard can see (placement, gid
-// uniqueness, no lost work, admission accounting). Every run also emits a
-// canonical text trace containing no wall-clock values, so a run at Workers=1
-// must be byte-identical to the same seed at Workers=4 — the tentpole
-// bit-identity guarantee of the parallel execute phase, checked end to end.
+// invariants.go for I1–I9 and I11–I14: work conservation, stage-model
+// exactness, re-prediction at boundaries, epoch monotonicity, MPL, slot
+// conservation, metrics/view consistency, event lifecycle ordering, ...), and
+// one router pass validates on the merged overview what no shard can see
+// (placement, gid uniqueness, no lost work, admission accounting). Every run
+// also emits a canonical text trace containing no wall-clock values, so a run
+// at Workers=1 must be byte-identical to the same seed at Workers=4 — the
+// tentpole bit-identity guarantee of the parallel execute phase, checked end
+// to end.
 // With more than one shard each shard's event and state lines carry a "[i] "
 // tag and name queries by the shard's own ids (global id = (local-1)·Shards +
 // i + 1); action lines always name global ids.

@@ -21,47 +21,20 @@ type Victim struct {
 	Benefit float64
 }
 
-// sortedStates returns runnable states sorted ascending by c_i/w_i (the
-// paper's canonical order) and the suffix weight sums W_j.
-func sortedStates(states []core.QueryState) ([]core.QueryState, []float64) {
-	active := make([]core.QueryState, 0, len(states))
+// stages is the §2.2 stage model of states, core.ComputeProfile (the pass the
+// estimates come from), with the sanitized state of each runnable query in
+// stage order beside it.
+func stages(states []core.QueryState, C float64) (core.Profile, []core.QueryState) {
+	prof := core.ComputeProfile(states, C)
+	byID := make(map[int]core.QueryState, len(states))
 	for _, q := range states {
-		if q.Weight > 0 {
-			if q.Remaining < 0 {
-				q.Remaining = 0
-			}
-			active = append(active, q)
-		}
+		byID[q.ID] = core.Sanitize(q)
 	}
-	sort.SliceStable(active, func(i, j int) bool {
-		ri := active[i].Remaining / active[i].Weight
-		rj := active[j].Remaining / active[j].Weight
-		if ri != rj {
-			return ri < rj
-		}
-		return active[i].ID < active[j].ID
-	})
-	suffixW := make([]float64, len(active)+1)
-	for i := len(active) - 1; i >= 0; i-- {
-		suffixW[i] = suffixW[i+1] + active[i].Weight
+	staged := make([]core.QueryState, len(prof.Order))
+	for k, id := range prof.Order {
+		staged[k] = byID[id]
 	}
-	return active, suffixW
-}
-
-// stageDurations computes t_j for the sorted states (the standard case).
-func stageDurations(sorted []core.QueryState, suffixW []float64, C float64) []float64 {
-	out := make([]float64, len(sorted))
-	prev := 0.0
-	for j, q := range sorted {
-		ratio := q.Remaining / q.Weight
-		t := (ratio - prev) * suffixW[j] / C
-		if t < 0 {
-			t = 0
-		}
-		out[j] = t
-		prev = ratio
-	}
-	return out
+	return prof, staged
 }
 
 // SpeedUpSingle solves the single-query speed-up problem of §3.1: choose h
@@ -81,7 +54,7 @@ func SpeedUpSingle(states []core.QueryState, C float64, targetID int, h int) ([]
 	if h < 1 {
 		return nil, fmt.Errorf("wm: number of victims h must be >= 1")
 	}
-	sorted, suffixW := sortedStates(states)
+	prof, sorted := stages(states, C)
 	ti := -1
 	for i, q := range sorted {
 		if q.ID == targetID {
@@ -95,14 +68,11 @@ func SpeedUpSingle(states []core.QueryState, C float64, targetID int, h int) ([]
 	if len(sorted) < 2 {
 		return nil, fmt.Errorf("wm: no candidate victims")
 	}
-	durs := stageDurations(sorted, suffixW, C)
 	// A = Σ_{j=1..i} t_j / W_j (1-based stages up to and including the
 	// target's stage).
 	A := 0.0
 	for j := 0; j <= ti; j++ {
-		if suffixW[j] > 0 {
-			A += durs[j] / suffixW[j]
-		}
+		A += prof.StageDur[j] / prof.StageW[j]
 	}
 	victims := make([]Victim, 0, len(sorted)-1)
 	for m, q := range sorted {
@@ -173,18 +143,15 @@ func SpeedUpOthers(states []core.QueryState, C float64) (Victim, error) {
 	if C <= 0 {
 		return Victim{}, fmt.Errorf("wm: rate C must be positive")
 	}
-	sorted, suffixW := sortedStates(states)
+	prof, sorted := stages(states, C)
 	n := len(sorted)
 	if n < 2 {
 		return Victim{}, fmt.Errorf("wm: need at least two runnable queries")
 	}
-	durs := stageDurations(sorted, suffixW, C)
 	best := Victim{Benefit: math.Inf(-1)}
 	prefix := 0.0 // Σ_{j=1..m} (n−j) t_j / W_j
 	for m, q := range sorted {
-		if suffixW[m] > 0 {
-			prefix += float64(n-(m+1)) * durs[m] / suffixW[m]
-		}
+		prefix += float64(n-(m+1)) * prof.StageDur[m] / prof.StageW[m]
 		r := q.Weight * prefix
 		if r > best.Benefit || (r == best.Benefit && q.ID < best.ID) {
 			best = Victim{ID: q.ID, Benefit: r}

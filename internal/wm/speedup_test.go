@@ -298,3 +298,43 @@ func TestSpeedUpOthersErrors(t *testing.T) {
 		t.Error("C=0 should fail")
 	}
 }
+
+// TestPlannersSanitizeNonFiniteWeights: a +Inf weight sanitizes to 0, so that
+// query is blocked — it holds no share of C, no other query's benefit may be
+// NaN because of it, and blocking it again is no remedy either planner may
+// offer.
+func TestPlannersSanitizeNonFiniteWeights(t *testing.T) {
+	states := []core.QueryState{
+		{ID: 1, Remaining: 10, Weight: 1},
+		{ID: 2, Remaining: 20, Weight: math.Inf(1)},
+		{ID: 3, Remaining: 30, Weight: 1},
+	}
+	victims, err := SpeedUpSingle(states, 10, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(victims) != 1 || victims[0].ID != 3 {
+		t.Errorf("SpeedUpSingle victims %+v, want only q3", victims)
+	}
+	for _, v := range victims {
+		if math.IsNaN(v.Benefit) || math.IsInf(v.Benefit, 0) {
+			t.Errorf("SpeedUpSingle: q%d benefit %v, want finite", v.ID, v.Benefit)
+		}
+	}
+	// Blocking q3 lets q1 run alone from t=0: 10 U at C=10 instead of half
+	// of C, so it finishes 1 s sooner.
+	if len(victims) == 1 && !almostEq(victims[0].Benefit, 1) {
+		t.Errorf("SpeedUpSingle: q3 benefit %v, want 1", victims[0].Benefit)
+	}
+
+	v, err := SpeedUpOthers(states, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.ID == 2 || (v.ID != 1 && v.ID != 3) {
+		t.Errorf("SpeedUpOthers victim q%d, want q1 or q3", v.ID)
+	}
+	if math.IsNaN(v.Benefit) || math.IsInf(v.Benefit, 0) {
+		t.Errorf("SpeedUpOthers: q%d benefit %v, want finite", v.ID, v.Benefit)
+	}
+}
