@@ -91,3 +91,33 @@ func TestSameTickArrivalFinishEvents(t *testing.T) {
 	wantPrefix(t, eventTypes(m, v.ID),
 		[]string{EventScheduled, EventSubmitted, EventAdmitted, EventFinished}, v.ID)
 }
+
+// A scheduled arrival that lands while every MPL slot is taken waits in the
+// queue; when a slot frees later in the same tick it is admitted before any
+// reconciliation saw it queued. Its lifecycle must still read queued between
+// submitted and admitted.
+func TestSameTickArrivalQueuedEvents(t *testing.T) {
+	db := engine.Open()
+	loadTable(t, db, "t1", 10)
+	m := manual(t, db, sched.Config{RateC: 10, Quantum: 0.5, MPL: 1})
+
+	if _, err := m.Submit(SubmitRequest{Label: "q1", SQL: "SELECT COUNT(*) FROM t1"}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.Submit(SubmitRequest{Label: "q2", SQL: "SELECT COUNT(*) FROM t1", Delay: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.Progress(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Status != "finished" || p.SubmitTime != 1.2 || p.StartTime != 1.5 {
+		t.Fatalf("q2 = %s submitted %g started %g, want finished, 1.2, 1.5", p.Status, p.SubmitTime, p.StartTime)
+	}
+	wantPrefix(t, eventTypes(m, v.ID),
+		[]string{EventScheduled, EventSubmitted, EventQueued, EventAdmitted, EventFinished}, v.ID)
+}
