@@ -73,9 +73,11 @@ ci: vet build race
 	# -count=1: GOMAXPROCS is not in the test cache key, so without it the
 	# second run would silently replay the first run's cached verdict.
 	# The live-clock test rides the one-core line: there the owner and its
-	# clients share a core, which is where a clock falls behind first.
+	# clients share a core, which is where a clock falls behind first. The
+	# read-path stress test rides the several-core line: there its 32 pollers
+	# run beside the owner, which is where a lock a scrape holds would stall it.
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers|TestLiveClockKeepsWallRate' ./internal/sched/ ./internal/service/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers' ./internal/sched/ ./internal/service/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers|TestReadPathStressRace' ./internal/sched/ ./internal/service/
 	# The simulator package, whole (no name regex to go stale): every matrix —
 	# one shard and three, fold on and off, each estimator mode — must hold
 	# its invariants and stay byte-identical at workers 1/2/4 on one core and

@@ -52,14 +52,14 @@ func main() {
 	for i := range states {
 		states[i].Done = mustLookup(srv, states[i].ID).Runner.WorkDone()
 	}
-	quiescent := srv.QuiescentEstimate()
-	fmt.Printf("10 queries running; estimated system quiescent time: %.0fs\n\n", quiescent)
-	fmt.Println("query   done(U)   remaining(U)   est. finish(s)")
 	est, err := core.NewEstimator(core.EstimatorStage)
 	if err != nil {
 		log.Fatal(err)
 	}
-	finish := est.Estimates(core.EstimateInput{Running: states, RateC: srv.RateC()}, core.EnsembleState{}).PerQuery
+	bundle := est.Estimates(core.EstimateInput{Running: states, RateC: srv.RateC()}, core.EnsembleState{})
+	finish, quiescent := bundle.PerQuery, bundle.Quiescent // the clock is still at 0
+	fmt.Printf("10 queries running; estimated system quiescent time: %.0fs\n\n", quiescent)
+	fmt.Println("query   done(U)   remaining(U)   est. finish(s)")
 	for i, st := range states { // finish[i] is the estimate of states[i]
 		fmt.Printf("%-6s %9.0f %14.0f %16.1f\n",
 			mustLookup(srv, st.ID).Label, st.Done, st.Remaining, finish[i].MultiQuery)

@@ -40,7 +40,7 @@ func TestComputeEstimatesMatchesProfiles(t *testing.T) {
 
 // TestComputeEstimatesQuiescent: the quiescent ETA is the last finite finish
 // of the queue-aware profile and ignores the hypothetical future arrivals,
-// matching the §2.3 definition (and sched.Server.QuiescentEstimate).
+// matching the §2.3 definition.
 func TestComputeEstimatesQuiescent(t *testing.T) {
 	running := []QueryState{
 		{ID: 1, Remaining: 100, Weight: 1},

@@ -848,18 +848,6 @@ func (s *Server) StateQueued() []core.QueryState {
 	return out
 }
 
-// QuiescentEstimate predicts when all admitted and queued queries will have
-// finished, from the stage model: the quiescent ETA of the estimate pass the
-// serving tier publishes, on the absolute virtual clock.
-func (s *Server) QuiescentEstimate() float64 {
-	return s.now + core.ComputeEstimates(core.EstimateInput{
-		Running: s.StateRunning(),
-		Queued:  s.StateQueued(),
-		MPL:     s.cfg.MPL,
-		RateC:   s.cfg.RateC,
-	}).Quiescent
-}
-
 // QueryInfo is a value snapshot of one query. Unlike *Query — whose fields
 // the next Tick mutates — a QueryInfo is safe to retain, compare, or hand to
 // another goroutine, which is what the serving layer does.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"mqpi/internal/core"
 	"mqpi/internal/engine"
 	"mqpi/internal/engine/exec"
 	"mqpi/internal/engine/types"
@@ -307,12 +308,24 @@ func TestObservedSpeedApproximatesShare(t *testing.T) {
 	}
 }
 
+// quiescent is the stage model's prediction of when every admitted and queued
+// query will have finished, on the absolute virtual clock: the quiescent ETA
+// of the estimate pass the serving tier publishes, added to the server's now.
+func quiescent(srv *Server) float64 {
+	return srv.Now() + core.ComputeEstimates(core.EstimateInput{
+		Running: srv.StateRunning(),
+		Queued:  srv.StateQueued(),
+		MPL:     srv.cfg.MPL,
+		RateC:   srv.cfg.RateC,
+	}).Quiescent
+}
+
 func TestQuiescentEstimateMatchesIdleTime(t *testing.T) {
 	db := engine.Open()
 	srv := newServer(Config{RateC: 10, Quantum: 0.5})
 	srv.Submit(srv.NewQuery("q1", "", 0, prepare(t, db, "t1", 12)))
 	srv.Submit(srv.NewQuery("q2", "", 0, prepare(t, db, "t2", 24)))
-	est := srv.QuiescentEstimate()
+	est := quiescent(srv)
 	idle := srv.RunUntilIdle(1e6)
 	// The refined costs at t=0 equal the optimizer costs, which are exact
 	// for pure scans, so the estimate should be within a quantum or two.
@@ -494,7 +507,7 @@ func TestQuiescentEstimateWithQueue(t *testing.T) {
 	srv := newServer(Config{RateC: 10, Quantum: 0.5, MPL: 1})
 	srv.Submit(srv.NewQuery("a", "", 0, prepare(t, db, "t1", 10)))
 	srv.Submit(srv.NewQuery("b", "", 0, prepare(t, db, "t2", 10)))
-	est := srv.QuiescentEstimate()
+	est := quiescent(srv)
 	// Total work 22 U at 10 U/s: ~2.2s — the queued query must be included.
 	if est < 2 || est > 3 {
 		t.Errorf("quiescent estimate %g, want ~2.2 (queued work included)", est)

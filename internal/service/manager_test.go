@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -299,6 +300,21 @@ func TestMetricsTextParses(t *testing.T) {
 	}
 }
 
+// samples parses the unlabelled "name value" lines of a text exposition.
+func samples(text string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, line := range strings.Split(text, "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // assertPrometheusText validates the text exposition format: every
 // non-comment line is `name{labels} value`, histograms have monotone
 // cumulative buckets ending at +Inf, and _count matches the +Inf bucket.
@@ -545,7 +561,7 @@ func TestReadsBypassOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before, _ := m.metrics.readStats()
+	before := m.snap.Load().counts.ownerRequests
 	if _, err := m.Progress(v1.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +582,7 @@ func TestReadsBypassOwner(t *testing.T) {
 	}
 	m.Events(0)
 	_ = m.Metrics().Text()
-	if after, _ := m.metrics.readStats(); after != before {
+	if after := m.snap.Load().counts.ownerRequests; after != before {
 		t.Fatalf("reads sent %d request(s) to the owner goroutine, want 0", after-before)
 	}
 
@@ -652,7 +668,7 @@ func TestSubmitDelayValidation(t *testing.T) {
 			t.Errorf("Submit with delay %g accepted", bad)
 		}
 	}
-	if requests, _ := m.metrics.readStats(); requests != 0 {
+	if requests := m.snap.Load().counts.ownerRequests; requests != 0 {
 		t.Errorf("%d refused submissions reached the owner", requests)
 	}
 	ov, err := m.Overview()

@@ -6,52 +6,28 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"mqpi/internal/core"
 	"mqpi/internal/metrics"
 	"mqpi/internal/sched"
 )
 
-// Metrics is the service's observability state, rendered in the Prometheus
-// text exposition format by Text. All methods are safe for concurrent use;
-// the histograms are lock-free, so a poll records its latency without
-// touching mu.
+// Metrics is the service's observability registry, rendered in the Prometheus
+// text exposition format by Text. Every line but a few is read off one
+// published Snapshot: its scheduler state gives the depth, fold and worker
+// gauges, its counts the lifecycle and owner counters, its epoch and
+// publication time the snapshot gauges — so a scrape shows one epoch and never
+// waits for the owner. What changes without a publish is kept here, lock-free:
+// the histograms, the clock debt every wake-up leaves, the Exec calls refused
+// before the owner took them, and the static build labels.
 type Metrics struct {
-	mu sync.Mutex
+	snap *atomic.Pointer[Snapshot] // the Manager's published state; nil when unwired
 
-	submitted uint64
-	finished  uint64
-	failed    uint64
-	aborted   uint64
-	blocked   uint64
-	unblocked uint64
-
-	ownerRequests uint64 // operations marshalled onto the owner goroutine
-	execBusy      uint64 // Exec calls bounced with ErrBusy (deadline exceeded)
-
-	advanceBackstops uint64  // advances truncated by MaxTicksPerAdvance (debt carried)
-	clockDebt        float64 // virtual seconds still owed after the last ticker wake-up
-
-	tickRounds uint64 // cumulative allocate→execute→settle rounds across ticks
-	workers    int    // configured execute-phase worker count
-
-	foldAttaches   uint64 // lifetime shared-scan attachments (monotonic)
-	foldPagesSaved uint64 // lifetime page reads avoided by folding (monotonic)
-	foldGroups     int    // live fold groups
-	foldMembers    int    // live attached members
-
-	estimatorMode    string             // non-stage estimate-plane mode ("" = stage, no ensemble)
-	estimatorWeights map[string]float64 // last published blend weights by member
-	bandWithin       uint64             // finishes whose true time fell inside the reported band
-	bandFinishes     uint64             // finishes with a reported band
-
-	buildInfo map[string]string // static build labels for mqpi_build_info ("" = unset)
-
-	runningDepth   int
-	blockedDepth   int
-	queuedDepth    int
-	scheduledDepth int
+	execBusy  atomic.Uint64 // Exec calls bounced with ErrBusy (deadline exceeded)
+	clockDebt atomic.Uint64 // float64 bits: virtual seconds still owed after the last ticker wake-up
+	buildInfo atomic.Pointer[map[string]string]
 
 	tickDur  metrics.Histogram // wall seconds per scheduler tick
 	execDur  metrics.Histogram // wall seconds in the tick's execute phase
@@ -63,109 +39,41 @@ type Metrics struct {
 	// tick counts (le="1.073741824" is "at most one tick", every edge below
 	// it "none") and _sum is the ticks run by the ticker.
 	wakeupTicks metrics.Histogram
-
-	// snapshotInfo, when wired by the Manager, reports the published
-	// read-path snapshot's epoch and wall-clock age in seconds. It must not
-	// block (the Manager wires an atomic load) — Text calls it under mu.
-	snapshotInfo func() (epoch uint64, ageSeconds float64)
 }
 
-func (m *Metrics) incSubmitted() { m.mu.Lock(); m.submitted++; m.mu.Unlock() }
-func (m *Metrics) incFinished()  { m.mu.Lock(); m.finished++; m.mu.Unlock() }
-func (m *Metrics) incFailed()    { m.mu.Lock(); m.failed++; m.mu.Unlock() }
-func (m *Metrics) incAborted()   { m.mu.Lock(); m.aborted++; m.mu.Unlock() }
-func (m *Metrics) incBlocked()   { m.mu.Lock(); m.blocked++; m.mu.Unlock() }
-func (m *Metrics) incUnblocked() { m.mu.Lock(); m.unblocked++; m.mu.Unlock() }
+// counts are the lifetime totals the owner goroutine keeps. Only the owner
+// touches them; each publish copies them into the Snapshot, so they are read
+// together with the state they describe.
+type counts struct {
+	submitted uint64
+	finished  uint64
+	failed    uint64
+	aborted   uint64
+	blocked   uint64
+	unblocked uint64
 
-func (m *Metrics) incOwnerRequest() { m.mu.Lock(); m.ownerRequests++; m.mu.Unlock() }
-func (m *Metrics) incExecBusy()     { m.mu.Lock(); m.execBusy++; m.mu.Unlock() }
+	ownerRequests    uint64 // operations the owner goroutine ran
+	advanceBackstops uint64 // advances truncated by MaxTicksPerAdvance (debt carried)
+	tickRounds       uint64 // allocate→execute→settle rounds across ticks
 
-func (m *Metrics) incAdvanceBackstop() { m.mu.Lock(); m.advanceBackstops++; m.mu.Unlock() }
+	// The calibration accumulator's lifetime band coverage, stored as its
+	// absolute totals: finishes whose true time fell inside the reported band,
+	// and finishes with a reported band.
+	bandWithin   uint64
+	bandFinishes uint64
+}
 
 // observeWakeup records one ticker wake-up: the ticks it ran and the virtual
 // time it left owed (less than a quantum unless the backstop cut it short).
 func (m *Metrics) observeWakeup(ticks int, debt float64) {
 	m.wakeupTicks.RecordSeconds(float64(ticks))
-	m.mu.Lock()
-	m.clockDebt = debt
-	m.mu.Unlock()
-}
-
-// advanceBackstopCount reports how many advances hit the tick backstop; the
-// regression test for the debt-carry fix reads it directly.
-func (m *Metrics) advanceBackstopCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.advanceBackstops
-}
-
-func (m *Metrics) setWorkers(n int) { m.mu.Lock(); m.workers = n; m.mu.Unlock() }
-
-// setEstimator records the non-stage estimate-plane mode; the ensemble
-// weight gauges and band-coverage counters are exposed only once this is set
-// (stage mode runs no ensemble, and its exposition stays byte-stable).
-func (m *Metrics) setEstimator(mode string) {
-	m.mu.Lock()
-	m.estimatorMode = mode
-	m.mu.Unlock()
-}
-
-// setEstimatorStats installs the latest ensemble blend weights and the
-// lifetime band-coverage counters. The counter inputs are absolute totals
-// maintained by the calibration accumulator, so the exposed counters stay
-// Prometheus-monotonic.
-func (m *Metrics) setEstimatorStats(weights map[string]float64, within, finishes uint64) {
-	m.mu.Lock()
-	m.estimatorWeights = weights
-	m.bandWithin, m.bandFinishes = within, finishes
-	m.mu.Unlock()
+	m.clockDebt.Store(math.Float64bits(debt))
 }
 
 // SetBuildInfo installs the static labels rendered on the mqpi_build_info
 // gauge (version, go runtime, ...), identifying the binary from /metrics
 // alone. Call once at startup, before the first scrape.
-func (m *Metrics) SetBuildInfo(labels map[string]string) {
-	m.mu.Lock()
-	m.buildInfo = labels
-	m.mu.Unlock()
-}
-
-// setState installs the gauges of one captured scheduler state: the depths
-// and the folding summary. The fold counters are lifetime totals maintained by
-// the fold registry (monotonic across SetFold toggles), so storing absolute
-// values keeps the exposed counters Prometheus-correct.
-func (m *Metrics) setState(s *sched.Snapshot) {
-	blocked := 0
-	for i := range s.Running {
-		if s.Running[i].Status == sched.StatusBlocked {
-			blocked++
-		}
-	}
-	m.mu.Lock()
-	m.runningDepth, m.blockedDepth = len(s.Running)-blocked, blocked
-	m.queuedDepth, m.scheduledDepth = len(s.Queued), len(s.Scheduled)
-	m.foldAttaches, m.foldPagesSaved = s.Fold.Attaches, s.Fold.PagesSaved
-	m.foldGroups, m.foldMembers = s.Fold.Groups, s.Fold.Members
-	m.mu.Unlock()
-}
-
-// observeExecutePhase records one tick's execute-phase wall time and how many
-// allocate→execute→settle rounds the tick needed (>1 means the
-// work-conserving redistribution loop re-ran).
-func (m *Metrics) observeExecutePhase(seconds float64, rounds int) {
-	m.execDur.RecordSeconds(seconds)
-	m.mu.Lock()
-	m.tickRounds += uint64(rounds)
-	m.mu.Unlock()
-}
-
-// readStats returns the read-path counters: requests the owner goroutine took
-// and polls served. Tests use it to pin that reads bypass the owner.
-func (m *Metrics) readStats() (ownerRequests, polls uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ownerRequests, m.pollDur.Count()
-}
+func (m *Metrics) SetBuildInfo(labels map[string]string) { m.buildInfo.Store(&labels) }
 
 func fmtFloat(v float64) string {
 	if math.IsInf(v, 1) {
@@ -202,48 +110,61 @@ func WriteBuildInfo(b *strings.Builder, labels map[string]string) {
 }
 
 // Text renders the metrics in the Prometheus text exposition format
-// (version 0.0.4), ready to be scraped from /metrics.
+// (version 0.0.4), ready to be scraped from /metrics. An unwired registry
+// renders an empty stage-mode state and no snapshot gauges.
 func (m *Metrics) Text() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	s := &Snapshot{Estimator: core.EstimatorStage}
+	if m.snap != nil {
+		s = m.snap.Load()
+	}
+	c := &s.counts
+	blocked := 0
+	for i := range s.Sched.Running {
+		if s.Sched.Running[i].Status == sched.StatusBlocked {
+			blocked++
+		}
+	}
+	fold := &s.Sched.Fold
 	var b strings.Builder
-	writeScalar(&b, "mqpi_queries_submitted_total", "counter", "Queries accepted for execution (immediate or scheduled).", float64(m.submitted))
-	writeScalar(&b, "mqpi_queries_finished_total", "counter", "Queries that completed successfully.", float64(m.finished))
-	writeScalar(&b, "mqpi_queries_failed_total", "counter", "Queries terminated by an execution error.", float64(m.failed))
-	writeScalar(&b, "mqpi_queries_aborted_total", "counter", "Queries killed by a client or a planner.", float64(m.aborted))
-	writeScalar(&b, "mqpi_queries_blocked_total", "counter", "Block operations applied.", float64(m.blocked))
-	writeScalar(&b, "mqpi_queries_unblocked_total", "counter", "Unblock operations applied.", float64(m.unblocked))
-	writeScalar(&b, "mqpi_queries_running", "gauge", "Admitted queries currently receiving capacity.", float64(m.runningDepth))
-	writeScalar(&b, "mqpi_queries_blocked", "gauge", "Admitted queries currently blocked.", float64(m.blockedDepth))
-	writeScalar(&b, "mqpi_queries_queued", "gauge", "Admission-queue depth.", float64(m.queuedDepth))
-	writeScalar(&b, "mqpi_queries_scheduled", "gauge", "Future arrivals not yet submitted.", float64(m.scheduledDepth))
-	writeScalar(&b, "mqpi_owner_requests_total", "counter", "Operations marshalled onto the owner goroutine (mutations only; reads bypass it).", float64(m.ownerRequests))
+	writeScalar(&b, "mqpi_queries_submitted_total", "counter", "Queries accepted for execution (immediate or scheduled).", float64(c.submitted))
+	writeScalar(&b, "mqpi_queries_finished_total", "counter", "Queries that completed successfully.", float64(c.finished))
+	writeScalar(&b, "mqpi_queries_failed_total", "counter", "Queries terminated by an execution error.", float64(c.failed))
+	writeScalar(&b, "mqpi_queries_aborted_total", "counter", "Queries killed by a client or a planner.", float64(c.aborted))
+	writeScalar(&b, "mqpi_queries_blocked_total", "counter", "Block operations applied.", float64(c.blocked))
+	writeScalar(&b, "mqpi_queries_unblocked_total", "counter", "Unblock operations applied.", float64(c.unblocked))
+	writeScalar(&b, "mqpi_queries_running", "gauge", "Admitted queries currently receiving capacity.", float64(len(s.Sched.Running)-blocked))
+	writeScalar(&b, "mqpi_queries_blocked", "gauge", "Admitted queries currently blocked.", float64(blocked))
+	writeScalar(&b, "mqpi_queries_queued", "gauge", "Admission-queue depth.", float64(len(s.Sched.Queued)))
+	writeScalar(&b, "mqpi_queries_scheduled", "gauge", "Future arrivals not yet submitted.", float64(len(s.Sched.Scheduled)))
+	writeScalar(&b, "mqpi_owner_requests_total", "counter", "Operations marshalled onto the owner goroutine (mutations only; reads bypass it).", float64(c.ownerRequests))
 	writeScalar(&b, "mqpi_poll_estimate_cache_hits_total", "counter", "Polls that read their estimates from the published snapshot: every poll, since the owner publishes them with it.", float64(m.pollDur.Count()))
 	writeScalar(&b, "mqpi_poll_estimate_cache_misses_total", "counter", "Polls that computed estimates themselves: always 0, no poll runs an estimator.", 0)
-	writeScalar(&b, "mqpi_exec_workers", "gauge", "Execute-phase worker count (1 = inline serial stepping).", float64(m.workers))
-	writeScalar(&b, "mqpi_exec_deadline_busy_total", "counter", "Exec statements rejected with 409 because the owner was busy past the deadline.", float64(m.execBusy))
-	writeScalar(&b, "mqpi_tick_rounds_total", "counter", "Allocate/execute/settle rounds across all ticks (redistribution re-runs included).", float64(m.tickRounds))
-	writeScalar(&b, "mqpi_fold_attach_total", "counter", "Queries attached to a shared scan cursor.", float64(m.foldAttaches))
-	writeScalar(&b, "mqpi_fold_pages_saved_total", "counter", "Page reads avoided because a fold member rode a page another member fetched.", float64(m.foldPagesSaved))
-	writeScalar(&b, "mqpi_fold_groups", "gauge", "Live shared-scan groups.", float64(m.foldGroups))
-	writeScalar(&b, "mqpi_fold_members", "gauge", "Queries currently riding a shared cursor.", float64(m.foldMembers))
-	writeScalar(&b, "mqpi_advance_backstop_total", "counter", "Advances truncated by MaxTicksPerAdvance; the residual virtual-time debt is carried into later advances.", float64(m.advanceBackstops))
-	writeScalar(&b, "mqpi_clock_debt_seconds", "gauge", "Virtual seconds the clock still owed after the last ticker wake-up: under one quantum when it keeps the wall rate, growing when it falls behind.", m.clockDebt)
-	if m.estimatorMode != "" {
+	writeScalar(&b, "mqpi_exec_workers", "gauge", "Execute-phase worker count (1 = inline serial stepping).", float64(s.Sched.Workers))
+	writeScalar(&b, "mqpi_exec_deadline_busy_total", "counter", "Exec statements rejected with 409 because the owner was busy past the deadline.", float64(m.execBusy.Load()))
+	writeScalar(&b, "mqpi_tick_rounds_total", "counter", "Allocate/execute/settle rounds across all ticks (redistribution re-runs included).", float64(c.tickRounds))
+	writeScalar(&b, "mqpi_fold_attach_total", "counter", "Queries attached to a shared scan cursor.", float64(fold.Attaches))
+	writeScalar(&b, "mqpi_fold_pages_saved_total", "counter", "Page reads avoided because a fold member rode a page another member fetched.", float64(fold.PagesSaved))
+	writeScalar(&b, "mqpi_fold_groups", "gauge", "Live shared-scan groups.", float64(fold.Groups))
+	writeScalar(&b, "mqpi_fold_members", "gauge", "Queries currently riding a shared cursor.", float64(fold.Members))
+	writeScalar(&b, "mqpi_advance_backstop_total", "counter", "Advances truncated by MaxTicksPerAdvance; the residual virtual-time debt is carried into later advances.", float64(c.advanceBackstops))
+	writeScalar(&b, "mqpi_clock_debt_seconds", "gauge", "Virtual seconds the clock still owed after the last ticker wake-up: under one quantum when it keeps the wall rate, growing when it falls behind.", math.Float64frombits(m.clockDebt.Load()))
+	// Stage mode runs no ensemble, so it exposes no weights or band counters.
+	if s.Estimator != core.EstimatorStage {
 		fmt.Fprintf(&b, "# HELP mqpi_estimator_weight Current ensemble blend weight per estimator member.\n# TYPE mqpi_estimator_weight gauge\n")
 		for _, member := range core.MemberNames {
-			if w, ok := m.estimatorWeights[member]; ok {
+			if w, ok := s.est.Weights[member]; ok {
 				fmt.Fprintf(&b, "mqpi_estimator_weight{member=%q} %s\n", member, fmtFloat(w))
 			}
 		}
-		writeScalar(&b, "mqpi_eta_band_finishes_total", "counter", "Query finishes for which an uncertainty band had been reported.", float64(m.bandFinishes))
-		writeScalar(&b, "mqpi_eta_band_within_total", "counter", "Query finishes whose true finish time fell inside the reported band.", float64(m.bandWithin))
+		writeScalar(&b, "mqpi_eta_band_finishes_total", "counter", "Query finishes for which an uncertainty band had been reported.", float64(c.bandFinishes))
+		writeScalar(&b, "mqpi_eta_band_within_total", "counter", "Query finishes whose true finish time fell inside the reported band.", float64(c.bandWithin))
 	}
-	WriteBuildInfo(&b, m.buildInfo)
-	if m.snapshotInfo != nil {
-		epoch, age := m.snapshotInfo()
-		writeScalar(&b, "mqpi_snapshot_epoch", "gauge", "Epoch of the published read-path snapshot: one per state change (a request, or a ticker wake-up that ran a tick).", float64(epoch))
-		writeScalar(&b, "mqpi_snapshot_age_seconds", "gauge", "Wall-clock age of the published read-path snapshot; it grows while the server is idle, since an unchanged state is not republished.", age)
+	if labels := m.buildInfo.Load(); labels != nil {
+		WriteBuildInfo(&b, *labels)
+	}
+	if s.Epoch > 0 {
+		writeScalar(&b, "mqpi_snapshot_epoch", "gauge", "Epoch of the published read-path snapshot: one per state change (a request, or a ticker wake-up that ran a tick).", float64(s.Epoch))
+		writeScalar(&b, "mqpi_snapshot_age_seconds", "gauge", "Wall-clock age of the published read-path snapshot; it grows while the server is idle, since an unchanged state is not republished.", time.Since(s.Published).Seconds())
 	}
 	m.tickDur.WritePrometheus(&b, "mqpi_tick_duration_seconds", "Wall-clock duration of one scheduler tick.")
 	m.execDur.WritePrometheus(&b, "mqpi_execute_phase_seconds", "Wall-clock duration of the parallel execute phase within one tick.")

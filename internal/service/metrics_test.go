@@ -3,9 +3,11 @@ package service
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mqpi/internal/core"
 	"mqpi/internal/engine"
 	"mqpi/internal/sched"
 )
@@ -13,11 +15,23 @@ import (
 // TestReadPathMetricsExposition: the read-path counters, snapshot gauges,
 // and poll-latency histogram render in the Prometheus text format with
 // monotone cumulative buckets ending at +Inf. The two estimate-cache counters
-// keep their names: hits counts every poll, misses stays 0.
+// keep their names: hits counts every poll, misses stays 0. Every line but
+// the histograms and the caller-side counters is read off the one snapshot
+// the registry is wired to.
 func TestReadPathMetricsExposition(t *testing.T) {
-	m := new(Metrics)
-	m.snapshotInfo = func() (uint64, float64) { return 7, 0.125 }
-	m.incOwnerRequest()
+	var published atomic.Pointer[Snapshot]
+	published.Store(&Snapshot{
+		Epoch:     7,
+		Published: time.Now().Add(-125 * time.Millisecond),
+		Estimator: core.EstimatorStage,
+		Sched: sched.Snapshot{
+			Running: []sched.QueryInfo{{Status: sched.StatusRunning}, {Status: sched.StatusBlocked}, {Status: sched.StatusRunning}},
+			Queued:  []sched.QueryInfo{{Status: sched.StatusQueued}},
+			Workers: 3,
+		},
+		counts: counts{submitted: 5, finished: 1, ownerRequests: 1},
+	})
+	m := &Metrics{snap: &published}
 	m.pollDur.RecordSeconds(2e-5)       // lands in a finite bucket
 	m.pollDur.RecordSeconds(1e6)        // lands only in +Inf
 	m.pollDur.RecordSeconds(math.NaN()) // dropped
@@ -25,11 +39,17 @@ func TestReadPathMetricsExposition(t *testing.T) {
 	text := m.Text()
 	assertPrometheusText(t, text)
 	for _, want := range []string{
+		"mqpi_queries_submitted_total 5",
+		"mqpi_queries_finished_total 1",
+		"mqpi_queries_running 2",
+		"mqpi_queries_blocked 1",
+		"mqpi_queries_queued 1",
+		"mqpi_queries_scheduled 0",
+		"mqpi_exec_workers 3",
 		"mqpi_owner_requests_total 1",
 		"mqpi_poll_estimate_cache_hits_total 2",
 		"mqpi_poll_estimate_cache_misses_total 0",
 		"mqpi_snapshot_epoch 7",
-		"mqpi_snapshot_age_seconds 0.125",
 		`mqpi_poll_duration_seconds_bucket{le="+Inf"} 2`,
 		"mqpi_poll_duration_seconds_count 2",
 		"mqpi_poll_duration_seconds_sum 1.00000000002e+06",
@@ -37,6 +57,11 @@ func TestReadPathMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+	// The age is measured at the scrape, so it is at least the 125 ms the
+	// snapshot was backdated by.
+	if age := samples(text)["mqpi_snapshot_age_seconds"]; age < 0.125 {
+		t.Errorf("snapshot age = %g, want >= 0.125", age)
 	}
 	// The overflow observation must not leak into the last finite bucket.
 	if !strings.Contains(text, `mqpi_poll_duration_seconds_bucket{le="274.877906944"} 1`+"\n") {

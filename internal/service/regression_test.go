@@ -120,7 +120,7 @@ func TestAdvanceBackstopCarriesDebt(t *testing.T) {
 	if now := m.Load().Now; math.Abs(now-2) > 1e-9 {
 		t.Fatalf("after capped advance: now = %g, want 2", now)
 	}
-	if n := m.Metrics().advanceBackstopCount(); n != 1 {
+	if n := m.snap.Load().counts.advanceBackstops; n != 1 {
 		t.Fatalf("backstop count = %d, want 1", n)
 	}
 
@@ -132,7 +132,7 @@ func TestAdvanceBackstopCarriesDebt(t *testing.T) {
 	if now := m.Load().Now; math.Abs(now-4) > 1e-9 {
 		t.Fatalf("after nudge: now = %g, want 4 (residual debt dropped?)", now)
 	}
-	if n := m.Metrics().advanceBackstopCount(); n != 2 {
+	if n := m.snap.Load().counts.advanceBackstops; n != 2 {
 		t.Fatalf("backstop count = %d, want 2", n)
 	}
 

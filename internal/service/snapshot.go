@@ -30,6 +30,9 @@ type Snapshot struct {
 	// Sched.Running ++ Sched.Queued, the quiescent ETA and, in ensemble modes,
 	// the blend weights. Never written after publish.
 	est core.Estimates
+	// counts are the owner's lifetime totals as of this state; /metrics
+	// renders them beside its gauges.
+	counts counts
 }
 
 // estimateInput converts the snapshot to the pure-value input of the §2.2–2.4

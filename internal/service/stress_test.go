@@ -21,7 +21,11 @@ import (
 // scrape while the wall-clock ticker advances virtual time and writer
 // goroutines submit, block, unblock, re-prioritize, and abort queries —
 // including scheduled future arrivals. Every overview a reader takes is
-// fingerprinted by epoch: all pollers of one epoch must see one bundle.
+// fingerprinted by epoch: all pollers of one epoch must see one bundle. Every
+// scrape is filed under the epoch it reports, with its depth gauges and
+// lifecycle counters, and must agree with every overview of that epoch: a
+// scrape shows one published state, never one state's gauges beside
+// another's epoch.
 func TestReadPathStressRace(t *testing.T) {
 	db := engine.Open()
 	for i := 0; i < 4; i++ {
@@ -41,7 +45,15 @@ func TestReadPathStressRace(t *testing.T) {
 	)
 	var lastID atomic.Int64
 	stop := make(chan struct{})
-	var bundles sync.Map // epoch -> fingerprint of that epoch's estimates
+	var bundles sync.Map         // epoch -> fingerprint of that epoch's estimates
+	var scraped, viewed sync.Map // epoch -> figures a scrape / an overview showed
+	record := func(seen *sync.Map, kind string, epoch uint64, f figures) bool {
+		if prev, dup := seen.LoadOrStore(epoch, f); dup && prev != f {
+			t.Errorf("epoch %d: two %ss show %v and %v", epoch, kind, prev, f)
+			return false
+		}
+		return true
+	}
 
 	var writerWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -106,6 +118,9 @@ func TestReadPathStressRace(t *testing.T) {
 						t.Errorf("epoch %d served two bundles:\n%s\n%s", ov.Epoch, prev, fp)
 						return
 					}
+					if !record(&viewed, "overview", ov.Epoch, overviewFigures(ov)) {
+						return
+					}
 				case 2:
 					m.Events(0)
 				case 3:
@@ -114,7 +129,10 @@ func TestReadPathStressRace(t *testing.T) {
 						return
 					}
 				case 4:
-					_ = m.Metrics().Text()
+					epoch, f := scrapeFigures(m.Metrics().Text())
+					if !record(&scraped, "scrape", epoch, f) {
+						return
+					}
 				case 5:
 					// Domain errors (e.g. fewer than two runnable queries)
 					// are expected while the workload churns; only a closed
@@ -147,11 +165,71 @@ func TestReadPathStressRace(t *testing.T) {
 	if ov.Now <= 0 {
 		t.Error("ticker never advanced the virtual clock under load")
 	}
-	if _, polls := m.metrics.readStats(); polls == 0 {
+	if m.metrics.pollDur.Count() == 0 {
 		t.Error("read path never served a poll")
 	}
 	text := m.Metrics().Text()
 	assertPrometheusText(t, text)
+
+	shared := 0
+	scraped.Range(func(epoch, f any) bool {
+		if want, ok := viewed.Load(epoch); ok {
+			shared++
+			if f != want {
+				t.Errorf("epoch %d: scrape shows %v, overview %v (running blocked queued scheduled submitted finished failed aborted)", epoch, f, want)
+			}
+		}
+		return true
+	})
+	if shared == 0 {
+		t.Error("no epoch was seen by both a scrape and an overview: nothing was compared")
+	}
+}
+
+// figures are what sim invariant I8 holds /metrics to: the four depth gauges
+// (running, blocked, queued, scheduled) and the lifecycle counters
+// (submitted, finished, failed, aborted).
+type figures [8]float64
+
+var figureNames = [8]string{
+	"mqpi_queries_running", "mqpi_queries_blocked", "mqpi_queries_queued", "mqpi_queries_scheduled",
+	"mqpi_queries_submitted_total", "mqpi_queries_finished_total", "mqpi_queries_failed_total", "mqpi_queries_aborted_total",
+}
+
+// scrapeFigures reads the figures off a scrape, with the epoch it reports.
+func scrapeFigures(text string) (uint64, figures) {
+	v := samples(text)
+	var f figures
+	for i, name := range figureNames {
+		f[i] = v[name]
+	}
+	return uint64(v["mqpi_snapshot_epoch"]), f
+}
+
+// overviewFigures derives the figures from an overview as I8 does: the
+// terminated list is complete, so every submission is live or in it.
+func overviewFigures(ov Overview) figures {
+	var f figures
+	for _, v := range ov.Running {
+		if v.Status == "blocked" {
+			f[1]++
+		} else {
+			f[0]++
+		}
+	}
+	f[2], f[3] = float64(len(ov.Queued)), float64(len(ov.Scheduled))
+	f[4] = float64(len(ov.Running) + len(ov.Queued) + len(ov.Scheduled) + len(ov.Finished))
+	for _, v := range ov.Finished {
+		switch v.Status {
+		case "finished":
+			f[5]++
+		case "failed":
+			f[6]++
+		case "aborted":
+			f[7]++
+		}
+	}
+	return f
 }
 
 // estimateFingerprint renders every estimate an overview carries, bit for bit.

@@ -62,7 +62,7 @@ func TestLiveClockKeepsWallRate(t *testing.T) {
 	// A 200 ms stall owes 320 ticks, more than three capped wake-ups' worth.
 	// Without the carried debt the clock could reach at most half the wall
 	// rate over the 400 ms window that starts with the stall.
-	backstops := m.metrics.advanceBackstopCount()
+	backstops := m.snap.Load().counts.advanceBackstops
 	t0, v0 = clock()
 	if err := m.call(func() { time.Sleep(stall) }); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestLiveClockKeepsWallRate(t *testing.T) {
 	if r := rate(t0, v0); r < 0.75 || r > 1.1 {
 		t.Errorf("virtual clock ran at %.2f of the wall rate across a %v owner stall, want within [0.75, 1.1] (debt dropped?)", r, stall)
 	}
-	if n := m.metrics.advanceBackstopCount() - backstops; n < 3 {
+	if n := m.snap.Load().counts.advanceBackstops - backstops; n < 3 {
 		t.Errorf("backstop fired %d times repaying %v at %d ticks a wake-up, want >= 3", n, stall, maxTick)
 	}
 	if most := m.metrics.wakeupTicks.Max(); most > maxTick*1e9 {

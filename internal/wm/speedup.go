@@ -103,35 +103,37 @@ func SpeedUpSingle(states []core.QueryState, C float64, targetID int, h int) ([]
 // case where every query has the same priority: any query with remaining
 // cost at least the target's is optimal; otherwise the query with the
 // largest remaining cost is. A single scan suffices — no sorting, no stage
-// computation.
+// computation. Like SpeedUpSingle it reads every state through
+// core.Sanitize, so a NaN or ±Inf weight is a weight of 0: no runnable
+// target, and never a victim.
 func SpeedUpSingleEqualPriority(states []core.QueryState, targetID int) (Victim, error) {
-	var target *core.QueryState
-	for i := range states {
-		if states[i].ID == targetID {
-			target = &states[i]
+	var target core.QueryState // weight 0, not runnable, unless found
+	for _, q := range states {
+		if q.ID == targetID {
+			target = core.Sanitize(q)
 			break
 		}
 	}
-	if target == nil || target.Weight <= 0 {
+	if target.Weight <= 0 {
 		return Victim{}, fmt.Errorf("wm: target query %d is not a runnable query", targetID)
 	}
-	best := -1
-	for i := range states {
-		q := &states[i]
+	best, ok := Victim{}, false
+	for _, q := range states {
+		q = core.Sanitize(q)
 		if q.ID == targetID || q.Weight <= 0 {
 			continue
 		}
 		if q.Remaining >= target.Remaining {
 			return Victim{ID: q.ID, Benefit: q.Remaining}, nil
 		}
-		if best < 0 || q.Remaining > states[best].Remaining {
-			best = i
+		if !ok || q.Remaining > best.Benefit {
+			best, ok = Victim{ID: q.ID, Benefit: q.Remaining}, true
 		}
 	}
-	if best < 0 {
+	if !ok {
 		return Victim{}, fmt.Errorf("wm: no candidate victims")
 	}
-	return Victim{ID: states[best].ID, Benefit: states[best].Remaining}, nil
+	return best, nil
 }
 
 // SpeedUpOthers solves the multiple-query speed-up problem of §3.2: choose

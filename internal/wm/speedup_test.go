@@ -166,6 +166,38 @@ func TestSpeedUpEqualPriorityFastPath(t *testing.T) {
 	}
 }
 
+// TestSpeedUpEqualPriorityNonFiniteWeights: the fast path reads weights
+// through core.Sanitize, as SpeedUpSingle does. A NaN-weight target slips
+// past a raw Weight <= 0 test, and a NaN- or ±Inf-weight candidate (the one
+// with the most remaining work, so a raw scan would pick it) is not runnable
+// and must never be the victim.
+func TestSpeedUpEqualPriorityNonFiniteWeights(t *testing.T) {
+	nan := []core.QueryState{{ID: 1, Remaining: 100, Weight: math.NaN()}, {ID: 2, Remaining: 200, Weight: 1}}
+	if v, err := SpeedUpSingleEqualPriority(nan, 1); err == nil {
+		t.Errorf("NaN-weight target accepted, victim %+v", v)
+	}
+	if _, err := SpeedUpSingle(nan, 10, 1, 1); err == nil {
+		t.Error("NaN-weight target accepted by SpeedUpSingle")
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		states := []core.QueryState{
+			{ID: 1, Remaining: 100, Weight: 1},
+			{ID: 2, Remaining: 50, Weight: 1},
+			{ID: 3, Remaining: 900, Weight: w},
+		}
+		v, err := SpeedUpSingleEqualPriority(states, 1)
+		if err != nil {
+			t.Fatalf("weight %g: %v", w, err)
+		}
+		if v.ID != 2 {
+			t.Errorf("weight %g: victim %+v, want query 2 (query 3 is not runnable)", w, v)
+		}
+		if _, err := SpeedUpSingleEqualPriority([]core.QueryState{states[0], states[2]}, 1); err == nil {
+			t.Errorf("weight %g: the only candidate is not runnable, yet a victim came back", w)
+		}
+	}
+}
+
 // TestFastPathMatchesGeneralQuick: for equal priorities, the O(n) fast path
 // and the general algorithm pick victims of identical simulated benefit.
 func TestFastPathMatchesGeneralQuick(t *testing.T) {
