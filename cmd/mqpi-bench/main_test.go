@@ -110,7 +110,7 @@ func TestUnknownExperimentExits2(t *testing.T) {
 // regenerate it with
 //
 //	go run ./cmd/mqpi-bench -exp all -seed 3 -runs 2 -lineitem 30000 | sha256sum
-const batteryDigest = "32d83708ccb9421f9e182332ca3024d9155e3169e42bf9c438dc980dcfd26902"
+const batteryDigest = "db24d0220cea207784c52f738bfa377da7b1ad63b2f0afab85b65c54f5ed00a2"
 
 func TestBatteryDigest(t *testing.T) {
 	if testing.Short() {

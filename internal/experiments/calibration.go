@@ -38,12 +38,23 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 	return c
 }
 
-// CalibrationScenario is one scenario's coverage scorecard.
+// CalibrationScenario is one scenario's scorecard: how often the band held
+// the true finish, how wide it was, and how far the point was from it.
 type CalibrationScenario struct {
 	Name     string
 	Samples  int     // scored intervals (finite-band observations of finishers)
 	Within   int     // intervals that contained the true finish time
 	Coverage float64 // Within / Samples
+	// Width is the intervals' mean width ÷ (finish − now): the band's size
+	// relative to the true remaining time.
+	Width float64
+	// PointErr is the mean |now + MultiETA − finish| ÷ (finish − now) over
+	// every sampled running or queued view with a finite MultiETA: the
+	// point's error relative to the true remaining time. PointErrTotal is
+	// the same ÷ (finish − submit), relative to the query's whole time in
+	// the system.
+	PointErr      float64
+	PointErrTotal float64
 }
 
 // CalibrationResult aggregates band coverage across the scenario battery.
@@ -52,6 +63,11 @@ type CalibrationResult struct {
 	Samples   int
 	Within    int
 	Coverage  float64 // pooled over all scenarios
+	Width     float64 // pooled over all scenarios' intervals
+	// PointErr and PointErrTotal are the scenarios' means, each scenario
+	// counting once whatever its number of samples.
+	PointErr      float64
+	PointErrTotal float64
 	// Fig plots per-scenario coverage (x = scenario index, in battery order).
 	Fig metrics.Figure
 }
@@ -94,7 +110,8 @@ func calScenarios() []calScenario {
 }
 
 type calCell struct {
-	samples, within int
+	samples, within, points   int
+	width, pointErr, pointTot float64 // sums of the relative widths and point errors
 }
 
 // RunCalibration runs the battery and scores band coverage.
@@ -124,27 +141,43 @@ func RunCalibration(cfg CalibrationConfig) (*CalibrationResult, error) {
 		if cell.samples > 0 {
 			cov = float64(cell.within) / float64(cell.samples)
 		}
-		res.Scenarios = append(res.Scenarios, CalibrationScenario{
+		sc := CalibrationScenario{
 			Name: scenarios[i].name, Samples: cell.samples, Within: cell.within, Coverage: cov,
-		})
+		}
+		if cell.samples > 0 {
+			sc.Width = cell.width / float64(cell.samples)
+		}
+		if cell.points > 0 {
+			sc.PointErr = cell.pointErr / float64(cell.points)
+			sc.PointErrTotal = cell.pointTot / float64(cell.points)
+		}
+		res.Scenarios = append(res.Scenarios, sc)
 		res.Samples += cell.samples
 		res.Within += cell.within
+		res.Width += cell.width
+		n := float64(len(cells))
+		res.PointErr += sc.PointErr / n
+		res.PointErrTotal += sc.PointErrTotal / n
 		s.Add(float64(i+1), cov)
 	}
 	if res.Samples == 0 {
 		return nil, fmt.Errorf("experiments: calibration scored no intervals; the battery is vacuous")
 	}
 	res.Coverage = float64(res.Within) / float64(res.Samples)
+	res.Width /= float64(res.Samples)
 	return res, nil
 }
 
 func (r *CalibrationResult) report() *Report {
 	rep := new(Report).text("== Estimator ensemble: uncertainty-band calibration ==\n")
 	for _, sc := range r.Scenarios {
-		rep.text("  %-9s coverage %5.1f%%  (%d/%d intervals)\n", sc.Name, sc.Coverage*100, sc.Within, sc.Samples)
+		rep.text("  %-9s coverage %5.1f%%  (%d/%d intervals)  width %.3f  point error %.3f (%.3f of total)\n",
+			sc.Name, sc.Coverage*100, sc.Within, sc.Samples, sc.Width, sc.PointErr, sc.PointErrTotal)
 	}
 	return rep.
-		text("  pooled coverage %.1f%% (%d/%d; acceptance floor 80%%)\n\n", r.Coverage*100, r.Within, r.Samples).
+		text("  pooled coverage %.1f%% (%d/%d; acceptance floor 80%%)  width %.3f\n", r.Coverage*100, r.Within, r.Samples, r.Width).
+		text("  scenario-mean point error %.3f (%.3f of total); widths and errors are ÷ true remaining time\n\n",
+			r.PointErr, r.PointErrTotal).
 		figure("calibration", &r.Fig)
 }
 
@@ -180,11 +213,12 @@ func runCalScenario(cfg CalibrationConfig, ds *workload.Dataset, sc calScenario)
 		}
 	}
 
-	type interval struct {
-		id     int
-		lo, hi float64 // absolute virtual-time bounds on the finish
+	type sample struct {
+		id          int
+		now         float64
+		eta, lo, hi float64 // MultiETA and its band, relative to now
 	}
-	var preds []interval
+	var samples []sample
 	nextSample := 0.0
 	finished, err := t.drain(sc.actions, func(now float64, ov cluster.GlobalOverview) {
 		if now+1e-9 < nextSample {
@@ -192,21 +226,18 @@ func runCalScenario(cfg CalibrationConfig, ds *workload.Dataset, sc calScenario)
 		}
 		nextSample = now + cfg.SampleEvery
 		for _, v := range append(append([]service.QueryView(nil), ov.Running...), ov.Queued...) {
-			lo, hi := float64(v.ETALow), float64(v.ETAHigh)
-			// Infinite bands (blocked queries) contain every finish
-			// trivially; scoring them would inflate coverage.
-			if math.IsNaN(lo) || math.IsInf(hi, 0) {
-				continue
-			}
-			preds = append(preds, interval{id: v.ID, lo: now + lo, hi: now + hi})
+			samples = append(samples, sample{id: v.ID, now: now,
+				eta: float64(v.MultiETA), lo: float64(v.ETALow), hi: float64(v.ETAHigh)})
 		}
 	})
 	if err != nil {
 		return calCell{}, err
 	}
 	finish := make(map[int]float64, len(finished))
+	submit := make(map[int]float64, len(finished))
 	for _, v := range finished {
 		finish[v.ID] = v.FinishTime
+		submit[v.ID] = v.SubmitTime
 	}
 
 	// Score every recorded interval against the true finish, with one tick of
@@ -214,10 +245,26 @@ func runCalScenario(cfg CalibrationConfig, ds *workload.Dataset, sc calScenario)
 	// read a tick earlier can resolve finer than the quantum.
 	cell := calCell{}
 	eps := cfg.Quantum
-	for _, p := range preds {
+	for _, p := range samples {
 		at := finish[p.id]
+		remaining := at - p.now
+		if remaining <= 0 {
+			continue
+		}
+		if !math.IsNaN(p.eta) && !math.IsInf(p.eta, 0) {
+			miss := math.Abs(p.now + p.eta - at)
+			cell.points++
+			cell.pointErr += miss / remaining
+			cell.pointTot += miss / (at - submit[p.id])
+		}
+		// Infinite bands (blocked queries) contain every finish
+		// trivially; scoring them would inflate coverage.
+		if math.IsNaN(p.lo) || math.IsInf(p.hi, 0) {
+			continue
+		}
 		cell.samples++
-		if p.lo-eps <= at && at <= p.hi+eps {
+		cell.width += (p.hi - p.lo) / remaining
+		if p.now+p.lo-eps <= at && at <= p.now+p.hi+eps {
 			cell.within++
 		}
 	}

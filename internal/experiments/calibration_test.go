@@ -22,7 +22,12 @@ func TestRunCalibrationCoverage(t *testing.T) {
 		if sc.Samples == 0 {
 			t.Errorf("scenario %s scored no intervals", sc.Name)
 		}
-		t.Logf("%-9s coverage %5.1f%% (%d/%d)", sc.Name, sc.Coverage*100, sc.Within, sc.Samples)
+		if !(sc.PointErr > 0 && sc.PointErrTotal > 0 && sc.PointErrTotal <= sc.PointErr) {
+			t.Errorf("scenario %s point error %g, of total %g: want 0 < of total <= of remaining",
+				sc.Name, sc.PointErr, sc.PointErrTotal)
+		}
+		t.Logf("%-9s coverage %5.1f%% (%d/%d) width %.3f point error %.3f",
+			sc.Name, sc.Coverage*100, sc.Within, sc.Samples, sc.Width, sc.PointErr)
 	}
 	if res.Coverage < 0.80 {
 		t.Errorf("pooled band coverage %.3f < 0.80 (%d/%d intervals)", res.Coverage, res.Within, res.Samples)
