@@ -1,7 +1,7 @@
 GO ?= go
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test bench bench-all bench-check benchmark loc loc-check race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke
+.PHONY: build test bench bench-all benchmark loc loc-check race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke
 
 build:
 	$(GO) build ./...
@@ -9,13 +9,13 @@ build:
 test:
 	$(GO) test ./...
 
-# bench tracks the poll-path baseline committed in BENCH_pollpath.json, the
-# tick-path baseline (MPL 1/4/16 × worker counts) in BENCH_tickpath.json, and
-# the shared-scan baseline (1/2/4/8 members, solo vs folded) in
-# BENCH_sharedscan.json. OwnerWakeup prices the owner's cost of three quanta at
-# depth 1000 both ways (observe and publish per tick vs per wake-up): the layer
-# saving behind the live clock rate, in seconds instead of `make benchmark`'s
-# five minutes. QueueAwareEstimate prices the largest piece of such a wake-up,
+# bench times the poll path (ConcurrentPoll), the tick path (ParallelTick,
+# MPL 1/4/16 × worker counts) and the shared scan (SharedScan, 1/2/4/8
+# members, solo vs folded); the *SteadyStateAllocs tests in internal/sched pin
+# the last two at 0 allocs/op. OwnerWakeup prices the owner's cost of three
+# quanta at depth 1000 both ways (observe and publish per tick vs per
+# wake-up): the layer saving behind the live clock rate, in seconds instead of
+# `make benchmark`'s five minutes. QueueAwareEstimate prices the largest piece of such a wake-up,
 # the §2.3 queue-aware estimate pass, against the event-stepped oracle it
 # replaced (r64/q936 = backlog_submit's depth, r8/q40 = a lightly queued tier).
 bench:
@@ -87,7 +87,10 @@ ci: vet build race
 	$(MAKE) cover-check
 	$(MAKE) loc-check
 	$(MAKE) trace-check
-	$(MAKE) bench-check
+	# The allocation ratchet: the zero-allocation steady-state tick, solo and
+	# folded. Both tests skip under -race (the detector allocates), so they
+	# get a line of their own without it.
+	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/sched/
 	$(MAKE) calibration-smoke
 	$(MAKE) fuzz-smoke
 
@@ -134,43 +137,7 @@ else
 	echo "trace-check: -sim seeds 1-32 match TRACE_SHA256 at -workers 1 and 4"
 endif
 
-# bench-check is the allocation ratchet: short BenchmarkParallelTick and
-# BenchmarkSharedScan runs' allocs/op must not exceed the figures committed in
-# BENCH_tickpath.json and BENCH_sharedscan.json (currently 0 across the board —
-# the zero-alloc steady-state tick, solo and folded). Timings are
-# machine-dependent and not compared; allocation counts are deterministic,
-# so even a -benchtime 10x run measures them exactly. SHORT=1 skips it.
-# alloc-ratchet runs a short `-bench $(1)` over ./internal/sched/ and fails
-# when a Benchmark$(1)/ line's allocs/op exceeds its entry in $(2).
-define alloc-ratchet
-	@$(GO) test -run '^$$' -bench $(1) -benchtime 10x -benchmem ./internal/sched/ > bench_live.txt || { cat bench_live.txt; rm -f bench_live.txt; exit 1; }
-	@awk -v bench=$(1) ' \
-		FILENAME == "$(2)" { \
-			if ($$1 == "\"name\":") { name = $$2; gsub(/[",]/, "", name) } \
-			if ($$1 == "\"allocs_per_op\":") { allocs = $$2; gsub(/,/, "", allocs); base[name] = allocs + 0 } \
-			next \
-		} \
-		index($$0, "Benchmark" bench "/") == 1 && / allocs\/op/ { \
-			name = $$1; sub(/-[0-9]+$$/, "", name); \
-			live = $$(NF-1) + 0; \
-			if (name in base) { \
-				printf "%-42s %3d allocs/op (baseline %d)\n", name, live, base[name]; \
-				if (live > base[name]) { bad = 1 } \
-			} \
-		} \
-		END { if (bad) { print "bench-check: allocs/op regressed above $(2)"; exit 1 } } \
-	' $(2) bench_live.txt; status=$$?; rm -f bench_live.txt; exit $$status
-endef
-
-bench-check:
-ifeq ($(SHORT),1)
-	@echo "SHORT=1: skipping bench-check"
-else
-	$(call alloc-ratchet,ParallelTick,BENCH_tickpath.json)
-	$(call alloc-ratchet,SharedScan,BENCH_sharedscan.json)
-endif
-
-# calibration-smoke drives the ensemble estimate plane end to end through the
+# calibration-smoke drives the calibrated estimate plane end to end through the
 # real CLI: the seven-scenario calibration battery must run clean on a reduced
 # dataset. The 80% coverage acceptance floor itself is asserted by
 # TestRunCalibrationCoverage (under `race` above); this smoke keeps the

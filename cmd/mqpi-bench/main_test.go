@@ -110,7 +110,7 @@ func TestUnknownExperimentExits2(t *testing.T) {
 // regenerate it with
 //
 //	go run ./cmd/mqpi-bench -exp all -seed 3 -runs 2 -lineitem 30000 | sha256sum
-const batteryDigest = "db24d0220cea207784c52f738bfa377da7b1ad63b2f0afab85b65c54f5ed00a2"
+const batteryDigest = "26287a585320982c25b6dcc6fde355f65debe7247a5713119003fa4d545b7385"
 
 func TestBatteryDigest(t *testing.T) {
 	if testing.Short() {

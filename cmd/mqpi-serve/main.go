@@ -85,7 +85,7 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.admitQueue, "admit-queue", false, "queue over-rate submissions as delayed arrivals instead of rejecting with 429")
 	fs.BoolVar(&o.fold, "fold", false, "fold same-table same-priority seq scans onto one shared cursor (charged progress is unchanged; only engine cost drops)")
 	fs.IntVar(&o.foldMinPages, "fold-min-pages", 0, "smallest table (heap pages) eligible for scan folding (0 = default floor)")
-	fs.StringVar(&o.estimator, "estimator", core.EstimatorStage, "estimate plane: "+strings.Join(core.EstimatorModes(), "|")+" (ensemble blends members online and reports eta_low/eta_high bands)")
+	fs.StringVar(&o.estimator, "estimator", core.EstimatorStage, "estimate plane: "+strings.Join(core.EstimatorModes(), "|")+" (calibrated serves the stage ETA with an eta_low/eta_high band from its rolling finish error)")
 	fs.DurationVar(&o.readTimeout, "read-timeout", 30*time.Second, "max time to read one request (slow-client guard; load swarms must not pin handlers)")
 	fs.DurationVar(&o.writeTimeout, "write-timeout", 30*time.Second, "max time to write one response")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")

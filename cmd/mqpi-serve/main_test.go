@@ -148,6 +148,9 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-admit-rate", "-1"},
 		{"-admit-burst", "-2"},
 		{"-estimator", "oracle"},
+		{"-estimator", "ensemble"},
+		{"-estimator", "cost"},
+		{"-estimator", "speed"},
 		{"-mpl", "-3"},
 		{"-events", "0"},
 		{"-events", "-1"},
@@ -161,15 +164,15 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 	}
 }
 
-// TestServeEnsembleSession stands up the binary with -estimator ensemble and
-// checks the uncertainty plane end to end over HTTP: interval fields in
-// /progress, mode + weights in /overview, band annotations in /diagram, and
-// the estimator-weight and build-info gauges in /metrics.
+// TestServeEnsembleSession stands up the binary with -estimator calibrated
+// and checks the uncertainty plane end to end over HTTP: interval fields in
+// /progress, the mode in /overview, and the band counters and build-info
+// gauge in /metrics.
 func TestServeEnsembleSession(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-demo", "-rows", "15000", "-rate", "50",
 		"-timescale", "200", "-tick", "2ms", "-quantum", "0.25",
-		"-estimator", "ensemble",
+		"-estimator", "calibrated",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,15 +254,14 @@ func TestServeEnsembleSession(t *testing.T) {
 
 	_, b := get("/queries")
 	var ov struct {
-		Estimator string             `json:"estimator"`
-		Weights   map[string]float64 `json:"estimator_weights"`
-		Finished  []json.RawMessage  `json:"finished"`
+		Estimator string            `json:"estimator"`
+		Finished  []json.RawMessage `json:"finished"`
 	}
 	if err := json.Unmarshal(b, &ov); err != nil {
 		t.Fatal(err)
 	}
-	if ov.Estimator != "ensemble" || len(ov.Weights) != 3 {
-		t.Fatalf("overview estimator=%q weights=%v", ov.Estimator, ov.Weights)
+	if ov.Estimator != "calibrated" {
+		t.Fatalf("overview estimator=%q", ov.Estimator)
 	}
 
 	for {
@@ -281,9 +283,8 @@ func TestServeEnsembleSession(t *testing.T) {
 		t.Fatalf("metrics: %d", code)
 	}
 	for _, want := range []string{
-		`mqpi_estimator_weight{member="stage"}`,
 		"mqpi_eta_band_finishes_total 3",
-		`mqpi_build_info{estimator="ensemble",go_version=`,
+		`mqpi_build_info{estimator="calibrated",go_version=`,
 	} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("metrics missing %q in:\n%s", want, b)

@@ -359,10 +359,6 @@ type ShardOverview struct {
 	Finished     int             `json:"finished"`
 	RemainingU   float64         `json:"remaining_u"`
 	QuiescentETA service.Seconds `json:"quiescent_eta"`
-	// Weights carries the shard's current ensemble blend weights by member
-	// (omitted in stage mode). Shards calibrate independently — each sees
-	// only its own finish residuals — so the weights can legitimately differ.
-	Weights map[string]float64 `json:"estimator_weights,omitempty"`
 }
 
 // GlobalOverview merges the shards' snapshots: per-shard summaries plus the
@@ -395,7 +391,6 @@ func (c *Cluster) Overview() (GlobalOverview, error) {
 			Scheduled: len(ov.Scheduled), Finished: len(ov.Finished),
 			RemainingU:   remainingU(ov),
 			QuiescentETA: ov.QuiescentETA,
-			Weights:      ov.Weights,
 		})
 		out.Running = append(out.Running, c.reID(i, ov.Running)...)
 		out.Queued = append(out.Queued, c.reID(i, ov.Queued)...)

@@ -8,13 +8,13 @@ import (
 	"mqpi/internal/service"
 )
 
-// TestClusterEnsembleOverview: with an ensemble-mode service config, the
-// merged overview must expose the estimator mode, per-shard blend weights,
-// and per-query uncertainty bands that survive the reID merge intact.
+// TestClusterEnsembleOverview: with a calibrated-mode service config, the
+// merged overview must expose the estimator mode and per-query uncertainty
+// bands that survive the reID merge intact.
 func TestClusterEnsembleOverview(t *testing.T) {
 	c := manualCluster(t, Config{
 		Shards:  2,
-		Service: service.Config{Estimator: core.EstimatorEnsemble},
+		Service: service.Config{Estimator: core.EstimatorCalibrated},
 	}, 4)
 	for i := 0; i < 4; i++ {
 		submit(t, c, fmt.Sprintf("q%d", i))
@@ -26,16 +26,11 @@ func TestClusterEnsembleOverview(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov.Estimator != core.EstimatorEnsemble {
+	if ov.Estimator != core.EstimatorCalibrated {
 		t.Fatalf("overview estimator = %q", ov.Estimator)
 	}
 	if len(ov.Shards) != 2 {
 		t.Fatalf("%d shard summaries, want 2", len(ov.Shards))
-	}
-	for i, s := range ov.Shards {
-		if len(s.Weights) != 3 {
-			t.Errorf("shard %d weights = %v, want all three members", i, s.Weights)
-		}
 	}
 	if len(ov.Running) == 0 {
 		t.Fatal("no running queries in the merged overview")
@@ -46,13 +41,14 @@ func TestClusterEnsembleOverview(t *testing.T) {
 			t.Fatalf("Q%d band [%g,%g] misses point %g", v.ID, lo, hi, point)
 		}
 		if point > 0 && hi-lo <= 0 {
-			t.Fatalf("Q%d ensemble band degenerate: %+v", v.ID, v)
+			t.Fatalf("Q%d calibrated band degenerate: %+v", v.ID, v)
 		}
 	}
 }
 
-// TestClusterStageOverviewInert: the default stage mode reports itself and no
-// weights — the merged overview surface is unchanged until opted in.
+// TestClusterStageOverviewInert: the default stage mode reports itself and
+// degenerate bands — the merged overview carries no uncertainty until opted
+// in.
 func TestClusterStageOverviewInert(t *testing.T) {
 	c := manualCluster(t, Config{Shards: 2}, 2)
 	submit(t, c, "q0")
@@ -63,9 +59,9 @@ func TestClusterStageOverviewInert(t *testing.T) {
 	if ov.Estimator != core.EstimatorStage {
 		t.Fatalf("overview estimator = %q", ov.Estimator)
 	}
-	for i, s := range ov.Shards {
-		if s.Weights != nil {
-			t.Errorf("shard %d exposes weights %v in stage mode", i, s.Weights)
+	for _, v := range ov.Running {
+		if v.ETALow != v.MultiETA || v.ETAHigh != v.MultiETA {
+			t.Errorf("Q%d stage-mode band [%v,%v] not degenerate at %v", v.ID, v.ETALow, v.ETAHigh, v.MultiETA)
 		}
 	}
 }

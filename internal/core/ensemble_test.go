@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -31,11 +32,10 @@ func randomEnsembleInput(rng *rand.Rand) EstimateInput {
 	return in
 }
 
-// TestStageEstimatorBitIdentical: the "stage" mode of the pluggable plane is
-// the pre-ensemble pipeline verbatim — across random inputs (including queued
-// work, which exercises the simulation fallback) its output must be bitwise
-// equal to ComputeEstimates, with degenerate bands and no weights. This is
-// the unit-level half of sim invariant I13.
+// TestStageEstimatorBitIdentical: the "stage" mode of the estimate plane is
+// ComputeEstimates verbatim — across random inputs (including queued work)
+// its output must be bitwise equal to it, with degenerate bands. The sim's
+// I6 holds the published bundle to the same.
 func TestStageEstimatorBitIdentical(t *testing.T) {
 	est, err := NewEstimator(EstimatorStage)
 	if err != nil {
@@ -49,9 +49,6 @@ func TestStageEstimatorBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: stage estimator diverged\n got %+v\nwant %+v", trial, got, want)
 		}
-		if got.Weights != nil {
-			t.Fatalf("trial %d: stage mode reported weights %v", trial, got.Weights)
-		}
 		for id, e := range byID(in, got) {
 			if e.ETALow != e.MultiQuery || e.ETAHigh != e.MultiQuery {
 				if !(math.IsInf(e.MultiQuery, 1) && math.IsInf(e.ETALow, 1) && math.IsInf(e.ETAHigh, 1)) {
@@ -63,12 +60,15 @@ func TestStageEstimatorBitIdentical(t *testing.T) {
 }
 
 // TestNewEstimatorModes: "" defaults to stage, each named mode reports
-// itself, and unknown modes are rejected with a message listing the valid
-// ones.
+// itself, and unknown modes — the retired member and blend modes among them —
+// are rejected with a message listing the valid ones.
 func TestNewEstimatorModes(t *testing.T) {
 	def, err := NewEstimator("")
 	if err != nil || def.Mode() != EstimatorStage {
 		t.Fatalf(`NewEstimator("") = %v, %v; want stage`, def, err)
+	}
+	if got := EstimatorModes(); !reflect.DeepEqual(got, []string{EstimatorStage, EstimatorCalibrated}) {
+		t.Fatalf("EstimatorModes() = %q", got)
 	}
 	for _, mode := range EstimatorModes() {
 		e, err := NewEstimator(mode)
@@ -79,108 +79,91 @@ func TestNewEstimatorModes(t *testing.T) {
 			t.Fatalf("NewEstimator(%q).Mode() = %q", mode, e.Mode())
 		}
 	}
-	if _, err := NewEstimator("oracle"); err == nil {
-		t.Fatal("unknown estimator accepted")
-	} else {
+	for _, bad := range []string{"oracle", "ensemble", "cost", "speed"} {
+		_, err := NewEstimator(bad)
+		if err == nil {
+			t.Fatalf("unknown estimator %q accepted", bad)
+		}
 		for _, mode := range EstimatorModes() {
-			if !containsStr(err.Error(), mode) {
+			if !strings.Contains(err.Error(), mode) {
 				t.Fatalf("error %q does not list valid mode %q", err, mode)
 			}
 		}
 	}
 }
 
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
+// sameBits is bitwise float equality (NaN equals the same NaN).
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestEnsembleBandsContainPoint: in every non-stage mode the band must
-// bracket the blended point for every query with a finite ETA, the point must
-// sit within the raw member range, and weights must be normalized.
+// TestEnsembleBandsContainPoint is the calibrated mode's property test. Over
+// random inputs — admission queues, arrival models, blocked runners and
+// non-finite weights — and random calibration states, the calibrated bundle's
+// multi-query point, single-query ETA and quiescent ETA are bitwise those of
+// ComputeEstimates; every finite point p has the band
+// [max(0, p − Err − 0.1·p), p + Err + 0.1·p], so 0 ≤ ETALow ≤ p ≤ ETAHigh;
+// and a non-finite point has a band equal to the point.
 func TestEnsembleBandsContainPoint(t *testing.T) {
+	est, err := NewEstimator(EstimatorCalibrated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
 	rng := rand.New(rand.NewSource(17))
-	for _, mode := range []string{EstimatorCost, EstimatorSpeed, EstimatorEnsemble} {
-		est, err := NewEstimator(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 100; trial++ {
-			in := randomEnsembleInput(rng)
-			got := est.Estimates(in, EnsembleState{})
-			sum := 0.0
-			for _, w := range got.Weights {
-				if w < 0 {
-					t.Fatalf("%s trial %d: negative weight %v", mode, trial, got.Weights)
+	finite, infinite, poisoned := 0, 0, 0
+	for trial := 0; trial < 600; trial++ {
+		in := randomQueueInput(rng, 40, trial%2 == 1)
+		in.Speeds = map[int]float64{}
+		for _, qs := range [][]QueryState{in.Running, in.Queued} {
+			for i := range qs {
+				if rng.Intn(10) == 0 {
+					qs[i].Weight = poison[rng.Intn(len(poison))]
+					poisoned++
 				}
-				sum += w
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				t.Fatalf("%s trial %d: weights %v sum to %g", mode, trial, got.Weights, sum)
-			}
-			for id, e := range byID(in, got) {
-				if math.IsInf(e.MultiQuery, 1) {
-					if !math.IsInf(e.ETALow, 1) || !math.IsInf(e.ETAHigh, 1) {
-						t.Fatalf("%s trial %d Q%d: infinite point with finite band %+v", mode, trial, id, e)
-					}
-					continue
-				}
-				if !(e.ETALow <= e.MultiQuery && e.MultiQuery <= e.ETAHigh) {
-					t.Fatalf("%s trial %d Q%d: band [%g,%g] misses point %g",
-						mode, trial, id, e.ETALow, e.ETAHigh, e.MultiQuery)
-				}
-				if e.ETALow < 0 {
-					t.Fatalf("%s trial %d Q%d: negative band low %g", mode, trial, id, e.ETALow)
-				}
-				if e.MultiQuery > 0 && e.ETAHigh-e.ETALow <= 0 {
-					t.Fatalf("%s trial %d Q%d: band collapsed for nonzero ETA %+v", mode, trial, id, e)
+				if rng.Intn(2) == 0 {
+					in.Speeds[qs[i].ID] = 100 * rng.Float64()
 				}
 			}
 		}
+		var st EnsembleState
+		if rng.Intn(4) > 0 {
+			st = EnsembleState{Err: 50 * rng.Float64() * rng.Float64(), Samples: 1 + rng.Intn(100)}
+		}
+
+		got, want := est.Estimates(in, st), ComputeEstimates(in)
+		if !sameBits(got.Quiescent, want.Quiescent) || len(got.PerQuery) != len(want.PerQuery) {
+			t.Fatalf("trial %d: quiescent %v with %d estimates, want %v with %d",
+				trial, got.Quiescent, len(got.PerQuery), want.Quiescent, len(want.PerQuery))
+		}
+		for i, e := range got.PerQuery {
+			w := want.PerQuery[i]
+			if !sameBits(e.MultiQuery, w.MultiQuery) || !sameBits(e.SingleQuery, w.SingleQuery) {
+				t.Fatalf("trial %d position %d: point %v / single %v, stage says %v / %v",
+					trial, i, e.MultiQuery, e.SingleQuery, w.MultiQuery, w.SingleQuery)
+			}
+			p := e.MultiQuery
+			if math.IsInf(p, 0) || math.IsNaN(p) {
+				infinite++
+				if !sameBits(e.ETALow, p) || !sameBits(e.ETAHigh, p) {
+					t.Fatalf("trial %d position %d: non-finite point %v with band [%v, %v]", trial, i, p, e.ETALow, e.ETAHigh)
+				}
+				continue
+			}
+			finite++
+			half := st.Err + bandRelFloor*p
+			if !(0 <= e.ETALow && e.ETALow <= p && p <= e.ETAHigh) ||
+				!sameBits(e.ETALow, math.Max(0, p-half)) || !sameBits(e.ETAHigh, p+half) {
+				t.Fatalf("trial %d position %d: band [%v, %v] around %v with Err %v", trial, i, e.ETALow, e.ETAHigh, p, st.Err)
+			}
+		}
+	}
+	if finite < 1000 || infinite < 100 || poisoned < 100 {
+		t.Fatalf("one-sided mix: %d finite points, %d non-finite, %d poisoned weights", finite, infinite, poisoned)
 	}
 }
 
-// TestForcedMemberModes: cost/speed modes select a single member (degenerate
-// weights) and their point equals that member's raw ETA.
-func TestForcedMemberModes(t *testing.T) {
-	in := EstimateInput{
-		Running: []QueryState{
-			{ID: 1, Remaining: 100, Weight: 1},
-			{ID: 2, Remaining: 300, Weight: 2},
-		},
-		RateC:  100,
-		Speeds: map[int]float64{1: 20, 2: 80},
-	}
-	st := EnsembleState{SpeedEWMA: map[int]float64{1: 25, 2: 70}}
-
-	costEst, _ := NewEstimator(EstimatorCost)
-	got := costEst.Estimates(in, st)
-	if got.Weights[EstimatorCost] != 1 || got.Weights[EstimatorStage] != 0 || got.Weights[EstimatorSpeed] != 0 {
-		t.Fatalf("cost mode weights = %v", got.Weights)
-	}
-	// Q1: share = 100·(1/3) = 33.33, blended with observed 20 → 26.67 U/s.
-	wantQ1 := 100 / ((20 + 100.0/3) / 2)
-	if math.Abs(byID(in, got)[1].MultiQuery-wantQ1) > 1e-9 {
-		t.Fatalf("cost mode Q1 = %g, want %g", byID(in, got)[1].MultiQuery, wantQ1)
-	}
-
-	speedEst, _ := NewEstimator(EstimatorSpeed)
-	got = speedEst.Estimates(in, st)
-	if got.Weights[EstimatorSpeed] != 1 {
-		t.Fatalf("speed mode weights = %v", got.Weights)
-	}
-	if want := 100 / 25.0; math.Abs(byID(in, got)[1].MultiQuery-want) > 1e-9 {
-		t.Fatalf("speed mode Q1 = %g, want %g (EWMA speed 25)", byID(in, got)[1].MultiQuery, want)
-	}
-}
-
-// TestEnsembleBlockedQueryInfinite: a blocked query (weight 0) must report
-// +Inf from every member — a stale observed speed must not leak a finite ETA
-// for work that cannot progress.
+// TestEnsembleBlockedQueryInfinite: a blocked query (weight 0) reports +Inf
+// with a +Inf band in calibrated mode, whatever its stale observed speed and
+// the rolling error — no finite band for work that cannot progress.
 func TestEnsembleBlockedQueryInfinite(t *testing.T) {
 	in := EstimateInput{
 		Running: []QueryState{
@@ -190,98 +173,36 @@ func TestEnsembleBlockedQueryInfinite(t *testing.T) {
 		RateC:  100,
 		Speeds: map[int]float64{2: 50},
 	}
-	st := EnsembleState{SpeedEWMA: map[int]float64{2: 50}}
-	for _, mode := range []string{EstimatorCost, EstimatorSpeed, EstimatorEnsemble} {
-		est, _ := NewEstimator(mode)
-		got := est.Estimates(in, st)
-		if !math.IsInf(byID(in, got)[2].MultiQuery, 1) {
-			t.Fatalf("%s: blocked query ETA = %g, want +Inf", mode, byID(in, got)[2].MultiQuery)
-		}
+	est, _ := NewEstimator(EstimatorCalibrated)
+	e := byID(in, est.Estimates(in, EnsembleState{Err: 3, Samples: 4}))[2]
+	if !math.IsInf(e.MultiQuery, 1) || !math.IsInf(e.ETALow, 1) || !math.IsInf(e.ETAHigh, 1) {
+		t.Fatalf("blocked query estimate = %+v, want +Inf point and band", e)
 	}
 }
 
-// TestEnsembleQueuedBacklog: queued queries get the FIFO backlog view —
-// runnable remaining work plus the queue ahead, drained at C.
-func TestEnsembleQueuedBacklog(t *testing.T) {
-	in := EstimateInput{
-		Running: []QueryState{
-			{ID: 1, Remaining: 100, Weight: 1},
-			{ID: 9, Remaining: 70, Weight: 0}, // blocked: excluded from backlog
-		},
-		Queued: []QueryState{
-			{ID: 2, Remaining: 200, Weight: 1},
-			{ID: 3, Remaining: 100, Weight: 1},
-		},
-		MPL:   1,
-		RateC: 100,
-	}
-	est, _ := NewEstimator(EstimatorCost)
-	got := est.Estimates(in, EnsembleState{})
-	if want := (100 + 200.0) / 100; math.Abs(byID(in, got)[2].MultiQuery-want) > 1e-9 {
-		t.Fatalf("queued Q2 = %g, want %g", byID(in, got)[2].MultiQuery, want)
-	}
-	if want := (100 + 200 + 100.0) / 100; math.Abs(byID(in, got)[3].MultiQuery-want) > 1e-9 {
-		t.Fatalf("queued Q3 = %g, want %g", byID(in, got)[3].MultiQuery, want)
-	}
-}
-
-// TestEnsembleCalibWeights: after residuals land, the blender must weight the
-// historically better member higher; before any residual, weights are equal.
-func TestEnsembleCalibWeights(t *testing.T) {
-	uncal := blendWeights(EstimatorEnsemble, EnsembleState{})
-	for i := range uncal {
-		if math.Abs(uncal[i]-1.0/numMembers) > 1e-12 {
-			t.Fatalf("uncalibrated weights = %v, want equal", uncal)
-		}
-	}
-	st := EnsembleState{
-		Samples: 5,
-		Errors:  map[string]float64{EstimatorStage: 1.0, EstimatorCost: 10.0, EstimatorSpeed: 10.0},
-	}
-	w := blendWeights(EstimatorEnsemble, st)
-	if !(w[memberStage] > w[memberCost] && w[memberStage] > w[memberSpeed]) {
-		t.Fatalf("weights %v do not favor the lower-error member", w)
-	}
-	sum := w[memberStage] + w[memberCost] + w[memberSpeed]
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("weights %v sum to %g", w, sum)
-	}
-}
-
-// TestEnsembleCalibLifecycle: Observe records member predictions and bands,
-// Finish folds residuals into rolling errors and scores band coverage, and
+// TestEnsembleCalibLifecycle: Observe records the stage point's predicted
+// finish and the band, Finish folds the residual into the rolling error
+// (seeded by the first, then an errAlpha EWMA) and scores band coverage, and
 // Forget drops entries without a residual.
 func TestEnsembleCalibLifecycle(t *testing.T) {
-	est, _ := NewEstimator(EstimatorEnsemble)
+	est, _ := NewEstimator(EstimatorCalibrated)
 	calib := NewEnsembleCalib()
 	in := EstimateInput{
 		Running: []QueryState{{ID: 1, Remaining: 100, Weight: 1}},
 		RateC:   100,
 		Speeds:  map[int]float64{1: 100},
 	}
-	bundle := est.Estimates(in, calib.State())
-	calib.Observe(10, in, bundle)
-
-	st := calib.State()
-	if st.Samples != 0 || st.Errors != nil {
+	calib.Observe(10, in, est.Estimates(in, calib.State()))
+	if st := calib.State(); st != (EnsembleState{}) {
 		t.Fatalf("state before any finish = %+v", st)
 	}
-	if st.SpeedEWMA[1] != 100 {
-		t.Fatalf("speed EWMA seeded to %g, want 100", st.SpeedEWMA[1])
-	}
 
-	// All members predict finish at 10+1=11s with a ±10% band ([10.9,11.1]).
-	// An actual finish at 11.05s gives every member a 0.05s first-sample
-	// error — and lands inside the band.
+	// The point predicts a finish at 10+1=11s with a ±10% band ([10.9,11.1]).
+	// An actual finish at 11.05s seeds the error at 0.05s — and lands inside
+	// the band.
 	calib.Finish(1, 11.05)
-	st = calib.State()
-	if st.Samples != 1 {
-		t.Fatalf("samples = %d, want 1", st.Samples)
-	}
-	for _, name := range MemberNames {
-		if math.Abs(st.Errors[name]-0.05) > 1e-9 {
-			t.Fatalf("member %s error = %g, want 0.05", name, st.Errors[name])
-		}
+	if st := calib.State(); st.Samples != 1 || math.Abs(st.Err-0.05) > 1e-9 {
+		t.Fatalf("state after one finish = %+v, want Err 0.05 from 1 sample", st)
 	}
 	within, finishes := calib.Coverage()
 	if finishes != 1 || within != 1 {
@@ -293,15 +214,12 @@ func TestEnsembleCalibLifecycle(t *testing.T) {
 	calib.Observe(20, in2, est.Estimates(in2, calib.State()))
 	calib.Forget(2)
 	calib.Finish(2, 99) // no recorded prediction → no-op
-	st = calib.State()
-	if st.Samples != 1 {
+	if st := calib.State(); st.Samples != 1 {
 		t.Fatalf("forgotten query added a residual: samples = %d", st.Samples)
 	}
-	if _, ok := st.SpeedEWMA[2]; ok {
-		t.Fatal("Forget left the speed EWMA entry behind")
-	}
 
-	// A finish far outside the band increments finishes but not within.
+	// A finish far outside the band increments finishes but not within, and
+	// its 269s residual enters the EWMA at weight errAlpha.
 	in3 := EstimateInput{Running: []QueryState{{ID: 3, Remaining: 100, Weight: 1}}, RateC: 100, Speeds: map[int]float64{3: 100}}
 	calib.Observe(30, in3, est.Estimates(in3, calib.State()))
 	calib.Finish(3, 300)
@@ -309,17 +227,35 @@ func TestEnsembleCalibLifecycle(t *testing.T) {
 	if finishes != 2 || within != 1 {
 		t.Fatalf("coverage after miss = %d/%d, want 1/2", within, finishes)
 	}
+	if st, want := calib.State(), errAlpha*269+(1-errAlpha)*0.05; st.Samples != 2 || math.Abs(st.Err-want) > 1e-9 {
+		t.Fatalf("state after the miss = %+v, want Err %g from 2 samples", st, want)
+	}
+
+	// A later pass where the query cannot progress drops its prediction: its
+	// finish scores nothing.
+	blocked := EstimateInput{Running: []QueryState{{ID: 4, Remaining: 100, Weight: 1}}, RateC: 100}
+	calib.Observe(40, blocked, est.Estimates(blocked, calib.State()))
+	blocked.Running[0].Weight = 0
+	calib.Observe(41, blocked, est.Estimates(blocked, calib.State()))
+	calib.Finish(4, 50)
+	if st := calib.State(); st.Samples != 2 {
+		t.Fatalf("a non-finite last point added a residual: samples = %d", st.Samples)
+	}
+	if _, finishes := calib.Coverage(); finishes != 2 {
+		t.Fatalf("a non-finite last band was scored: finishes = %d", finishes)
+	}
 }
 
-// TestEnsembleStateIsolated: State() returns copies — mutating the calib
-// afterwards must not reach through into a previously published state.
+// TestEnsembleStateIsolated: State() is a value — later finishes must not
+// reach into a previously published state.
 func TestEnsembleStateIsolated(t *testing.T) {
+	est, _ := NewEstimator(EstimatorCalibrated)
 	calib := NewEnsembleCalib()
-	in := EstimateInput{Running: []QueryState{{ID: 1, Remaining: 10, Weight: 1}}, RateC: 10, Speeds: map[int]float64{1: 5}}
-	calib.Observe(0, in, Estimates{})
+	in := EstimateInput{Running: []QueryState{{ID: 1, Remaining: 10, Weight: 1}}, RateC: 10}
+	calib.Observe(0, in, est.Estimates(in, calib.State()))
 	st := calib.State()
-	calib.Observe(1, EstimateInput{Running: in.Running, Speeds: map[int]float64{1: 50}, RateC: 10}, Estimates{})
-	if st.SpeedEWMA[1] != 5 {
-		t.Fatalf("published state mutated: EWMA = %g, want 5", st.SpeedEWMA[1])
+	calib.Finish(1, 5)
+	if st != (EnsembleState{}) || calib.State().Samples != 1 {
+		t.Fatalf("published state %+v moved with the calib (now %+v)", st, calib.State())
 	}
 }

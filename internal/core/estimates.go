@@ -11,11 +11,10 @@ type Estimate struct {
 	SingleQuery float64
 	// MultiQuery is the stage-model estimate, aware of the other running
 	// queries, the admission queue, and (optionally) predicted arrivals.
-	// Under an ensemble estimator this is the blended point.
 	MultiQuery float64
 	// ETALow/ETAHigh bound the uncertainty band around MultiQuery. The
-	// classic stage path reports a degenerate band (Low == High == point);
-	// ensemble modes widen it by member spread and calibrated rolling error.
+	// stage mode reports a degenerate band (Low == High == point); the
+	// calibrated mode widens it by the point's rolling finish error.
 	ETALow  float64
 	ETAHigh float64
 }
@@ -55,13 +54,6 @@ type Estimates struct {
 	// the snapshot the input was derived from) holds them.
 	PerQuery  []Estimate
 	Quiescent float64
-	// Weights maps ensemble member name to its blend weight for this pass
-	// (nil on the classic stage path, which runs no ensemble).
-	Weights map[string]float64
-	// members holds each member's raw ETAs, positional like PerQuery (index
-	// order follows MemberNames); only ensemble modes fill it, for
-	// calibration accounting.
-	members [numMembers][]float64
 }
 
 // ComputeEstimates computes the full estimate bundle from one immutable

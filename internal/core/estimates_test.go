@@ -105,9 +105,9 @@ func TestWeightlessArrivalModelIsInactive(t *testing.T) {
 // mode, over random running/queued/blocked mixes (ids shuffled against
 // positions) with and without an arrival model, PerQuery[i] is the estimate of
 // in.Query(i). There is one estimate per query; its single-query ETA is c/s of
-// that query's own cost and speed; the stage point — the bundle's own in stage
-// mode, the stage member's in the others — is that query's finish in the
-// event-stepped oracle, looked up by id; and when the same running set is
+// that query's own cost and speed; the point — the stage model's in every
+// mode — is that query's finish in the event-stepped oracle, looked up by id;
+// and when the same running set is
 // handed over in reverse, every query's whole estimate follows it to its new
 // position, to rounding (the sums reassociate).
 func TestEstimatesArePositional(t *testing.T) {
@@ -129,16 +129,13 @@ func TestEstimatesArePositional(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			in := randomQueueInput(rng, 40, trial%2 == 1)
 			in.Speeds = map[int]float64{}
-			st := EnsembleState{SpeedEWMA: map[int]float64{}}
+			st := EnsembleState{Err: 10 * rng.Float64(), Samples: rng.Intn(5)}
 			for _, q := range in.Running {
 				if q.Weight <= 0 {
 					blocked++
 				}
 				if rng.Intn(3) > 0 {
 					in.Speeds[q.ID] = 1 + 99*rng.Float64()
-				}
-				if rng.Intn(3) == 0 {
-					st.SpeedEWMA[q.ID] = 1 + 99*rng.Float64()
 				}
 			}
 			if in.Arrivals != nil {
@@ -158,12 +155,8 @@ func TestEstimatesArePositional(t *testing.T) {
 				if want := SingleQueryRemainingTime(q.Remaining, in.Speeds[q.ID]); e.SingleQuery != want {
 					t.Fatalf("%s trial %d position %d (Q%d): single-query ETA %v, want %v", mode, trial, i, q.ID, e.SingleQuery, want)
 				}
-				stage := e.MultiQuery
-				if mode != EstimatorStage {
-					stage = got.members[memberStage][i]
-				}
-				if !sameFinish(stage, oracle[q.ID]) {
-					t.Fatalf("%s trial %d position %d (Q%d): stage point %v, oracle %v", mode, trial, i, q.ID, stage, oracle[q.ID])
+				if !sameFinish(e.MultiQuery, oracle[q.ID]) {
+					t.Fatalf("%s trial %d position %d (Q%d): stage point %v, oracle %v", mode, trial, i, q.ID, e.MultiQuery, oracle[q.ID])
 				}
 			}
 

@@ -16,7 +16,7 @@ import (
 // CalibrationConfig configures the estimator-band calibration sweep: seven
 // scenarios shaped like the paper's evaluation settings (concurrent batch,
 // queued admission, staggered arrivals, weighted priorities, a blocked
-// query), each driven through a one-shard serving tier running the ensemble
+// query), each driven through a one-shard serving tier running the calibrated
 // estimate plane on a manual clock. At a fixed cadence the sweep records
 // every live query's reported uncertainty interval [now+eta_low, now+eta_high]
 // and, once the workload drains, scores each interval against the query's
@@ -25,15 +25,15 @@ import (
 // without ballooning the interval width.
 type CalibrationConfig struct {
 	Common // defaults: C = 100, quantum 0.5, a band observation every 5 s
-	// Estimator is the estimate plane under test (default ensemble; stage
-	// would trivially score its degenerate bands).
+	// Estimator is the estimate plane under test (default calibrated; stage
+	// scores the same points with degenerate bands).
 	Estimator string
 }
 
 func (c CalibrationConfig) withDefaults() CalibrationConfig {
 	c.Common = c.Common.withDefaults(Common{RateC: 100, Quantum: 0.5, SampleEvery: 5})
 	if c.Estimator == "" {
-		c.Estimator = core.EstimatorEnsemble
+		c.Estimator = core.EstimatorCalibrated
 	}
 	return c
 }
@@ -45,19 +45,16 @@ type CalibrationScenario struct {
 	Samples  int     // scored intervals (finite-band observations of finishers)
 	Within   int     // intervals that contained the true finish time
 	Coverage float64 // Within / Samples
-	// Width is the intervals' mean width ÷ (finish − now): the band's size
-	// relative to the true remaining time.
-	Width float64
+	Width    float64 // mean interval width ÷ (finish − now), the true remaining time
 	// PointErr is the mean |now + MultiETA − finish| ÷ (finish − now) over
-	// every sampled running or queued view with a finite MultiETA: the
-	// point's error relative to the true remaining time. PointErrTotal is
-	// the same ÷ (finish − submit), relative to the query's whole time in
+	// every sampled running or queued view with a finite MultiETA;
+	// PointErrTotal the same ÷ (finish − submit), the query's whole time in
 	// the system.
 	PointErr      float64
 	PointErrTotal float64
 }
 
-// CalibrationResult aggregates band coverage across the scenario battery.
+// CalibrationResult aggregates the scorecards across the scenario battery.
 type CalibrationResult struct {
 	Scenarios []CalibrationScenario
 	Samples   int
@@ -114,7 +111,7 @@ type calCell struct {
 	width, pointErr, pointTot float64 // sums of the relative widths and point errors
 }
 
-// RunCalibration runs the battery and scores band coverage.
+// RunCalibration runs the battery and scores its bands and points.
 func RunCalibration(cfg CalibrationConfig) (*CalibrationResult, error) {
 	cfg = cfg.withDefaults()
 	if err := core.ValidEstimator(cfg.Estimator); err != nil {
@@ -130,35 +127,31 @@ func RunCalibration(cfg CalibrationConfig) (*CalibrationResult, error) {
 	}
 	res := &CalibrationResult{
 		Fig: metrics.Figure{
-			Title:  "Estimator ensemble: uncertainty-band coverage per scenario",
+			Title:  "Calibrated estimator: uncertainty-band coverage per scenario",
 			XLabel: "scenario (battery order: mcq naq scq priority arrivals mpl perturb)",
 			YLabel: "fraction of intervals containing the true finish",
 		},
 	}
 	s := res.Fig.AddSeries("band coverage")
+	mean := func(sum float64, n int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n)
+	}
 	for i, cell := range cells {
-		cov := 0.0
-		if cell.samples > 0 {
-			cov = float64(cell.within) / float64(cell.samples)
-		}
 		sc := CalibrationScenario{
-			Name: scenarios[i].name, Samples: cell.samples, Within: cell.within, Coverage: cov,
-		}
-		if cell.samples > 0 {
-			sc.Width = cell.width / float64(cell.samples)
-		}
-		if cell.points > 0 {
-			sc.PointErr = cell.pointErr / float64(cell.points)
-			sc.PointErrTotal = cell.pointTot / float64(cell.points)
+			Name: scenarios[i].name, Samples: cell.samples, Within: cell.within,
+			Coverage: mean(float64(cell.within), cell.samples), Width: mean(cell.width, cell.samples),
+			PointErr: mean(cell.pointErr, cell.points), PointErrTotal: mean(cell.pointTot, cell.points),
 		}
 		res.Scenarios = append(res.Scenarios, sc)
 		res.Samples += cell.samples
 		res.Within += cell.within
 		res.Width += cell.width
-		n := float64(len(cells))
-		res.PointErr += sc.PointErr / n
-		res.PointErrTotal += sc.PointErrTotal / n
-		s.Add(float64(i+1), cov)
+		res.PointErr += sc.PointErr / float64(len(cells))
+		res.PointErrTotal += sc.PointErrTotal / float64(len(cells))
+		s.Add(float64(i+1), sc.Coverage)
 	}
 	if res.Samples == 0 {
 		return nil, fmt.Errorf("experiments: calibration scored no intervals; the battery is vacuous")
@@ -169,7 +162,7 @@ func RunCalibration(cfg CalibrationConfig) (*CalibrationResult, error) {
 }
 
 func (r *CalibrationResult) report() *Report {
-	rep := new(Report).text("== Estimator ensemble: uncertainty-band calibration ==\n")
+	rep := new(Report).text("== Calibrated estimator: uncertainty-band calibration ==\n")
 	for _, sc := range r.Scenarios {
 		rep.text("  %-9s coverage %5.1f%%  (%d/%d intervals)  width %.3f  point error %.3f (%.3f of total)\n",
 			sc.Name, sc.Coverage*100, sc.Within, sc.Samples, sc.Width, sc.PointErr, sc.PointErrTotal)

@@ -6,7 +6,7 @@ import (
 	"mqpi/internal/core"
 )
 
-// TestRunCalibrationCoverage is the acceptance gate for the ensemble's
+// TestRunCalibrationCoverage is the acceptance gate for the calibrated
 // uncertainty bands: pooled across the seven-scenario battery, at least 80%
 // of the reported intervals must contain the true finish time at the default
 // band width.

@@ -10,8 +10,8 @@ import (
 // work item (the scheduler steps its members in lockstep on one goroutine), so
 // this benchmark is the coordination-overhead guardrail for the shared-cursor
 // barrier: folded ticks must not allocate, and their latency must stay in the
-// same band as the solo path. The committed baseline lives in
-// BENCH_sharedscan.json; `make bench-check` ratchets the allocation counts.
+// same band as the solo path. TestSharedScanSteadyStateAllocs pins the
+// 0 allocs/op in the same framing.
 func BenchmarkSharedScan(b *testing.B) {
 	db := benchDB(b)
 	for _, members := range []int{1, 2, 4, 8} {

@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkParallelTick measures tick latency across MPL (concurrent
-// queries) and execute-phase worker counts. The committed baseline lives in
-// BENCH_tickpath.json; `make bench` tracks it. RateC is scaled with MPL so
+// queries) and execute-phase worker counts; `make bench` runs it, and
+// TestTickSteadyStateAllocs pins its 0 allocs/op. RateC is scaled with MPL so
 // every query steps ~256 pages per tick regardless of MPL — the benchmark
 // then isolates how the fixed per-tick execution work scales with workers,
 // instead of shrinking each query's share as MPL grows.

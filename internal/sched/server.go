@@ -216,7 +216,7 @@ type Server struct {
 // slices — plus the execute phase's stepResult buffer and the retirement
 // list. Buffers grow to the high-water mark of concurrent queries and stay,
 // so a steady-state Tick (no finishes, no admissions) allocates nothing
-// (pinned by TestTickSteadyStateAllocs and the BENCH_tickpath.json baseline).
+// (pinned by TestTickSteadyStateAllocs and TestSharedScanSteadyStateAllocs).
 type tickScratch struct {
 	runnable []*Query
 	weights  []float64

@@ -11,25 +11,25 @@ import (
 	"mqpi/internal/sched"
 )
 
-// ensembleManager is manual() with a non-stage estimator mode.
-func ensembleManager(t testing.TB, db *engine.DB, sc sched.Config, mode string) *Manager {
+// calibratedManager is manual() with the calibrated estimator.
+func calibratedManager(t testing.TB, db *engine.DB, sc sched.Config) *Manager {
 	t.Helper()
-	m := New(db, Config{Sched: sc, TickEvery: -1, Estimator: mode})
+	m := New(db, Config{Sched: sc, TickEvery: -1, Estimator: core.EstimatorCalibrated})
 	t.Cleanup(m.Close)
 	return m
 }
 
-// TestEnsembleServiceEndToEnd drives an ensemble-mode manager through a full
-// workload: views must carry real uncertainty bands bracketing the blended
-// point, the overview must expose the mode and normalized weights, finishes
-// must feed the calibration accumulator (visible through the band-coverage
-// counters), and the diagram must annotate ETAs with bands.
+// TestEnsembleServiceEndToEnd drives a calibrated-mode manager through a full
+// workload: views must carry real uncertainty bands bracketing the stage
+// point, the overview must expose the mode, finishes must feed the
+// calibration accumulator (visible through the band-coverage counters and the
+// rolling error), and the diagram must annotate ETAs with bands.
 func TestEnsembleServiceEndToEnd(t *testing.T) {
 	db := engine.Open()
 	for i := 0; i < 3; i++ {
 		loadTable(t, db, fmt.Sprintf("ens%d", i), 6+2*i)
 	}
-	m := ensembleManager(t, db, sched.Config{RateC: 10, Quantum: 0.5, MPL: 2}, core.EstimatorEnsemble)
+	m := calibratedManager(t, db, sched.Config{RateC: 10, Quantum: 0.5, MPL: 2})
 
 	ids := make([]int, 0, 3)
 	for i := 0; i < 3; i++ {
@@ -52,22 +52,15 @@ func TestEnsembleServiceEndToEnd(t *testing.T) {
 		t.Fatalf("band [%g,%g] misses point %g", lo, hi, point)
 	}
 	if hi-lo <= 0 {
-		t.Fatalf("ensemble band degenerate: %+v", p)
+		t.Fatalf("calibrated band degenerate: %+v", p)
 	}
 
 	ov, err := m.Overview()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov.Estimator != core.EstimatorEnsemble {
+	if ov.Estimator != core.EstimatorCalibrated {
 		t.Fatalf("overview estimator = %q", ov.Estimator)
-	}
-	sum := 0.0
-	for _, w := range ov.Weights {
-		sum += w
-	}
-	if len(ov.Weights) != 3 || math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("overview weights = %v", ov.Weights)
 	}
 
 	d, err := m.Diagram(40)
@@ -93,31 +86,15 @@ func TestEnsembleServiceEndToEnd(t *testing.T) {
 		t.Fatalf("finished %d queries, want 3", len(ov.Finished))
 	}
 
-	// The gauges come in core.MemberNames order, then the band counters.
-	text, at := m.Metrics().Text(), 0
-	for _, want := range []string{
-		`mqpi_estimator_weight{member="stage"}`,
-		`mqpi_estimator_weight{member="cost"}`,
-		`mqpi_estimator_weight{member="speed"}`,
-		"mqpi_eta_band_finishes_total 3",
-	} {
-		i := strings.Index(text[at:], want)
-		if i < 0 {
-			t.Fatalf("metrics text has no %q after offset %d", want, at)
-		}
-		at += i + len(want)
+	text := m.Metrics().Text()
+	if !strings.Contains(text, "mqpi_eta_band_finishes_total 3\n") || !strings.Contains(text, "mqpi_eta_band_within_total ") {
+		t.Fatalf("metrics text lacks the band counters:\n%s", text)
 	}
 
-	// Residuals landed → weights are no longer uniform thirds (the members
-	// genuinely differ on this workload), yet still normalized.
+	// Every finish landed a residual of the stage point.
 	calib := calibState(t, m)
-	if calib.Samples != 3 {
-		t.Fatalf("calibration samples = %d, want 3", calib.Samples)
-	}
-	for _, name := range core.MemberNames {
-		if _, ok := calib.Errors[name]; !ok {
-			t.Fatalf("no rolling error for member %s: %+v", name, calib)
-		}
+	if calib.Samples != 3 || !(calib.Err >= 0) || math.IsInf(calib.Err, 0) {
+		t.Fatalf("calibration state = %+v, want a finite rolling error from 3 samples", calib)
 	}
 }
 
@@ -137,7 +114,7 @@ func calibState(t *testing.T, m *Manager) core.EnsembleState {
 func TestEnsembleFinishedViewsZeroBand(t *testing.T) {
 	db := engine.Open()
 	loadTable(t, db, "ensz", 4)
-	m := ensembleManager(t, db, sched.Config{RateC: 100, Quantum: 0.5}, core.EstimatorSpeed)
+	m := calibratedManager(t, db, sched.Config{RateC: 100, Quantum: 0.5})
 
 	v, err := m.Submit(SubmitRequest{SQL: "SELECT SUM(a) FROM ensz"})
 	if err != nil {
@@ -169,8 +146,8 @@ func TestEnsembleFinishedViewsZeroBand(t *testing.T) {
 }
 
 // TestStageModeNoEnsembleSurface: in default stage mode the new surfaces stay
-// inert — degenerate bands equal to the point, no weights, no estimator
-// metrics lines — so the refactor is invisible until opted into.
+// inert — degenerate bands equal to the point, no band metrics lines, no
+// diagram band annotations.
 func TestStageModeNoEnsembleSurface(t *testing.T) {
 	db := engine.Open()
 	loadTable(t, db, "stg", 6)
@@ -194,12 +171,11 @@ func TestStageModeNoEnsembleSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov.Estimator != core.EstimatorStage || ov.Weights != nil {
-		t.Fatalf("stage-mode overview estimator=%q weights=%v", ov.Estimator, ov.Weights)
+	if ov.Estimator != core.EstimatorStage {
+		t.Fatalf("stage-mode overview estimator=%q", ov.Estimator)
 	}
-	if text := m.Metrics().Text(); strings.Contains(text, "mqpi_estimator_weight") ||
-		strings.Contains(text, "mqpi_eta_band") {
-		t.Fatal("stage mode exposes ensemble metrics")
+	if text := m.Metrics().Text(); strings.Contains(text, "mqpi_eta_band") {
+		t.Fatal("stage mode exposes band metrics")
 	}
 	d, err := m.Diagram(40)
 	if err != nil {
@@ -222,9 +198,9 @@ func TestEnsembleServesScoredBand(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		loadTable(t, db, fmt.Sprintf("band%d", i), 5+3*i)
 	}
-	m := ensembleManager(t, db, sched.Config{
+	m := calibratedManager(t, db, sched.Config{
 		RateC: 10, Quantum: 0.5, MPL: 3, Weights: map[int]float64{1: 3},
-	}, core.EstimatorEnsemble)
+	})
 	ids := make([]int, 0, 4)
 	for i := 0; i < 4; i++ {
 		v, err := m.Submit(SubmitRequest{SQL: fmt.Sprintf("SELECT SUM(a) FROM band%d", i), Priority: i % 2})
@@ -276,7 +252,7 @@ func TestEnsembleServesScoredBand(t *testing.T) {
 			}
 		}
 		if finishedNow {
-			continue // a finish moved the rolling errors mid-tick: pre is stale
+			continue // a finish moved the rolling error mid-tick: pre is stale
 		}
 		want := snap.estimates(nil, pre)
 		for id, p := range views {

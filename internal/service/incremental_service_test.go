@@ -61,7 +61,7 @@ func checkPublishedEstimates(t *testing.T, m *Manager, step string) {
 // publish's own produced it. This pins the service-layer half of the
 // contract that the owner's run-long estimator carries nothing from one pass
 // into the next (the core half is TestStageEstimatorReusesQueuePass, the sim
-// half invariants I6 and I13).
+// half invariant I6).
 func TestIncrementalEstimatesMatchStateless(t *testing.T) {
 	db := engine.Open()
 	for i := 0; i < 6; i++ {

@@ -109,12 +109,11 @@ type Config struct {
 	// Arrivals optionally switches the multi-query estimates to the §2.4
 	// future-aware form.
 	Arrivals *core.ArrivalModel
-	// Estimator selects the estimate plane: "stage" (default) is the classic
-	// single-pipeline stage model, bit-identical to the pre-ensemble path;
-	// "cost"/"speed" force a single ensemble member; "ensemble" blends all
-	// members online by observed rolling error and reports uncertainty bands.
-	// Must be one of core.EstimatorModes (New panics otherwise — the HTTP and
-	// flag layers validate first).
+	// Estimator selects the estimate plane: "stage" (default) is the stage
+	// model with degenerate bands; "calibrated" serves the same points with
+	// an uncertainty band from their rolling finish error. Must be one of
+	// core.EstimatorModes (New panics otherwise — the HTTP and flag layers
+	// validate first).
 	Estimator string
 }
 
@@ -160,7 +159,7 @@ type Manager struct {
 	schedSet   map[int]bool    // queries still waiting as future arrivals
 	// est is the Manager's one estimator. Every pass is a function of its
 	// input alone; what est keeps between passes is scratch memory (the
-	// stage member's finish-tag heap and finish slice).
+	// stage model's finish-tag heap and finish slice).
 	est core.Estimator
 	// pending is the capture of the live scheduler state that observe left for
 	// the publish that follows it, which consumes it; nil otherwise, and a
@@ -169,7 +168,7 @@ type Manager struct {
 	revs    []revision // observe's scratch, kept between passes
 	counts  counts     // lifetime totals, copied into every published snapshot
 	// calib accumulates finish-time residuals and band coverage for the
-	// ensemble blender; nil in stage mode, where no calibration runs and the
+	// calibrated band; nil in stage mode, where no calibration runs and the
 	// estimate path is the classic pipeline verbatim.
 	calib *core.EnsembleCalib
 }
@@ -458,8 +457,8 @@ func (m *Manager) observe() {
 	m.pending = snap
 	now := snap.Sched.Now
 	if m.calib != nil {
-		// Fold this pass into the calibration state: per-query speed EWMAs,
-		// each member's absolute predicted finish, and the reported band.
+		// Fold this pass into the calibration state: each query's absolute
+		// predicted finish and the reported band.
 		m.calib.Observe(now, in, snap.est)
 		m.counts.bandWithin, m.counts.bandFinishes = m.calib.Coverage()
 	}
@@ -654,7 +653,6 @@ func (m *Manager) Overview() (Overview, error) {
 		TimeScale:    snap.TimeScale,
 		Fold:         foldView(&snap.Sched),
 		Estimator:    snap.Estimator,
-		Weights:      est.Weights,
 		QuiescentETA: Seconds(est.Quiescent),
 	}
 	// The bundle is in Running ++ Queued order; a scheduled or terminated

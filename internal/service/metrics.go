@@ -148,14 +148,8 @@ func (m *Metrics) Text() string {
 	writeScalar(&b, "mqpi_fold_members", "gauge", "Queries currently riding a shared cursor.", float64(fold.Members))
 	writeScalar(&b, "mqpi_advance_backstop_total", "counter", "Advances truncated by MaxTicksPerAdvance; the residual virtual-time debt is carried into later advances.", float64(c.advanceBackstops))
 	writeScalar(&b, "mqpi_clock_debt_seconds", "gauge", "Virtual seconds the clock still owed after the last ticker wake-up: under one quantum when it keeps the wall rate, growing when it falls behind.", math.Float64frombits(m.clockDebt.Load()))
-	// Stage mode runs no ensemble, so it exposes no weights or band counters.
+	// Stage mode reports degenerate bands, so it exposes no band counters.
 	if s.Estimator != core.EstimatorStage {
-		fmt.Fprintf(&b, "# HELP mqpi_estimator_weight Current ensemble blend weight per estimator member.\n# TYPE mqpi_estimator_weight gauge\n")
-		for _, member := range core.MemberNames {
-			if w, ok := s.est.Weights[member]; ok {
-				fmt.Fprintf(&b, "mqpi_estimator_weight{member=%q} %s\n", member, fmtFloat(w))
-			}
-		}
 		writeScalar(&b, "mqpi_eta_band_finishes_total", "counter", "Query finishes for which an uncertainty band had been reported.", float64(c.bandFinishes))
 		writeScalar(&b, "mqpi_eta_band_within_total", "counter", "Query finishes whose true finish time fell inside the reported band.", float64(c.bandWithin))
 	}

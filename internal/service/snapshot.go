@@ -27,8 +27,8 @@ type Snapshot struct {
 	Estimator string
 	// est is the estimate bundle the Manager's estimator produced from Sched:
 	// both indicators for every admitted and queued query, by position in
-	// Sched.Running ++ Sched.Queued, the quiescent ETA and, in ensemble modes,
-	// the blend weights. Never written after publish.
+	// Sched.Running ++ Sched.Queued, and the quiescent ETA. Never written
+	// after publish.
 	est core.Estimates
 	// counts are the owner's lifetime totals as of this state; /metrics
 	// renders them beside its gauges.

@@ -56,10 +56,10 @@ type QueryView struct {
 	// when solo). Members of one group advance in lockstep over one cursor.
 	FoldGroup int     `json:"fold_group,omitempty"`
 	SingleETA Seconds `json:"single_query_eta"` // t = c/s (null if unobservable)
-	MultiETA  Seconds `json:"multi_query_eta"`  // stage-model / blended estimate
+	MultiETA  Seconds `json:"multi_query_eta"`  // stage-model estimate
 	// ETALow/ETAHigh bound the estimator's uncertainty band around MultiETA.
-	// Degenerate (equal to MultiETA) under the stage estimator; ensemble
-	// modes widen it by member spread and calibrated rolling error.
+	// Degenerate (equal to MultiETA) under the stage estimator; the
+	// calibrated estimator widens it by the point's rolling finish error.
 	ETALow  Seconds `json:"eta_low"`
 	ETAHigh Seconds `json:"eta_high"`
 	Err     string  `json:"error,omitempty"`
@@ -86,15 +86,13 @@ type Overview struct {
 	Workers   int      `json:"workers"` // execute-phase worker count
 	TimeScale float64  `json:"time_scale"`
 	Fold      FoldView `json:"fold"`
-	// Estimator is the configured estimate-plane mode; Weights carries the
-	// ensemble's current blend weights by member (omitted in stage mode).
-	Estimator    string             `json:"estimator"`
-	Weights      map[string]float64 `json:"estimator_weights,omitempty"`
-	QuiescentETA Seconds            `json:"quiescent_eta"` // until ALL known work drains
-	Running      []QueryView        `json:"running"`
-	Queued       []QueryView        `json:"queued"`
-	Scheduled    []QueryView        `json:"scheduled"`
-	Finished     []QueryView        `json:"finished"`
+	// Estimator is the configured estimate-plane mode.
+	Estimator    string      `json:"estimator"`
+	QuiescentETA Seconds     `json:"quiescent_eta"` // until ALL known work drains
+	Running      []QueryView `json:"running"`
+	Queued       []QueryView `json:"queued"`
+	Scheduled    []QueryView `json:"scheduled"`
+	Finished     []QueryView `json:"finished"`
 }
 
 func makeView(info sched.QueryInfo, est core.Estimate) QueryView {

@@ -7,12 +7,13 @@ import (
 	"mqpi/internal/core"
 )
 
-// TestSimEstimatorMatrix is the estimator-plane transparency gate (I13,
-// cross-run form): for every seed, an explicit `Estimator: "stage"` run must
-// be byte-identical to the default-config baseline — the pluggable estimate
-// plane may not change a single traced observable until a non-stage mode is
-// opted into — and must stay byte-identical at workers 1, 2, and 4 (the
-// per-action I6/I13/I14 checks run inside every one of these cells).
+// TestSimEstimatorMatrix is the estimator-plane gate. For every seed, an
+// explicit `Estimator: "stage"` run must be byte-identical to the
+// default-config baseline and stay byte-identical at workers 1, 2, and 4; and
+// a calibrated run, at workers 1 and 4 with identical traces, must hold every
+// invariant — the exactness ones (I6, I7, I14) included — on exactly as many
+// checks as the stage run: the calibrated plane serves the same points and
+// only widens the band (I13).
 func TestSimEstimatorMatrix(t *testing.T) {
 	var total tally
 	t.Cleanup(func() { total.assertExercised(t) })
@@ -32,19 +33,36 @@ func TestSimEstimatorMatrix(t *testing.T) {
 			if stage.Trace != base.Trace {
 				t.Errorf("stage trace differs from default baseline: %s", firstDiff(base.Trace, stage.Trace))
 			}
+			var first *Result
+			for _, w := range []int{1, 4} {
+				cal, err := Run(Config{Seed: seed, Estimator: core.EstimatorCalibrated, Workers: w})
+				if err != nil {
+					t.Fatalf("calibrated workers=%d: %v", w, err)
+				}
+				for _, v := range cal.Violations {
+					t.Errorf("calibrated workers=%d: %s", w, v)
+				}
+				if cal.ExactChecked != stage.ExactChecked || cal.OracleChecked != stage.OracleChecked {
+					t.Errorf("calibrated workers=%d checked exactness %d and the oracle %d times, stage %d and %d",
+						w, cal.ExactChecked, cal.OracleChecked, stage.ExactChecked, stage.OracleChecked)
+				}
+				if first == nil {
+					first = cal
+				} else if cal.Trace != first.Trace {
+					t.Errorf("calibrated workers=%d trace differs from workers=1: %s", w, firstDiff(first.Trace, cal.Trace))
+				}
+			}
 		})
 	}
 }
 
-// TestSimEnsembleMode smoke-tests a non-stage estimate plane under the full
-// randomized workload: the structural invariants (work conservation, MPL,
-// epochs, metrics, lifecycle, fold, incremental profile) must all still hold
-// — only the estimate-exactness checks (I6, I7, I13, I14) are out of scope for
-// blended points — and the run must stay byte-deterministic across worker
-// counts, bands and all.
+// TestSimEnsembleMode runs the calibrated estimate plane under shared-scan
+// folding with mid-run fold on/off churn, which TestSimEstimatorMatrix's
+// cells leave off: every invariant must hold and the run must stay
+// byte-deterministic across worker counts, bands and all.
 func TestSimEnsembleMode(t *testing.T) {
 	t.Parallel()
-	runAcrossWorkers(t, Config{Seed: 5, Estimator: core.EstimatorEnsemble})
+	runAcrossWorkers(t, Config{Seed: 5, Estimator: core.EstimatorCalibrated, Fold: true, FoldToggle: true})
 }
 
 // TestSimRejectsBadEstimator pins the config validation path: an unknown

@@ -48,18 +48,17 @@ import (
 //	(I10 is retired and its number not reused: it held the incremental stage
 //	    structure, which no production path reads, against the closed form;
 //	    core's differential tests do that now.)
-//	I13 estimator-plane transparency — a run-long stage-mode core.Estimator
-//	    fed the published state returns a bundle bit-identical to
-//	    core.ComputeEstimates (no blend weights, degenerate bands), and every
-//	    live view's band is degenerate at its point estimate
-//	    (ETALow == MultiETA == ETAHigh, bitwise): the pluggable estimate
-//	    plane is a perfect wrapper until a non-stage mode is opted into.
+//	I13 band shape — in stage mode every live view's band is degenerate at
+//	    its point estimate (ETALow == MultiETA == ETAHigh, bitwise); in
+//	    calibrated mode it brackets the point, 0 ≤ ETALow ≤ MultiETA ≤
+//	    ETAHigh. With I6 holding the points to core.ComputeEstimates in both
+//	    modes, the calibrated plane changes nothing but the band.
 //	I14 oracle agreement — on every state, with or without an admission
 //	    queue, each published multi-query ETA and the quiescent ETA agree
 //	    with core.SimulateProfile, the event-stepped replay of §2.2–2.3, on
 //	    the same published state: +Inf for +Inf, finite values within
-//	    1e-9·max(1, |oracle|). I6 and I13 compare the finish-tag pass with
-//	    itself, so they cannot see it drift from the model; this can.
+//	    1e-9·max(1, |oracle|). I6 compares the finish-tag pass with itself,
+//	    so it cannot see it drift from the model; this can.
 //
 // The router pass (checkRouter) then checks, on the front door's merged
 // overview and counters, what no single shard can see:
@@ -79,9 +78,9 @@ import (
 // observable — is a cross-run property, checked by TestFoldSimMatrix rather
 // than by this per-action checker. Its estimator-plane sibling — stage-mode
 // traces byte-identical between Estimator "" and "stage" configs — lives in
-// TestSimEstimatorMatrix. The estimate-exactness invariants (I6, I7, I13, I14)
-// only run in stage mode; ensemble modes serve blended heuristic points that
-// the paper's exact stage model does not govern.
+// TestSimEstimatorMatrix. Every invariant runs in both estimator modes: the
+// calibrated mode serves the stage points bit for bit, so the exactness
+// invariants (I6, I7, I14) govern it as they govern stage mode.
 type checker struct {
 	m *service.Manager
 	// tag prefixes every line this checker traces and every violation it
@@ -117,13 +116,9 @@ type checker struct {
 	// anything fails too.
 	oracleChecked, queueChecked int
 
-	// stageMode gates the estimate-exactness invariants (I6, I7, I13, I14): they
-	// only hold for the exact stage plane, not for blended ensemble points.
-	// plane is I13's run-long stage-mode Estimator instance: one instance
-	// survives the whole run, so any state the pluggable plane accidentally
-	// accreted would surface as drift from the pure oracle.
-	stageMode bool
-	plane     core.Estimator
+	// calibrated selects I13's band form: bracketing in calibrated mode,
+	// degenerate in stage mode.
+	calibrated bool
 
 	violations *[]string // the run's, shared with the other checkers
 }
@@ -147,34 +142,25 @@ type checkCtx struct {
 const overshootSlack = 12.0
 
 func newChecker(m *service.Manager, cfg Config, tag string, violations *[]string) *checker {
-	stage := cfg.Estimator == "" || cfg.Estimator == core.EstimatorStage
-	var plane core.Estimator
-	if stage {
-		var err error
-		if plane, err = core.NewEstimator(core.EstimatorStage); err != nil {
-			panic(err) // unreachable: the stage mode always constructs
-		}
-	}
 	return &checker{
 		m:          m,
 		tag:        tag,
 		violations: violations,
 
-		rateC:     cfg.RateC,
-		quantum:   cfg.Quantum,
-		slackPerQ: overshootSlack + 2*math.Ceil(float64(cfg.Rows)/64),
-		mpl:       cfg.MPL,
-		counters:  make(map[string]float64),
-		done:      make(map[int]float64),
-		prevDone:  make(map[int]float64),
-		prevEst:   make(map[int]float64),
-		predAbs:   make(map[int]float64),
-		predAt:    make(map[int]float64),
-		predSlack: make(map[int]float64),
-		prevRun:   make(map[int]bool),
-		seen:      make(map[int]map[string]bool),
-		stageMode: stage,
-		plane:     plane,
+		rateC:      cfg.RateC,
+		quantum:    cfg.Quantum,
+		slackPerQ:  overshootSlack + 2*math.Ceil(float64(cfg.Rows)/64),
+		mpl:        cfg.MPL,
+		counters:   make(map[string]float64),
+		done:       make(map[int]float64),
+		prevDone:   make(map[int]float64),
+		prevEst:    make(map[int]float64),
+		predAbs:    make(map[int]float64),
+		predAt:     make(map[int]float64),
+		predSlack:  make(map[int]float64),
+		prevRun:    make(map[int]bool),
+		seen:       make(map[int]map[string]bool),
+		calibrated: cfg.Estimator == core.EstimatorCalibrated,
 	}
 }
 
@@ -441,17 +427,13 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 		queued = append(queued, core.QueryState{ID: v.ID, Remaining: v.Remaining, Weight: v.Weight, Done: v.Done})
 	}
 
-	if !c.stageMode {
-		return
-	}
-	in := core.EstimateInput{
+	want := core.ComputeEstimates(core.EstimateInput{
 		Running: running,
 		Queued:  queued,
 		MPL:     ov.MPL,
 		RateC:   ov.RateC,
 		Speeds:  speeds,
-	}
-	want := core.ComputeEstimates(in)
+	})
 	sameFloat := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 	}
@@ -475,42 +457,19 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 			c.fail(tr, ctx, "I6 q%d single ETA stale: view %s, recomputed %s",
 				v.ID, g(float64(v.SingleETA)), g(w.SingleQuery))
 		}
-		// I13, view form: stage-mode bands are degenerate at the point.
-		if !sameFloat(float64(v.ETALow), float64(v.MultiETA)) || !sameFloat(float64(v.ETAHigh), float64(v.MultiETA)) {
-			c.fail(tr, ctx, "I13 q%d stage-mode band [%s,%s] not degenerate at point %s",
-				v.ID, g(float64(v.ETALow)), g(float64(v.ETAHigh)), g(float64(v.MultiETA)))
+		// I13: a calibrated band brackets the point; a stage band is the point.
+		lo, p, hi := float64(v.ETALow), float64(v.MultiETA), float64(v.ETAHigh)
+		if c.calibrated {
+			if !(0 <= lo && lo <= p && p <= hi) {
+				c.fail(tr, ctx, "I13 q%d calibrated band [%s,%s] does not bracket point %s", v.ID, g(lo), g(hi), g(p))
+			}
+		} else if !sameFloat(lo, p) || !sameFloat(hi, p) {
+			c.fail(tr, ctx, "I13 q%d stage-mode band [%s,%s] not degenerate at point %s", v.ID, g(lo), g(hi), g(p))
 		}
 	}
 	if !sameFloat(float64(ov.QuiescentETA), want.Quiescent) {
 		c.fail(tr, ctx, "I6 quiescent ETA stale: view %s, recomputed %s",
 			g(float64(ov.QuiescentETA)), g(want.Quiescent))
-	}
-
-	// I13, plane form: the run-long pluggable stage estimator must be a
-	// perfect, stateless wrapper — same input, bit-identical bundle to the
-	// pure oracle, no blend weights, bands collapsed onto the point.
-	got := c.plane.Estimates(in, core.EnsembleState{})
-	if got.Weights != nil {
-		c.fail(tr, ctx, "I13 stage estimator reported blend weights %v", got.Weights)
-	}
-	if len(got.PerQuery) != len(want.PerQuery) {
-		c.fail(tr, ctx, "I13 stage estimator returned %d estimates, oracle %d",
-			len(got.PerQuery), len(want.PerQuery))
-		return
-	}
-	for i, w := range want.PerQuery {
-		id, ge := in.Query(i).ID, got.PerQuery[i]
-		if !sameFloat(ge.MultiQuery, w.MultiQuery) || !sameFloat(ge.SingleQuery, w.SingleQuery) {
-			c.fail(tr, ctx, "I13 q%d plane ETA (%s,%s), oracle (%s,%s) (bitwise)",
-				id, g(ge.SingleQuery), g(ge.MultiQuery), g(w.SingleQuery), g(w.MultiQuery))
-		}
-		if !sameFloat(ge.ETALow, w.ETALow) || !sameFloat(ge.ETAHigh, w.ETAHigh) {
-			c.fail(tr, ctx, "I13 q%d plane band [%s,%s], oracle [%s,%s] (bitwise)",
-				id, g(ge.ETALow), g(ge.ETAHigh), g(w.ETALow), g(w.ETAHigh))
-		}
-	}
-	if !sameFloat(got.Quiescent, want.Quiescent) {
-		c.fail(tr, ctx, "I13 plane quiescent %s, oracle %s (bitwise)", g(got.Quiescent), g(want.Quiescent))
 	}
 
 	// I14: what was published came from the finish-tag pass; hold it against
@@ -551,11 +510,6 @@ func (c *checker) checkEstimates(tr *strings.Builder, ctx checkCtx, ov *service.
 // and the prediction horizon, not with the bug classes this invariant exists
 // to catch (stale estimates, credit leaks, lost redistribution).
 func (c *checker) checkExactness(tr *strings.Builder, ctx checkCtx, ov *service.Overview, events []service.Event) {
-	if !c.stageMode {
-		// Blended ensemble points are heuristics; the paper's exactness claim
-		// (and hence this invariant) governs only the stage plane.
-		return
-	}
 	perturbAt := math.Inf(1)
 	if ctx.perturbed {
 		perturbAt = math.Inf(-1) // the action itself voids every prediction

@@ -108,7 +108,7 @@ func TestClusterSimPaths(t *testing.T) {
 		0x04, 0x40, // advance
 	}
 	for name, cfg := range map[string]Config{
-		"ensemble":    {Seed: 5, Estimator: core.EstimatorEnsemble, Routing: "affinity"},
+		"calibrated":  {Seed: 5, Estimator: core.EstimatorCalibrated, Routing: "affinity"},
 		"fold-toggle": {Seed: 4, Fold: true, FoldToggle: true, Routing: "least-loaded"},
 		"script":      {Seed: 3, Script: script},
 	} {

@@ -104,11 +104,10 @@ type Config struct {
 	// fuzz target turns it on.
 	FoldToggle bool
 	// Estimator selects the service's estimate plane (core.EstimatorModes;
-	// "" means the default stage path). The I13 matrix runs "" and "stage"
-	// runs of the same seed and demands byte-identical traces — the
-	// pluggable plane must be a perfect wrapper until opted in. Non-stage
-	// modes disable the stage-exactness invariants (I6, I7, I13, I14): blended
-	// points are heuristics, not the paper's exact model.
+	// "" means the default stage path). TestSimEstimatorMatrix runs "" and
+	// "stage" runs of the same seed and demands byte-identical traces, and a
+	// "calibrated" run beside them that must pass every invariant on as many
+	// checks: its points are the stage points, only its bands differ (I13).
 	Estimator string
 }
 
