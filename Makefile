@@ -116,7 +116,8 @@ cover-check:
 # summaries go to stderr) must hash to the sha256 committed in TRACE_SHA256, at
 # -workers 1 and at -workers 4. A PR that claims "same behaviour" leaves the
 # file alone; one that means to move a trace regenerates it and says why.
-# SHORT=1 skips it.
+# On a mismatch the failing run's trace is kept as sim-trace.txt, ready to diff
+# against the same loop run at the parent commit. SHORT=1 skips it.
 trace-check:
 ifeq ($(SHORT),1)
 	@echo "SHORT=1: skipping trace-check"
@@ -130,7 +131,9 @@ else
 		done > "$$dir/trace"; \
 		got=$$(sha256sum < "$$dir/trace" | cut -d' ' -f1); \
 		if [ "$$got" != "$$want" ]; then \
+			cp "$$dir/trace" sim-trace.txt; \
 			echo "trace-check: -sim seeds 1-32 at -workers $$w hash to $$got ($$(wc -l < "$$dir/trace") lines); TRACE_SHA256 says $$want"; \
+			echo "trace-check: the failing trace is in $(CURDIR)/sim-trace.txt"; \
 			exit 1; \
 		fi; \
 	done; \

@@ -52,7 +52,6 @@ type options struct {
 	admitBurst    float64
 	admitQueue    bool
 	fold          bool
-	foldMinPages  int
 	estimator     string
 	readTimeout   time.Duration
 	writeTimeout  time.Duration
@@ -84,7 +83,6 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.admitBurst, "admit-burst", 0, "token-bucket burst capacity (0 = max(admit-rate, 1))")
 	fs.BoolVar(&o.admitQueue, "admit-queue", false, "queue over-rate submissions as delayed arrivals instead of rejecting with 429")
 	fs.BoolVar(&o.fold, "fold", false, "fold same-table same-priority seq scans onto one shared cursor (charged progress is unchanged; only engine cost drops)")
-	fs.IntVar(&o.foldMinPages, "fold-min-pages", 0, "smallest table (heap pages) eligible for scan folding (0 = default floor)")
 	fs.StringVar(&o.estimator, "estimator", core.EstimatorStage, "estimate plane: "+strings.Join(core.EstimatorModes(), "|")+" (calibrated serves the stage ETA with an eta_low/eta_high band from its rolling finish error)")
 	fs.DurationVar(&o.readTimeout, "read-timeout", 30*time.Second, "max time to read one request (slow-client guard; load swarms must not pin handlers)")
 	fs.DurationVar(&o.writeTimeout, "write-timeout", 30*time.Second, "max time to write one response")
@@ -107,9 +105,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.admitRate < 0 || o.admitBurst < 0 {
 		return o, errors.New("admit-rate and admit-burst must be non-negative")
-	}
-	if o.foldMinPages < 0 {
-		return o, errors.New("fold-min-pages must be non-negative")
 	}
 	if err := cluster.ValidRouting(o.routing); err != nil {
 		return o, err
@@ -134,7 +129,7 @@ func buildServer(o options) (*cluster.Cluster, http.Handler, error) {
 		Service: service.Config{
 			Sched: sched.Config{
 				RateC: o.rateC, MPL: o.mpl, Quantum: o.quantum, Workers: o.workers,
-				Fold: o.fold, FoldMinPages: o.foldMinPages,
+				Fold: o.fold,
 			},
 			TickEvery:    o.tickEvery,
 			TimeScale:    o.timeScale,

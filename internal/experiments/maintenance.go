@@ -201,7 +201,10 @@ func runMaintenanceOnce(cl *cell, cfg MaintenanceConfig) ([]maintSnapshot, error
 	finishes := 0
 	replacing := true
 	var submitErr error
-	srv.OnFinish(func(f *sched.Query) {
+	srv.OnStatus(func(f *sched.Query, _ sched.Status) {
+		if f.Status != sched.StatusFinished && f.Status != sched.StatusFailed {
+			return
+		}
 		finishes++
 		if !replacing || submitErr != nil {
 			return

@@ -89,8 +89,8 @@ func scqArrivals(cl *cell, cfg SCQConfig, srv *sched.Server, initial []*sched.Qu
 	nextIdx := len(initial) + 1
 	remaining := len(initial)
 	lastInitial := initial[len(initial)-1].ID
-	srv.OnFinish(func(f *sched.Query) {
-		if f.ID <= lastInitial {
+	srv.OnStatus(func(f *sched.Query, _ sched.Status) {
+		if (f.Status == sched.StatusFinished || f.Status == sched.StatusFailed) && f.ID <= lastInitial {
 			remaining--
 		}
 	})

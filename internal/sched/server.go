@@ -14,6 +14,11 @@
 // receives per quantum is decided serially from the paper's stage model, but
 // the work itself — stepping the runners — fans out across Config.Workers
 // goroutines. Outcomes are bit-identical at every worker count.
+//
+// The server is the one owner of the query lifecycle: each time it sets a
+// query's status it reports the change, with the status the query left, to the
+// callback registered with OnStatus. The serving layer's event log and
+// lifecycle counters are built from those reports alone.
 package sched
 
 import (
@@ -29,7 +34,10 @@ import (
 type Status uint8
 
 const (
-	StatusQueued Status = iota
+	// StatusNew is the zero value: a query built by NewQuery that has been
+	// neither submitted nor scheduled yet.
+	StatusNew Status = iota
+	StatusQueued
 	StatusRunning
 	StatusBlocked
 	StatusFinished
@@ -43,6 +51,8 @@ const (
 // String renders the status.
 func (s Status) String() string {
 	switch s {
+	case StatusNew:
+		return "new"
 	case StatusQueued:
 		return "queued"
 	case StatusRunning:
@@ -145,9 +155,6 @@ type Config struct {
 	// only the engine-cost plane (QueryInfo.Cost) shrinks. Toggle at runtime
 	// with SetFold.
 	Fold bool
-	// FoldMinPages is the smallest relation (in pages) worth folding;
-	// values below 2 mean 2.
-	FoldMinPages int
 }
 
 func (c *Config) withDefaults() Config {
@@ -200,7 +207,7 @@ type Server struct {
 	done     []*Query
 	doneInfo []QueryInfo // Snapshot's capture of done[:len(doneInfo)], append-only
 	arrivals arrivalHeap
-	onFinish []func(*Query)
+	onStatus func(q *Query, from Status)
 
 	pool      *execPool   // execute-phase workers, created lazily when Workers > 1
 	scratch   tickScratch // reused allocate/execute/settle working set
@@ -241,11 +248,8 @@ func (t *tickScratch) ensure(n int) {
 
 // New creates a server.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), nextID: 1}
-	if s.cfg.Fold {
-		s.foldOn = true
-		s.foldReg = exec.NewFoldRegistry(s.cfg.FoldMinPages)
-	}
+	s := &Server{cfg: cfg.withDefaults(), nextID: 1, onStatus: func(*Query, Status) {}}
+	s.SetFold(s.cfg.Fold)
 	return s
 }
 
@@ -270,7 +274,7 @@ func (s *Server) SetFold(on bool) {
 		return
 	}
 	if s.foldReg == nil {
-		s.foldReg = exec.NewFoldRegistry(s.cfg.FoldMinPages)
+		s.foldReg = exec.NewFoldRegistry(0) // the registry's default page floor
 	}
 	// Queries admitted while folding was off were never marked checked (the
 	// attach pass only runs with folding on), so still-unstarted ones are
@@ -373,8 +377,20 @@ func (s *Server) WeightOf(priority int) float64 {
 	return 1
 }
 
-// OnFinish registers a callback invoked when a query finishes or fails.
-func (s *Server) OnFinish(f func(*Query)) { s.onFinish = append(s.onFinish, f) }
+// OnStatus registers the server's one lifecycle callback, replacing any
+// earlier one. Each time the server sets a query's status — Submit, an arrival
+// scheduled or landing, a queue refill, Block (a repeated one too), Unblock,
+// Abort, a Tick retirement — it calls f then and there, on the owner goroutine,
+// with the query in its new status and the status the query left. f must not
+// be nil.
+func (s *Server) OnStatus(f func(q *Query, from Status)) { s.onStatus = f }
+
+// setStatus moves q to st and reports the change.
+func (s *Server) setStatus(q *Query, st Status) {
+	from := q.Status
+	q.Status = st
+	s.onStatus(q, from)
+}
 
 // NewQuery wraps a runner as a query ready for Submit.
 func (s *Server) NewQuery(label, sqlText string, priority int, r *exec.Runner) *Query {
@@ -414,8 +430,8 @@ func (s *Server) Submit(q *Query) { s.submitAt(q, s.now) }
 func (s *Server) submitAt(q *Query, at float64) {
 	q.SubmitTime = at
 	if s.cfg.MPL > 0 && len(s.running) >= s.cfg.MPL {
-		q.Status = StatusQueued
 		s.queue = append(s.queue, q)
+		s.setStatus(q, StatusQueued)
 		return
 	}
 	s.admitAt(q, at)
@@ -427,16 +443,17 @@ func (s *Server) ScheduleArrival(at float64, q *Query) {
 		s.Submit(q)
 		return
 	}
-	q.Status = StatusScheduled
+	q.SubmitTime = at // the time it will be submitted
 	heap.Push(&s.arrivals, arrival{at: at, q: q})
+	s.setStatus(q, StatusScheduled)
 }
 
 func (s *Server) admit(q *Query) { s.admitAt(q, s.now) }
 
 func (s *Server) admitAt(q *Query, at float64) {
-	q.Status = StatusRunning
 	q.StartTime = at
 	s.running = append(s.running, q)
+	s.setStatus(q, StatusRunning)
 }
 
 // Busy reports whether any query is running, blocked, or queued, or any
@@ -498,7 +515,6 @@ func (s *Server) Block(id int) error {
 			if q.Status != StatusRunning && q.Status != StatusBlocked {
 				return &StateError{id, fmt.Sprintf("is %s, cannot block", q.Status)}
 			}
-			q.Status = StatusBlocked
 			// Forfeit accrued scheduling credit: replaying it on Unblock
 			// would give the victim more (or, after an overshoot, less) than
 			// its fair share in its first quantum back.
@@ -509,6 +525,7 @@ func (s *Server) Block(id int) error {
 			if q.Runner != nil {
 				q.Runner.ReleaseFold()
 			}
+			s.setStatus(q, StatusBlocked)
 			return nil
 		}
 	}
@@ -522,7 +539,7 @@ func (s *Server) Unblock(id int) error {
 			if q.Status != StatusBlocked {
 				return &StateError{id, fmt.Sprintf("is %s, cannot unblock", q.Status)}
 			}
-			q.Status = StatusRunning
+			s.setStatus(q, StatusRunning)
 			return nil
 		}
 	}
@@ -554,12 +571,12 @@ func (s *Server) SetPriority(id, priority int) error {
 	return &StateError{id, "is not active"}
 }
 
-// Abort terminates a query wherever it is (running, blocked, or queued).
-// Per §3.3 the abort itself is treated as free.
+// Abort terminates a query wherever it is (running, blocked, queued, or
+// scheduled). Per §3.3 the abort itself is treated as free. The abort is
+// reported before the refill of the slot it frees.
 func (s *Server) Abort(id int) error {
 	for i, q := range s.running {
 		if q.ID == id {
-			q.Status = StatusAborted
 			q.FinishTime = s.now
 			q.credit = 0 // accrued credit dies with the query
 			if q.Runner != nil {
@@ -567,26 +584,27 @@ func (s *Server) Abort(id int) error {
 			}
 			s.running = append(s.running[:i], s.running[i+1:]...)
 			s.done = append(s.done, q)
+			s.setStatus(q, StatusAborted)
 			s.fillSlots()
 			return nil
 		}
 	}
 	for i, q := range s.queue {
 		if q.ID == id {
-			q.Status = StatusAborted
 			q.FinishTime = s.now
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			s.done = append(s.done, q)
+			s.setStatus(q, StatusAborted)
 			return nil
 		}
 	}
 	for i, a := range s.arrivals {
 		if a.q.ID == id {
 			q := a.q
-			q.Status = StatusAborted
 			q.FinishTime = s.now
 			heap.Remove(&s.arrivals, i)
 			s.done = append(s.done, q)
+			s.setStatus(q, StatusAborted)
 			return nil
 		}
 	}
@@ -721,7 +739,9 @@ func (s *Server) distribute(dt float64) {
 // falls strictly inside the quantum is submitted *at* that time and served
 // for the rest of the quantum, instead of silently losing up to one quantum
 // of service by waiting for the next Tick (and having its SubmitTime skewed
-// to the tick boundary).
+// to the tick boundary). At the end of the quantum the finishers retire and
+// are reported in query-ID order, and only then does the admission queue
+// refill the slots they freed, each refill reported as it is admitted.
 func (s *Server) Tick() {
 	s.lastStats = TickStats{}
 	end := s.now + s.cfg.Quantum
@@ -745,9 +765,9 @@ func (s *Server) Tick() {
 	}
 
 	// Retire finished queries and refill MPL slots. Retirement is sorted by
-	// query ID — not admission or completion order — so the `done` list,
-	// OnFinish callbacks, and everything layered on them (the service's
-	// /events stream) are byte-identical at every worker count. The finished
+	// query ID — not admission or completion order — so the `done` list, the
+	// finish reports, and everything layered on them (the service's /events
+	// stream) are byte-identical at every worker count. The finished
 	// list lives in the tick scratch and is ordered by insertion sort (IDs are
 	// unique; finishes per tick are few), so steady-state retirement neither
 	// allocates the slice nor a sort.Slice closure.
@@ -774,18 +794,24 @@ func (s *Server) Tick() {
 		// counters into the registry's lifetime totals.
 		s.foldReg.Sweep()
 	}
-	s.fillSlots()
 
 	// Speed observation happens after time advanced, so trackers see the
-	// work/time pairing the PI would sample.
+	// work/time pairing the PI would sample: the survivors, the finishers,
+	// and the refills fillSlots admits (a query the callback itself submits is
+	// first observed at the next tick). Finishers are reported (their status
+	// was set when they finished, mid-segment) before fillSlots refills the
+	// slots they freed, so the reports follow the order of the changes.
 	for _, q := range s.running {
 		q.tracker.Observe(s.now, q.Runner.WorkDone())
 	}
 	for _, q := range finished {
 		q.tracker.Observe(s.now, q.Runner.WorkDone())
-		for _, f := range s.onFinish {
-			f(q)
-		}
+		s.onStatus(q, StatusRunning)
+	}
+	n := len(s.running)
+	s.fillSlots()
+	for _, q := range s.running[n:] {
+		q.tracker.Observe(s.now, q.Runner.WorkDone())
 	}
 }
 
@@ -1061,7 +1087,6 @@ func (s *Server) Snapshot() Snapshot {
 		snap.Scheduled = make([]QueryInfo, len(arr))
 		for i, a := range arr {
 			snap.Scheduled[i] = s.InfoOf(a.q)
-			snap.Scheduled[i].SubmitTime = a.at // the time it will be submitted
 		}
 	}
 	// A terminated query never changes again, so its info is captured once,

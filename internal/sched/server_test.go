@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -257,16 +259,110 @@ func TestAbortFreesSlot(t *testing.T) {
 	}
 }
 
-func TestOnFinishCallback(t *testing.T) {
+// statusLog records every lifecycle report of a server as
+// "label from->to @now".
+type statusLog []string
+
+func watch(srv *Server) *statusLog {
+	l := new(statusLog)
+	srv.OnStatus(func(q *Query, from Status) {
+		*l = append(*l, fmt.Sprintf("%s %s->%s @%g", q.Label, from, q.Status, srv.Now()))
+	})
+	return l
+}
+
+// expect checks that the reports since the last expect are exactly want, in
+// order, and clears them.
+func (l *statusLog) expect(t *testing.T, want ...string) {
+	t.Helper()
+	if !slices.Equal(*l, want) {
+		t.Errorf("reports = %q, want %q", *l, want)
+	}
+	*l = nil
+}
+
+// Every status change is reported once, when it is made, with the status the
+// query left: a submission, an arrival being scheduled and landing, and a
+// finish.
+func TestOnStatusCallback(t *testing.T) {
 	db := engine.Open()
 	srv := newServer(Config{RateC: 10, Quantum: 0.5})
 	q := srv.NewQuery("q", "", 0, prepare(t, db, "t1", 3))
-	var finished []*Query
-	srv.OnFinish(func(f *Query) { finished = append(finished, f) })
+	a := srv.NewQuery("a", "", 0, prepare(t, db, "t2", 3))
+	log := watch(srv)
 	srv.Submit(q)
+	srv.ScheduleArrival(0.2, a)
+	log.expect(t, "q new->running @0", "a new->scheduled @0")
+	srv.Tick()
+	log.expect(t, "a scheduled->running @0.2")
 	srv.RunUntilIdle(1e6)
-	if len(finished) != 1 || finished[0] != q {
-		t.Errorf("callbacks: %v", finished)
+	if q.Status != StatusFinished || a.Status != StatusFinished {
+		t.Fatalf("status: %v, %v", q.Status, a.Status)
+	}
+	log.expect(t, fmt.Sprintf("q running->finished @%g", q.FinishTime), fmt.Sprintf("a running->finished @%g", a.FinishTime))
+}
+
+// Abort reports from whichever state it takes the query out of — running,
+// queued or scheduled — and an abort that frees a slot is reported before the
+// refill it causes. Block and Unblock report too; a refused control reports
+// nothing.
+func TestOnStatusAbortAndControls(t *testing.T) {
+	db := engine.Open()
+	srv := newServer(Config{RateC: 10, Quantum: 0.5, MPL: 1})
+	q1 := srv.NewQuery("q1", "", 0, prepare(t, db, "t1", 100))
+	q2 := srv.NewQuery("q2", "", 0, prepare(t, db, "t2", 5))
+	q3 := srv.NewQuery("q3", "", 0, prepare(t, db, "t3", 5))
+	q4 := srv.NewQuery("q4", "", 0, prepare(t, db, "t4", 5))
+	log := watch(srv)
+	srv.Submit(q1)
+	srv.Submit(q2)
+	srv.ScheduleArrival(10, q3)
+	srv.Submit(q4)
+	log.expect(t, "q1 new->running @0", "q2 new->queued @0", "q3 new->scheduled @0", "q4 new->queued @0")
+	for _, q := range []*Query{q2, q3, q1} {
+		if err := srv.Abort(q.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.expect(t, "q2 queued->aborted @0", "q3 scheduled->aborted @0",
+		"q1 running->aborted @0", "q4 queued->running @0")
+	if err := srv.Block(q4.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Block(q4.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Unblock(q4.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Unblock(q4.ID); err == nil {
+		t.Fatal("unblocking a running query should fail")
+	}
+	if err := srv.SetPriority(q4.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Abort(q2.ID); err == nil {
+		t.Fatal("aborting an aborted query should fail")
+	}
+	log.expect(t, "q4 running->blocked @0", "q4 blocked->blocked @0", "q4 blocked->running @0")
+}
+
+// Tick reports an arrival when it lands, mid-quantum, and reports the
+// quantum's finishers before the admissions of the slots they free.
+func TestTickReportsFinishersBeforeRefills(t *testing.T) {
+	db := engine.Open()
+	srv := newServer(Config{RateC: 10, Quantum: 0.5, MPL: 1})
+	q1 := srv.NewQuery("q1", "", 0, prepare(t, db, "t1", 2)) // 3 U: finishes in the first tick
+	q2 := srv.NewQuery("q2", "", 0, prepare(t, db, "t2", 5))
+	q3 := srv.NewQuery("q3", "", 0, prepare(t, db, "t3", 5))
+	srv.Submit(q1)
+	srv.Submit(q2)
+	srv.ScheduleArrival(0.2, q3)
+	log := watch(srv)
+	srv.Tick()
+	log.expect(t, "q3 scheduled->queued @0.2", "q1 running->finished @0.5", "q2 queued->running @0.5")
+	if q1.FinishTime != 0.5 || q3.SubmitTime != 0.2 {
+		t.Errorf("q1 finished at %g, q3 submitted at %g; want 0.5 and 0.2", q1.FinishTime, q3.SubmitTime)
 	}
 }
 
@@ -336,7 +432,7 @@ func TestQuiescentEstimateMatchesIdleTime(t *testing.T) {
 
 func TestStatusString(t *testing.T) {
 	for st, want := range map[Status]string{
-		StatusQueued: "queued", StatusRunning: "running", StatusBlocked: "blocked",
+		StatusNew: "new", StatusQueued: "queued", StatusRunning: "running", StatusBlocked: "blocked",
 		StatusFinished: "finished", StatusAborted: "aborted", StatusFailed: "failed",
 	} {
 		if st.String() != want {
@@ -462,16 +558,13 @@ func TestFailedQueryReported(t *testing.T) {
 	}
 	srv := newServer(Config{RateC: 10, Quantum: 0.5})
 	q := srv.NewQuery("bad", "", 0, r)
-	var failed *Query
-	srv.OnFinish(func(f *Query) { failed = f })
+	log := watch(srv)
 	srv.Submit(q)
 	srv.RunUntilIdle(1e6)
 	if q.Status != StatusFailed || q.Err == nil {
 		t.Fatalf("status %v err %v", q.Status, q.Err)
 	}
-	if failed != q {
-		t.Error("failure must fire OnFinish")
-	}
+	log.expect(t, "bad new->running @0", fmt.Sprintf("bad running->failed @%g", q.FinishTime))
 }
 
 func TestRateFuncViolatesAssumption1(t *testing.T) {

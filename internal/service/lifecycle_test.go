@@ -121,3 +121,28 @@ func TestSameTickArrivalQueuedEvents(t *testing.T) {
 	wantPrefix(t, eventTypes(m, v.ID),
 		[]string{EventScheduled, EventSubmitted, EventQueued, EventAdmitted, EventFinished}, v.ID)
 }
+
+// The event log follows the clock: a delayed arrival that lands mid-tick is
+// logged when it lands, ahead of the finishes and refills at the tick's end.
+func TestArrivalLoggedInClockOrder(t *testing.T) {
+	db := engine.Open()
+	loadTable(t, db, "t1", 10)
+	m := manual(t, db, sched.Config{RateC: 10, Quantum: 0.5, MPL: 1})
+
+	if _, err := m.Submit(SubmitRequest{Label: "q1", SQL: "SELECT COUNT(*) FROM t1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(SubmitRequest{Label: "q2", SQL: "SELECT COUNT(*) FROM t1", Delay: 1.05}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	evs := m.Events(0)
+	for i := 1; i < len(evs); i++ {
+		if prev, ev := evs[i-1], evs[i]; ev.Virtual < prev.Virtual {
+			t.Errorf("seq %d q%d %s at t=%g logged after seq %d q%d %s at t=%g",
+				ev.Seq, ev.QueryID, ev.Type, ev.Virtual, prev.Seq, prev.QueryID, prev.Type, prev.Virtual)
+		}
+	}
+}

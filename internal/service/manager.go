@@ -155,8 +155,6 @@ type Manager struct {
 	epoch      uint64          // last published snapshot epoch
 	debt       float64         // virtual seconds owed but not yet ticked
 	lastFinish map[int]float64 // query -> last predicted absolute finish time
-	queuedSet  map[int]bool    // queries last seen in the admission queue
-	schedSet   map[int]bool    // queries still waiting as future arrivals
 	// est is the Manager's one estimator. Every pass is a function of its
 	// input alone; what est keeps between passes is scratch memory (the
 	// stage model's finish-tag heap and finish slice).
@@ -192,8 +190,6 @@ func New(db *engine.DB, cfg Config) *Manager {
 		db:         db,
 		srv:        sched.New(cfg.Sched),
 		lastFinish: make(map[int]float64),
-		queuedSet:  make(map[int]bool),
-		schedSet:   make(map[int]bool),
 	}
 	if m.cfg.RevisionEpsilon <= 0 {
 		m.cfg.RevisionEpsilon = m.srv.Quantum()
@@ -206,7 +202,7 @@ func New(db *engine.DB, cfg Config) *Manager {
 	if est.Mode() != core.EstimatorStage {
 		m.calib = core.NewEnsembleCalib()
 	}
-	m.srv.OnFinish(m.onFinish)
+	m.srv.OnStatus(m.onStatus)
 	m.metrics.snap = &m.snap
 	m.publish() // epoch 1: readers never observe a nil snapshot
 	go m.loop()
@@ -397,7 +393,6 @@ func (m *Manager) advance(vsec float64, perTick bool) (ticks int) {
 		m.counts.tickRounds += uint64(st.Rounds)
 		m.debt -= quantum
 		ticks++
-		m.recordAdmissions() // per tick: its events carry this tick's clock
 		if perTick {
 			m.observe()
 		}
@@ -408,36 +403,58 @@ func (m *Manager) advance(vsec float64, perTick bool) (ticks int) {
 	return ticks
 }
 
-// onFinish runs inside sched.Tick on the owner goroutine.
-func (m *Manager) onFinish(q *sched.Query) {
-	info := m.srv.InfoOf(q)
-	// A query can be admitted and finish within the same tick (a scheduled
-	// arrival or queue refill followed by a fast plan): its pending
-	// submitted/admitted events have not been emitted yet, and once the query
-	// retires recordAdmissions will no longer see it in Running. Emit them
-	// here so the lifecycle stays ordered ahead of the finished/failed event.
-	if m.schedSet[info.ID] {
-		m.recordArrival(info.ID, info.SubmitTime, info.StartTime)
-	}
-	if m.queuedSet[info.ID] {
-		delete(m.queuedSet, info.ID)
-		m.events.add(info.StartTime, info.ID, EventAdmitted, "")
-	}
-	delete(m.lastFinish, info.ID)
-	if info.Status == sched.StatusFailed {
-		if m.calib != nil {
-			m.calib.Forget(info.ID) // a failure is not an ETA residual
+// onStatus is the scheduler's lifecycle callback, and the only place the
+// lifecycle events and counters are recorded: sched calls it on the owner
+// goroutine each time it sets a query's status, at the virtual time of the
+// change, so the event log follows the clock. A query that leaves — finished,
+// failed or aborted — is settled here too.
+func (m *Manager) onStatus(q *sched.Query, from sched.Status) {
+	now := m.srv.Now()
+	switch q.Status {
+	case sched.StatusScheduled:
+		m.counts.submitted++
+		m.events.add(now, q.ID, EventScheduled, fmt.Sprintf("arrives at t=%.3fs", q.SubmitTime))
+	case sched.StatusBlocked:
+		m.counts.blocked++
+		m.events.add(now, q.ID, EventBlocked, "")
+	case sched.StatusQueued, sched.StatusRunning:
+		switch from {
+		case sched.StatusBlocked:
+			m.counts.unblocked++
+			m.events.add(now, q.ID, EventUnblocked, "")
+			return
+		case sched.StatusNew:
+			m.counts.submitted++
+			m.events.add(now, q.ID, EventSubmitted, "")
+		case sched.StatusScheduled:
+			m.events.add(now, q.ID, EventSubmitted, "scheduled arrival")
 		}
-		m.counts.failed++
-		m.events.add(info.FinishTime, info.ID, EventFailed, info.Err)
-		return
+		if q.Status == sched.StatusQueued {
+			m.events.add(now, q.ID, EventQueued, "")
+		} else {
+			m.events.add(now, q.ID, EventAdmitted, "")
+		}
+	case sched.StatusFinished:
+		delete(m.lastFinish, q.ID)
+		if m.calib != nil {
+			m.calib.Finish(q.ID, q.FinishTime)
+		}
+		m.counts.finished++
+		m.events.add(q.FinishTime, q.ID, EventFinished,
+			fmt.Sprintf("latency %.3fs, %.1f U", q.FinishTime-q.SubmitTime, q.Runner.WorkDone()))
+	case sched.StatusFailed, sched.StatusAborted:
+		delete(m.lastFinish, q.ID)
+		if m.calib != nil {
+			m.calib.Forget(q.ID) // a failure or an abort is not an ETA residual
+		}
+		if q.Status == sched.StatusAborted {
+			m.counts.aborted++
+			m.events.add(q.FinishTime, q.ID, EventAborted, "")
+		} else {
+			m.counts.failed++
+			m.events.add(q.FinishTime, q.ID, EventFailed, q.Err.Error())
+		}
 	}
-	if m.calib != nil {
-		m.calib.Finish(info.ID, info.FinishTime)
-	}
-	m.counts.finished++
-	m.events.add(info.FinishTime, info.ID, EventFinished,
-		fmt.Sprintf("latency %.3fs, %.1f U", info.FinishTime-info.SubmitTime, info.Done))
 }
 
 // revision is one query's multi-query ETA of one pass, keyed for the
@@ -501,47 +518,6 @@ func (m *Manager) revise(now float64, id int, eta float64) {
 	m.lastFinish[id] = abs
 }
 
-// recordAdmissions emits the lifecycle events for queries that left the
-// admission queue or the arrival schedule since the last reconciliation:
-// queue refills become admitted events, arrivals become submitted (+queued or
-// +admitted) events. It runs after every tick and after any control action
-// that can free an MPL slot (sched.Abort of an admitted query refills the
-// queue synchronously), so no admission goes unrecorded. Owner goroutine
-// only.
-func (m *Manager) recordAdmissions() {
-	now := m.srv.Now()
-	for _, q := range m.srv.Running() {
-		if m.queuedSet[q.ID] {
-			delete(m.queuedSet, q.ID)
-			m.events.add(now, q.ID, EventAdmitted, "")
-		}
-		if m.schedSet[q.ID] {
-			m.recordArrival(q.ID, q.SubmitTime, q.StartTime)
-		}
-	}
-	for _, q := range m.srv.Queued() {
-		if m.schedSet[q.ID] {
-			delete(m.schedSet, q.ID)
-			m.queuedSet[q.ID] = true
-			m.events.add(q.SubmitTime, q.ID, EventSubmitted, "scheduled arrival")
-			m.events.add(q.SubmitTime, q.ID, EventQueued, "")
-		}
-	}
-}
-
-// recordArrival emits the lifecycle of a scheduled arrival the scheduler has
-// already admitted: submitted at its arrival, queued there too when it waited
-// for a slot (it can queue and be admitted within one tick, unseen by any
-// reconciliation), and admitted at its start. Owner goroutine only.
-func (m *Manager) recordArrival(id int, submit, start float64) {
-	delete(m.schedSet, id)
-	m.events.add(submit, id, EventSubmitted, "scheduled arrival")
-	if start > submit {
-		m.events.add(submit, id, EventQueued, "")
-	}
-	m.events.add(start, id, EventAdmitted, "")
-}
-
 // SubmitRequest describes one query submission.
 type SubmitRequest struct {
 	Label    string `json:"label"`
@@ -573,21 +549,10 @@ func (m *Manager) Submit(req SubmitRequest) (QueryView, error) {
 		}
 		r.CollectRows = false
 		q := m.srv.NewQuery(req.Label, req.SQL, req.Priority, r)
-		now := m.srv.Now()
-		m.counts.submitted++
 		if req.Delay > 0 {
-			m.srv.ScheduleArrival(now+req.Delay, q)
-			m.schedSet[q.ID] = true
-			m.events.add(now, q.ID, EventScheduled, fmt.Sprintf("arrives at t=%.3fs", now+req.Delay))
+			m.srv.ScheduleArrival(m.srv.Now()+req.Delay, q)
 		} else {
 			m.srv.Submit(q)
-			m.events.add(now, q.ID, EventSubmitted, "")
-			if q.Status == sched.StatusQueued {
-				m.queuedSet[q.ID] = true
-				m.events.add(now, q.ID, EventQueued, "")
-			} else {
-				m.events.add(now, q.ID, EventAdmitted, "")
-			}
 		}
 		id = q.ID
 	}, 0)
@@ -696,66 +661,36 @@ func (m *Manager) SetFold(on bool) error {
 }
 
 // Block suspends an admitted query (the §3.1 victim operation).
-func (m *Manager) Block(id int) error { return m.op(id, "block") }
+func (m *Manager) Block(id int) error { return m.op(id, m.srv.Block) }
 
 // Unblock resumes a blocked query.
-func (m *Manager) Unblock(id int) error { return m.op(id, "unblock") }
+func (m *Manager) Unblock(id int) error { return m.op(id, m.srv.Unblock) }
 
 // Abort terminates a query wherever it is.
-func (m *Manager) Abort(id int) error { return m.op(id, "abort") }
-
-func (m *Manager) op(id int, kind string) error {
-	var rerr error
-	err := m.call(func() {
-		if _, ok := m.srv.Lookup(id); !ok {
-			rerr = ErrNotFound
-			return
-		}
-		switch kind {
-		case "block":
-			if rerr = m.srv.Block(id); rerr == nil {
-				m.counts.blocked++
-				m.events.add(m.srv.Now(), id, EventBlocked, "")
-			}
-		case "unblock":
-			if rerr = m.srv.Unblock(id); rerr == nil {
-				m.counts.unblocked++
-				m.events.add(m.srv.Now(), id, EventUnblocked, "")
-			}
-		case "abort":
-			if rerr = m.srv.Abort(id); rerr == nil {
-				m.counts.aborted++
-				delete(m.lastFinish, id)
-				delete(m.queuedSet, id)
-				delete(m.schedSet, id)
-				if m.calib != nil {
-					m.calib.Forget(id) // an abort is not an ETA residual
-				}
-				m.events.add(m.srv.Now(), id, EventAborted, "")
-				// Aborting an admitted query frees its MPL slot and the
-				// scheduler refills from the queue synchronously; record the
-				// replacement's admission now rather than at the next tick.
-				m.recordAdmissions()
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return rerr
-}
+func (m *Manager) Abort(id int) error { return m.op(id, m.srv.Abort) }
 
 // SetPriority changes a query's priority (the §3.1 "natural choice").
 func (m *Manager) SetPriority(id, priority int) error {
+	return m.op(id, func(id int) error {
+		if err := m.srv.SetPriority(id, priority); err != nil {
+			return err
+		}
+		m.events.add(m.srv.Now(), id, EventPriority, fmt.Sprintf("priority=%d", priority))
+		return nil
+	})
+}
+
+// op runs one scheduler control on the owner goroutine: ErrNotFound for an id
+// the scheduler does not know, otherwise the control's own answer. The events
+// of the status changes it makes are logged by onStatus.
+func (m *Manager) op(id int, control func(id int) error) error {
 	var rerr error
 	err := m.call(func() {
 		if _, ok := m.srv.Lookup(id); !ok {
 			rerr = ErrNotFound
 			return
 		}
-		if rerr = m.srv.SetPriority(id, priority); rerr == nil {
-			m.events.add(m.srv.Now(), id, EventPriority, fmt.Sprintf("priority=%d", priority))
-		}
+		rerr = control(id)
 	})
 	if err != nil {
 		return err
