@@ -18,12 +18,16 @@ test:
 # `make benchmark`'s five minutes. QueueAwareEstimate prices the largest piece of such a wake-up,
 # the §2.3 queue-aware estimate pass, against the event-stepped oracle it
 # replaced (r64/q936 = backlog_submit's depth, r8/q40 = a lightly queued tier).
+# ScanKernel times scan_share's query shape (a filtered COUNT/SUM over a 120k-row
+# lineitem) through Runner.Step alone: ns/U of the compiled expressions and the
+# operators, with no scheduler or service around them.
 bench:
 	$(GO) test -run '^$$' -bench ConcurrentPoll -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench OwnerWakeup -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench QueueAwareEstimate -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench ParallelTick -benchmem ./internal/sched/
 	$(GO) test -run '^$$' -bench SharedScan -benchmem ./internal/sched/
+	$(GO) test -run '^$$' -bench ScanKernel -benchmem ./internal/engine/exec/
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...

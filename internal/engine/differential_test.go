@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,46 +86,62 @@ type pred interface {
 	Eval(r refRow) tv
 }
 
+// cmpPred compares a column (plus a constant, for arithmetic) with a
+// constant, the constant on either side. mixed pits a numeric column
+// against the other numeric kind's constant: a BIGINT column against a
+// DOUBLE literal, a DOUBLE column against a BIGINT literal.
 type cmpPred struct {
-	col string // "a", "b", or "c"
-	op  string // =, <>, <, <=, >, >=
-	i   int64
-	f   float64
-	s   string
+	col   string // "a", "b", or "c"
+	op    string // =, <>, <, <=, >, >=
+	i     int64
+	f     float64
+	s     string
+	flip  bool  // the constant is the left operand
+	mixed bool  // numeric column against the other numeric kind's constant
+	plus  int64 // when nonzero, the operand is (col + plus); numeric columns only
 }
 
 func (p cmpPred) SQL() string {
-	switch p.col {
-	case "a":
-		return fmt.Sprintf("a %s %d", p.op, p.i)
-	case "b":
-		return fmt.Sprintf("b %s %g", p.op, p.f)
-	default:
-		return fmt.Sprintf("c %s '%s'", p.op, p.s)
+	operand, konst := p.col, fmt.Sprintf("'%s'", p.s)
+	if p.plus != 0 {
+		operand = fmt.Sprintf("(%s + %d)", p.col, p.plus)
 	}
+	switch {
+	case p.col == "a" && p.mixed, p.col == "b" && !p.mixed:
+		konst = strconv.FormatFloat(p.f, 'g', -1, 64)
+		if p.mixed && !strings.ContainsAny(konst, ".e") {
+			konst += ".0"
+		}
+	case p.col != "c":
+		konst = fmt.Sprint(p.i)
+	}
+	if p.flip {
+		return fmt.Sprintf("%s %s %s", konst, p.op, operand)
+	}
+	return fmt.Sprintf("%s %s %s", operand, p.op, konst)
 }
 
 func (p cmpPred) Eval(r refRow) tv {
 	var cmp int
 	switch p.col {
-	case "a":
-		if r.a == nil {
+	case "a", "b":
+		var x float64
+		switch {
+		case p.col == "a" && r.a != nil:
+			x = float64(*r.a + p.plus)
+		case p.col == "b" && r.b != nil:
+			x = *r.b + float64(p.plus)
+		default:
 			return 0
 		}
-		switch {
-		case *r.a < p.i:
-			cmp = -1
-		case *r.a > p.i:
-			cmp = 1
-		}
-	case "b":
-		if r.b == nil {
-			return 0
+		k := p.f
+		if (p.col == "a") != p.mixed {
+			k = float64(p.i)
 		}
 		switch {
-		case *r.b < p.f:
+		case x < k:
 			cmp = -1
-		case *r.b > p.f:
+		case x > k:
 			cmp = 1
 		}
 	default:
@@ -137,6 +154,9 @@ func (p cmpPred) Eval(r refRow) tv {
 		case r.c > p.s:
 			cmp = 1
 		}
+	}
+	if p.flip {
+		cmp = -cmp
 	}
 	switch p.op {
 	case "=":
@@ -221,11 +241,20 @@ func randomPred(rng *rand.Rand, depth int) pred {
 		}
 		ops := []string{"=", "<>", "<", "<=", ">", ">="}
 		p := cmpPred{
-			col: []string{"a", "b", "c"}[rng.Intn(3)],
-			op:  ops[rng.Intn(len(ops))],
-			i:   int64(rng.Intn(21) - 10),
-			f:   float64(rng.Intn(200))/10 - 10,
-			s:   []string{"ant", "bee", "cat", "dog", "elk"}[rng.Intn(5)],
+			col:  []string{"a", "b", "c"}[rng.Intn(3)],
+			op:   ops[rng.Intn(len(ops))],
+			i:    int64(rng.Intn(21) - 10),
+			f:    float64(rng.Intn(200))/10 - 10,
+			s:    []string{"ant", "bee", "cat", "dog", "elk"}[rng.Intn(5)],
+			flip: rng.Intn(3) == 0,
+		}
+		if p.col != "c" {
+			switch rng.Intn(4) {
+			case 0:
+				p.mixed = true
+			case 1:
+				p.plus = int64(1 + rng.Intn(3))
+			}
 		}
 		return p
 	}
@@ -506,5 +535,64 @@ func TestDifferentialCorrelatedSubquery(t *testing.T) {
 	}
 	if len(rows) != want {
 		t.Fatalf("correlated subquery: got %d rows, want %d", len(rows), want)
+	}
+}
+
+// TestDifferentialDML runs DELETE and UPDATE under random WHERE clauses, so
+// the predicate DML compiles once per statement is checked row by row
+// against the reference evaluator: UPDATE must change exactly the rows the
+// reference matches, and DELETE must leave exactly the rows it does not.
+func TestDifferentialDML(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for trial := 0; trial < 40; trial++ {
+		db := Open()
+		ref := buildRandomTable(t, db, rng, 150)
+		p := randomPred(rng, 2)
+		update := "UPDATE t SET a = a + 100 WHERE " + p.SQL()
+		del := "DELETE FROM t WHERE " + p.SQL()
+		var afterUpdate, afterDelete []string
+		matched := 0
+		for _, r := range ref {
+			if p.Eval(r) != 1 {
+				afterDelete = append(afterDelete, refKeyOf(r))
+				afterUpdate = append(afterUpdate, refKeyOf(r))
+				continue
+			}
+			matched++
+			if r.a != nil {
+				v := *r.a + 100
+				r.a = &v
+			}
+			afterUpdate = append(afterUpdate, refKeyOf(r))
+		}
+		check := func(stmt string, want []string) {
+			t.Helper()
+			n, err := db.Exec(stmt)
+			if err != nil {
+				t.Fatalf("trial %d: %s: %v", trial, stmt, err)
+			}
+			if n != matched {
+				t.Fatalf("trial %d: %s touched %d rows, reference matches %d", trial, stmt, n, matched)
+			}
+			rows, _, _, err := db.Query("SELECT * FROM t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]string, 0, len(rows))
+			for _, r := range rows {
+				got = append(got, rowKeyOf(r))
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if strings.Join(got, "\x00") != strings.Join(want, "\x00") {
+				t.Fatalf("trial %d: %s\ntable has %d rows after it, reference %d", trial, stmt, len(got), len(want))
+			}
+		}
+		check(update, afterUpdate)
+		// The predicate now sees the updated a values; undo them first.
+		if _, err := db.Exec("UPDATE t SET a = a - 100 WHERE a >= 90"); err != nil {
+			t.Fatal(err)
+		}
+		check(del, afterDelete)
 	}
 }

@@ -97,6 +97,10 @@ func (db *DB) matchingRows(tableName string, pred plan.Expr) ([]storage.RowID, e
 	if err != nil {
 		return nil, err
 	}
+	if pred == nil {
+		pred = plan.Const{Val: types.NewBool(true)}
+	}
+	match := exec.Compile(pred)
 	ctx := exec.NewCtx()
 	var out []storage.RowID
 	for p := 0; p < t.Rel.NumPages(); p++ {
@@ -105,14 +109,12 @@ func (db *DB) matchingRows(tableName string, pred plan.Expr) ([]storage.RowID, e
 			if !t.Rel.Live(rid) {
 				continue
 			}
-			if pred != nil {
-				v, err := exec.EvalExpr(pred, row, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Truthy() {
-					continue
-				}
+			v, err := match(row, ctx)
+			if err != nil {
+				return nil, err
+			}
+			if !v.Truthy() {
+				continue
 			}
 			out = append(out, rid)
 		}
@@ -156,7 +158,7 @@ func (db *DB) execUpdate(st sql.Update) (int, error) {
 	}
 	type setSpec struct {
 		idx  int
-		expr plan.Expr
+		eval exec.Eval
 	}
 	specs := make([]setSpec, 0, len(st.Sets))
 	for _, set := range st.Sets {
@@ -168,7 +170,7 @@ func (db *DB) execUpdate(st sql.Update) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		specs = append(specs, setSpec{idx: ci, expr: bound})
+		specs = append(specs, setSpec{idx: ci, eval: exec.Compile(bound)})
 	}
 	rids, err := db.matchingRows(st.Table, pred)
 	if err != nil {
@@ -185,7 +187,7 @@ func (db *DB) execUpdate(st sql.Update) (int, error) {
 		}
 		nr := old.Clone()
 		for _, sp := range specs {
-			v, err := exec.EvalExpr(sp.expr, old, ctx)
+			v, err := sp.eval(old, ctx)
 			if err != nil {
 				return 0, err
 			}

@@ -10,212 +10,256 @@ import (
 
 type row = types.Row
 
-// EvalExpr evaluates a bound expression against a row — the public entry
-// point DELETE/UPDATE execution uses to run predicates and SET expressions
-// (including any embedded sub-plans) outside a full operator tree.
-func EvalExpr(e plan.Expr, r types.Row, ctx *Ctx) (types.Value, error) {
-	return evalExpr(e, r, ctx)
-}
+// Eval is a compiled expression, evaluated against the current row with SQL
+// three-valued logic. Sub-plans run inline, charging the context's meter: this
+// is how the paper's correlated sub-query dominates its query's cost.
+type Eval func(r row, ctx *Ctx) (types.Value, error)
 
-// evalExpr evaluates a bound expression against the current row with SQL
-// three-valued logic. Scalar sub-plans execute inline, charging their work
-// to the context's meter — this is how the paper's correlated sub-query
-// dominates its query's cost.
-func evalExpr(e plan.Expr, r row, ctx *Ctx) (types.Value, error) {
+// Compile walks a bound expression once and returns its Eval; Build compiles
+// each expression of an operator tree, DELETE/UPDATE each of a statement's.
+// An Eval holding a sub-plan's operator tree is as single-owner as a Runner.
+func Compile(e plan.Expr) Eval {
 	switch x := e.(type) {
 	case plan.ColIdx:
-		if x.Idx >= len(r) {
-			return types.Null, fmt.Errorf("exec: column index %d out of range (row width %d)", x.Idx, len(r))
+		idx := x.Idx
+		return func(r row, _ *Ctx) (types.Value, error) {
+			if idx >= len(r) {
+				return types.Null, colRangeErr(idx, r)
+			}
+			return r[idx], nil
 		}
-		return r[x.Idx], nil
 	case plan.OuterCol:
-		pos := len(ctx.Outer) - x.Level
-		if pos < 0 || pos >= len(ctx.Outer) {
-			return types.Null, fmt.Errorf("exec: outer reference level %d with %d outer rows", x.Level, len(ctx.Outer))
+		return func(_ row, ctx *Ctx) (types.Value, error) {
+			pos := len(ctx.Outer) - x.Level
+			if pos < 0 || pos >= len(ctx.Outer) {
+				return types.Null, fmt.Errorf("exec: outer reference level %d with %d outer rows", x.Level, len(ctx.Outer))
+			}
+			or := ctx.Outer[pos]
+			if x.Idx >= len(or) {
+				return types.Null, fmt.Errorf("exec: outer column index %d out of range", x.Idx)
+			}
+			return or[x.Idx], nil
 		}
-		or := ctx.Outer[pos]
-		if x.Idx >= len(or) {
-			return types.Null, fmt.Errorf("exec: outer column index %d out of range", x.Idx)
-		}
-		return or[x.Idx], nil
 	case plan.Const:
-		return x.Val, nil
+		v := x.Val
+		return func(row, *Ctx) (types.Value, error) { return v, nil }
 	case plan.BinaryExpr:
-		return evalBinary(x, r, ctx)
+		return compileBinary(x)
 	case plan.NotExpr:
-		v, err := evalExpr(x.X, r, ctx)
+		return unary(x.X, func(v types.Value) (types.Value, error) {
+			if v.IsNull() {
+				return types.Null, nil
+			}
+			return types.NewBool(!v.Truthy()), nil
+		})
+	case plan.NegExpr:
+		return unary(x.X, func(v types.Value) (types.Value, error) { return types.Arith(types.OpSub, types.NewInt(0), v) })
+	case plan.IsNullExpr:
+		return unary(x.X, func(v types.Value) (types.Value, error) { return types.NewBool(v.IsNull() != x.Negate), nil })
+	case plan.SubplanExpr:
+		return compileSubplan(x.Plan, true, false)
+	case plan.ExistsExpr:
+		return compileSubplan(x.Plan, false, x.Negate)
+	default:
+		err := fmt.Errorf("exec: unsupported expression %T", e)
+		return func(row, *Ctx) (types.Value, error) { return types.Null, err }
+	}
+}
+
+func colRangeErr(idx int, r row) error {
+	return fmt.Errorf("exec: column index %d out of range (row width %d)", idx, len(r))
+}
+
+func unary(x plan.Expr, f func(types.Value) (types.Value, error)) Eval {
+	sub := Compile(x)
+	return func(r row, ctx *Ctx) (types.Value, error) {
+		v, err := sub(r, ctx)
 		if err != nil {
 			return types.Null, err
 		}
-		if v.IsNull() {
+		return f(v)
+	}
+}
+
+// compileSubplan builds a sub-query's operator tree once, at its first
+// evaluation, so a runner that never runs holds none; each evaluation re-opens
+// it (Open resets every operator) with the current row pushed onto the
+// outer-row stack and the yield limit suspended: one evaluation is the
+// indivisible work quantum. A scalar sub-query of zero rows yields NULL, of
+// more than one an error, as in PostgreSQL; EXISTS stops at the first row.
+func compileSubplan(p plan.Node, scalar, negate bool) Eval {
+	var op Operator
+	return func(r row, ctx *Ctx) (types.Value, error) {
+		if op == nil {
+			op = Build(p)
+		}
+		ctx.Outer = append(ctx.Outer, r)
+		savedLimit := ctx.Limit
+		ctx.Limit = 0
+		defer func() {
+			ctx.Outer = ctx.Outer[:len(ctx.Outer)-1]
+			ctx.Limit = savedLimit
+		}()
+		if err := op.Open(ctx); err != nil {
+			return types.Null, err
+		}
+		defer op.Close()
+		first, err := op.Next(ctx)
+		switch {
+		case err != nil:
+			return types.Null, err
+		case !scalar:
+			return types.NewBool((first != nil) != negate), nil
+		case first == nil:
 			return types.Null, nil
 		}
-		return types.NewBool(!v.Truthy()), nil
-	case plan.NegExpr:
-		v, err := evalExpr(x.X, r, ctx)
-		if err != nil {
+		if second, err := op.Next(ctx); err != nil || second != nil {
+			if err == nil {
+				err = fmt.Errorf("exec: scalar sub-query returned more than one row")
+			}
 			return types.Null, err
 		}
-		return types.Arith(types.OpSub, types.NewInt(0), v)
-	case plan.IsNullExpr:
-		v, err := evalExpr(x.X, r, ctx)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(v.IsNull() != x.Negate), nil
-	case plan.SubplanExpr:
-		return evalSubplan(x, r, ctx)
-	case plan.ExistsExpr:
-		return evalExists(x, r, ctx)
-	default:
-		return types.Null, fmt.Errorf("exec: unsupported expression %T", e)
+		return first[0], nil
 	}
 }
 
-// evalExists runs an EXISTS sub-query, stopping at the first row.
-func evalExists(x plan.ExistsExpr, r row, ctx *Ctx) (types.Value, error) {
-	op := Build(x.Plan)
-	ctx.Outer = append(ctx.Outer, r)
-	savedLimit := ctx.Limit
-	ctx.Limit = 0
-	defer func() {
-		ctx.Outer = ctx.Outer[:len(ctx.Outer)-1]
-		ctx.Limit = savedLimit
-	}()
-	if err := op.Open(ctx); err != nil {
-		return types.Null, err
-	}
-	defer op.Close()
-	first, err := op.Next(ctx)
-	if err != nil {
-		return types.Null, err
-	}
-	return types.NewBool((first != nil) != x.Negate), nil
+var arithOps = map[sql.BinOp]types.ArithOp{
+	sql.BinAdd: types.OpAdd, sql.BinSub: types.OpSub, sql.BinMul: types.OpMul, sql.BinDiv: types.OpDiv,
 }
 
-func evalBinary(x plan.BinaryExpr, r row, ctx *Ctx) (types.Value, error) {
-	switch x.Op {
-	case sql.BinAnd, sql.BinOr:
-		return evalLogical(x, r, ctx)
+func compileBinary(x plan.BinaryExpr) Eval {
+	if x.Op == sql.BinAnd || x.Op == sql.BinOr {
+		return compileLogical(x.Op == sql.BinAnd, Compile(x.L), Compile(x.R))
 	}
-	l, err := evalExpr(x.L, r, ctx)
-	if err != nil {
-		return types.Null, err
+	arith, isArith := arithOps[x.Op]
+	truth, ok := truthTables[x.Op]
+	cmp := comparison{x.Op, truth, ok}
+	if ok {
+		if fast := compileColConst(cmp, x); fast != nil {
+			return fast
+		}
 	}
-	rv, err := evalExpr(x.R, r, ctx)
-	if err != nil {
-		return types.Null, err
+	l, r := Compile(x.L), Compile(x.R)
+	return func(rw row, ctx *Ctx) (types.Value, error) {
+		lv, err := l(rw, ctx)
+		if err != nil {
+			return types.Null, err
+		}
+		rv, err := r(rw, ctx)
+		if err != nil {
+			return types.Null, err
+		}
+		if isArith {
+			return types.Arith(arith, lv, rv)
+		}
+		return cmp.apply(lv, rv)
 	}
-	switch x.Op {
-	case sql.BinAdd:
-		return types.Arith(types.OpAdd, l, rv)
-	case sql.BinSub:
-		return types.Arith(types.OpSub, l, rv)
-	case sql.BinMul:
-		return types.Arith(types.OpMul, l, rv)
-	case sql.BinDiv:
-		return types.Arith(types.OpDiv, l, rv)
+}
+
+// compileColConst compiles a column-vs-constant comparison, column on either
+// side, or returns nil for any other shape. A row value of the constant's
+// numeric kind compares on int64 or float64 directly; every other pair of
+// kinds falls back to comparison.apply, as the generic path does.
+func compileColConst(cmp comparison, x plan.BinaryExpr) Eval {
+	col, cok := x.L.(plan.ColIdx)
+	k, kok := x.R.(plan.Const)
+	constFirst := !cok || !kok
+	if constFirst {
+		col, cok = x.R.(plan.ColIdx)
+		k, kok = x.L.(plan.Const)
 	}
-	// Comparison: NULL operands yield NULL.
-	if l.IsNull() || rv.IsNull() {
+	if !cok || !kok {
+		return nil
+	}
+	idx, kv, kind := col.Idx, k.Val, k.Val.Kind()
+	// c compares column to constant; a constant on the left flips the outcome.
+	truth := cmp.truth
+	if constFirst {
+		truth[0], truth[2] = truth[2], truth[0]
+	}
+	return func(r row, _ *Ctx) (types.Value, error) {
+		if idx >= len(r) {
+			return types.Null, colRangeErr(idx, r)
+		}
+		v := &r[idx]
+		var c int
+		switch {
+		case v.Kind() == kind && kind == types.KindInt:
+			c = cmp3(v.Int(), kv.Int())
+		case v.Kind() == kind && kind == types.KindFloat:
+			c = cmp3(v.Float(), kv.Float())
+		case constFirst:
+			return cmp.apply(kv, *v)
+		default:
+			return cmp.apply(*v, kv)
+		}
+		return types.NewBool(truth[c+1]), nil
+	}
+}
+
+func cmp3[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// comparison is a comparison operator compiled to its truth value for each
+// three-way comparison outcome -1, 0 and 1; ok is false for an operator that
+// is not a comparison.
+type comparison struct {
+	op    sql.BinOp
+	truth [3]bool
+	ok    bool
+}
+
+var truthTables = map[sql.BinOp][3]bool{
+	sql.BinEq: {false, true, false}, sql.BinNe: {true, false, true},
+	sql.BinLt: {true, false, false}, sql.BinLe: {true, true, false},
+	sql.BinGt: {false, false, true}, sql.BinGe: {false, true, true},
+}
+
+// apply compares two values with SQL semantics: a NULL operand yields NULL,
+// and incomparable kinds are an error.
+func (c comparison) apply(l, r types.Value) (types.Value, error) {
+	if l.IsNull() || r.IsNull() {
 		return types.Null, nil
 	}
-	cmp, err := types.Compare(l, rv)
+	cmp, err := types.Compare(l, r)
 	if err != nil {
 		return types.Null, err
 	}
-	var out bool
-	switch x.Op {
-	case sql.BinEq:
-		out = cmp == 0
-	case sql.BinNe:
-		out = cmp != 0
-	case sql.BinLt:
-		out = cmp < 0
-	case sql.BinLe:
-		out = cmp <= 0
-	case sql.BinGt:
-		out = cmp > 0
-	case sql.BinGe:
-		out = cmp >= 0
-	default:
-		return types.Null, fmt.Errorf("exec: unsupported binary op %v", x.Op)
+	if !c.ok {
+		return types.Null, fmt.Errorf("exec: unsupported binary op %v", c.op)
 	}
-	return types.NewBool(out), nil
+	return types.NewBool(c.truth[cmp+1]), nil
 }
 
-// evalLogical implements SQL three-valued AND/OR with short-circuiting.
-func evalLogical(x plan.BinaryExpr, r row, ctx *Ctx) (types.Value, error) {
-	l, err := evalExpr(x.L, r, ctx)
-	if err != nil {
-		return types.Null, err
-	}
-	if x.Op == sql.BinAnd {
-		if !l.IsNull() && !l.Truthy() {
-			return types.NewBool(false), nil
+// compileLogical implements SQL three-valued AND/OR with short-circuiting; OR
+// is AND with the roles of true and false swapped.
+func compileLogical(and bool, l, r Eval) Eval {
+	decides := !and // the operand value that settles the result alone
+	return func(rw row, ctx *Ctx) (types.Value, error) {
+		lv, err := l(rw, ctx)
+		if err != nil {
+			return types.Null, err
 		}
-		rv, err := evalExpr(x.R, r, ctx)
+		if !lv.IsNull() && lv.Truthy() == decides {
+			return types.NewBool(decides), nil
+		}
+		rv, err := r(rw, ctx)
 		if err != nil {
 			return types.Null, err
 		}
 		switch {
-		case !rv.IsNull() && !rv.Truthy():
-			return types.NewBool(false), nil
-		case l.IsNull() || rv.IsNull():
+		case !rv.IsNull() && rv.Truthy() == decides:
+			return types.NewBool(decides), nil
+		case lv.IsNull() || rv.IsNull():
 			return types.Null, nil
-		default:
-			return types.NewBool(true), nil
 		}
+		return types.NewBool(!decides), nil
 	}
-	// OR
-	if !l.IsNull() && l.Truthy() {
-		return types.NewBool(true), nil
-	}
-	rv, err := evalExpr(x.R, r, ctx)
-	if err != nil {
-		return types.Null, err
-	}
-	switch {
-	case !rv.IsNull() && rv.Truthy():
-		return types.NewBool(true), nil
-	case l.IsNull() || rv.IsNull():
-		return types.Null, nil
-	default:
-		return types.NewBool(false), nil
-	}
-}
-
-// evalSubplan runs a scalar sub-query with the current row pushed onto the
-// outer-row stack. Zero rows yield NULL; more than one row is an error, as
-// in PostgreSQL.
-func evalSubplan(x plan.SubplanExpr, r row, ctx *Ctx) (types.Value, error) {
-	op := Build(x.Plan)
-	ctx.Outer = append(ctx.Outer, r)
-	// One scalar sub-query evaluation is the indivisible work quantum:
-	// suspend the yield limit so the sub-plan's own loops run to completion.
-	savedLimit := ctx.Limit
-	ctx.Limit = 0
-	defer func() {
-		ctx.Outer = ctx.Outer[:len(ctx.Outer)-1]
-		ctx.Limit = savedLimit
-	}()
-	if err := op.Open(ctx); err != nil {
-		return types.Null, err
-	}
-	defer op.Close()
-	first, err := op.Next(ctx)
-	if err != nil {
-		return types.Null, err
-	}
-	if first == nil {
-		return types.Null, nil
-	}
-	second, err := op.Next(ctx)
-	if err != nil {
-		return types.Null, err
-	}
-	if second != nil {
-		return types.Null, fmt.Errorf("exec: scalar sub-query returned more than one row")
-	}
-	return first[0], nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -14,7 +15,7 @@ import (
 
 func evalOn(t *testing.T, e plan.Expr, r types.Row, ctx *Ctx) types.Value {
 	t.Helper()
-	v, err := EvalExpr(e, r, ctx)
+	v, err := Compile(e)(r, ctx)
 	if err != nil {
 		t.Fatalf("eval %s: %v", e.String(), err)
 	}
@@ -139,17 +140,17 @@ func TestEvalOuterColLevels(t *testing.T) {
 	if got := evalOn(t, plan.OuterCol{Level: 2, Idx: 0}, nil, ctx); got.Int() != 100 {
 		t.Errorf("level 2 = %v", got)
 	}
-	if _, err := EvalExpr(plan.OuterCol{Level: 3, Idx: 0}, nil, ctx); err == nil {
+	if _, err := Compile(plan.OuterCol{Level: 3, Idx: 0})(nil, ctx); err == nil {
 		t.Error("level beyond the stack should fail")
 	}
-	if _, err := EvalExpr(plan.OuterCol{Level: 1, Idx: 5}, nil, ctx); err == nil {
+	if _, err := Compile(plan.OuterCol{Level: 1, Idx: 5})(nil, ctx); err == nil {
 		t.Error("index beyond the outer row should fail")
 	}
 }
 
 func TestEvalErrors(t *testing.T) {
 	ctx := NewCtx()
-	if _, err := EvalExpr(plan.ColIdx{Idx: 3}, types.Row{types.NewInt(1)}, ctx); err == nil {
+	if _, err := Compile(plan.ColIdx{Idx: 3})(types.Row{types.NewInt(1)}, ctx); err == nil {
 		t.Error("column index out of range should fail")
 	}
 	bad := plan.BinaryExpr{
@@ -157,7 +158,7 @@ func TestEvalErrors(t *testing.T) {
 		L:  plan.Const{Val: types.NewString("x")},
 		R:  plan.Const{Val: types.NewInt(1)},
 	}
-	if _, err := EvalExpr(bad, nil, ctx); err == nil {
+	if _, err := Compile(bad)(nil, ctx); err == nil {
 		t.Error("string arithmetic should fail")
 	}
 	mismatch := plan.BinaryExpr{
@@ -165,7 +166,7 @@ func TestEvalErrors(t *testing.T) {
 		L:  plan.Const{Val: types.NewString("x")},
 		R:  plan.Const{Val: types.NewInt(1)},
 	}
-	if _, err := EvalExpr(mismatch, nil, ctx); err == nil {
+	if _, err := Compile(mismatch)(nil, ctx); err == nil {
 		t.Error("string/int comparison should fail")
 	}
 }
@@ -321,5 +322,84 @@ func TestAccumulatorMixedIntFloatSum(t *testing.T) {
 	got := accs[0].result()
 	if got.Kind() != types.KindFloat || got.Float() != 2.5 {
 		t.Errorf("mixed sum = %v (%v)", got, got.Kind())
+	}
+}
+
+// TestCompileColConstMatchesCompare pins the typed fast path of a
+// column-vs-constant comparison, column on either side, to types.Compare's
+// semantics for every pair of kinds: same-kind ints and floats take the fast
+// path, every other pair the fallback, and all must agree on the result,
+// NULL, and the error.
+func TestCompileColConstMatchesCompare(t *testing.T) {
+	vals := []types.Value{
+		types.Null, types.NewInt(-3), types.NewInt(2), types.NewFloat(2), types.NewFloat(-0.5),
+		types.NewFloat(math.NaN()), types.NewString("x"), types.NewString("y"), types.NewBool(true), types.NewBool(false),
+	}
+	ops := map[sql.BinOp]func(c int) bool{
+		sql.BinEq: func(c int) bool { return c == 0 }, sql.BinNe: func(c int) bool { return c != 0 },
+		sql.BinLt: func(c int) bool { return c < 0 }, sql.BinLe: func(c int) bool { return c <= 0 },
+		sql.BinGt: func(c int) bool { return c > 0 }, sql.BinGe: func(c int) bool { return c >= 0 },
+	}
+	ctx := NewCtx()
+	for op, holds := range ops {
+		for _, cv := range vals {
+			for _, kv := range vals {
+				for _, constFirst := range []bool{false, true} {
+					e := plan.BinaryExpr{Op: op, L: plan.ColIdx{Idx: 1}, R: plan.Const{Val: kv}}
+					l, r := cv, kv
+					if constFirst {
+						e.L, e.R = e.R, e.L
+						l, r = kv, cv
+					}
+					got, err := Compile(e)(types.Row{types.Null, cv}, ctx)
+					cmp, werr := types.Compare(l, r)
+					switch {
+					case l.IsNull() || r.IsNull():
+						if err != nil || !got.IsNull() {
+							t.Errorf("%v %v %v = %v, %v; want NULL", l, op, r, got, err)
+						}
+					case werr != nil:
+						if err == nil || err.Error() != werr.Error() {
+							t.Errorf("%v %v %v: error %v, want %v", l, op, r, err, werr)
+						}
+					case err != nil || got.Kind() != types.KindBool || got.Bool() != holds(cmp):
+						t.Errorf("%v %v %v = %v, %v; want %v", l, op, r, got, err, holds(cmp))
+					}
+				}
+			}
+		}
+	}
+	if _, err := Compile(plan.BinaryExpr{Op: sql.BinGt, L: plan.Const{Val: types.NewInt(1)}, R: plan.ColIdx{Idx: 4}})(types.Row{types.NewInt(1)}, ctx); err == nil {
+		t.Error("column index out of range should fail on the fast path too")
+	}
+}
+
+// TestSubplanBuiltOncePerRunner: a correlated sub-query's operator tree is
+// built when its runner is, and each evaluation re-opens it. One more outer
+// row that evaluates the sub-query costs that evaluation's own allocations
+// (the probe's row ids, the aggregate's output row), far fewer than building
+// the sub-plan's tree and compiling its expressions again would.
+func TestSubplanBuiltOncePerRunner(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	c := buildCatalog(t, 60, 1200)
+	const sub = `(SELECT SUM(l.extendedprice) FROM lineitem l WHERE l.partkey = p.partkey)`
+	allocs := func(n int) float64 {
+		p := planQuery(t, c, fmt.Sprintf("SELECT p.partkey FROM part p WHERE p.partkey < %d AND p.retailprice < %s", n, sub))
+		return testing.AllocsPerRun(20, func() {
+			r := NewRunner(p)
+			r.CollectRows = false
+			if err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perRow := allocs(31) - allocs(30)
+	subPlan := planQuery(t, c, "SELECT SUM(l.extendedprice) FROM lineitem l WHERE l.partkey = 7")
+	build := testing.AllocsPerRun(20, func() { Build(subPlan) })
+	t.Logf("one more outer row: %.0f allocs; one Build of the sub-plan: %.0f", perRow, build)
+	if perRow > 4 || perRow >= build {
+		t.Fatalf("one more outer row costs %.0f allocs (a Build is %.0f); the sub-plan is being rebuilt per row", perRow, build)
 	}
 }

@@ -7,8 +7,8 @@
 // # Concurrency model
 //
 // Everything a running query mutates is query-private: the Runner, its
-// operator tree (including operators built on the fly for scalar sub-query
-// evaluation), its Ctx/WorkMeter, and any materialized state (sort buffers,
+// operator tree (including the sub-query trees its compiled expressions hold
+// and re-open), its Ctx/WorkMeter, and any materialized state (sort buffers,
 // aggregation groups, collected rows). Everything it reads through the plan
 // is shared but immutable during execution: plan nodes (costs are
 // precomputed), catalog tables, heap pages, and B+-tree nodes. Distinct

@@ -27,30 +27,45 @@ type Operator interface {
 	Progress() float64
 }
 
-// Build constructs an executable operator tree from a physical plan.
+// Build constructs an executable operator tree from a physical plan and
+// compiles each of its expressions (predicates, projections, keys) once.
 func Build(n plan.Node) Operator {
 	switch x := n.(type) {
 	case *plan.SeqScan:
 		return &seqScan{node: x}
 	case *plan.IndexScan:
-		return &indexScan{node: x}
+		return &indexScan{node: x, key: Compile(x.KeyExpr)}
 	case *plan.Filter:
-		return &filterOp{node: x, child: Build(x.Child)}
+		return &filterOp{pred: Compile(x.Pred), child: Build(x.Child)}
 	case *plan.Project:
-		return &projectOp{node: x, child: Build(x.Child)}
+		return &projectOp{exprs: compileEach(x.Exprs, func(e plan.Expr) plan.Expr { return e }), child: Build(x.Child)}
 	case *plan.NLJoin:
 		return &nlJoin{node: x, l: Build(x.L), r: Build(x.R)}
 	case *plan.Agg:
-		return &aggOp{node: x, child: Build(x.Child)}
+		return &aggOp{node: x, child: Build(x.Child), one: aggState{accums: newAccums(x.Aggs)},
+			keys: compileEach(x.GroupBy, func(e plan.Expr) plan.Expr { return e }),
+			args: compileEach(x.Aggs, func(s plan.AggSpec) plan.Expr { return s.Arg })}
 	case *plan.Distinct:
 		return &distinctOp{node: x, child: Build(x.Child)}
 	case *plan.Sort:
-		return &sortOp{node: x, child: Build(x.Child)}
+		return &sortOp{node: x, child: Build(x.Child), keys: compileEach(x.Keys, func(k plan.SortKey) plan.Expr { return k.Expr })}
 	case *plan.Limit:
 		return &limitOp{node: x, child: Build(x.Child)}
 	default:
 		panic(fmt.Sprintf("exec: unknown plan node %T", n))
 	}
+}
+
+// compileEach compiles the expression of each element; a nil one (the
+// argument of COUNT(*)) compiles to a nil Eval.
+func compileEach[T any](xs []T, expr func(T) plan.Expr) []Eval {
+	out := make([]Eval, len(xs))
+	for i, x := range xs {
+		if e := expr(x); e != nil {
+			out[i] = Compile(e)
+		}
+	}
+	return out
 }
 
 // --- SeqScan ---
@@ -137,6 +152,7 @@ func (s *seqScan) Progress() float64 {
 
 type indexScan struct {
 	node     *plan.IndexScan
+	key      Eval
 	rids     []storage.RowID
 	pos      int
 	lastPage int
@@ -145,7 +161,7 @@ type indexScan struct {
 
 func (s *indexScan) Open(ctx *Ctx) error {
 	s.rids, s.pos, s.lastPage, s.empty = nil, 0, -1, false
-	key, err := evalExpr(s.node.KeyExpr, nil, ctx)
+	key, err := s.key(nil, ctx)
 	if err != nil {
 		return err
 	}
@@ -199,7 +215,7 @@ func (s *indexScan) Progress() float64 {
 // --- Filter ---
 
 type filterOp struct {
-	node  *plan.Filter
+	pred  Eval
 	child Operator
 }
 
@@ -217,7 +233,7 @@ func (f *filterOp) Next(ctx *Ctx) (types.Row, error) {
 		if err != nil || r == nil {
 			return nil, err
 		}
-		v, err := evalExpr(f.node.Pred, r, ctx)
+		v, err := f.pred(r, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +249,7 @@ func (f *filterOp) Progress() float64 { return f.child.Progress() }
 // --- Project ---
 
 type projectOp struct {
-	node  *plan.Project
+	exprs []Eval
 	child Operator
 }
 
@@ -244,9 +260,9 @@ func (p *projectOp) Next(ctx *Ctx) (types.Row, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	out := make(types.Row, len(p.node.Exprs))
-	for i, e := range p.node.Exprs {
-		v, err := evalExpr(e, r, ctx)
+	out := make(types.Row, len(p.exprs))
+	for i, e := range p.exprs {
+		v, err := e(r, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -329,18 +345,30 @@ type aggState struct {
 	accums []accumulator
 }
 
+// aggOp accumulates its input into groups, in order of first sight. Without
+// GROUP BY the one group is held in one: no map lookup per row, and a re-Open
+// (per outer row inside a correlated sub-query) resets it without allocating.
 type aggOp struct {
 	node    *plan.Agg
 	child   Operator
+	keys    []Eval // compiled GROUP BY expressions
+	args    []Eval // compiled aggregate arguments, nil for COUNT(*)
+	one     aggState
 	groups  map[string]*aggState
-	order   []string
+	order   []*aggState
 	drained bool
 	out     []types.Row
 	pos     int
 }
 
 func (a *aggOp) Open(ctx *Ctx) error {
-	a.groups, a.order, a.drained, a.out, a.pos = nil, nil, false, nil, 0
+	a.groups, a.order, a.drained, a.out, a.pos = nil, a.order[:0], false, nil, 0
+	if len(a.keys) == 0 {
+		for i, s := range a.node.Aggs {
+			a.one.accums[i] = accumulator{fn: s.Func, star: s.Star}
+		}
+		a.order = append(a.order, &a.one)
+	}
 	return a.child.Open(ctx)
 }
 
@@ -362,14 +390,6 @@ func (a *aggOp) Next(ctx *Ctx) (types.Row, error) {
 // accumulation state lives on the operator, and the loop yields when the
 // work budget runs out.
 func (a *aggOp) drain(ctx *Ctx) error {
-	scalar := len(a.node.GroupBy) == 0
-	if a.groups == nil {
-		a.groups = make(map[string]*aggState)
-		if scalar {
-			a.groups[""] = &aggState{accums: newAccums(a.node.Aggs)}
-			a.order = append(a.order, "")
-		}
-	}
 	for {
 		if ctx.OverBudget() {
 			return errYield
@@ -381,33 +401,28 @@ func (a *aggOp) drain(ctx *Ctx) error {
 		if r == nil {
 			break
 		}
-		var key string
-		var keyRow types.Row
-		if !scalar {
-			keyRow = make(types.Row, len(a.node.GroupBy))
-			for i, g := range a.node.GroupBy {
-				v, err := evalExpr(g, r, ctx)
-				if err != nil {
+		st := &a.one
+		if len(a.keys) > 0 {
+			keyRow := make(types.Row, len(a.keys))
+			for i, k := range a.keys {
+				if keyRow[i], err = k(r, ctx); err != nil {
 					return err
 				}
-				keyRow[i] = v
 			}
-			key = keyRow.Key()
+			if a.groups == nil {
+				a.groups = make(map[string]*aggState)
+			}
+			key := keyRow.Key()
+			if st = a.groups[key]; st == nil {
+				st = &aggState{key: keyRow, accums: newAccums(a.node.Aggs)}
+				a.groups[key] = st
+				a.order = append(a.order, st)
+			}
 		}
-		st, ok := a.groups[key]
-		if !ok {
-			st = &aggState{key: keyRow, accums: newAccums(a.node.Aggs)}
-			a.groups[key] = st
-			a.order = append(a.order, key)
-		}
-		for i, spec := range a.node.Aggs {
+		for i, arg := range a.args {
 			var v types.Value
-			if spec.Star {
-				v = types.NewInt(1)
-			} else {
-				var err error
-				v, err = evalExpr(spec.Arg, r, ctx)
-				if err != nil {
+			if arg != nil {
+				if v, err = arg(r, ctx); err != nil {
 					return err
 				}
 			}
@@ -415,8 +430,7 @@ func (a *aggOp) drain(ctx *Ctx) error {
 		}
 	}
 	a.out = make([]types.Row, 0, len(a.order))
-	for _, key := range a.order {
-		st := a.groups[key]
+	for _, st := range a.order {
 		row := make(types.Row, 0, len(st.key)+len(st.accums))
 		row = append(row, st.key...)
 		for _, acc := range st.accums {
@@ -563,17 +577,25 @@ func (d *distinctOp) Progress() float64 { return d.child.Progress() }
 
 // --- Sort ---
 
+// sortOp buffers its input and emits it stably ordered by the sort keys, each
+// row's computed once, in input order, before sorting: if several rows' keys
+// fail to evaluate, the first such row's error is the one reported.
 type sortOp struct {
 	node    *plan.Sort
 	child   Operator
+	keys    []Eval // compiled sort key expressions
 	drained bool
-	rows    []types.Row
+	rows    []sortRow
 	pos     int
-	sortErr error
+}
+
+type sortRow struct {
+	row  types.Row
+	keys []types.Value
 }
 
 func (s *sortOp) Open(ctx *Ctx) error {
-	s.drained, s.rows, s.pos, s.sortErr = false, nil, 0, nil
+	s.drained, s.rows, s.pos = false, nil, 0
 	return s.child.Open(ctx)
 }
 
@@ -591,48 +613,44 @@ func (s *sortOp) Next(ctx *Ctx) (types.Row, error) {
 			if r == nil {
 				break
 			}
-			s.rows = append(s.rows, r.Clone())
+			s.rows = append(s.rows, sortRow{row: r.Clone()})
 		}
 		// Materialize (write + read back): two page passes.
 		pages := math.Max(1, math.Ceil(float64(len(s.rows))/float64(storage.PageSlots)))
 		ctx.Meter.Charge(2 * pages)
-		keys := s.node.Keys
+		for i := range s.rows {
+			sr := &s.rows[i]
+			sr.keys = make([]types.Value, len(s.keys))
+			for j, k := range s.keys {
+				var err error
+				if sr.keys[j], err = k(sr.row, ctx); err != nil {
+					return nil, err
+				}
+			}
+		}
+		var cmpErr error
 		sort.SliceStable(s.rows, func(i, j int) bool {
-			for _, k := range keys {
-				vi, err := evalExpr(k.Expr, s.rows[i], ctx)
+			for c, k := range s.node.Keys {
+				cmp, err := types.Compare(s.rows[i].keys[c], s.rows[j].keys[c])
 				if err != nil {
-					s.sortErr = err
+					cmpErr = err
 					return false
 				}
-				vj, err := evalExpr(k.Expr, s.rows[j], ctx)
-				if err != nil {
-					s.sortErr = err
-					return false
+				if cmp != 0 {
+					return (cmp > 0) == k.Desc
 				}
-				cmp, err := types.Compare(vi, vj)
-				if err != nil {
-					s.sortErr = err
-					return false
-				}
-				if cmp == 0 {
-					continue
-				}
-				if k.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
 			}
 			return false
 		})
-		if s.sortErr != nil {
-			return nil, s.sortErr
+		if cmpErr != nil {
+			return nil, cmpErr
 		}
 		s.drained = true
 	}
 	if s.pos >= len(s.rows) {
 		return nil, nil
 	}
-	r := s.rows[s.pos]
+	r := s.rows[s.pos].row
 	s.pos++
 	return r, nil
 }

@@ -77,10 +77,6 @@ type FoldMember struct {
 	pos      int // solo-continuation cursor, valid once detached
 }
 
-// GroupID returns the fold group this member attached to (stable after
-// detach, for reporting).
-func (m *FoldMember) GroupID() int { return m.groupID }
-
 // Attached reports whether the member still rides the shared cursor.
 func (m *FoldMember) Attached() bool { return !m.detached }
 
