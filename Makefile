@@ -13,9 +13,10 @@ test:
 # MPL 1/4/16 × worker counts) and the shared scan (SharedScan, 1/2/4/8
 # members, solo vs folded); the *SteadyStateAllocs tests in internal/sched pin
 # the last two at 0 allocs/op. OwnerWakeup prices the owner's cost of three
-# quanta at depth 1000 both ways (observe and publish per tick vs per
-# wake-up): the layer saving behind the live clock rate, in seconds instead of
-# `make benchmark`'s five minutes. QueueAwareEstimate prices the largest piece of such a wake-up,
+# quanta at depth 1000 as three one-quantum Advance calls (observe and publish
+# per tick) and as one three-quantum Advance (one observe and publish per step,
+# as every ticker wake-up does): the layer saving behind the live clock rate,
+# in seconds instead of `make benchmark`'s five minutes. QueueAwareEstimate prices the largest piece of such a wake-up,
 # the §2.3 queue-aware estimate pass, against the event-stepped oracle it
 # replaced (r64/q936 = backlog_submit's depth, r8/q40 = a lightly queued tier).
 # ScanKernel times scan_share's query shape (a filtered COUNT/SUM over a 120k-row

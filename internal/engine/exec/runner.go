@@ -20,7 +20,7 @@ import (
 // Runners are independent and may be stepped concurrently; they share only
 // read-only engine state (see the package comment).
 type Runner struct {
-	root   Operator
+	root   Operator // nil once done; see end
 	plan   plan.Node
 	ctx    *Ctx
 	opened bool
@@ -129,7 +129,7 @@ func (r *Runner) Step(budget float64) (consumed float64, done bool, err error) {
 	start := r.ctx.Meter.Total()
 	if !r.opened {
 		if err := r.root.Open(r.ctx); err != nil {
-			r.done, r.failed = true, err
+			r.end(err)
 			return r.ctx.Meter.Total() - start, true, err
 		}
 		r.opened = true
@@ -143,14 +143,11 @@ func (r *Runner) Step(budget float64) (consumed float64, done bool, err error) {
 			break
 		}
 		if err != nil {
-			r.done, r.failed = true, err
+			r.end(err)
 			return r.ctx.Meter.Total() - start, true, err
 		}
 		if row == nil {
-			r.done = true
-			if cerr := r.root.Close(); cerr != nil && r.failed == nil {
-				r.failed = cerr
-			}
+			r.end(r.root.Close())
 			break
 		}
 		if r.CollectRows {
@@ -158,6 +155,14 @@ func (r *Runner) Step(budget float64) (consumed float64, done bool, err error) {
 		}
 	}
 	return r.ctx.Meter.Total() - start, r.done, r.failed
+}
+
+// end marks the runner done, failed with err unless it is nil, and drops the
+// operator tree: nothing reads it after the last Step, and a terminated query's
+// sort buffers, aggregate maps and compiled sub-plans would otherwise live as
+// long as the scheduler keeps the query.
+func (r *Runner) end(err error) {
+	r.done, r.failed, r.root = true, err, nil
 }
 
 // Run executes the query to completion. It must not be used on a folded

@@ -262,6 +262,52 @@ func TestRunnerStepAfterDone(t *testing.T) {
 	}
 }
 
+// TestRunnerDropsTreeWhenDone: a runner that finished or failed lets go of
+// its operator tree, and every accessor still answers from the plan, the
+// meter and its own state, so nothing reaches the tree after Run.
+func TestRunnerDropsTreeWhenDone(t *testing.T) {
+	c := buildCatalog(t, 40, 400)
+	for _, tc := range []struct {
+		name, sql string
+		fail      bool
+	}{
+		{"finished", paperQuery + " ORDER BY p.partkey", false},
+		{"failed", "SELECT * FROM part p WHERE p.retailprice > (SELECT l.quantity FROM lineitem l)", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := planQuery(t, c, tc.sql)
+			r := NewRunner(p)
+			if err := r.Run(); (err != nil) != tc.fail {
+				t.Fatalf("Run = %v, want failure %v", err, tc.fail)
+			}
+			if r.root != nil {
+				t.Fatal("a done runner still holds its operator tree")
+			}
+			if !r.Done() || (r.Err() != nil) != tc.fail {
+				t.Errorf("Done, Err = %v, %v", r.Done(), r.Err())
+			}
+			if r.Plan() != p || r.Schema().Len() != p.Schema().Len() {
+				t.Error("Plan/Schema must answer from the plan")
+			}
+			if r.WorkDone() <= 0 || r.CostDone() != r.WorkDone() {
+				t.Errorf("WorkDone, CostDone = %g, %g", r.WorkDone(), r.CostDone())
+			}
+			if r.Progress() != 1 || r.EstRemaining() != 0 || r.EstTotal() != r.WorkDone() {
+				t.Errorf("Progress, EstRemaining = %g, %g; want 1, 0", r.Progress(), r.EstRemaining())
+			}
+			if !tc.fail && len(r.Rows()) == 0 {
+				t.Error("the finished query's rows are gone")
+			}
+			if consumed, done, _ := r.Step(100); consumed != 0 || !done {
+				t.Errorf("Step after done = %g, %v", consumed, done)
+			}
+			if NewFoldRegistry().Attach(r, 0) {
+				t.Error("a done runner must not fold")
+			}
+		})
+	}
+}
+
 func TestRunnerSchemaAndPlanAccessors(t *testing.T) {
 	c := buildCatalog(t, 10, 50)
 	p := planQuery(t, c, "SELECT partkey FROM part")

@@ -198,7 +198,6 @@ type foldKey struct {
 // FoldRegistry tracks the live fold groups of one scheduler. Serial-phase
 // only; see the concurrency contract at the top of the file.
 type FoldRegistry struct {
-	minPages int
 	groups   map[foldKey]*FoldGroup
 	nextID   int
 	attaches uint64
@@ -208,14 +207,14 @@ type FoldRegistry struct {
 	shared  uint64
 }
 
-// NewFoldRegistry creates a registry. Scans of relations smaller than
-// minPages pages are not worth sharing and stay solo (minPages < 2 means 2:
-// a shorter scan cannot outlive the tick that starts it).
-func NewFoldRegistry(minPages int) *FoldRegistry {
-	if minPages < 2 {
-		minPages = 2
-	}
-	return &FoldRegistry{minPages: minPages, groups: make(map[foldKey]*FoldGroup)}
+// foldMinPages is the page floor of folding: a scan of a shorter relation
+// cannot outlive the tick that starts it, so it is not worth sharing and stays
+// solo.
+const foldMinPages = 2
+
+// NewFoldRegistry creates an empty registry.
+func NewFoldRegistry() *FoldRegistry {
+	return &FoldRegistry{groups: make(map[foldKey]*FoldGroup)}
 }
 
 // Attach folds r's driver seq-scan into the registry, creating the relation's
@@ -228,7 +227,7 @@ func (reg *FoldRegistry) Attach(r *Runner, class int) bool {
 		return false
 	}
 	rel := scan.node.Table.Rel
-	if rel.NumPages() < reg.minPages {
+	if rel.NumPages() < foldMinPages {
 		return false
 	}
 	key := foldKey{rel: rel, class: class}

@@ -100,7 +100,7 @@ func driveGroup(t testing.TB, runners []*Runner, budget float64) {
 func TestSharedScanDedup(t *testing.T) {
 	const pages = 8
 	c := scanCatalog(t, pages)
-	reg := NewFoldRegistry(2)
+	reg := NewFoldRegistry()
 	a, b := scanRunner(t, c), scanRunner(t, c)
 	solo := scanRunner(t, c)
 	if err := solo.Run(); err != nil {
@@ -151,7 +151,7 @@ func TestSharedScanAttachAtOffset(t *testing.T) {
 	}
 	want := sumOfSolo(t, c)
 
-	reg := NewFoldRegistry(2)
+	reg := NewFoldRegistry()
 	a := scanRunner(t, c)
 	if !reg.Attach(a, 0) {
 		t.Fatal("a should fold")
@@ -228,7 +228,7 @@ func TestSharedScanDetachMidPage(t *testing.T) {
 	}
 	want := sumOfSolo(t, c)
 
-	reg := NewFoldRegistry(2)
+	reg := NewFoldRegistry()
 	a, b := scanRunner(t, c), scanRunner(t, c)
 	b.CollectRows = false
 	reg.Attach(a, 0)
@@ -274,7 +274,7 @@ func TestSharedScanDetachMidPage(t *testing.T) {
 // started, or over tiny relations stay solo.
 func TestFoldRegistryEligibility(t *testing.T) {
 	c := scanCatalog(t, 8)
-	reg := NewFoldRegistry(2)
+	reg := NewFoldRegistry()
 
 	started := scanRunner(t, c)
 	if _, _, err := started.Step(1); err != nil {
@@ -301,11 +301,10 @@ func TestFoldRegistryEligibility(t *testing.T) {
 		t.Error("different classes folded together")
 	}
 
-	// Below the page floor: solo.
-	big := NewFoldRegistry(100)
-	small := scanRunner(t, c)
-	if big.Attach(small, 0) {
-		t.Error("relation below minPages must not fold")
+	// Below the page floor: a one-page relation stays solo.
+	tiny := scanRunner(t, scanCatalog(t, 1))
+	if reg.Attach(tiny, 0) {
+		t.Error("a one-page relation must not fold")
 	}
 }
 
@@ -324,7 +323,7 @@ func TestFoldBudgetSemantics(t *testing.T) {
 
 	const pages = 6
 	c := scanCatalog(t, pages)
-	reg := NewFoldRegistry(2)
+	reg := NewFoldRegistry()
 	a, b := scanRunner(t, c), scanRunner(t, c)
 	a.CollectRows, b.CollectRows = false, false
 	reg.Attach(a, 0)
@@ -358,7 +357,7 @@ func TestFoldBudgetSemantics(t *testing.T) {
 func TestSharedScanManyMembers(t *testing.T) {
 	const pages, n = 12, 16
 	c := scanCatalog(t, pages)
-	reg := NewFoldRegistry(2)
+	reg := NewFoldRegistry()
 	runners := make([]*Runner, n)
 	for i := range runners {
 		runners[i] = scanRunner(t, c)

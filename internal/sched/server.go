@@ -137,9 +137,6 @@ type Config struct {
 	Quantum float64
 	// Weights maps priority to weight; missing priorities get weight 1.
 	Weights map[int]float64
-	// SpeedWindow is the observation window for per-query speed in seconds
-	// (default 10).
-	SpeedWindow float64
 	// Workers caps the goroutines stepping runners during each tick's
 	// execute phase. 0 or 1 keeps execution inline on the ticking goroutine
 	// (the serial scheduler); n > 1 fans runner steps across a persistent
@@ -164,9 +161,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Quantum <= 0 {
 		out.Quantum = 0.5
-	}
-	if out.SpeedWindow <= 0 {
-		out.SpeedWindow = 10
 	}
 	return out
 }
@@ -274,7 +268,7 @@ func (s *Server) SetFold(on bool) {
 		return
 	}
 	if s.foldReg == nil {
-		s.foldReg = exec.NewFoldRegistry(0) // the registry's default page floor
+		s.foldReg = exec.NewFoldRegistry()
 	}
 	// Queries admitted while folding was off were never marked checked (the
 	// attach pass only runs with folding on), so still-unstarted ones are
@@ -400,17 +394,21 @@ func (s *Server) NewQuery(label, sqlText string, priority int, r *exec.Runner) *
 		SQL:      sqlText,
 		Priority: priority,
 		Runner:   r,
-		tracker:  core.NewSpeedTrackerSized(s.cfg.SpeedWindow, s.trackerSamples()),
+		tracker:  core.NewSpeedTrackerSized(speedWindow, s.trackerSamples()),
 	}
 	s.nextID++
 	return q
 }
 
+// speedWindow is the span of virtual seconds over which a query's observed
+// speed is measured.
+const speedWindow = 10
+
 // trackerSamples sizes a query's speed-tracker ring for one observation per
 // quantum across the speed window (plus slack for the ≥2-sample retention
 // rule), so steady ticking never regrows it.
 func (s *Server) trackerSamples() int {
-	n := int(s.cfg.SpeedWindow/s.cfg.Quantum) + 4
+	n := int(speedWindow/s.cfg.Quantum) + 4
 	if n < 8 {
 		n = 8
 	}

@@ -390,7 +390,7 @@ func TestLookup(t *testing.T) {
 
 func TestObservedSpeedApproximatesShare(t *testing.T) {
 	db := engine.Open()
-	srv := newServer(Config{RateC: 20, Quantum: 0.5, SpeedWindow: 5})
+	srv := newServer(Config{RateC: 20, Quantum: 0.5})
 	q1 := srv.NewQuery("q1", "", 0, prepare(t, db, "t1", 200))
 	q2 := srv.NewQuery("q2", "", 0, prepare(t, db, "t2", 200))
 	srv.Submit(q1)

@@ -93,11 +93,10 @@ func BenchmarkConcurrentPoll(b *testing.B) {
 // BenchmarkOwnerWakeup prices what the owner pays to move the clock three
 // quanta at depth 1000 (64 running, 936 queued, a manual clock so nothing
 // else moves it). per-tick is three Advance(quantum) calls — tick, observe
-// and publish three times, which is what the manual clock does and what the
-// live ticker did for every tick it owed; wakeup is the live ticker's path —
-// three ticks, then one observe and one publish. Their ratio is the layer
-// saving behind clock_rate_ratio on the backlog_submit workload of
-// `make benchmark`, reproducible in seconds.
+// and publish three times; wakeup is one Advance(3·quantum) — three ticks,
+// then one observe and one publish, as a ticker wake-up owing three quanta
+// does. Their ratio is the layer saving behind clock_rate_ratio on the
+// backlog_submit workload of `make benchmark`, reproducible in seconds.
 func BenchmarkOwnerWakeup(b *testing.B) {
 	const quantum, depth = 0.25, 1000
 	// fill tops the system up to depth; queries finish as the clock moves.
@@ -150,9 +149,7 @@ func BenchmarkOwnerWakeup(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			refill(b, m)
-			// call publishes after the closure, as the ticker does after its
-			// advance; observe has left its capture for it.
-			if err := m.call(func() { m.advance(3*quantum, false) }); err != nil {
+			if err := m.Advance(3 * quantum); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -27,10 +27,9 @@
 // belongs to query i of Sched.Running ++ Sched.Queued — and the publish
 // stamps the copy with the owner's lifetime counts, which /metrics renders
 // beside the depth and fold gauges it reads off the same copy. The owner's
-// cost is per wake-up, not per tick: a ticker wake-up runs every tick it owes,
-// then observes once and publishes once, because no reader can see a state
-// between two ticks of one wake-up; a manual Advance observes after every
-// tick, because there each step is one somebody asked for. A wake-up that ran
+// cost is per step, not per tick: a ticker wake-up and a manual Advance alike
+// run every tick they owe, then observe once and publish once, because no
+// reader can see a state between two ticks of one step. A wake-up that ran
 // no tick publishes nothing. Progress, Overview, Diagram, /metrics and the §3
 // planners load the latest snapshot and build their views on the *caller's*
 // goroutine: load a pointer, one scan for the query and the position of its
@@ -95,11 +94,6 @@ type Config struct {
 	// long, and a deadline turns it into fast, retryable back-pressure.
 	// Zero or negative waits indefinitely (the pre-deadline behaviour).
 	ExecDeadline time.Duration
-	// RevisionEpsilon is the minimum absolute change of a query's predicted
-	// finish time, in virtual seconds, that is recorded as an
-	// estimate_revised event (default: one quantum). The metrics histogram
-	// observes every revision regardless.
-	RevisionEpsilon float64
 	// MaxTicksPerAdvance bounds how many scheduler ticks one advance may run
 	// (default 100000) — the backstop against a pathological TimeScale that
 	// would otherwise pin the owner goroutine in the tick loop. When the
@@ -191,9 +185,6 @@ func New(db *engine.DB, cfg Config) *Manager {
 		srv:        sched.New(cfg.Sched),
 		lastFinish: make(map[int]float64),
 	}
-	if m.cfg.RevisionEpsilon <= 0 {
-		m.cfg.RevisionEpsilon = m.srv.Quantum()
-	}
 	est, err := core.NewEstimator(cfg.Estimator)
 	if err != nil {
 		panic(err) // flag/HTTP layers validate; reaching here is a programming error
@@ -258,7 +249,7 @@ func (m *Manager) loop() {
 			// wake-up, not one TickEvery per fire received: a time.Ticker
 			// drops the fires it could not deliver while the owner was busy.
 			now := time.Now()
-			ticks := m.advance(now.Sub(lastWakeup).Seconds()*m.cfg.TimeScale, false)
+			ticks := m.advance(now.Sub(lastWakeup).Seconds() * m.cfg.TimeScale)
 			lastWakeup = now
 			m.metrics.observeWakeup(ticks, m.debt)
 			if ticks > 0 {
@@ -361,12 +352,11 @@ func (m *Manager) read() (*Snapshot, error) {
 // advance accrues vsec virtual seconds of debt, ticks the scheduler while at
 // least one quantum is owed, and returns how many ticks it ran. The virtual
 // clock freezes while the server is idle (no queries, no arrivals) so a quiet
-// service does not spin. With perTick the observe pass follows every tick —
-// the manual clock, where each Advance is a step somebody asked for and the
-// sim traces, the event log and the calibration pin what each step saw;
-// without it one pass follows the whole batch — the wall-clock ticker, where
-// nobody can read a state between two ticks of one wake-up.
-func (m *Manager) advance(vsec float64, perTick bool) (ticks int) {
+// service does not spin. One observe pass follows the ticks, if any ran,
+// whoever moved the clock: nobody can read a state between two ticks of one
+// step, so a client that wants one observation per quantum advances one
+// quantum at a time.
+func (m *Manager) advance(vsec float64) (ticks int) {
 	if vsec <= 0 {
 		return 0
 	}
@@ -393,11 +383,8 @@ func (m *Manager) advance(vsec float64, perTick bool) (ticks int) {
 		m.counts.tickRounds += uint64(st.Rounds)
 		m.debt -= quantum
 		ticks++
-		if perTick {
-			m.observe()
-		}
 	}
-	if !perTick && ticks > 0 {
+	if ticks > 0 {
 		m.observe()
 	}
 	return ticks
@@ -492,17 +479,17 @@ func (m *Manager) observe() {
 	}
 }
 
-// revisionSlack is the relative slack on the RevisionEpsilon comparison. A
+// revisionSlack is the relative slack on the one-quantum revision threshold. A
 // query that makes no progress slides its absolute predicted finish by exactly
-// one quantum per tick, and the default epsilon is one quantum, so a bare
-// rev >= eps is decided by the last ulp of now + eta - last: the same move
-// records on one tick and not on the next. With the slack a move of exactly
-// the threshold always records, whichever way the subtraction rounded.
+// one quantum per tick, so a bare rev >= quantum is decided by the last ulp of
+// now + eta - last: the same move records on one tick and not on the next.
+// With the slack a move of exactly the threshold always records, whichever way
+// the subtraction rounded.
 const revisionSlack = 1e-9
 
 // revise folds one query's multi-query ETA at virtual time now into the
 // revision histogram and, when its absolute predicted finish moved by at
-// least RevisionEpsilon since the previous pass, the event log.
+// least one quantum since the previous pass, the event log.
 func (m *Manager) revise(now float64, id int, eta float64) {
 	if math.IsInf(eta, 1) || math.IsNaN(eta) {
 		return
@@ -511,7 +498,7 @@ func (m *Manager) revise(now float64, id int, eta float64) {
 	if last, ok := m.lastFinish[id]; ok {
 		rev := math.Abs(abs - last)
 		m.metrics.revision.RecordSeconds(rev)
-		if rev >= m.cfg.RevisionEpsilon*(1-revisionSlack) {
+		if rev >= m.srv.Quantum()*(1-revisionSlack) {
 			m.events.addRevised(now, id, last, abs)
 		}
 	}
@@ -699,8 +686,10 @@ func (m *Manager) op(id int, control func(id int) error) error {
 }
 
 // Advance synchronously advances virtual time by vsec seconds (in quantum
-// steps), independent of the wall-clock ticker. Deterministic tests and
-// batch drivers use it; with TickEvery < 0 it is the only clock source.
+// steps), independent of the wall-clock ticker, then observes and publishes
+// once, as a ticker wake-up does; a client that wants an estimate pass per
+// quantum advances one quantum at a time. Deterministic tests and batch
+// drivers use it; with TickEvery < 0 it is the only clock source.
 func (m *Manager) Advance(vsec float64) error {
 	// Non-finite values are rejected explicitly: NaN slips through every
 	// ordinary comparison (each negated comparison admits it), and ±Inf would
@@ -708,7 +697,7 @@ func (m *Manager) Advance(vsec float64) error {
 	if math.IsNaN(vsec) || math.IsInf(vsec, 0) || vsec <= 0 || vsec > 1e9 {
 		return fmt.Errorf("service: advance of %g seconds out of range", vsec)
 	}
-	return m.call(func() { m.advance(vsec, true) })
+	return m.call(func() { m.advance(vsec) })
 }
 
 // Diagram renders the §2.2 stage diagram of the currently admitted queries.

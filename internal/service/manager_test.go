@@ -233,23 +233,31 @@ func TestEventRingBounded(t *testing.T) {
 	loadTable(t, db, "t1", 40)
 	loadTable(t, db, "t2", 40)
 	m := New(db, Config{
-		Sched:           sched.Config{RateC: 10, Quantum: 0.25},
-		TickEvery:       -1,
-		EventCap:        8,
-		RevisionEpsilon: 1e-9, // every tick revises
+		Sched:     sched.Config{RateC: 10, Quantum: 0.25},
+		TickEvery: -1,
+		EventCap:  8,
 	})
 	t.Cleanup(m.Close)
 	v1, err := m.Submit(SubmitRequest{SQL: "SELECT SUM(a) FROM t1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(SubmitRequest{SQL: "SELECT SUM(a) FROM t2"}); err != nil {
+	v2, err := m.Submit(SubmitRequest{SQL: "SELECT SUM(a) FROM t2"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Repeated block/unblock cycles shake the competitor's share, so q1's
-	// prediction revises on most of the ~30 ticks.
-	for i := 0; i < 4; i++ {
-		if err := m.Advance(1); err != nil {
+	// One quantum per Advance, blocking and unblocking the competitor in
+	// turn: each change of its share moves q1's predicted finish by more
+	// than a quantum, so q1's prediction revises on every step.
+	for i := 0; i < 16; i++ {
+		if err := m.Advance(0.25); err != nil {
+			t.Fatal(err)
+		}
+		toggle := m.Block
+		if i%2 == 1 {
+			toggle = m.Unblock
+		}
+		if err := toggle(v2.ID); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -162,8 +162,8 @@ func (m *Metrics) Text() string {
 	}
 	m.tickDur.WritePrometheus(&b, "mqpi_tick_duration_seconds", "Wall-clock duration of one scheduler tick.")
 	m.execDur.WritePrometheus(&b, "mqpi_execute_phase_seconds", "Wall-clock duration of the parallel execute phase within one tick.")
-	m.estimate.WritePrometheus(&b, "mqpi_estimate_pass_seconds", "Wall-clock duration of one estimate pass on the owner goroutine: one per request and one per ticker wake-up (per tick on a manual advance), over every admitted and queued query.")
-	m.revision.WritePrometheus(&b, "mqpi_estimate_revision_seconds", "Change of a query's predicted finish time between two consecutive estimate passes (one per ticker wake-up, one per tick of a manual advance), in virtual seconds.")
+	m.estimate.WritePrometheus(&b, "mqpi_estimate_pass_seconds", "Wall-clock duration of one estimate pass on the owner goroutine: one per request and one per clock step that ticked (a ticker wake-up or a manual advance), over every admitted and queued query.")
+	m.revision.WritePrometheus(&b, "mqpi_estimate_revision_seconds", "Change of a query's predicted finish time from one clock step to the next (one observation per ticker wake-up or manual advance that ticked), in virtual seconds.")
 	m.wakeupTicks.WritePrometheus(&b, "mqpi_wakeup_ticks", "Scheduler ticks run per ticker wake-up (one tick counts 1; 0 = nothing was owed or the server was idle).")
 	m.pollDur.WritePrometheus(&b, "mqpi_poll_duration_seconds", "Wall-clock latency of one progress or overview poll on the lock-free read path.")
 	return b.String()

@@ -179,14 +179,14 @@ func TestLoadProbe(t *testing.T) {
 // TestRevisionAtThresholdAlwaysRecords pins the estimate_revised threshold
 // fix. A query that makes no progress keeps its ETA while the clock moves one
 // quantum per tick, so its absolute predicted finish moves by exactly the
-// default RevisionEpsilon — up to the rounding of now + eta - last, which lands
-// one ulp below 0.5 on some ticks and one ulp above on others. Pre-fix the
-// bare rev >= eps recorded only the latter, so the event was a coin flip on
-// float noise; every such move must record.
+// revision threshold, one quantum — up to the rounding of now + eta - last,
+// which lands one ulp below 0.5 on some ticks and one ulp above on others.
+// Pre-fix the bare rev >= quantum recorded only the latter, so the event was a
+// coin flip on float noise; every such move must record.
 func TestRevisionAtThresholdAlwaysRecords(t *testing.T) {
 	m := manual(t, engine.Open(), sched.Config{RateC: 10, Quantum: 0.5})
-	if m.cfg.RevisionEpsilon != 0.5 {
-		t.Fatalf("default RevisionEpsilon = %g, want one quantum", m.cfg.RevisionEpsilon)
+	if q := m.srv.Quantum(); q != 0.5 {
+		t.Fatalf("quantum = %g, want the configured 0.5", q)
 	}
 	cases := []struct {
 		id         int

@@ -119,3 +119,38 @@ func TestWakeupWithoutTickPublishesNothing(t *testing.T) {
 		t.Errorf("epoch %d after one submit, %d ticks and %d wake-ups, want within [2, %d]", epoch, ticks, woke, 2+ticks)
 	}
 }
+
+// TestAdvanceObservesOncePerStep: a manual Advance is one step of the clock,
+// like a ticker wake-up — every tick it owes, then one estimate pass (the
+// observe, whose capture the publish reuses). A client that wants a pass per
+// quantum advances one quantum at a time.
+func TestAdvanceObservesOncePerStep(t *testing.T) {
+	const quantum = 0.25
+	db := engine.Open()
+	loadTable(t, db, "t1", 64)
+	// RateC is tiny so that nothing finishes and every owed tick runs.
+	m := manual(t, db, sched.Config{RateC: 0.01, Quantum: quantum})
+	if _, err := m.Submit(SubmitRequest{SQL: "SELECT SUM(a) FROM t1"}); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (passes, ticks float64) {
+		s := samples(m.Metrics().Text())
+		return s["mqpi_estimate_pass_seconds_count"], s["mqpi_tick_duration_seconds_count"]
+	}
+	passes0, ticks0 := counts()
+	if err := m.Advance(3 * quantum); err != nil {
+		t.Fatal(err)
+	}
+	passes1, ticks1 := counts()
+	if ticks1-ticks0 != 3 || passes1-passes0 != 1 {
+		t.Errorf("Advance(3 quanta) ran %g ticks and %g estimate passes, want 3 and 1", ticks1-ticks0, passes1-passes0)
+	}
+	for k := 0; k < 3; k++ {
+		if err := m.Advance(quantum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if passes2, ticks2 := counts(); ticks2-ticks1 != 3 || passes2-passes1 != 3 {
+		t.Errorf("three Advance(quantum) ran %g ticks and %g estimate passes, want 3 and 3", ticks2-ticks1, passes2-passes1)
+	}
+}
