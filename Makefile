@@ -1,7 +1,7 @@
 GO ?= go
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test bench bench-all benchmark loc loc-check race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke
+.PHONY: build test bench bench-all benchmark loc loc-check reach reach-check race vet ci serve cover cover-check trace-check fuzz-smoke calibration-smoke
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,33 @@ loc-check:
 	[ "$$loc" -le "$$base" ] || \
 		{ echo "make loc = $$loc exceeds LOC_BASELINE = $$base: shrink the change, or raise the baseline and say in CHANGES.md what the lines bought"; exit 1; }
 
+# reach prints the non-test functions outside benchmark/ that no binary
+# enters: scripts/reach.sh builds every command, example and ./benchmark with
+# -cover, runs a fixed driver set (the examples, mqpi-bench -sim and the
+# battery with -csv and -json, cmd/mqpi-shell/testdata/session.sql, four
+# mqpi-serve HTTP sessions on loopback ports from 18471, each benchmark
+# workload traced) and lists what no driver reached, with line counts and a
+# total. About a minute on two cores; the run is kept in reach-out/.
+reach:
+	@GO=$(GO) sh scripts/reach.sh
+
+# reach-check is the reachability ratchet: the unreached total `make reach`
+# prints must not exceed the line count committed in REACH_BASELINE. Lower the
+# number when a PR deletes unreached code or drives more of it; raise it only
+# with a sentence in CHANGES.md saying why the new code has no driver. SHORT=1
+# skips it.
+reach-check:
+ifeq ($(SHORT),1)
+	@echo "SHORT=1: skipping reach-check"
+else
+	@REACH_DIR=reach-out GO=$(GO) sh scripts/reach.sh > /dev/null || exit 1; \
+	got=$$(sed -n 's/^reach: [0-9]* functions (\([0-9]*\) lines).*/\1/p' reach-out/report.txt); \
+	base=$$(cat REACH_BASELINE); \
+	echo "reach-check: $$got unreached lines outside benchmark/ (baseline $$base; the list is in reach-out/report.txt)"; \
+	[ -n "$$got" ] && [ "$$got" -le "$$base" ] || \
+		{ echo "reach-check: the unreached total exceeds REACH_BASELINE: delete the unreached code, drive it from scripts/reach.sh, or raise the baseline and say why in CHANGES.md"; exit 1; }
+endif
+
 # vet is the static gate: go vet, and a tree gofmt has nothing to say about.
 vet:
 	$(GO) vet ./...
@@ -92,6 +119,7 @@ ci: vet build race
 	$(MAKE) cover-check
 	$(MAKE) loc-check
 	$(MAKE) trace-check
+	$(MAKE) reach-check
 	# The allocation ratchet: the zero-allocation steady-state tick, solo and
 	# folded. Both tests skip under -race (the detector allocates), so they
 	# get a line of their own without it.

@@ -267,19 +267,6 @@ func BenchmarkSpeedUpSingle(b *testing.B) {
 	}
 }
 
-func BenchmarkSpeedUpSingleEqualPriorityFastPath(b *testing.B) {
-	states := randomStates(1000, 4)
-	for i := range states {
-		states[i].Weight = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wm.SpeedUpSingleEqualPriority(states, 500); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPlanMaintenanceGreedy(b *testing.B) {
 	states := randomStates(1000, 5)
 	b.ResetTimer()

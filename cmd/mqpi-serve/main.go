@@ -106,6 +106,9 @@ func parseFlags(args []string) (options, error) {
 	if o.admitRate < 0 || o.admitBurst < 0 {
 		return o, errors.New("admit-rate and admit-burst must be non-negative")
 	}
+	if o.admitRate == 0 && (o.admitBurst > 0 || o.admitQueue) {
+		return o, errors.New("admit-burst and admit-queue need a positive admit-rate (the token bucket exists only with one)")
+	}
 	if err := cluster.ValidRouting(o.routing); err != nil {
 		return o, err
 	}

@@ -147,6 +147,11 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-routing", "random"},
 		{"-admit-rate", "-1"},
 		{"-admit-burst", "-2"},
+		// The bucket exists only with a positive rate: its other two flags
+		// would be silently ignored without one.
+		{"-admit-burst", "5"},
+		{"-admit-queue"},
+		{"-admit-rate", "0", "-admit-queue", "-admit-burst", "2"},
 		{"-estimator", "oracle"},
 		{"-estimator", "ensemble"},
 		{"-estimator", "cost"},
@@ -161,6 +166,18 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("parseFlags(%v) accepted", args)
 		}
+	}
+}
+
+// TestParseFlagsAdmitFlagsWithRate: -admit-burst and -admit-queue are taken
+// once -admit-rate turns the bucket on.
+func TestParseFlagsAdmitFlagsWithRate(t *testing.T) {
+	o, err := parseFlags([]string{"-admit-rate", "2", "-admit-burst", "5", "-admit-queue"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.admitRate != 2 || o.admitBurst != 5 || !o.admitQueue {
+		t.Errorf("parsed %+v", o)
 	}
 }
 

@@ -1,6 +1,9 @@
 package cluster
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // tokenBucket is the front door's admission throttle, denominated in
 // admissions per virtual second so manual-clock clusters (tests, the sim)
@@ -51,9 +54,10 @@ func (b *tokenBucket) reserve(queue bool) (delay float64, ok bool) {
 	return deficit / b.rate, true
 }
 
-// balance reports the current token balance (tests and metrics).
-func (b *tokenBucket) balance() float64 {
+// refund returns the token of an admission the shard then refused, or cancels
+// the debt a queue-mode borrow took on; the balance stays capped at burst.
+func (b *tokenBucket) refund() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
+	b.tokens = math.Min(b.tokens+1, b.burst)
+	b.mu.Unlock()
 }

@@ -14,7 +14,7 @@ func TestBucketExactCapacityBurst(t *testing.T) {
 			t.Fatalf("take %d = (%g, %v), want (0, true)", i+1, d, ok)
 		}
 	}
-	if bal := b.balance(); math.Abs(bal) > 1e-12 {
+	if bal := b.tokens; math.Abs(bal) > 1e-12 {
 		t.Fatalf("post-burst balance = %g, want 0", bal)
 	}
 	if _, ok := b.reserve(false); ok {
@@ -22,7 +22,7 @@ func TestBucketExactCapacityBurst(t *testing.T) {
 	}
 	// Refill never exceeds the burst cap.
 	b.advance(100)
-	if bal := b.balance(); bal != 3 {
+	if bal := b.tokens; bal != 3 {
 		t.Fatalf("balance after huge refill = %g, want capped at 3", bal)
 	}
 }
@@ -69,11 +69,11 @@ func TestBucketBorrowAccumulates(t *testing.T) {
 	if d, ok := b.reserve(true); !ok || d != 0 {
 		t.Fatalf("post-repayment reserve = (%g, %v), want immediate", d, ok)
 	}
-	if bal := b.balance(); math.Abs(bal) > 1e-12 {
+	if bal := b.tokens; math.Abs(bal) > 1e-12 {
 		t.Fatalf("balance = %g, want 0 right after exact repayment", bal)
 	}
 	b.advance(-5) // negative elapsed time is ignored, not a drain
-	if bal := b.balance(); bal < -1.0000001 {
+	if bal := b.tokens; bal < -1.0000001 {
 		t.Fatalf("negative advance drained the bucket: %g", bal)
 	}
 }

@@ -211,6 +211,10 @@ func (c *Cluster) Submit(req SubmitRequest) (service.QueryView, error) {
 	shard := c.router.pick(c, req)
 	view, err := c.shards[shard].Submit(req.SubmitRequest)
 	if err != nil {
+		if c.bucket != nil {
+			// A refused query was never admitted: it must not use up a token.
+			c.bucket.refund()
+		}
 		return view, err
 	}
 	c.metrics.incRouted(shard)

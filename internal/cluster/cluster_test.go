@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -383,6 +384,29 @@ func TestAdmissionQueueMode(t *testing.T) {
 	p, err := c.Progress(v2.ID)
 	if err != nil || p.Status == "scheduled" {
 		t.Fatalf("after refill: %+v, %v", p, err)
+	}
+}
+
+// TestAdmissionRefusedSubmitKeepsToken: a submission the shard refuses (bad
+// SQL) was never admitted, so it must not use up the bucket's token — in
+// reject mode the next valid submission is admitted, and in queue mode it
+// runs at once instead of carrying the refused one's borrowed wait.
+func TestAdmissionRefusedSubmitKeepsToken(t *testing.T) {
+	for _, queue := range []bool{false, true} {
+		c := manualCluster(t, Config{Shards: 1, AdmitRate: 1, AdmitBurst: 1, AdmitQueue: queue}, 2)
+		for i := 0; i < 2; i++ {
+			_, err := c.Submit(SubmitRequest{SubmitRequest: service.SubmitRequest{SQL: "SELECT nosuch FROM t1"}})
+			if err == nil || errors.Is(err, ErrAdmission) {
+				t.Fatalf("queue=%v: bad SQL submit = %v, want a shard refusal", queue, err)
+			}
+		}
+		v, err := c.Submit(SubmitRequest{SubmitRequest: service.SubmitRequest{SQL: "SELECT SUM(a) FROM t1"}})
+		if err != nil || v.Status != "running" {
+			t.Fatalf("queue=%v: valid submit after refusals = %+v, %v; want running", queue, v, err)
+		}
+		if c.Metrics().Rejected() != 0 {
+			t.Fatalf("queue=%v: %d admissions rejected", queue, c.Metrics().Rejected())
+		}
 	}
 }
 

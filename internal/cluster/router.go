@@ -13,7 +13,6 @@ import (
 // snapshots (the same lock-free path progress polls use), never the owners.
 type router interface {
 	pick(c *Cluster, req SubmitRequest) int
-	name() string
 }
 
 func newRouter(policy string) (router, error) {
@@ -47,8 +46,6 @@ type roundRobin struct{ next atomic.Uint64 }
 func (r *roundRobin) pick(c *Cluster, _ SubmitRequest) int {
 	return int((r.next.Add(1) - 1) % uint64(len(c.shards)))
 }
-
-func (r *roundRobin) name() string { return "round-robin" }
 
 // leastLoaded sends the query to the shard with the least outstanding
 // refined work (running + queued + scheduled, in U's). Ties break to the
@@ -116,8 +113,6 @@ func hasFoldTable(tables []string, table string) bool {
 	return false
 }
 
-func (leastLoaded) name() string { return "least-loaded" }
-
 // affinity pins a session (or label, or SQL template) to one shard via an
 // FNV-1a hash, so repeat submissions share their shard's cache state and a
 // session's queries contend only with each other. Aborted or finished
@@ -129,5 +124,3 @@ func (affinity) pick(c *Cluster, req SubmitRequest) int {
 	h.Write([]byte(req.affinityKey()))
 	return int(h.Sum32() % uint32(len(c.shards)))
 }
-
-func (affinity) name() string { return "affinity" }

@@ -32,11 +32,6 @@ type SpeedTracker struct {
 	n      int // live sample count
 }
 
-// NewSpeedTracker creates a tracker with the given window in seconds.
-func NewSpeedTracker(window float64) *SpeedTracker {
-	return NewSpeedTrackerSized(window, 0)
-}
-
 // NewSpeedTrackerSized pre-sizes the ring for the expected number of
 // in-window samples, so a caller that knows its observation cadence (one per
 // scheduler quantum) gets a tracker that never reallocates. samples <= 0

@@ -74,7 +74,7 @@ func TestStageEstimatorWithArrivals(t *testing.T) {
 }
 
 func TestSpeedTrackerBasic(t *testing.T) {
-	tr := NewSpeedTracker(10)
+	tr := NewSpeedTrackerSized(10, 0)
 	if tr.Speed() != 0 {
 		t.Error("empty tracker should report 0")
 	}
@@ -90,7 +90,7 @@ func TestSpeedTrackerBasic(t *testing.T) {
 }
 
 func TestSpeedTrackerWindow(t *testing.T) {
-	tr := NewSpeedTracker(10)
+	tr := NewSpeedTrackerSized(10, 0)
 	// 0..20s at 10 U/s, then 20..30s at 100 U/s.
 	for i := 0; i <= 20; i++ {
 		tr.Observe(float64(i), float64(i*10))
@@ -109,7 +109,7 @@ func TestSpeedTrackerWindow(t *testing.T) {
 // window, Speed() must still be computed from the newest two samples instead
 // of reporting 0 for a steadily running query.
 func TestSpeedTrackerSparseSamples(t *testing.T) {
-	tr := NewSpeedTracker(1)
+	tr := NewSpeedTrackerSized(1, 0)
 	tr.Observe(0, 0)
 	tr.Observe(10, 5)
 	tr.Observe(20, 10)
@@ -117,7 +117,7 @@ func TestSpeedTrackerSparseSamples(t *testing.T) {
 		t.Errorf("sparse-sample speed = %g, want 0.5 from the newest two samples", got)
 	}
 	// Still true after enough sparse samples to trigger compaction.
-	tr = NewSpeedTracker(1)
+	tr = NewSpeedTrackerSized(1, 0)
 	for i := 0; i <= 3000; i++ {
 		tr.Observe(float64(i*2), float64(i))
 	}
@@ -127,7 +127,7 @@ func TestSpeedTrackerSparseSamples(t *testing.T) {
 }
 
 func TestSpeedTrackerZeroTimeDelta(t *testing.T) {
-	tr := NewSpeedTracker(10)
+	tr := NewSpeedTrackerSized(10, 0)
 	tr.Observe(5, 10)
 	tr.Observe(5, 20)
 	if got := tr.Speed(); got != 0 {
@@ -136,7 +136,7 @@ func TestSpeedTrackerZeroTimeDelta(t *testing.T) {
 }
 
 func TestSpeedTrackerCompaction(t *testing.T) {
-	tr := NewSpeedTracker(5)
+	tr := NewSpeedTrackerSized(5, 0)
 	// Force many samples so compaction triggers; speed must stay correct.
 	for i := 0; i < 5000; i++ {
 		tr.Observe(float64(i), float64(i)*7)
@@ -147,7 +147,7 @@ func TestSpeedTrackerCompaction(t *testing.T) {
 }
 
 func TestSpeedTrackerDefaultWindow(t *testing.T) {
-	tr := NewSpeedTracker(0) // defaults to 10s
+	tr := NewSpeedTrackerSized(0, 0) // defaults to 10s
 	tr.Observe(0, 0)
 	tr.Observe(1, 5)
 	if tr.Speed() != 5 {

@@ -106,9 +106,9 @@ func (r *Runner) FoldGroup() int {
 func (r *Runner) FoldAttached() bool { return r.fold != nil && r.fold.Attached() }
 
 // ReleaseFold force-detaches the runner from its shared cursor (block, abort,
-// priority change, fold disabled). The scan finishes its lap solo; charged
-// work and results are unaffected. No-op for unfolded or already-detached
-// runners. Serial-phase only — never call while the runner may be mid-Step.
+// priority change). The scan finishes its lap solo; charged work and results
+// are unaffected. No-op for unfolded or already-detached runners.
+// Serial-phase only — never call while the runner may be mid-Step.
 func (r *Runner) ReleaseFold() {
 	if r.fold != nil && !r.fold.detached {
 		r.fold.group.detach(r.fold)
@@ -227,7 +227,3 @@ func (r *Runner) EstRemaining() float64 {
 	w := (f - lowWatermark) / (highWatermark - lowWatermark)
 	return (1-w)*opt + w*interp
 }
-
-// EstTotal returns the refined estimate of the query's total cost
-// (work done + estimated remaining).
-func (r *Runner) EstTotal() float64 { return r.WorkDone() + r.EstRemaining() }

@@ -15,8 +15,8 @@ import (
 // the buffer" for free (WorkMeter.ChargeShared). A member that arrives late
 // attaches at the cursor's current position and wraps around (attach-at-
 // offset); a member that completes its lap, or is forcibly released (block,
-// abort, priority change, fold disabled), detaches and — if its lap is
-// unfinished — continues the remaining rotation solo at full cost.
+// abort, priority change), detaches and — if its lap is unfinished —
+// continues the remaining rotation solo at full cost.
 //
 // Concurrency contract: a FoldGroup is stepped by exactly one goroutine at a
 // time (the scheduler runs a whole group as one execute-phase work item), so
@@ -174,7 +174,7 @@ func (g *FoldGroup) detach(m *FoldMember) {
 }
 
 // FoldStats is a point-in-time summary of a registry: live group/member
-// gauges plus lifetime counters (monotonic across fold on/off toggles).
+// gauges plus lifetime counters.
 type FoldStats struct {
 	Groups   int    // live groups (>= 1 member)
 	Members  int    // live attached members
@@ -253,16 +253,6 @@ func (reg *FoldRegistry) Sweep() {
 			reg.fetches += uint64(g.fetches)
 			reg.shared += uint64(g.shared)
 			delete(reg.groups, key)
-		}
-	}
-}
-
-// ReleaseAll force-detaches every member of every group (fold switched off):
-// each continues its lap solo. Groups retire on the next Sweep.
-func (reg *FoldRegistry) ReleaseAll() {
-	for _, g := range reg.groups {
-		for len(g.members) > 0 {
-			g.detach(g.members[len(g.members)-1])
 		}
 	}
 }

@@ -1,12 +1,10 @@
 // Package index implements a B+-tree over int64 keys, the access method used
 // by the paper's correlated sub-query plans (an index scan on
-// lineitem.partkey). Duplicate keys are supported; leaves are chained for
-// range scans. Node accesses are counted so the executor can charge work
-// units per index page touched.
+// lineitem.partkey). Duplicate keys are supported. Node accesses are counted
+// so the executor can charge work units per index page touched.
 package index
 
 import (
-	"fmt"
 	"sort"
 
 	"mqpi/internal/engine/storage"
@@ -23,14 +21,13 @@ type node struct {
 	children []*node
 	// Leaves: vals[i] are the row ids for keys[i].
 	vals [][]storage.RowID
-	next *node // leaf chain
 }
 
 // BTree is a B+-tree index on a single int64 column.
 //
-// Concurrency: SearchEq and SearchRange are pure traversals — no node is
-// mutated, no iterator state lives on the tree — so any number of goroutines
-// may probe concurrently (the parallel execute phase does). Insert restructures
+// Concurrency: SearchEq is a pure traversal — no node is mutated, no
+// iterator state lives on the tree — so any number of goroutines may probe
+// concurrently (the parallel execute phase does). Insert restructures
 // nodes in place and must be exclusive: no probe or other Insert may run
 // concurrently with it. DML is serialized against query execution by the
 // layers above.
@@ -120,11 +117,9 @@ func (t *BTree) splitLeaf(n *node) (int64, *node) {
 		leaf: true,
 		keys: append([]int64(nil), n.keys[mid:]...),
 		vals: append([][]storage.RowID(nil), n.vals[mid:]...),
-		next: n.next,
 	}
 	n.keys = n.keys[:mid]
 	n.vals = n.vals[:mid]
-	n.next = right
 	return right.keys[0], right
 }
 
@@ -162,113 +157,4 @@ func (t *BTree) SearchEq(key int64) Probe {
 		rids = n.vals[i]
 	}
 	return Probe{RowIDs: rids, NodesTouched: touched}
-}
-
-// SearchRange returns row ids for keys in [lo, hi] (inclusive), in key order.
-func (t *BTree) SearchRange(lo, hi int64) Probe {
-	if lo > hi {
-		return Probe{NodesTouched: 1}
-	}
-	n := t.root
-	touched := 1
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return lo < n.keys[i] })
-		n = n.children[i]
-		touched++
-	}
-	var rids []storage.RowID
-	for n != nil {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
-		for ; i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				return Probe{RowIDs: rids, NodesTouched: touched}
-			}
-			rids = append(rids, n.vals[i]...)
-		}
-		n = n.next
-		if n != nil {
-			touched++
-		}
-	}
-	return Probe{RowIDs: rids, NodesTouched: touched}
-}
-
-// Validate checks B+-tree invariants: sorted keys, consistent fanout, uniform
-// leaf depth, and an intact leaf chain. It is used by property-based tests.
-func (t *BTree) Validate() error {
-	depth := -1
-	var walk func(n *node, level int, lo, hi *int64) error
-	walk = func(n *node, level int, lo, hi *int64) error {
-		for i := 1; i < len(n.keys); i++ {
-			if n.keys[i-1] >= n.keys[i] {
-				return fmt.Errorf("index: keys out of order at level %d: %d >= %d", level, n.keys[i-1], n.keys[i])
-			}
-		}
-		for _, k := range n.keys {
-			if lo != nil && k < *lo {
-				return fmt.Errorf("index: key %d below lower bound %d", k, *lo)
-			}
-			if hi != nil && k >= *hi {
-				return fmt.Errorf("index: key %d at/above upper bound %d", k, *hi)
-			}
-		}
-		if n != t.root && len(n.keys) > Fanout {
-			return fmt.Errorf("index: node overflow: %d keys", len(n.keys))
-		}
-		if n.leaf {
-			if depth == -1 {
-				depth = level
-			} else if depth != level {
-				return fmt.Errorf("index: leaves at different depths: %d vs %d", depth, level)
-			}
-			if len(n.vals) != len(n.keys) {
-				return fmt.Errorf("index: leaf has %d keys but %d value lists", len(n.keys), len(n.vals))
-			}
-			return nil
-		}
-		if len(n.children) != len(n.keys)+1 {
-			return fmt.Errorf("index: internal node has %d keys but %d children", len(n.keys), len(n.children))
-		}
-		for i, c := range n.children {
-			var clo, chi *int64
-			if i > 0 {
-				clo = &n.keys[i-1]
-			} else {
-				clo = lo
-			}
-			if i < len(n.keys) {
-				chi = &n.keys[i]
-			} else {
-				chi = hi
-			}
-			if err := walk(c, level+1, clo, chi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 1, nil, nil); err != nil {
-		return err
-	}
-	// Leaf chain must visit every key in ascending order.
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	var prev *int64
-	count := 0
-	for ; n != nil; n = n.next {
-		for i, k := range n.keys {
-			k := k
-			if prev != nil && *prev >= k {
-				return fmt.Errorf("index: leaf chain out of order: %d >= %d", *prev, k)
-			}
-			prev = &k
-			count += len(n.vals[i])
-		}
-	}
-	if count != t.nkeys {
-		return fmt.Errorf("index: leaf chain has %d entries, expected %d", count, t.nkeys)
-	}
-	return nil
 }

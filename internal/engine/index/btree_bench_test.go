@@ -41,13 +41,3 @@ func BenchmarkSearchEq(b *testing.B) {
 		bt.SearchEq(rng.Int63n(100000/30 + 1))
 	}
 }
-
-func BenchmarkSearchRange(b *testing.B) {
-	bt := buildTree(100000, 1)
-	rng := rand.New(rand.NewSource(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := rng.Int63n(90000)
-		bt.SearchRange(lo, lo+1000)
-	}
-}

@@ -1,8 +1,8 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +10,70 @@ import (
 )
 
 func rid(i int) storage.RowID { return storage.RowID{Page: i, Slot: 0} }
+
+// validate checks the B+-tree invariants: sorted keys within each node's
+// separator bounds, consistent fanout, uniform leaf depth, and an entry count
+// that matches Len.
+func validate(t *BTree) error {
+	depth := -1
+	count := 0
+	var walk func(n *node, level int, lo, hi *int64) error
+	walk = func(n *node, level int, lo, hi *int64) error {
+		for i := 1; i < len(n.keys); i++ {
+			if n.keys[i-1] >= n.keys[i] {
+				return fmt.Errorf("index: keys out of order at level %d: %d >= %d", level, n.keys[i-1], n.keys[i])
+			}
+		}
+		for _, k := range n.keys {
+			if lo != nil && k < *lo {
+				return fmt.Errorf("index: key %d below lower bound %d", k, *lo)
+			}
+			if hi != nil && k >= *hi {
+				return fmt.Errorf("index: key %d at/above upper bound %d", k, *hi)
+			}
+		}
+		if n != t.root && len(n.keys) > Fanout {
+			return fmt.Errorf("index: node overflow: %d keys", len(n.keys))
+		}
+		if n.leaf {
+			if depth == -1 {
+				depth = level
+			} else if depth != level {
+				return fmt.Errorf("index: leaves at different depths: %d vs %d", depth, level)
+			}
+			if len(n.vals) != len(n.keys) {
+				return fmt.Errorf("index: leaf has %d keys but %d value lists", len(n.keys), len(n.vals))
+			}
+			for _, v := range n.vals {
+				count += len(v)
+			}
+			return nil
+		}
+		if len(n.children) != len(n.keys)+1 {
+			return fmt.Errorf("index: internal node has %d keys but %d children", len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = &n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = &n.keys[i]
+			}
+			if err := walk(c, level+1, clo, chi); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, 1, nil, nil); err != nil {
+		return err
+	}
+	if count != t.nkeys {
+		return fmt.Errorf("index: leaves hold %d entries, expected %d", count, t.nkeys)
+	}
+	return nil
+}
 
 func TestEmptyTree(t *testing.T) {
 	bt := New("idx", "t", "a")
@@ -20,7 +84,7 @@ func TestEmptyTree(t *testing.T) {
 	if len(p.RowIDs) != 0 || p.NodesTouched != 1 {
 		t.Errorf("SearchEq on empty = %+v", p)
 	}
-	if err := bt.Validate(); err != nil {
+	if err := validate(bt); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 }
@@ -37,7 +101,7 @@ func TestInsertSearchSequential(t *testing.T) {
 	if bt.Height() < 2 {
 		t.Errorf("tree of %d keys should have split (height %d)", n, bt.Height())
 	}
-	if err := bt.Validate(); err != nil {
+	if err := validate(bt); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	for i := 0; i < n; i++ {
@@ -66,36 +130,8 @@ func TestDuplicateKeys(t *testing.T) {
 	if bt.Len() != 50 {
 		t.Errorf("Len = %d", bt.Len())
 	}
-	if err := bt.Validate(); err != nil {
+	if err := validate(bt); err != nil {
 		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestSearchRange(t *testing.T) {
-	bt := New("idx", "t", "a")
-	for i := 0; i < 200; i += 2 { // even keys only
-		bt.Insert(int64(i), rid(i))
-	}
-	p := bt.SearchRange(10, 20)
-	want := []int{10, 12, 14, 16, 18, 20}
-	if len(p.RowIDs) != len(want) {
-		t.Fatalf("range [10,20] returned %d ids", len(p.RowIDs))
-	}
-	for i, w := range want {
-		if p.RowIDs[i] != rid(w) {
-			t.Errorf("range result %d = %v, want %v", i, p.RowIDs[i], rid(w))
-		}
-	}
-	if got := bt.SearchRange(21, 21); len(got.RowIDs) != 0 {
-		t.Error("odd key should be absent")
-	}
-	if got := bt.SearchRange(30, 10); len(got.RowIDs) != 0 {
-		t.Error("inverted range should be empty")
-	}
-	// Full range covers everything in order.
-	all := bt.SearchRange(-1, 1000)
-	if len(all.RowIDs) != 100 {
-		t.Errorf("full range returned %d ids", len(all.RowIDs))
 	}
 }
 
@@ -111,7 +147,7 @@ func TestRandomAgainstReference(t *testing.T) {
 		bt.Insert(k, rid(i))
 		ref[k] = append(ref[k], rid(i))
 	}
-	if err := bt.Validate(); err != nil {
+	if err := validate(bt); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	for k, want := range ref {
@@ -125,28 +161,6 @@ func TestRandomAgainstReference(t *testing.T) {
 			}
 		}
 	}
-	// Range query matches reference.
-	lo, hi := int64(100), int64(200)
-	var want []storage.RowID
-	var keys []int64
-	for k := range ref {
-		if k >= lo && k <= hi {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		want = append(want, ref[k]...)
-	}
-	got := bt.SearchRange(lo, hi).RowIDs
-	if len(got) != len(want) {
-		t.Fatalf("range: got %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range result %d mismatch", i)
-		}
-	}
 }
 
 // Property: any insertion sequence leaves a valid tree whose length matches.
@@ -156,7 +170,7 @@ func TestQuickValidity(t *testing.T) {
 		for i, k := range keys {
 			bt.Insert(k%1000, rid(i))
 		}
-		return bt.Validate() == nil && bt.Len() == len(keys)
+		return validate(bt) == nil && bt.Len() == len(keys)
 	}
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(f, cfg); err != nil {

@@ -50,8 +50,7 @@ const (
 // WAL is a catalog.Observer that appends a logical redo record for every
 // mutation before it is applied.
 type WAL struct {
-	w       *bufio.Writer
-	records int
+	w *bufio.Writer
 }
 
 // NewWAL writes the header and returns a ready log.
@@ -66,12 +65,6 @@ func NewWAL(w io.Writer) (*WAL, error) {
 	return &WAL{w: bw}, nil
 }
 
-// Records returns the number of records written.
-func (l *WAL) Records() int { return l.records }
-
-// Flush forces buffered records out to the underlying writer.
-func (l *WAL) Flush() error { return l.w.Flush() }
-
 func (l *WAL) record(f func() error) error {
 	if err := f(); err != nil {
 		return fmt.Errorf("engine: wal append: %w", err)
@@ -81,7 +74,6 @@ func (l *WAL) record(f func() error) error {
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("engine: wal flush: %w", err)
 	}
-	l.records++
 	return nil
 }
 
@@ -175,15 +167,14 @@ func (l *WAL) OnDelete(table string, rid storage.RowID) error {
 var _ catalog.Observer = (*WAL)(nil)
 
 // AttachWAL starts logging every catalog mutation to w (write-ahead: the
-// record is flushed before the mutation applies). It returns the WAL so the
-// caller can inspect or flush it; DetachWAL stops logging.
-func (db *DB) AttachWAL(w io.Writer) (*WAL, error) {
+// record is flushed before the mutation applies); DetachWAL stops logging.
+func (db *DB) AttachWAL(w io.Writer) error {
 	l, err := NewWAL(w)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	db.cat.SetObserver(l)
-	return l, nil
+	return nil
 }
 
 // DetachWAL stops logging.

@@ -32,7 +32,7 @@ func sameQueryResults(t *testing.T, a, b *DB, queries []string) {
 func TestWALRecoverFromEmpty(t *testing.T) {
 	var wal bytes.Buffer
 	db := Open()
-	if _, err := db.AttachWAL(&wal); err != nil {
+	if err := db.AttachWAL(&wal); err != nil {
 		t.Fatal(err)
 	}
 	stmts := []string{
@@ -89,7 +89,7 @@ func TestWALPlusCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wal bytes.Buffer
-	if _, err := db.AttachWAL(&wal); err != nil {
+	if err := db.AttachWAL(&wal); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec("INSERT INTO t VALUES (3)"); err != nil {
@@ -115,7 +115,7 @@ func TestWALPlusCheckpoint(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	var wal bytes.Buffer
 	db := Open()
-	if _, err := db.AttachWAL(&wal); err != nil {
+	if err := db.AttachWAL(&wal); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec("CREATE TABLE t (a BIGINT)"); err != nil {
@@ -166,7 +166,7 @@ func TestWALRandomSequenceQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var wal bytes.Buffer
 		db := Open()
-		if _, err := db.AttachWAL(&wal); err != nil {
+		if err := db.AttachWAL(&wal); err != nil {
 			return false
 		}
 		if _, err := db.Exec("CREATE TABLE t (a BIGINT, b DOUBLE)"); err != nil {

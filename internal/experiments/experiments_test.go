@@ -457,38 +457,6 @@ func TestExperimentDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunMaintenanceCase1 exercises §3.3's Case 1 (lost work = completed
-// work of aborted queries): the multi-PI method must still dominate, and at
-// t=tfinish the no-PI method still loses nothing.
-func TestRunMaintenanceCase1(t *testing.T) {
-	res, err := RunMaintenance(MaintenanceConfig{
-		Common:         Common{Seed: 5, Runs: 3, Data: smallData},
-		WarmupFinishes: 12,
-		Case1:          true,
-		TFracs:         []float64{0.3, 0.7, 1.0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noPI, single, multi, limit := res.Fig11.Series[0], res.Fig11.Series[1], res.Fig11.Series[2], res.Fig11.Series[3]
-	if noPI.YAt(1.0) != 0 {
-		t.Errorf("no-PI at tfinish = %g", noPI.YAt(1.0))
-	}
-	if res.MultiVsSingle <= 0 {
-		t.Errorf("multi should beat single in Case 1 too: %g", res.MultiVsSingle)
-	}
-	for _, frac := range []float64{0.3, 0.7} {
-		if multi.YAt(frac) < limit.YAt(frac)-1e-9 {
-			t.Errorf("t=%g: multi %g below limit %g", frac, multi.YAt(frac), limit.YAt(frac))
-		}
-		// Case 1 losses are bounded by Case 2 losses (completed ≤ total).
-		if multi.YAt(frac) > 1 {
-			t.Errorf("t=%g: UW/TW %g out of range", frac, multi.YAt(frac))
-		}
-	}
-	_ = single
-}
-
 // TestRunMPLSweep: the §2.3 queue-aware estimator must dominate the
 // queue-blind one whenever an admission queue exists, and the two must
 // coincide with no admission limit.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"mqpi/internal/core"
 	"mqpi/internal/metrics"
@@ -23,10 +22,6 @@ type MaintenanceConfig struct {
 	WarmupFinishes int // completions before rt; default 25
 	// TFracs are the t/tfinish points of Figure 11's x axis.
 	TFracs []float64
-	// Case1 switches the lost-work definition to §3.3's Case 1 (completed
-	// work of aborted queries); the default is the paper's Figure 11 choice,
-	// Case 2 (total cost of aborted queries).
-	Case1 bool
 }
 
 func (c MaintenanceConfig) withDefaults() MaintenanceConfig {
@@ -73,13 +68,6 @@ type MaintenanceResult struct {
 func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 	cfg = cfg.withDefaults()
 
-	mode := wm.Case2TotalCost
-	caseName := "Case 2"
-	if cfg.Case1 {
-		mode = wm.Case1CompletedWork
-		caseName = "Case 1"
-	}
-
 	// uw is UW/TW at one t under the four methods, in Figure 11's series order.
 	type uw [4]float64
 	const (
@@ -114,17 +102,17 @@ func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 		cell := make([]uw, len(cfg.TFracs)) // indexed like cfg.TFracs
 		for ti, frac := range cfg.TFracs {
 			t := frac * tfinish
-			uwMulti, err := evalMultiPI(snaps, cfg.RateC, t, mode)
+			uwMulti, err := evalMultiPI(snaps, cfg.RateC, t)
 			if err != nil {
 				return nil, err
 			}
-			uwLimit, err := evalLimit(snaps, cfg.RateC, t, mode)
+			uwLimit, err := evalLimit(snaps, cfg.RateC, t)
 			if err != nil {
 				return nil, err
 			}
 			cell[ti] = uw{
-				mNoPI:   evalNoPI(snaps, cfg.RateC, t, mode) / tw,
-				mSingle: evalSinglePI(snaps, cfg.RateC, t, mode) / tw,
+				mNoPI:   evalNoPI(snaps, cfg.RateC, t) / tw,
+				mSingle: evalSinglePI(snaps, cfg.RateC, t) / tw,
 				mMulti:  uwMulti / tw,
 				mLimit:  uwLimit / tw,
 			}
@@ -145,7 +133,7 @@ func RunMaintenance(cfg MaintenanceConfig) (*MaintenanceResult, error) {
 
 	res := &MaintenanceResult{
 		Fig11: metrics.Figure{
-			Title:  fmt.Sprintf("Figure 11: unfinished work of the three methods vs theoretical limit (%s)", caseName),
+			Title:  "Figure 11: unfinished work of the three methods vs theoretical limit (Case 2)",
 			XLabel: "t / tfinish",
 			YLabel: "UW / TW",
 		},
@@ -284,50 +272,19 @@ func runMaintenanceOnce(cl *cell, cfg MaintenanceConfig) ([]maintSnapshot, error
 	return snaps, nil
 }
 
-// lostAtAbort returns the mode-dependent lost work of aborting a query that
-// has completed `done` work in total (Case 1: the completed work is wasted;
-// Case 2: the whole cost must be redone).
-func lostAtAbort(s maintSnapshot, doneSinceRt float64, mode wm.LostWorkMode) float64 {
-	if mode == wm.Case1CompletedWork {
-		return s.doneWork + doneSinceRt
-	}
-	return s.trueCost
-}
-
-// workDoneBy returns how much work each query of prof, a profile of
-// unit-weight queries, completes within its first t seconds: stage k runs
-// every query still in it at C/W_k, so a query has done C·Σ dt_k/W_k over the
-// part of each of its stages before t.
-func workDoneBy(prof core.Profile, C, t float64) map[int]float64 {
-	done := make(map[int]float64, len(prof.Order))
-	perWeight, start := 0.0, 0.0
-	for k, id := range prof.Order {
-		if start < t {
-			perWeight += C * math.Min(prof.StageDur[k], t-start) / prof.StageW[k]
-			start += prof.StageDur[k]
-		}
-		done[id] = perWeight
-	}
-	return done
-}
-
 // keptUnfinished returns the lost work of queries kept at rt but still
 // unfinished at deadline t: under equal-weight fair sharing their finish
 // times follow the stage model over the true remaining costs.
-func keptUnfinished(kept []maintSnapshot, C, t float64, mode wm.LostWorkMode) float64 {
+func keptUnfinished(kept []maintSnapshot, C, t float64) float64 {
 	states := make([]core.QueryState, len(kept))
 	for i, s := range kept {
 		states[i] = core.QueryState{ID: s.id, Remaining: s.trueRem, Weight: 1, Done: s.doneWork}
 	}
 	prof := core.ComputeProfile(states, C)
-	var doneBy map[int]float64
-	if mode == wm.Case1CompletedWork {
-		doneBy = workDoneBy(prof, C, t)
-	}
 	lost := 0.0
 	for _, s := range kept {
 		if prof.Finish[s.id] > t+1e-9 {
-			lost += lostAtAbort(s, doneBy[s.id], mode)
+			lost += s.trueCost
 		}
 	}
 	return lost
@@ -335,58 +292,58 @@ func keptUnfinished(kept []maintSnapshot, C, t float64, mode wm.LostWorkMode) fl
 
 // evalNoPI: operations O1+O2 — nobody is aborted at rt; whatever has not
 // finished by rt+t is aborted then.
-func evalNoPI(snaps []maintSnapshot, C, t float64, mode wm.LostWorkMode) float64 {
-	return keptUnfinished(snaps, C, t, mode)
+func evalNoPI(snaps []maintSnapshot, C, t float64) float64 {
+	return keptUnfinished(snaps, C, t)
 }
 
 // evalSinglePI: abort at rt every query whose single-query estimate c/s
 // exceeds t (the single-query PI assumes current speeds persist and cannot
 // anticipate the post-abort speed-up), then abort late finishers at rt+t.
-func evalSinglePI(snaps []maintSnapshot, C, t float64, mode wm.LostWorkMode) float64 {
+func evalSinglePI(snaps []maintSnapshot, C, t float64) float64 {
 	lost := 0.0
 	var kept []maintSnapshot
 	for _, s := range snaps {
 		est := core.SingleQueryRemainingTime(s.estRemain, s.speed)
 		if est > t+1e-9 {
-			lost += lostAtAbort(s, 0, mode)
+			lost += s.trueCost
 			continue
 		}
 		kept = append(kept, s)
 	}
-	return lost + keptUnfinished(kept, C, t, mode)
+	return lost + keptUnfinished(kept, C, t)
 }
 
 // evalMultiPI: the §3.3 greedy knapsack over the PI's estimated remaining
 // costs, then abort late finishers at rt+t.
-func evalMultiPI(snaps []maintSnapshot, C, t float64, mode wm.LostWorkMode) (float64, error) {
+func evalMultiPI(snaps []maintSnapshot, C, t float64) (float64, error) {
 	states := make([]core.QueryState, len(snaps))
 	for i, s := range snaps {
 		states[i] = core.QueryState{ID: s.id, Remaining: s.estRemain, Weight: 1, Done: s.doneWork}
 	}
-	plan, err := wm.PlanMaintenance(states, C, t, mode)
+	plan, err := wm.PlanMaintenance(states, C, t, wm.Case2TotalCost)
 	if err != nil {
 		return 0, err
 	}
-	return evalAbortSet(snaps, plan.Abort, C, t, mode), nil
+	return evalAbortSet(snaps, plan.Abort, C, t), nil
 }
 
 // evalLimit: the theoretical limitation — the exact optimal abort set
 // computed from the true run-to-completion costs.
-func evalLimit(snaps []maintSnapshot, C, t float64, mode wm.LostWorkMode) (float64, error) {
+func evalLimit(snaps []maintSnapshot, C, t float64) (float64, error) {
 	states := make([]core.QueryState, len(snaps))
 	for i, s := range snaps {
 		states[i] = core.QueryState{ID: s.id, Remaining: s.trueRem, Weight: 1, Done: s.doneWork}
 	}
-	plan, err := wm.PlanMaintenanceExact(states, C, t, mode)
+	plan, err := wm.PlanMaintenanceExact(states, C, t, wm.Case2TotalCost)
 	if err != nil {
 		return 0, err
 	}
-	return evalAbortSet(snaps, plan.Abort, C, t, mode), nil
+	return evalAbortSet(snaps, plan.Abort, C, t), nil
 }
 
 // evalAbortSet charges the lost work of queries aborted at rt plus that of
 // kept queries that still miss the deadline.
-func evalAbortSet(snaps []maintSnapshot, abort []int, C, t float64, mode wm.LostWorkMode) float64 {
+func evalAbortSet(snaps []maintSnapshot, abort []int, C, t float64) float64 {
 	abortSet := make(map[int]bool, len(abort))
 	for _, id := range abort {
 		abortSet[id] = true
@@ -395,10 +352,10 @@ func evalAbortSet(snaps []maintSnapshot, abort []int, C, t float64, mode wm.Lost
 	var kept []maintSnapshot
 	for _, s := range snaps {
 		if abortSet[s.id] {
-			lost += lostAtAbort(s, 0, mode)
+			lost += s.trueCost
 			continue
 		}
 		kept = append(kept, s)
 	}
-	return lost + keptUnfinished(kept, C, t, mode)
+	return lost + keptUnfinished(kept, C, t)
 }

@@ -75,14 +75,6 @@ func (ix *seriesIndex) yAt(x float64) float64 {
 	return y
 }
 
-// Last returns the final point; ok is false for an empty series.
-func (s *Series) Last() (Point, bool) {
-	if len(s.Pts) == 0 {
-		return Point{}, false
-	}
-	return s.Pts[len(s.Pts)-1], true
-}
-
 // Figure is a set of series sharing an x axis, renderable as a text table —
 // the harness's stand-in for the paper's plots.
 type Figure struct {

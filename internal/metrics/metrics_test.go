@@ -9,13 +9,10 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := &Series{Name: "s"}
-	if _, ok := s.Last(); ok {
-		t.Error("empty series has no last point")
-	}
 	s.Add(1, 10)
 	s.Add(2, 20)
-	if p, ok := s.Last(); !ok || p.X != 2 || p.Y != 20 {
-		t.Errorf("Last = %+v, %v", p, ok)
+	if len(s.Pts) != 2 || s.Pts[1] != (Point{X: 2, Y: 20}) {
+		t.Errorf("Pts = %+v", s.Pts)
 	}
 	if got := s.YAt(1); got != 10 {
 		t.Errorf("YAt(1) = %g", got)

@@ -89,7 +89,7 @@ func buildFoldWorkload(t testing.TB, srv *Server) []int {
 func TestFoldConservation(t *testing.T) {
 	srv := newServer(Config{RateC: 20, Quantum: 0.5, Fold: true})
 	ids := buildFoldWorkload(t, srv)
-	if !srv.FoldEnabled() {
+	if !srv.Snapshot().FoldEnabled {
 		t.Fatal("folding should be on")
 	}
 	tr := traceToIdle(srv, ids)
@@ -256,54 +256,5 @@ func TestFoldReleaseHooks(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSetFoldToggle: disabling folding mid-flight detaches everyone (laps
-// finish solo), re-enabling folds queries that have not started yet, and the
-// lifetime counters never move backwards.
-func TestSetFoldToggle(t *testing.T) {
-	srv := newServer(Config{RateC: 10, Quantum: 0.5, Fold: true})
-	db := engine.Open()
-	q1 := srv.NewQuery("q1", "", 0, prepare(t, db, "shared", 30))
-	q2 := srv.NewQuery("q2", "", 0, runnerOn(t, db, "shared"))
-	srv.Submit(q1)
-	srv.Submit(q2)
-	srv.Tick()
-	if !q1.Runner.FoldAttached() || !q2.Runner.FoldAttached() {
-		t.Fatal("pair should fold")
-	}
-	before := srv.FoldStats()
-	srv.SetFold(false)
-	if q1.Runner.FoldAttached() || q2.Runner.FoldAttached() {
-		t.Fatal("SetFold(false) should detach everyone")
-	}
-	srv.Tick()
-
-	srv.SetFold(true)
-	q3 := srv.NewQuery("q3", "", 0, runnerOn(t, db, "shared"))
-	q4 := srv.NewQuery("q4", "", 0, runnerOn(t, db, "shared"))
-	srv.Submit(q3)
-	srv.Submit(q4)
-	srv.Tick()
-	if !q3.Runner.FoldAttached() || !q4.Runner.FoldAttached() {
-		t.Fatal("new pair should fold after re-enable")
-	}
-	// q1/q2 already hold detached seats and must not re-fold.
-	if q1.Runner.FoldAttached() || q2.Runner.FoldAttached() {
-		t.Fatal("released runners re-attached")
-	}
-	srv.RunUntilIdle(1e6)
-	after := srv.FoldStats()
-	if after.Attaches < before.Attaches || after.PagesSaved < before.PagesSaved {
-		t.Errorf("lifetime counters went backwards: %+v -> %+v", before, after)
-	}
-	if after.Attaches != 4 {
-		t.Errorf("attaches = %d, want 4", after.Attaches)
-	}
-	for _, q := range []*Query{q1, q2, q3, q4} {
-		if q.Status != StatusFinished {
-			t.Errorf("query %d is %v", q.ID, q.Status)
-		}
 	}
 }

@@ -149,8 +149,8 @@ type Config struct {
 	// same relation at the same priority attach to one shared cursor, so each
 	// page read charges every member's progress but costs the engine one
 	// physical read. Progress, ETAs, and credit settlement are unchanged —
-	// only the engine-cost plane (QueryInfo.Cost) shrinks. Toggle at runtime
-	// with SetFold.
+	// only the engine-cost plane (QueryInfo.Cost) shrinks. It is fixed for
+	// the server's lifetime.
 	Fold bool
 }
 
@@ -207,8 +207,7 @@ type Server struct {
 	scratch   tickScratch // reused allocate/execute/settle working set
 	lastStats TickStats
 
-	foldOn      bool               // folding currently enabled (see SetFold)
-	foldReg     *exec.FoldRegistry // shared-cursor registry; nil until folding first enabled
+	foldReg     *exec.FoldRegistry // shared-cursor registry; nil unless Config.Fold
 	foldGrouped bool               // some live group has >= 2 members (per-segment cache)
 }
 
@@ -240,47 +239,21 @@ func (t *tickScratch) ensure(n int) {
 	}
 }
 
-// New creates a server.
+// New creates a server. Folding is on for the server's lifetime when
+// Config.Fold is set.
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg.withDefaults(), nextID: 1, onStatus: func(*Query, Status) {}}
-	s.SetFold(s.cfg.Fold)
-	return s
-}
-
-// FoldEnabled reports whether shared-scan folding is currently on.
-func (s *Server) FoldEnabled() bool { return s.foldOn }
-
-// SetFold toggles shared-scan folding at runtime. Turning it off releases
-// every attached member (each finishes its lap solo, at full engine cost);
-// lifetime fold counters keep accumulating across toggles. Turning it on
-// makes queries that have not started executing yet eligible at the next
-// tick.
-func (s *Server) SetFold(on bool) {
-	if on == s.foldOn {
-		return
-	}
-	s.foldOn = on
-	if !on {
-		if s.foldReg != nil {
-			s.foldReg.ReleaseAll()
-			s.foldReg.Sweep()
-		}
-		return
-	}
-	if s.foldReg == nil {
+	if s.cfg.Fold {
 		s.foldReg = exec.NewFoldRegistry()
 	}
-	// Queries admitted while folding was off were never marked checked (the
-	// attach pass only runs with folding on), so still-unstarted ones are
-	// examined at the next tick. A query that attached, was released, and
-	// re-enabled stays solo: its runner already holds a detached seat.
+	return s
 }
 
 // foldAttachPass folds newly admitted, not-yet-started queries in admission
 // order, then refreshes the "any group actually shares" cache the execute
 // partition keys on. Serial phase of the tick.
 func (s *Server) foldAttachPass() {
-	if !s.foldOn {
+	if s.foldReg == nil {
 		return
 	}
 	for _, q := range s.running {
@@ -930,8 +903,7 @@ func (s *Server) InfoOf(q *Query) QueryInfo {
 }
 
 // FoldStats summarizes a server's shared-scan folding state: live gauges plus
-// lifetime counters (monotonic across SetFold toggles). The zero value means
-// folding never engaged.
+// lifetime counters. The zero value means folding is off.
 type FoldStats struct {
 	Groups     int    // live fold groups (>= 1 member)
 	Members    int    // live attached members
@@ -1073,7 +1045,7 @@ func (s *Server) Snapshot() Snapshot {
 	snap := Snapshot{
 		Now: s.now, RateC: s.cfg.RateC, MPL: s.cfg.MPL, Quantum: s.cfg.Quantum,
 		Workers:     s.Workers(),
-		FoldEnabled: s.foldOn,
+		FoldEnabled: s.foldReg != nil,
 		Fold:        s.FoldStats(),
 		FoldTables:  s.FoldTables(),
 	}

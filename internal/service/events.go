@@ -20,7 +20,6 @@ const (
 	EventFinished  = "finished"         // completed successfully
 	EventFailed    = "failed"           // terminated with an execution error
 	EventAborted   = "aborted"          // killed by a client or a planner
-	EventFold      = "fold_toggled"     // shared-scan folding switched on or off (queryID 0)
 )
 
 // Event is one entry in a query's trace. Seq is a global, strictly

@@ -72,6 +72,7 @@ func TestIncrementalEstimatesMatchStateless(t *testing.T) {
 		Quantum: 0.5,
 		MPL:     3,
 		Weights: map[int]float64{1: 2, 2: 4},
+		Fold:    true,
 	})
 
 	ids := make([]int, 0, 6)
@@ -111,11 +112,6 @@ func TestIncrementalEstimatesMatchStateless(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkPublishedEstimates(t, m, "unblock")
-		case 7:
-			if err := m.SetFold(true); err != nil {
-				t.Fatal(err)
-			}
-			checkPublishedEstimates(t, m, "fold")
 		case 8:
 			// The target may already have finished depending on the weight
 			// mix; either way the post-action snapshot must stay consistent.

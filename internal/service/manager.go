@@ -637,16 +637,6 @@ func foldView(s *sched.Snapshot) FoldView {
 	}
 }
 
-// SetFold toggles shared-scan folding at runtime. Turning it off releases
-// every shared cursor (members finish their laps solo); turning it on makes
-// not-yet-started queries eligible at the next tick.
-func (m *Manager) SetFold(on bool) error {
-	return m.call(func() {
-		m.srv.SetFold(on)
-		m.events.add(m.srv.Now(), 0, EventFold, fmt.Sprintf("fold=%v", on))
-	})
-}
-
 // Block suspends an admitted query (the §3.1 victim operation).
 func (m *Manager) Block(id int) error { return m.op(id, m.srv.Block) }
 

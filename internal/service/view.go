@@ -66,7 +66,7 @@ type QueryView struct {
 }
 
 // FoldView summarizes shared-scan folding for the overview: live gauges plus
-// lifetime counters (monotonic across fold on/off toggles).
+// lifetime counters.
 type FoldView struct {
 	Enabled    bool     `json:"enabled"`
 	Groups     int      `json:"groups"`

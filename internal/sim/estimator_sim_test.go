@@ -57,12 +57,12 @@ func TestSimEstimatorMatrix(t *testing.T) {
 }
 
 // TestSimEnsembleMode runs the calibrated estimate plane under shared-scan
-// folding with mid-run fold on/off churn, which TestSimEstimatorMatrix's
-// cells leave off: every invariant must hold and the run must stay
-// byte-deterministic across worker counts, bands and all.
+// folding, which TestSimEstimatorMatrix's cells leave off: every invariant
+// must hold and the run must stay byte-deterministic across worker counts,
+// bands and all.
 func TestSimEnsembleMode(t *testing.T) {
 	t.Parallel()
-	runAcrossWorkers(t, Config{Seed: 5, Estimator: core.EstimatorCalibrated, Fold: true, FoldToggle: true})
+	runAcrossWorkers(t, Config{Seed: 5, Estimator: core.EstimatorCalibrated, Fold: true})
 }
 
 // TestSimRejectsBadEstimator pins the config validation path: an unknown

@@ -83,36 +83,3 @@ func TestFoldSimMatrix(t *testing.T) {
 	// vacuously comparing two solo runs.
 	t.Cleanup(func() { total.assertFolded(t) })
 }
-
-// TestSimFoldToggleScript pins the fold on/off toggle action: detach-all on
-// the way off, re-fold of eligible newcomers on the way back on, invariants
-// (I11 included) holding across the churn, deterministically.
-func TestSimFoldToggleScript(t *testing.T) {
-	script := []byte{
-		0x00, 0x00, // submit sum(v) over t0
-		0x00, 0x01, // submit the same shape: folds with the first
-		0x04, 0x80, // advance mid-scan
-		0x08, 0x00, // fold off: every member detaches, scans continue solo
-		0x04, 0x40, // advance
-		0x08, 0x01, // fold on again
-		0x00, 0x02, // a newcomer that may fold with survivors
-		0x04, 0xff, // advance
-	}
-	a, err := Run(Config{Seed: 7, Fold: true, FoldToggle: true, Script: script})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range a.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if a.Submitted != 3 {
-		t.Fatalf("submitted %d, want 3", a.Submitted)
-	}
-	b, err := Run(Config{Seed: 7, Fold: true, FoldToggle: true, Script: script})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Trace != b.Trace {
-		t.Fatalf("toggle script not deterministic: %s", firstDiff(a.Trace, b.Trace))
-	}
-}

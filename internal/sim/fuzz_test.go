@@ -17,13 +17,13 @@ func FuzzSim(f *testing.F) {
 	// re-taken (I6/I7) and held against the event-stepped oracle (I14).
 	f.Add([]byte{0x00, 0x10, 0x00, 0x57, 0x00, 0x91, 0x0c, 0x11, 0x04, 0x30, 0x0c, 0x52, 0x04, 0x30,
 		0x0c, 0x93, 0x0c, 0x20, 0x04, 0x60, 0x0c, 0x64, 0x04, 0xff})
-	// Fold churn (opcode 0x08 toggles folding under FoldToggle): same-table
-	// submissions fold, detach on the off-toggle mid-scan, and re-form on the
-	// on-toggle, with I11 conservation checked after every action.
+	// Fold churn: same-table submissions fold and scan through a run of
+	// advances (opcode 0x08 is one), with I11 conservation checked after
+	// every action.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x04, 0x80, 0x08, 0x00, 0x04, 0x40, 0x08, 0x01,
 		0x00, 0x02, 0x04, 0xff})
-	// Fold plus victim churn: block and abort members of a live group, then
-	// toggle folding around a DML write to the scanned table.
+	// Fold plus victim churn: block and abort members of a live group around
+	// a DML write to the scanned table.
 	f.Add([]byte{0x08, 0x01, 0x00, 0x00, 0x00, 0x01, 0x04, 0x60, 0x09, 0x00, 0x0d, 0x01,
 		0x08, 0x00, 0x0b, 0x00, 0x08, 0x01, 0x00, 0x03, 0x04, 0xff})
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -36,10 +36,10 @@ func FuzzSim(f *testing.F) {
 		if len(script) > 192 {
 			script = script[:192]
 		}
-		// Folding starts on and the script can toggle it, so the fuzzer
-		// explores attach/detach orderings interleaved with DML and victim
-		// operations — the riskiest corner of the shared-cursor protocol.
-		res, err := Run(Config{Seed: 11, Rows: 384, Fold: true, FoldToggle: true, Script: script})
+		// Folding is on, so the fuzzer explores attach/detach orderings
+		// interleaved with DML and victim operations — the riskiest corner of
+		// the shared-cursor protocol.
+		res, err := Run(Config{Seed: 11, Rows: 384, Fold: true, Script: script})
 		if err != nil {
 			t.Fatalf("harness error: %v", err)
 		}

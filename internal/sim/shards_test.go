@@ -89,10 +89,9 @@ func TestClusterSimFoldMatrix(t *testing.T) {
 }
 
 // TestClusterSimPaths runs, behind a three-shard front door, the paths the
-// seeded matrices leave at their defaults: a blended estimate plane, fold
-// on/off churn (the toggle lands on one shard, so shards disagree about
-// folding), and a scripted action stream whose per-query operations must
-// reach the shard that owns each global id.
+// seeded matrices leave at their defaults: a blended estimate plane, folding
+// under fold-aware least-loaded routing, and a scripted action stream whose
+// per-query operations must reach the shard that owns each global id.
 func TestClusterSimPaths(t *testing.T) {
 	script := []byte{
 		0x00, 0x10, 0x00, 0x57, 0x00, 0x91, 0x00, 0x22, // four submissions: shards 0, 1, 2, 0
@@ -108,9 +107,9 @@ func TestClusterSimPaths(t *testing.T) {
 		0x04, 0x40, // advance
 	}
 	for name, cfg := range map[string]Config{
-		"calibrated":  {Seed: 5, Estimator: core.EstimatorCalibrated, Routing: "affinity"},
-		"fold-toggle": {Seed: 4, Fold: true, FoldToggle: true, Routing: "least-loaded"},
-		"script":      {Seed: 3, Script: script},
+		"calibrated": {Seed: 5, Estimator: core.EstimatorCalibrated, Routing: "affinity"},
+		"fold":       {Seed: 4, Fold: true, Routing: "least-loaded"},
+		"script":     {Seed: 3, Script: script},
 	} {
 		cfg := cfg
 		cfg.Shards = 3
@@ -123,10 +122,6 @@ func TestClusterSimPaths(t *testing.T) {
 				}
 			}
 			switch name {
-			case "fold-toggle":
-				if !strings.Contains(base.Trace, "fold on=false") || !strings.Contains(base.Trace, "fold on=true") {
-					t.Error("the stream never toggled folding both ways")
-				}
 			case "script":
 				if base.Submitted != 4 || base.Aborted != 1 || base.Plans != 1 {
 					t.Errorf("script submitted %d, aborted %d, planned %d; want 4, 1, 1",

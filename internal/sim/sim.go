@@ -98,11 +98,6 @@ type Config struct {
 	// starts mid-table) and missed by the solo scan of the same query, so the
 	// fold-on/fold-off comparison is only exact with the data frozen.
 	NoDML bool
-	// FoldToggle remaps one advance slot of the op table to a fold on/off
-	// switch, exercising attach/detach churn mid-scan. The I12 matrix keeps
-	// it off so fold-on and fold-off runs see identical action streams; the
-	// fuzz target turns it on.
-	FoldToggle bool
 	// Estimator selects the service's estimate plane (core.EstimatorModes;
 	// "" means the default stage path). TestSimEstimatorMatrix runs "" and
 	// "stage" runs of the same seed and demands byte-identical traces, and a
@@ -206,7 +201,6 @@ const (
 	opExec
 	opPlan
 	opDiagram
-	opFold
 )
 
 // opTable maps the low 4 bits of an opcode byte to an action, with repeats
@@ -223,21 +217,17 @@ var opTable = [16]opKind{
 var opNames = [...]string{
 	opSubmit: "submit", opSubmitDelayed: "submit-delayed", opAdvance: "advance",
 	opBlock: "block", opUnblock: "unblock", opAbort: "abort", opSetPriority: "priority",
-	opExec: "exec", opPlan: "plan", opDiagram: "diagram", opFold: "fold",
+	opExec: "exec", opPlan: "plan", opDiagram: "diagram",
 }
 
 func (k opKind) String() string { return opNames[k] }
 
 // opFor maps an opcode byte to an action under the run's config: NoDML turns
-// DML into advances (same argument, so the advance amount is unchanged), and
-// FoldToggle turns one advance slot into a fold on/off switch.
+// DML into advances (same argument, so the advance amount is unchanged).
 func (s *sim) opFor(op byte) opKind {
 	kind := opTable[op&15]
 	if s.cfg.NoDML && kind == opExec {
 		kind = opAdvance
-	}
-	if s.cfg.FoldToggle && op&15 == 8 {
-		kind = opFold
 	}
 	return kind
 }
@@ -462,8 +452,7 @@ func (s *sim) locate(gid int) (shard, local int) {
 }
 
 // target picks a query of class and names it the way its shard does. The
-// actions that address a shard rather than a query (planners, diagram, fold
-// toggle) go to the shard of the query their argument picks — shard 0, which
+// actions that address a shard rather than a query (planners, diagram) go to the shard of the query their argument picks — shard 0, which
 // a failed pick names, when there is none.
 func (s *sim) target(arg byte, class string) (shard, local int, ok bool) {
 	gid, ok := s.pick(arg, class)
@@ -478,8 +467,8 @@ func (s *sim) target(arg byte, class string) (shard, local int, ok bool) {
 // it touched (or allShards) and what that shard's checker needs to know about
 // it. Action errors that are part of the service contract (unknown ID, wrong
 // state, admission) are traced, not fatal; only harness breakage is returned
-// as error. A line about one shard's own output — a planner answer, a
-// diagram, a fold toggle — carries that shard's tag and names its local ids.
+// as error. A line about one shard's own output — a planner answer or a
+// diagram — carries that shard's tag and names its local ids.
 func (s *sim) apply(kind opKind, arg byte) (int, checkCtx, error) {
 	switch kind {
 	case opSubmit, opSubmitDelayed:
@@ -514,14 +503,6 @@ func (s *sim) apply(kind opKind, arg byte) (int, checkCtx, error) {
 		d, err := s.c.Shard(shard).Diagram(48)
 		fmt.Fprintf(&s.tr, "a%03d %sdiagram %d bytes\n%s", s.actionN, s.chks[shard].tag, len(d), d)
 		return allShards, checkCtx{}, err
-	case opFold:
-		// Folding moves only the cost plane, so the toggle publishes an epoch
-		// but does not perturb any charged-plane prediction.
-		shard, _, _ := s.target(arg, "any")
-		on := arg&1 == 1
-		err := s.c.Shard(shard).SetFold(on)
-		fmt.Fprintf(&s.tr, "a%03d %sfold on=%v err=%v\n", s.actionN, s.chks[shard].tag, on, err)
-		return shard, checkCtx{mutated: true}, nil
 	default:
 		return 0, checkCtx{}, fmt.Errorf("sim: unknown op %d", uint8(kind))
 	}

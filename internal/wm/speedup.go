@@ -99,43 +99,6 @@ func SpeedUpSingle(states []core.QueryState, C float64, targetID int, h int) ([]
 	return victims[:h], nil
 }
 
-// SpeedUpSingleEqualPriority is the O(n) fast path of §3.1 for the common
-// case where every query has the same priority: any query with remaining
-// cost at least the target's is optimal; otherwise the query with the
-// largest remaining cost is. A single scan suffices — no sorting, no stage
-// computation. Like SpeedUpSingle it reads every state through
-// core.Sanitize, so a NaN or ±Inf weight is a weight of 0: no runnable
-// target, and never a victim.
-func SpeedUpSingleEqualPriority(states []core.QueryState, targetID int) (Victim, error) {
-	var target core.QueryState // weight 0, not runnable, unless found
-	for _, q := range states {
-		if q.ID == targetID {
-			target = core.Sanitize(q)
-			break
-		}
-	}
-	if target.Weight <= 0 {
-		return Victim{}, fmt.Errorf("wm: target query %d is not a runnable query", targetID)
-	}
-	best, ok := Victim{}, false
-	for _, q := range states {
-		q = core.Sanitize(q)
-		if q.ID == targetID || q.Weight <= 0 {
-			continue
-		}
-		if q.Remaining >= target.Remaining {
-			return Victim{ID: q.ID, Benefit: q.Remaining}, nil
-		}
-		if !ok || q.Remaining > best.Benefit {
-			best, ok = Victim{ID: q.ID, Benefit: q.Remaining}, true
-		}
-	}
-	if !ok {
-		return Victim{}, fmt.Errorf("wm: no candidate victims")
-	}
-	return best, nil
-}
-
 // SpeedUpOthers solves the multiple-query speed-up problem of §3.2: choose
 // the one victim whose blocking most improves the total response time of the
 // remaining n−1 queries. Blocking sorted query m improves it by

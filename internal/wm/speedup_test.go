@@ -1,6 +1,7 @@
 package wm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,6 +135,60 @@ func TestSpeedUpAdditivity(t *testing.T) {
 	}
 }
 
+// speedUpSingleEqualPriority is the O(n) closed form of §3.1 for the case
+// where every query has the same priority, the oracle SpeedUpSingle is held
+// against there: any query with remaining
+// cost at least the target's is optimal; otherwise the query with the
+// largest remaining cost is. A single scan suffices — no sorting, no stage
+// computation. Like SpeedUpSingle it reads every state through
+// core.Sanitize, so a NaN or ±Inf weight is a weight of 0: no runnable
+// target, and never a victim.
+func speedUpSingleEqualPriority(states []core.QueryState, targetID int) (Victim, error) {
+	var target core.QueryState // weight 0, not runnable, unless found
+	for _, q := range states {
+		if q.ID == targetID {
+			target = core.Sanitize(q)
+			break
+		}
+	}
+	if target.Weight <= 0 {
+		return Victim{}, fmt.Errorf("wm: target query %d is not a runnable query", targetID)
+	}
+	best, ok := Victim{}, false
+	for _, q := range states {
+		q = core.Sanitize(q)
+		if q.ID == targetID || q.Weight <= 0 {
+			continue
+		}
+		if q.Remaining >= target.Remaining {
+			return Victim{ID: q.ID, Benefit: q.Remaining}, nil
+		}
+		if !ok || q.Remaining > best.Benefit {
+			best, ok = Victim{ID: q.ID, Benefit: q.Remaining}, true
+		}
+	}
+	if !ok {
+		return Victim{}, fmt.Errorf("wm: no candidate victims")
+	}
+	return best, nil
+}
+
+// BenchmarkSpeedUpSingleEqualPriorityFastPath times the closed form at
+// depth 1000, for comparison with the general algorithm's cost.
+func BenchmarkSpeedUpSingleEqualPriorityFastPath(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	states := make([]core.QueryState, 1000)
+	for i := range states {
+		states[i] = core.QueryState{ID: i + 1, Remaining: rng.Float64() * 1e6, Weight: 1, Done: rng.Float64() * 1e6}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := speedUpSingleEqualPriority(states, 500); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestSpeedUpEqualPriorityFastPath(t *testing.T) {
 	states := []core.QueryState{
 		{ID: 1, Remaining: 100, Weight: 1},
@@ -141,7 +196,7 @@ func TestSpeedUpEqualPriorityFastPath(t *testing.T) {
 		{ID: 3, Remaining: 500, Weight: 1},
 	}
 	// Target not last: any query with c >= c_target works; ours must pick one.
-	v, err := SpeedUpSingleEqualPriority(states, 2)
+	v, err := speedUpSingleEqualPriority(states, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +204,7 @@ func TestSpeedUpEqualPriorityFastPath(t *testing.T) {
 		t.Errorf("victim = %d, want 3", v.ID)
 	}
 	// Target is last: the optimal victim is the second largest.
-	v, err = SpeedUpSingleEqualPriority(states, 3)
+	v, err = speedUpSingleEqualPriority(states, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +228,7 @@ func TestSpeedUpEqualPriorityFastPath(t *testing.T) {
 // and must never be the victim.
 func TestSpeedUpEqualPriorityNonFiniteWeights(t *testing.T) {
 	nan := []core.QueryState{{ID: 1, Remaining: 100, Weight: math.NaN()}, {ID: 2, Remaining: 200, Weight: 1}}
-	if v, err := SpeedUpSingleEqualPriority(nan, 1); err == nil {
+	if v, err := speedUpSingleEqualPriority(nan, 1); err == nil {
 		t.Errorf("NaN-weight target accepted, victim %+v", v)
 	}
 	if _, err := SpeedUpSingle(nan, 10, 1, 1); err == nil {
@@ -185,14 +240,14 @@ func TestSpeedUpEqualPriorityNonFiniteWeights(t *testing.T) {
 			{ID: 2, Remaining: 50, Weight: 1},
 			{ID: 3, Remaining: 900, Weight: w},
 		}
-		v, err := SpeedUpSingleEqualPriority(states, 1)
+		v, err := speedUpSingleEqualPriority(states, 1)
 		if err != nil {
 			t.Fatalf("weight %g: %v", w, err)
 		}
 		if v.ID != 2 {
 			t.Errorf("weight %g: victim %+v, want query 2 (query 3 is not runnable)", w, v)
 		}
-		if _, err := SpeedUpSingleEqualPriority([]core.QueryState{states[0], states[2]}, 1); err == nil {
+		if _, err := speedUpSingleEqualPriority([]core.QueryState{states[0], states[2]}, 1); err == nil {
 			t.Errorf("weight %g: the only candidate is not runnable, yet a victim came back", w)
 		}
 	}
@@ -209,7 +264,7 @@ func TestFastPathMatchesGeneralQuick(t *testing.T) {
 			states[i] = core.QueryState{ID: i + 1, Remaining: 10 + rng.Float64()*1000, Weight: 1}
 		}
 		target := 1 + rng.Intn(n)
-		fast, err1 := SpeedUpSingleEqualPriority(states, target)
+		fast, err1 := speedUpSingleEqualPriority(states, target)
 		general, err2 := SpeedUpSingle(states, 10, target, 1)
 		if err1 != nil || err2 != nil {
 			return false
@@ -244,10 +299,10 @@ func TestSpeedUpErrors(t *testing.T) {
 	if _, err := SpeedUpSingle(blocked, 10, 1, 1); err == nil {
 		t.Error("blocked target should fail")
 	}
-	if _, err := SpeedUpSingleEqualPriority(states, 99); err == nil {
+	if _, err := speedUpSingleEqualPriority(states, 99); err == nil {
 		t.Error("unknown target (fast path) should fail")
 	}
-	if _, err := SpeedUpSingleEqualPriority([]core.QueryState{{ID: 1, Remaining: 1, Weight: 1}}, 1); err == nil {
+	if _, err := speedUpSingleEqualPriority([]core.QueryState{{ID: 1, Remaining: 1, Weight: 1}}, 1); err == nil {
 		t.Error("no candidates (fast path) should fail")
 	}
 }

@@ -183,15 +183,6 @@ func (d *Dataset) DropPartTable(i int) error {
 	return err
 }
 
-// PartTables returns the currently loaded part table indexes and sizes.
-func (d *Dataset) PartTables() map[int]int {
-	out := make(map[int]int, len(d.partTables))
-	for k, v := range d.partTables {
-		out[k] = v
-	}
-	return out
-}
-
 // QuerySQL returns the paper's query Q_i: find parts selling on average 25%
 // below suggested retail price, via a correlated sub-query whose plan is an
 // index scan on lineitem.partkey.

@@ -42,12 +42,6 @@ func NewZipf(a float64, k int) (*Zipf, error) {
 	return &Zipf{a: a, cdf: cdf}, nil
 }
 
-// K returns the support size.
-func (z *Zipf) K() int { return len(z.cdf) }
-
-// A returns the exponent.
-func (z *Zipf) A() float64 { return z.a }
-
 // Sample draws one value in {1..K}.
 func (z *Zipf) Sample(rng *rand.Rand) int {
 	u := rng.Float64()
@@ -77,17 +71,4 @@ func (p Poisson) NextInterarrival(rng *rand.Rand) float64 {
 		return math.Inf(1)
 	}
 	return rng.ExpFloat64() / p.Lambda
-}
-
-// ArrivalTimes returns all arrival instants in (0, horizon].
-func (p Poisson) ArrivalTimes(rng *rand.Rand, horizon float64) []float64 {
-	var out []float64
-	t := 0.0
-	for {
-		t += p.NextInterarrival(rng)
-		if t > horizon || math.IsInf(t, 1) {
-			return out
-		}
-		out = append(out, t)
-	}
 }
