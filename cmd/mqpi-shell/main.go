@@ -15,6 +15,9 @@
 //	\recover SNAP WAL     rebuild the database from snapshot + WAL
 //	\quit                 exit
 //
+// A WAL belongs to the database it was started on: \load, \recover and \demo
+// replace that database, so they close the file and say that logging stopped.
+//
 // Everything else is parsed as SQL (CREATE TABLE / CREATE INDEX / DROP TABLE /
 // INSERT / UPDATE / DELETE / SELECT). Statements may span lines; terminate
 // them with a semicolon. testdata/session.sql is a session that uses each.
@@ -36,10 +39,18 @@ func main() {
 	run(os.Stdin, os.Stdout)
 }
 
+// shell is one session: the database its statements run against, and the file
+// \wal logs that database's mutations into.
+type shell struct {
+	out io.Writer
+	db  *engine.DB
+	wal *os.File // nil when not logging
+}
+
 // run reads commands and statements from in until EOF or \quit, writing
 // prompts, results and errors to out.
 func run(in io.Reader, out io.Writer) {
-	db := engine.Open()
+	sh := &shell{out: out, db: engine.Open()}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Fprintln(out, "mqpi-shell — SQL engine with work-unit accounting. \\help for help.")
@@ -49,12 +60,12 @@ func run(in io.Reader, out io.Writer) {
 		fmt.Fprint(out, prompt)
 		if !sc.Scan() {
 			fmt.Fprintln(out)
+			sh.stopWAL()
 			return
 		}
 		line := strings.TrimSpace(sc.Text())
 		if buf.Len() == 0 && strings.HasPrefix(line, "\\") {
-			db = command(out, db, line)
-			if db == nil {
+			if !sh.command(line) {
 				return
 			}
 			continue
@@ -71,15 +82,40 @@ func run(in io.Reader, out io.Writer) {
 		stmt := strings.TrimSpace(buf.String())
 		buf.Reset()
 		prompt = "mqpi> "
-		runStatement(out, db, stmt)
+		runStatement(out, sh.db, stmt)
 	}
 }
 
-func command(out io.Writer, db *engine.DB, line string) *engine.DB {
+// stopWAL closes the file \wal opened, if any, and returns its name.
+func (sh *shell) stopWAL() string {
+	if sh.wal == nil {
+		return ""
+	}
+	name := sh.wal.Name()
+	if err := sh.wal.Close(); err != nil {
+		fmt.Fprintln(sh.out, "error:", err)
+	}
+	sh.wal = nil
+	return name
+}
+
+// replace makes db the session database. The WAL, if any, logged the old one:
+// it is closed, and the shell says so.
+func (sh *shell) replace(db *engine.DB) {
+	if name := sh.stopWAL(); name != "" {
+		fmt.Fprintf(sh.out, "logging to %s stopped: it logged the database this one replaces (\\wal FILE to log again)\n", name)
+	}
+	sh.db = db
+}
+
+// command runs one backslash command and reports whether the session goes on.
+func (sh *shell) command(line string) bool {
+	out, db := sh.out, sh.db
 	fields := strings.SplitN(line, " ", 2)
 	switch fields[0] {
 	case "\\quit", "\\q":
-		return nil
+		sh.stopWAL()
+		return false
 	case "\\help", "\\h":
 		fmt.Fprintln(out, `commands:
   \tables               list tables with row counts
@@ -106,7 +142,9 @@ any other input is SQL, terminated by ';'`)
 			f.Close()
 			break
 		}
-		fmt.Fprintln(out, "logging mutations (file stays open until the shell exits)")
+		sh.stopWAL() // the database now logs into f alone
+		sh.wal = f
+		fmt.Fprintf(out, "logging mutations to %s (until \\load, \\recover, \\demo or \\quit)\n", f.Name())
 	case "\\recover":
 		args := strings.Fields(line)
 		if len(args) != 3 {
@@ -131,8 +169,8 @@ any other input is SQL, terminated by ';'`)
 			fmt.Fprintln(out, "error:", err)
 			break
 		}
+		sh.replace(recovered)
 		fmt.Fprintf(out, "recovered (%d wal records applied)\n", applied)
-		return recovered
 	case "\\save":
 		if len(fields) < 2 {
 			fmt.Fprintln(out, "usage: \\save FILE")
@@ -168,8 +206,8 @@ any other input is SQL, terminated by ';'`)
 			fmt.Fprintln(out, "error:", err)
 			break
 		}
+		sh.replace(loaded)
 		fmt.Fprintln(out, "loaded")
-		return loaded
 	case "\\tables":
 		cat := db.Catalog()
 		for _, name := range cat.TableNames() {
@@ -197,13 +235,13 @@ any other input is SQL, terminated by ';'`)
 			fmt.Fprintln(out, "error:", err)
 			break
 		}
+		sh.replace(demo)
 		fmt.Fprintln(out, "loaded lineitem (30000 rows) and part_1..part_3; try:")
 		fmt.Fprintln(out, " ", workload.QuerySQL(2)+";")
-		return demo
 	default:
 		fmt.Fprintln(out, "unknown command; \\help for help")
 	}
-	return db
+	return true
 }
 
 func runStatement(out io.Writer, db *engine.DB, stmt string) {

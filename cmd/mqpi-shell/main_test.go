@@ -1,11 +1,15 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+
+	"mqpi/internal/engine"
 )
 
 // prompts matches the prompts run writes before each line it reads.
@@ -20,6 +24,13 @@ func session(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runInTempDir(t, string(script))
+}
+
+// runInTempDir runs script through the shell in a fresh working directory and
+// returns its output lines with the prompts stripped.
+func runInTempDir(t *testing.T, script string) []string {
+	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +44,7 @@ func session(t *testing.T) []string {
 		}
 	})
 	var out strings.Builder
-	run(strings.NewReader(string(script)), &out)
+	run(strings.NewReader(script), &out)
 	var lines []string
 	for _, l := range strings.Split(out.String(), "\n") {
 		lines = append(lines, prompts.ReplaceAllString(l, ""))
@@ -120,5 +131,43 @@ func TestShellSession(t *testing.T) {
 	}
 	if !slices.Contains(lines, `unknown command; \help for help`) {
 		t.Error("an unknown backslash command was not answered")
+	}
+}
+
+// TestWALStopsWhenDatabaseReplaced: a WAL logs the database it was started on.
+// A \load replaces that database, so the shell closes the log and says so at
+// the \load, and a \recover from the log rebuilds what it logged: the one row
+// inserted before the \load.
+func TestWALStopsWhenDatabaseReplaced(t *testing.T) {
+	lines := runInTempDir(t, strings.Join([]string{
+		`CREATE TABLE t (a INT);`, `\save s`, `\wal w`, `INSERT INTO t VALUES (1);`,
+		`\load s`, `INSERT INTO t VALUES (2);`, `INSERT INTO t VALUES (3);`,
+		`\recover s w`, `SELECT a FROM t;`,
+	}, "\n"))
+	load := slices.Index(lines, "loaded")
+	if load < 1 || !strings.HasPrefix(lines[load-1], "logging to w stopped") {
+		t.Fatalf("\\load after \\wal did not say that logging stopped:\n%s", strings.Join(lines, "\n"))
+	}
+	if got := block(t, lines, "recovered (1 wal records applied)"); !slices.Equal(got, []string{"a", "1"}) {
+		t.Errorf("after \\recover: %q, want the one row logged before \\load", got)
+	}
+}
+
+// TestQuitClosesWAL: \quit closes the file \wal opened.
+func TestQuitClosesWAL(t *testing.T) {
+	var out strings.Builder
+	sh := &shell{out: &out, db: engine.Open()}
+	if !sh.command(`\wal ` + filepath.Join(t.TempDir(), "w")) {
+		t.Fatal(`\wal ended the session`)
+	}
+	f := sh.wal
+	if f == nil {
+		t.Fatalf("\\wal opened no file:\n%s", out.String())
+	}
+	if sh.command(`\quit`) {
+		t.Fatal(`\quit did not end the session`)
+	}
+	if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("the WAL file after \\quit: Close = %v, want os.ErrClosed", err)
 	}
 }

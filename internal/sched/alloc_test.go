@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // TestTickSteadyStateAllocs pins the zero-allocation steady-state tick: once a
@@ -137,5 +138,44 @@ func TestSnapshotAllocsIndependentOfHistory(t *testing.T) {
 	}
 	if bare, deep := allocs(0), allocs(500); deep != bare {
 		t.Fatalf("Snapshot allocates %.0f times with 500 terminated queries, %.0f with none", deep, bare)
+	}
+}
+
+// TestSnapshotSteadyStateAllocs pins the capture's cost to the running set: at
+// backlog_submit's depth (64 running, 936 queued) and with the queue unchanged
+// since the last capture, Snapshot allocates the Running copy and a fixed
+// amount besides — the queued tail is shared, not copied. Under -race it skips,
+// so `make ci` also runs it without the detector.
+func TestSnapshotSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const running, queued = 64, 936
+	db := benchDB(t)
+	srv := New(Config{RateC: 1, Quantum: 1, MPL: running})
+	defer srv.Close()
+	for i := 0; i < running+queued; i++ {
+		r, err := db.Prepare("SELECT SUM(a) FROM big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.CollectRows = false
+		srv.Submit(srv.NewQuery(fmt.Sprintf("q%d", i), "", i%3, r))
+	}
+	srv.Tick()
+	snap := srv.Snapshot()
+	if len(snap.Running) != running || len(snap.Queued) != queued {
+		t.Fatalf("%d running and %d queued, want %d and %d", len(snap.Running), len(snap.Queued), running, queued)
+	}
+	const slack = 1024 // size-class rounding of the Running copy, and nothing else
+	limit := int64(running)*int64(unsafe.Sizeof(QueryInfo{})) + slack
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			srv.Snapshot()
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > limit {
+		t.Fatalf("Snapshot allocates %d B/op at %d running and %d queued, want at most %d (the running copy plus %d)",
+			got, running, queued, limit, slack)
 	}
 }

@@ -24,6 +24,7 @@ package sched
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mqpi/internal/core"
@@ -198,6 +199,7 @@ type Server struct {
 	nextID   int
 	running  []*Query
 	queue    []*Query
+	queued   queueCapture // the values of queue, index-aligned with it
 	done     []*Query
 	doneInfo []QueryInfo // Snapshot's capture of done[:len(doneInfo)], append-only
 	arrivals arrivalHeap
@@ -401,8 +403,13 @@ func (s *Server) Submit(q *Query) { s.submitAt(q, s.now) }
 func (s *Server) submitAt(q *Query, at float64) {
 	q.SubmitTime = at
 	if s.cfg.MPL > 0 && len(s.running) >= s.cfg.MPL {
+		// The capture is taken in the new status, before the report, so a
+		// callback that looks at the server sees queue and capture in step.
+		from := q.Status
+		q.Status = StatusQueued
 		s.queue = append(s.queue, q)
-		s.setStatus(q, StatusQueued)
+		s.queued.push(s.InfoOf(q))
+		s.onStatus(q, from)
 		return
 	}
 	s.admitAt(q, at)
@@ -533,9 +540,10 @@ func (s *Server) SetPriority(id, priority int) error {
 			return nil
 		}
 	}
-	for _, q := range s.queue {
+	for i, q := range s.queue {
 		if q.ID == id {
 			q.Priority = priority
+			s.queued.set(i, s.InfoOf(q))
 			return nil
 		}
 	}
@@ -564,6 +572,7 @@ func (s *Server) Abort(id int) error {
 		if q.ID == id {
 			q.FinishTime = s.now
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.queued.remove(i)
 			s.done = append(s.done, q)
 			s.setStatus(q, StatusAborted)
 			return nil
@@ -586,6 +595,7 @@ func (s *Server) fillSlots() {
 	for len(s.queue) > 0 && (s.cfg.MPL <= 0 || len(s.running) < s.cfg.MPL) {
 		q := s.queue[0]
 		s.queue = s.queue[1:]
+		s.queued.pop()
 		s.admit(q)
 	}
 }
@@ -902,6 +912,39 @@ func (s *Server) InfoOf(q *Query) QueryInfo {
 	return info
 }
 
+// queueCapture is the admission queue as values, index-aligned with
+// Server.queue: each queued query's QueryInfo and the PI state derived from it.
+// A waiting query's values cannot change — its runner is not opened, its speed
+// tracker has no samples and it holds no credit — so they are captured once, as
+// it enters the queue, and every Snapshot shares the arrays instead of copying
+// them. A snapshot holds a view capped at its length, so the arrays are only
+// ever appended to past every view, or dropped from the head: an admission
+// pops, a submit that queues pushes, and the two changes from inside the queue
+// — an abort, a priority change — write fresh arrays (copy-on-write).
+type queueCapture struct {
+	infos  []QueryInfo
+	states []core.QueryState
+}
+
+func (c *queueCapture) push(info QueryInfo) {
+	c.infos = append(c.infos, info)
+	c.states = append(c.states, info.state())
+}
+
+func (c *queueCapture) pop() { c.infos, c.states = c.infos[1:], c.states[1:] }
+
+// remove drops entry i, into fresh arrays.
+func (c *queueCapture) remove(i int) {
+	c.infos = slices.Delete(slices.Clone(c.infos), i, i+1)
+	c.states = slices.Delete(slices.Clone(c.states), i, i+1)
+}
+
+// set replaces entry i, in fresh arrays.
+func (c *queueCapture) set(i int, info QueryInfo) {
+	c.infos, c.states = slices.Clone(c.infos), slices.Clone(c.states)
+	c.infos[i], c.states[i] = info, info.state()
+}
+
 // FoldStats summarizes a server's shared-scan folding state: live gauges plus
 // lifetime counters. The zero value means folding is off.
 type FoldStats struct {
@@ -940,6 +983,9 @@ func (s *Server) FoldTables() []string {
 // between ticks. It carries everything the progress-indicator read path
 // needs — states, weights, observed speeds — so estimates can be computed
 // from the snapshot alone, on any goroutine, with no live scheduler pointers.
+// A capture copies the admitted and the scheduled queries; the queued and the
+// terminated ones are read-only views of values the server captured once and
+// never writes again, so its cost follows the running set and what changed.
 type Snapshot struct {
 	Now         float64
 	RateC       float64
@@ -950,12 +996,17 @@ type Snapshot struct {
 	Fold        FoldStats
 	FoldTables  []string    // tables with a live fold group, sorted
 	Running     []QueryInfo // admitted queries (running and blocked), admission order
-	Queued      []QueryInfo // admission queue, FIFO order
-	Scheduled   []QueryInfo // future arrivals, ascending arrival time
+	// Queued is the admission queue in FIFO order: a read-only view of the
+	// server's capture of it, shared with the other snapshots taken while the
+	// queue did not change.
+	Queued    []QueryInfo
+	Scheduled []QueryInfo // future arrivals, ascending arrival time
 	// Done lists the terminated queries in termination order. It is a
 	// read-only view shared with later snapshots of the same server, which
 	// see it as a prefix of theirs.
 	Done []QueryInfo
+	// queuedStates is Queued in the PI view, shared the same way.
+	queuedStates []core.QueryState
 }
 
 // Locate finds one query's info in the snapshot, searching admitted, queued,
@@ -997,11 +1048,10 @@ func (s *Snapshot) StatesRunning() []core.QueryState {
 	return infoStates(s.Running)
 }
 
-// StatesQueued converts the snapshot's admission queue to the PI view in
-// FIFO order, mirroring Server.StateQueued.
-func (s *Snapshot) StatesQueued() []core.QueryState {
-	return infoStates(s.Queued)
-}
+// StatesQueued returns the snapshot's admission queue in the PI view, FIFO
+// order, equal to Server.StateQueued at the capture. The slice is shared with
+// other snapshots and must not be written.
+func (s *Snapshot) StatesQueued() []core.QueryState { return s.queuedStates }
 
 // LoadStats summarizes the snapshot as a routing load signal: how many
 // queries hold MPL slots (running + blocked), how many wait in the admission
@@ -1035,9 +1085,14 @@ func (s *Snapshot) Speeds() map[int]float64 {
 func infoStates(infos []QueryInfo) []core.QueryState {
 	out := make([]core.QueryState, 0, len(infos))
 	for _, q := range infos {
-		out = append(out, core.QueryState{ID: q.ID, Remaining: q.Remaining, Weight: q.Weight, Done: q.Done, Fold: q.FoldGroup})
+		out = append(out, q.state())
 	}
 	return out
+}
+
+// state is the PI view of the captured query.
+func (q *QueryInfo) state() core.QueryState {
+	return core.QueryState{ID: q.ID, Remaining: q.Remaining, Weight: q.Weight, Done: q.Done, Fold: q.FoldGroup}
 }
 
 // Snapshot captures the server state as plain values.
@@ -1050,7 +1105,7 @@ func (s *Server) Snapshot() Snapshot {
 		FoldTables:  s.FoldTables(),
 	}
 	snap.Running = s.infosOf(s.running)
-	snap.Queued = s.infosOf(s.queue)
+	snap.Queued, snap.queuedStates = capped(s.queued.infos), capped(s.queued.states)
 	if len(s.arrivals) > 0 {
 		arr := append([]arrival(nil), s.arrivals...)
 		sort.Slice(arr, func(i, j int) bool { return arr[i].at < arr[j].at })
@@ -1069,9 +1124,17 @@ func (s *Server) Snapshot() Snapshot {
 	for _, q := range s.done[len(s.doneInfo):] {
 		s.doneInfo = append(s.doneInfo, s.InfoOf(q))
 	}
-	n := len(s.doneInfo)
-	snap.Done = s.doneInfo[:n:n]
+	snap.Done = capped(s.doneInfo)
 	return snap
+}
+
+// capped returns xs with its capacity cut to its length — a view a holder can
+// append to without writing into the array behind it — or nil when empty.
+func capped[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	return xs[:len(xs):len(xs)]
 }
 
 // infosOf captures qs as values, nil when there are none.

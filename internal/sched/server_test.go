@@ -883,3 +883,99 @@ func TestSnapshotDoneIsImmutableSharedPrefix(t *testing.T) {
 		t.Fatal("append through a snapshot's Done wrote into the shared history")
 	}
 }
+
+// TestSnapshotQueueSharedTail: a snapshot's Queued and StatesQueued are views
+// of the server's one capture of the admission queue, which every control that
+// touches the queue keeps in step with it. After each control a new snapshot
+// must equal a fresh capture of every queued query, and every snapshot taken
+// before it must still hold exactly what it was given.
+func TestSnapshotQueueSharedTail(t *testing.T) {
+	db := engine.Open()
+	srv := newServer(Config{RateC: 10, Quantum: 0.5, MPL: 2, Weights: map[int]float64{0: 1, 2: 3}})
+	type held struct {
+		step   string
+		snap   Snapshot
+		infos  []QueryInfo
+		states []core.QueryState
+	}
+	var history []held
+	check := func(step string) {
+		t.Helper()
+		snap := srv.Snapshot()
+		var want []QueryInfo
+		for _, q := range srv.Queued() {
+			want = append(want, srv.InfoOf(q))
+		}
+		if !slices.Equal(snap.Queued, want) {
+			t.Errorf("%s: Queued = %+v, want a fresh capture %+v", step, snap.Queued, want)
+		}
+		if got, want := snap.StatesQueued(), srv.StateQueued(); !slices.Equal(got, want) {
+			t.Errorf("%s: StatesQueued = %+v, want %+v", step, got, want)
+		}
+		if cap(snap.Queued) != len(snap.Queued) || cap(snap.StatesQueued()) != len(snap.StatesQueued()) {
+			t.Errorf("%s: the queue views are not capped at their length", step)
+		}
+		for _, h := range history {
+			if !slices.Equal(h.snap.Queued, h.infos) || !slices.Equal(h.snap.StatesQueued(), h.states) {
+				t.Errorf("%s: the snapshot taken after %q changed", step, h.step)
+			}
+		}
+		history = append(history, held{step, snap, slices.Clone(snap.Queued), slices.Clone(snap.StatesQueued())})
+	}
+	submit := func(name string, pages int) *Query {
+		q := srv.NewQuery(name, "", 0, prepare(t, db, name, pages))
+		srv.Submit(q)
+		return q
+	}
+
+	a := submit("a", 3) // 4 U: finishes in the second tick
+	b := submit("b", 40)
+	check("two admissions")
+	c := submit("c", 30)
+	d := submit("d", 30)
+	submit("e", 30)
+	check("submits that queue")
+	if err := srv.SetPriority(d.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("a priority change in the queue")
+	if err := srv.Abort(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("an abort in the queue")
+	f := srv.NewQuery("f", "", 0, prepare(t, db, "f", 30))
+	srv.ScheduleArrival(srv.Now()+0.25, f)
+	check("an arrival scheduled")
+	srv.Tick()
+	if f.Status != StatusQueued || a.Status != StatusRunning {
+		t.Fatalf("after one tick: f %s, a %s; want f queued behind a running a", f.Status, a.Status)
+	}
+	check("an arrival landing in a full system")
+	if err := srv.Block(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("a block ahead of the queue's head")
+	if err := srv.Unblock(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("an unblock ahead of the queue's head")
+	srv.Tick()
+	if a.Status != StatusFinished || d.Status != StatusRunning {
+		t.Fatalf("after two ticks: a %s, d %s; want a finished and d admitted in its slot", a.Status, d.Status)
+	}
+	check("an admission on a finish")
+	if err := srv.Abort(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("an admission on an abort of a running query")
+
+	// An append through an old snapshot's view copies: the next query queued
+	// lands in the server's capture, not the holder's entry.
+	grown := append(history[2].snap.Queued, QueryInfo{ID: -1})
+	submit("g", 30)
+	submit("h", 30)
+	check("submits after an append through an old view")
+	if grown[len(grown)-1].ID != -1 {
+		t.Fatal("the holder's appended entry was overwritten")
+	}
+}

@@ -67,17 +67,39 @@ func (l *EventLog) add(virtual float64, queryID int, typ, detail string) {
 	l.put(Event{Virtual: virtual, QueryID: queryID, Type: typ, Detail: detail})
 }
 
-// addRevised records that queryID's predicted absolute finish time moved
-// from one virtual time to another.
-func (l *EventLog) addRevised(virtual float64, queryID int, from, to float64) {
-	l.put(Event{Virtual: virtual, QueryID: queryID, Type: EventRevised, from: from, to: to})
+// move is one query's predicted absolute finish time moving from one virtual
+// time to another: what an estimate_revised event records.
+type move struct {
+	id       int
+	from, to float64
+}
+
+// addRevised records one estimate pass's moves at virtual time virtual, in
+// order. A pass can move every live query, so it takes the lock and reads the
+// wall clock once for all of them rather than once per event.
+func (l *EventLog) addRevised(virtual float64, moves []move) {
+	if len(moves) == 0 {
+		return
+	}
+	wall := time.Now()
+	l.mu.Lock()
+	for _, mv := range moves {
+		l.store(Event{Virtual: virtual, QueryID: mv.id, Type: EventRevised, from: mv.from, to: mv.to}, wall)
+	}
+	l.mu.Unlock()
 }
 
 // put stamps ev with the next sequence number and the wall clock and stores
 // it in its query's ring.
 func (l *EventLog) put(ev Event) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.store(ev, time.Now())
+	l.mu.Unlock()
+}
+
+// store stamps ev with the next sequence number and the wall time and stores
+// it in its query's ring. l.mu must be held.
+func (l *EventLog) store(ev Event, wall time.Time) {
 	r := l.rings[ev.QueryID]
 	if r == nil {
 		r = &eventRing{buf: make([]Event, 0, l.capPerQuery)}
@@ -85,7 +107,7 @@ func (l *EventLog) put(ev Event) {
 	}
 	l.seq++
 	ev.Seq = l.seq
-	ev.Wall = time.Now()
+	ev.Wall = wall
 	if len(r.buf) < l.capPerQuery {
 		r.buf = append(r.buf, ev)
 		return

@@ -101,7 +101,7 @@ func TestRevisedDetailRendersLikeSprintf(t *testing.T) {
 	l := newEventLog(cap)
 	var want []string
 	for i, mv := range moves {
-		l.addRevised(float64(i), 1, mv[0], mv[1])
+		l.addRevised(float64(i), []move{{1, mv[0], mv[1]}})
 		want = append(want, eager(mv[0], mv[1]))
 	}
 	l.add(99, 2, EventFinished, "latency 1.000s, 2.0 U") // eager details pass through

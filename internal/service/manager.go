@@ -20,8 +20,9 @@
 // pointer, and the snapshot carries the estimate bundle for that state. A
 // state is captured once (Manager.capture) — in observe after the ticks, or in
 // publish when a request rather than a tick changed the state: sched.Snapshot
-// is the one walk of the runners, the estimator's input is derived from that
-// copy, the Manager's one estimator runs one finish-tag pass over it (two
+// copies the running set and shares the queue it captured as each query
+// entered it, so a capture costs what changed; the estimator's input is
+// derived from that copy, the Manager's one estimator runs one finish-tag pass over it (two
 // with an arrival model, into a heap and a finish slice it keeps between
 // passes) and answers with one slice in the copy's own order — estimate i
 // belongs to query i of Sched.Running ++ Sched.Queued — and the publish
@@ -158,6 +159,7 @@ type Manager struct {
 	// publish then takes its own.
 	pending *Snapshot
 	revs    []revision // observe's scratch, kept between passes
+	moves   []move     // the moves revise found in the current pass
 	counts  counts     // lifetime totals, copied into every published snapshot
 	// calib accumulates finish-time residuals and band coverage for the
 	// calibrated band; nil in stage mode, where no calibration runs and the
@@ -474,9 +476,11 @@ func (m *Manager) observe() {
 		m.revs = append(m.revs, revision{in.Query(i).ID, e.MultiQuery})
 	}
 	slices.SortFunc(m.revs, func(a, b revision) int { return cmp.Compare(a.id, b.id) })
+	m.moves = m.moves[:0]
 	for _, r := range m.revs {
 		m.revise(now, r.id, r.eta)
 	}
+	m.events.addRevised(now, m.moves)
 }
 
 // revisionSlack is the relative slack on the one-quantum revision threshold. A
@@ -489,7 +493,8 @@ const revisionSlack = 1e-9
 
 // revise folds one query's multi-query ETA at virtual time now into the
 // revision histogram and, when its absolute predicted finish moved by at
-// least one quantum since the previous pass, the event log.
+// least one quantum since the previous pass, the pass's moves, which observe
+// records in the event log.
 func (m *Manager) revise(now float64, id int, eta float64) {
 	if math.IsInf(eta, 1) || math.IsNaN(eta) {
 		return
@@ -499,7 +504,7 @@ func (m *Manager) revise(now float64, id int, eta float64) {
 		rev := math.Abs(abs - last)
 		m.metrics.revision.RecordSeconds(rev)
 		if rev >= m.srv.Quantum()*(1-revisionSlack) {
-			m.events.addRevised(now, id, last, abs)
+			m.moves = append(m.moves, move{id, last, abs})
 		}
 	}
 	m.lastFinish[id] = abs

@@ -204,6 +204,8 @@ func TestRevisionAtThresholdAlwaysRecords(t *testing.T) {
 		}
 		m.revise(c.from, c.id, c.eta)
 		m.revise(c.to, c.id, c.eta)
+		m.events.addRevised(c.to, m.moves) // as observe does after its pass
+		m.moves = m.moves[:0]
 		revised := 0
 		for _, e := range m.events.Query(c.id) {
 			if e.Type == EventRevised {
@@ -218,6 +220,7 @@ func TestRevisionAtThresholdAlwaysRecords(t *testing.T) {
 	// A move clearly under the threshold still does not record.
 	m.revise(0, 4, 1)
 	m.revise(0.25, 4, 1)
+	m.events.addRevised(0.25, m.moves)
 	if evs := m.events.Query(4); len(evs) != 0 {
 		t.Errorf("a quarter-quantum move recorded %d events, want none", len(evs))
 	}

@@ -13,8 +13,9 @@ import (
 // Readers load the latest snapshot and derive whatever view they need on
 // their own goroutine — nothing in a Snapshot aliases state the scheduler
 // will write again (Sched.Done is this epoch's prefix of the scheduler's
-// append-only terminated history), so no locking is required and polls never
-// stall the scheduler.
+// append-only terminated history, Sched.Queued a view of a queue capture the
+// scheduler replaces rather than writes), so no locking is required and polls
+// never stall the scheduler.
 //
 // Epoch increases by exactly one per publication; every reader of one epoch
 // sees the same scheduler state and the same estimates of it.
