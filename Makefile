@@ -188,6 +188,9 @@ endif
 # fuzz-smoke gives each native fuzz target a short budget on every ci run, so
 # the harnesses can't rot and the checked-in corpora keep replaying. SHORT=1
 # skips it (the corpora still run as plain tests under `race` above).
+# FuzzReplay's seeds are whole checkpoints and logs of a few KB: minimizing
+# each new input would take the default minute, longer than the budget, so
+# it gets one second.
 fuzz-smoke:
 ifeq ($(SHORT),1)
 	@echo "SHORT=1: skipping fuzz smoke"
@@ -195,4 +198,5 @@ else
 	$(GO) test -run '^$$' -fuzz FuzzSim -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/engine/sql
 	$(GO) test -run '^$$' -fuzz FuzzQueueProfile -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 10s -fuzzminimizetime 1s ./internal/engine
 endif

@@ -9,10 +9,10 @@
 //	\tables               list tables
 //	\explain SELECT ...   show the physical plan with costs (in U's)
 //	\demo                 load a scaled-down Table 1 dataset (lineitem + part_1..3)
-//	\save FILE            write a binary snapshot of the database
-//	\load FILE            replace the database with a snapshot
+//	\save FILE            write a checkpoint: the redo log of the whole database
+//	\load FILE            replace the database with a checkpoint
 //	\wal FILE             write-ahead log every mutation to FILE
-//	\recover SNAP WAL     rebuild the database from snapshot + WAL
+//	\recover SNAP WAL     rebuild the database from checkpoint + WAL
 //	\quit                 exit
 //
 // A WAL belongs to the database it was started on: \load, \recover and \demo
@@ -121,10 +121,10 @@ func (sh *shell) command(line string) bool {
   \tables               list tables with row counts
   \explain SELECT ...   show the physical plan and optimizer costs
   \demo                 load a scaled-down paper dataset (lineitem, part_1..3)
-  \save FILE            write a binary snapshot of the database
-  \load FILE            replace the session database with a snapshot
+  \save FILE            write a checkpoint (the redo log of the whole database)
+  \load FILE            replace the session database with a checkpoint
   \wal FILE             start write-ahead logging all mutations to FILE
-  \recover SNAP WAL     rebuild the session database from snapshot + WAL
+  \recover SNAP WAL     rebuild the session database from checkpoint + WAL
   \quit                 exit
 any other input is SQL, terminated by ';'`)
 	case "\\wal":

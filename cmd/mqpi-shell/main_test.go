@@ -153,6 +153,20 @@ func TestWALStopsWhenDatabaseReplaced(t *testing.T) {
 	}
 }
 
+// TestRecoverAfterCheckpointedDelete: a row deleted before \save leaves its
+// slot in the checkpoint, so a DELETE logged after it names the same row on
+// recovery: of 1-4, deleting 1, checkpointing and deleting 3 leaves 2 and 4.
+func TestRecoverAfterCheckpointedDelete(t *testing.T) {
+	lines := runInTempDir(t, strings.Join([]string{
+		`CREATE TABLE t (a INT);`, `INSERT INTO t VALUES (1), (2), (3), (4);`,
+		`DELETE FROM t WHERE a = 1;`, `\save s`, `\wal w`, `DELETE FROM t WHERE a = 3;`,
+		`\recover s w`, `SELECT a FROM t;`,
+	}, "\n"))
+	if got := block(t, lines, "recovered (1 wal records applied)"); !slices.Equal(got, []string{"a", "2", "4"}) {
+		t.Errorf("after \\recover: %q, want rows 2 and 4\n%s", got, strings.Join(lines, "\n"))
+	}
+}
+
 // TestQuitClosesWAL: \quit closes the file \wal opened.
 func TestQuitClosesWAL(t *testing.T) {
 	var out strings.Builder

@@ -177,6 +177,19 @@ func (c *Catalog) CreateIndex(idxName, tableName, column string) (*index.BTree, 
 	if exists {
 		return nil, fmt.Errorf("catalog: index on %s.%s already exists", tableName, column)
 	}
+	bt := index.New(idxName, strings.ToLower(tableName), colKey)
+	for p := 0; p < t.Rel.NumPages(); p++ {
+		for s, row := range t.Rel.Page(p) {
+			rid := storage.RowID{Page: p, Slot: s}
+			if row[ci].IsNull() || !t.Rel.Live(rid) {
+				continue
+			}
+			if row[ci].Kind() != types.KindInt {
+				return nil, fmt.Errorf("catalog: cannot index %s.%s: row %v holds %s", tableName, column, rid, row[ci])
+			}
+			bt.Insert(row[ci].Int(), rid)
+		}
+	}
 	if err := c.notify(func(o Observer) error {
 		return o.OnCreateIndex(idxName, strings.ToLower(tableName), colKey)
 	}); err != nil {
@@ -186,16 +199,6 @@ func (c *Catalog) CreateIndex(idxName, tableName, column string) (*index.BTree, 
 	defer c.mu.Unlock()
 	if _, ok := t.Indexes[colKey]; ok {
 		return nil, fmt.Errorf("catalog: index on %s.%s already exists", tableName, column)
-	}
-	bt := index.New(idxName, strings.ToLower(tableName), colKey)
-	for p := 0; p < t.Rel.NumPages(); p++ {
-		for s, row := range t.Rel.Page(p) {
-			rid := storage.RowID{Page: p, Slot: s}
-			if row[ci].IsNull() || !t.Rel.Live(rid) {
-				continue
-			}
-			bt.Insert(row[ci].Int(), rid)
-		}
 	}
 	t.Indexes[colKey] = bt
 	return bt, nil
@@ -210,6 +213,15 @@ func (c *Catalog) Insert(tableName string, row types.Row) error {
 	if len(row) != t.Rel.Schema().Len() {
 		return fmt.Errorf("catalog: %s expects %d columns, got %d", tableName, t.Rel.Schema().Len(), len(row))
 	}
+	c.mu.RLock()
+	for col := range t.Indexes {
+		ci, _ := t.Rel.Schema().ColIndex("", col)
+		if k := row[ci].Kind(); k != types.KindNull && k != types.KindInt {
+			c.mu.RUnlock()
+			return fmt.Errorf("catalog: %s.%s is indexed and takes BIGINT, got %s", tableName, col, row[ci])
+		}
+	}
+	c.mu.RUnlock()
 	if err := c.notify(func(o Observer) error {
 		return o.OnInsert(strings.ToLower(tableName), row)
 	}); err != nil {

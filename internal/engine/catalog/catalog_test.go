@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mqpi/internal/engine/storage"
 	"mqpi/internal/engine/types"
 )
 
@@ -207,3 +208,48 @@ func TestInsertIntoMissingTable(t *testing.T) {
 		t.Errorf("unexpected error: %v", err)
 	}
 }
+
+// TestIndexKeysMustBeIntegers: the B+-tree keys on int64, so a value of
+// another kind in an indexed column is refused, whether the index comes
+// first or the row does, and nothing is logged for it.
+func TestIndexKeysMustBeIntegers(t *testing.T) {
+	c := New()
+	if _, err := c.CreateTable("t", schemaAB()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("t", types.Row{types.NewString("x"), types.NewFloat(1)}); err != nil {
+		t.Fatal(err)
+	}
+	var log recorder
+	c.SetObserver(&log)
+	if _, err := c.CreateIndex("t_a", "t", "a"); err == nil {
+		t.Fatal("an index over a string key was built")
+	}
+	if err := c.Delete("t", storage.RowID{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("t_a", "t", "a"); err != nil {
+		t.Fatalf("a dead row's key blocked the index: %v", err)
+	}
+	if err := c.Insert("t", types.Row{types.NewFloat(1.5), types.NewFloat(1)}); err == nil {
+		t.Error("a float key went into the index")
+	}
+	if err := c.Insert("t", types.Row{types.Null, types.NewFloat(1)}); err != nil {
+		t.Errorf("a NULL key was refused: %v", err)
+	}
+	if want := []string{"delete", "index", "insert"}; strings.Join(log, ",") != strings.Join(want, ",") {
+		t.Errorf("logged %v, want %v", log, want)
+	}
+}
+
+// recorder is an Observer that notes the kind of each mutation.
+type recorder []string
+
+func (r *recorder) OnCreateTable(string, types.Schema) error { *r = append(*r, "create"); return nil }
+func (r *recorder) OnDropTable(string) error                 { *r = append(*r, "drop"); return nil }
+func (r *recorder) OnCreateIndex(string, string, string) error {
+	*r = append(*r, "index")
+	return nil
+}
+func (r *recorder) OnInsert(string, types.Row) error     { *r = append(*r, "insert"); return nil }
+func (r *recorder) OnDelete(string, storage.RowID) error { *r = append(*r, "delete"); return nil }

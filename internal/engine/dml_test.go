@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestDeleteBasic(t *testing.T) {
 	db := testDB(t)
@@ -176,39 +173,6 @@ func TestAnalyzeAfterDelete(t *testing.T) {
 		t.Errorf("stats max = %v", st.Cols["partkey"].Max)
 	}
 }
-
-func TestSnapshotCompactsTombstones(t *testing.T) {
-	db := testDB(t)
-	if _, err := db.Exec("DELETE FROM lineitem WHERE partkey < 10"); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := db.Save(&nopWriter{&buf}); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := query(t, db, "SELECT COUNT(*) FROM lineitem")
-	b := query(t, db2, "SELECT COUNT(*) FROM lineitem")
-	if a[0][0].Int() != b[0][0].Int() || a[0][0].Int() != 100 {
-		t.Errorf("counts: %v vs %v", a[0][0], b[0][0])
-	}
-	// Reloaded relation has no dead slots.
-	t2, err := db2.Catalog().Table("lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t2.Rel.NumSlots() != t2.Rel.NumRows() {
-		t.Errorf("tombstones survived reload: %d slots, %d rows", t2.Rel.NumSlots(), t2.Rel.NumRows())
-	}
-}
-
-// nopWriter adapts a strings.Builder to io.Writer.
-type nopWriter struct{ b *strings.Builder }
-
-func (w *nopWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
 
 func TestSelectDistinct(t *testing.T) {
 	db := testDB(t)

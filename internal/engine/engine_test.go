@@ -7,7 +7,7 @@ import (
 	"mqpi/internal/engine/types"
 )
 
-func testDB(t *testing.T) *DB {
+func testDB(t testing.TB) *DB {
 	t.Helper()
 	db := Open()
 	stmts := []string{

@@ -1,318 +1,89 @@
 package engine
 
-// Database snapshots: a compact binary format for saving and restoring the
-// whole catalog — schemas, rows, index definitions, and whether statistics
-// were collected. This is the maintenance-scenario companion: after the
-// paper's scheduled maintenance (§3.3) the RDBMS restarts and aborted
-// queries are rerun against the reloaded database.
-//
-// Format (all integers little-endian):
-//
-//	magic "MQPI1"
-//	u32 tableCount
-//	per table:
-//	  str name
-//	  u32 colCount; per column: str name, u8 kind
-//	  u32 indexCount; per index: str indexName, str columnName
-//	  u8 analyzed (1 if statistics existed)
-//	  u64 rowCount; per row, per column: value
-//	value: u8 kind tag, then
-//	  null: nothing | bool: u8 | int: u64 (two's complement) |
-//	  float: u64 (IEEE bits) | string: str
-//	str: u32 length + bytes
+// Checkpoints: the whole catalog written as the redo log that rebuilds it
+// (wal.go holds the format). This is the maintenance-scenario companion:
+// after the paper's scheduled maintenance (§3.3) the RDBMS restarts and
+// aborted queries are rerun against the reloaded database.
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
+	"errors"
 	"io"
-	"math"
+	"sort"
 
 	"mqpi/internal/engine/storage"
-	"mqpi/internal/engine/types"
 )
 
-var snapshotMagic = []byte("MQPI1")
-
-// Save writes the database to w in snapshot format.
+// Save writes the database to w as a checkpoint: per table, in name order,
+// its creation, one insert per physical slot (each dead slot deleted right
+// after it), its indexes in column order, and an analyze record if it has
+// statistics; then an end record.
 func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic); err != nil {
-		return err
-	}
-	names := db.cat.TableNames()
-	if err := writeU32(bw, uint32(len(names))); err != nil {
-		return err
-	}
-	for _, name := range names {
+	e := newEncoder(w)
+	for _, name := range db.cat.TableNames() {
 		t, err := db.cat.Table(name)
 		if err != nil {
 			return err
 		}
-		if err := writeStr(bw, name); err != nil {
-			return err
-		}
-		schema := t.Rel.Schema()
-		if err := writeU32(bw, uint32(schema.Len())); err != nil {
-			return err
-		}
-		for _, col := range schema.Cols {
-			if err := writeStr(bw, col.Name); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(byte(col.Type)); err != nil {
-				return err
-			}
-		}
-		if err := writeU32(bw, uint32(len(t.Indexes))); err != nil {
-			return err
-		}
-		for col, bt := range t.Indexes {
-			if err := writeStr(bw, bt.Name()); err != nil {
-				return err
-			}
-			if err := writeStr(bw, col); err != nil {
-				return err
-			}
-		}
-		analyzed := byte(0)
-		if db.cat.TableStats(name) != nil {
-			analyzed = 1
-		}
-		if err := bw.WriteByte(analyzed); err != nil {
-			return err
-		}
-		// Only live rows are saved; tombstones compact away on reload.
-		if err := writeU64(bw, uint64(t.Rel.NumRows())); err != nil {
-			return err
-		}
+		e.createTable(name, t.Rel.Schema())
 		for p := 0; p < t.Rel.NumPages(); p++ {
 			for s, row := range t.Rel.Page(p) {
-				if !t.Rel.Live(storage.RowID{Page: p, Slot: s}) {
-					continue
+				e.insert(name, row)
+				if rid := (storage.RowID{Page: p, Slot: s}); !t.Rel.Live(rid) {
+					e.delete(name, rid)
 				}
-				for _, v := range row {
-					if err := writeValue(bw, v); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads a snapshot into a fresh database.
-func Load(r io.Reader) (*DB, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("engine: reading snapshot magic: %w", err)
-	}
-	if string(magic) != string(snapshotMagic) {
-		return nil, fmt.Errorf("engine: not a snapshot file (magic %q)", magic)
-	}
-	db := Open()
-	tableCount, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	for ti := uint32(0); ti < tableCount; ti++ {
-		name, err := readStr(br)
-		if err != nil {
-			return nil, err
-		}
-		colCount, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if colCount == 0 || colCount > 1<<16 {
-			return nil, fmt.Errorf("engine: implausible column count %d in %q", colCount, name)
-		}
-		cols := make([]types.Column, colCount)
-		for i := range cols {
-			cname, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			kind, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			if types.Kind(kind) > types.KindString {
-				return nil, fmt.Errorf("engine: unknown column kind %d", kind)
-			}
-			cols[i] = types.Column{Name: cname, Type: types.Kind(kind)}
-		}
-		if _, err := db.cat.CreateTable(name, types.NewSchema(cols...)); err != nil {
-			return nil, err
-		}
-		idxCount, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		type idxSpec struct{ name, col string }
-		specs := make([]idxSpec, idxCount)
-		for i := range specs {
-			iname, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			icol, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			specs[i] = idxSpec{name: iname, col: icol}
-		}
-		analyzed, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		rowCount, err := readU64(br)
-		if err != nil {
-			return nil, err
-		}
-		for ri := uint64(0); ri < rowCount; ri++ {
-			row := make(types.Row, colCount)
-			for i := range row {
-				v, err := readValue(br)
-				if err != nil {
-					return nil, fmt.Errorf("engine: table %q row %d: %w", name, ri, err)
-				}
-				row[i] = v
-			}
-			if err := db.cat.Insert(name, row); err != nil {
-				return nil, err
 			}
 		}
 		// Indexes are rebuilt from the loaded rows (cheaper to recreate than
 		// to serialize tree pages, and guaranteed consistent).
-		for _, sp := range specs {
-			if _, err := db.cat.CreateIndex(sp.name, name, sp.col); err != nil {
-				return nil, err
-			}
+		cols := make([]string, 0, len(t.Indexes))
+		for col := range t.Indexes {
+			cols = append(cols, col)
 		}
-		if analyzed == 1 {
-			if err := db.cat.Analyze(name); err != nil {
-				return nil, err
-			}
+		sort.Strings(cols)
+		for _, col := range cols {
+			e.createIndex(t.Indexes[col].Name(), name, col)
 		}
+		if db.cat.TableStats(name) != nil {
+			e.analyze(name)
+		}
+	}
+	e.w.WriteByte(recEnd)
+	return e.w.Flush()
+}
+
+// Load reads a checkpoint into a fresh database. Unlike a log, a checkpoint
+// must be whole: a torn record or a missing end record is an error.
+func Load(r io.Reader) (*DB, error) {
+	db := Open()
+	_, ended, err := db.replay(r, true)
+	if err != nil {
+		return nil, err
+	}
+	if !ended {
+		return nil, errors.New("engine: checkpoint has no end record")
 	}
 	return db, nil
 }
 
-func writeU32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeStr(w *bufio.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
-func writeValue(w *bufio.Writer, v types.Value) error {
-	if err := w.WriteByte(byte(v.Kind())); err != nil {
-		return err
-	}
-	switch v.Kind() {
-	case types.KindNull:
-		return nil
-	case types.KindBool:
-		b := byte(0)
-		if v.Bool() {
-			b = 1
+// Recover rebuilds a database from a checkpoint plus the WAL written since
+// that checkpoint, and returns how many WAL records it applied. Either
+// reader may be nil (no checkpoint: start empty; no WAL: checkpoint only).
+// Statistics are re-collected for every table that had them in the
+// checkpoint; re-run Analyze after heavy replay.
+func Recover(snapshot, wal io.Reader) (*DB, int, error) {
+	db := Open()
+	if snapshot != nil {
+		var err error
+		if db, err = Load(snapshot); err != nil {
+			return nil, 0, err
 		}
-		return w.WriteByte(b)
-	case types.KindInt:
-		return writeU64(w, uint64(v.Int()))
-	case types.KindFloat:
-		return writeU64(w, math.Float64bits(v.Float()))
-	case types.KindString:
-		return writeStr(w, v.Str())
-	default:
-		return fmt.Errorf("engine: cannot serialize kind %v", v.Kind())
 	}
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+	if wal == nil {
+		return db, 0, nil
 	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-const maxStrLen = 64 << 20 // 64 MiB guards against corrupt length prefixes
-
-func readStr(r io.Reader) (string, error) {
-	n, err := readU32(r)
+	applied, err := db.ReplayWAL(wal)
 	if err != nil {
-		return "", err
+		return nil, applied, err
 	}
-	if n > maxStrLen {
-		return "", fmt.Errorf("engine: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func readValue(r *bufio.Reader) (types.Value, error) {
-	kind, err := r.ReadByte()
-	if err != nil {
-		return types.Null, err
-	}
-	switch types.Kind(kind) {
-	case types.KindNull:
-		return types.Null, nil
-	case types.KindBool:
-		b, err := r.ReadByte()
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(b != 0), nil
-	case types.KindInt:
-		v, err := readU64(r)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewInt(int64(v)), nil
-	case types.KindFloat:
-		v, err := readU64(r)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewFloat(math.Float64frombits(v)), nil
-	case types.KindString:
-		s, err := readStr(r)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewString(s), nil
-	default:
-		return types.Null, fmt.Errorf("engine: unknown value kind %d", kind)
-	}
+	return db, applied, nil
 }

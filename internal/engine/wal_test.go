@@ -159,42 +159,53 @@ func TestWALRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Property: a random mutation sequence recovers to identical query results,
-// including through direct catalog inserts (the workload generator's path).
+// randomLog runs a random mutation sequence on a fresh database with a WAL
+// attached, including direct catalog inserts (the workload generator's
+// path), and returns the database and its log.
+func randomLog(seed int64) (*DB, []byte, error) {
+	rng := rand.New(rand.NewSource(seed))
+	var wal bytes.Buffer
+	db := Open()
+	if err := db.AttachWAL(&wal); err != nil {
+		return nil, nil, err
+	}
+	if _, err := db.Exec("CREATE TABLE t (a BIGINT, b DOUBLE)"); err != nil {
+		return nil, nil, err
+	}
+	cat := db.Catalog()
+	live := 0
+	for op := 0; op < 200; op++ {
+		switch {
+		case live == 0 || rng.Intn(3) > 0:
+			row := types.Row{types.NewInt(int64(rng.Intn(50))), types.NewFloat(rng.Float64())}
+			if err := cat.Insert("t", row); err != nil {
+				return nil, nil, err
+			}
+			live++
+		default:
+			if _, err := db.Exec("DELETE FROM t WHERE a = " + types.NewInt(int64(rng.Intn(50))).String()); err != nil {
+				return nil, nil, err
+			}
+			rows, _, _, err := db.Query("SELECT COUNT(*) FROM t")
+			if err != nil {
+				return nil, nil, err
+			}
+			live = int(rows[0][0].Int())
+		}
+	}
+	db.DetachWAL()
+	return db, wal.Bytes(), nil
+}
+
+// Property: a random mutation sequence recovers to identical query results.
 func TestWALRandomSequenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var wal bytes.Buffer
-		db := Open()
-		if err := db.AttachWAL(&wal); err != nil {
+		db, wal, err := randomLog(seed)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if _, err := db.Exec("CREATE TABLE t (a BIGINT, b DOUBLE)"); err != nil {
-			return false
-		}
-		cat := db.Catalog()
-		live := 0
-		for op := 0; op < 200; op++ {
-			switch {
-			case live == 0 || rng.Intn(3) > 0:
-				row := types.Row{types.NewInt(int64(rng.Intn(50))), types.NewFloat(rng.Float64())}
-				if err := cat.Insert("t", row); err != nil {
-					return false
-				}
-				live++
-			default:
-				if _, err := db.Exec("DELETE FROM t WHERE a = " + types.NewInt(int64(rng.Intn(50))).String()); err != nil {
-					return false
-				}
-				rows, _, _, err := db.Query("SELECT COUNT(*) FROM t")
-				if err != nil {
-					return false
-				}
-				live = int(rows[0][0].Int())
-			}
-		}
-		db.DetachWAL()
-		recovered, _, err := Recover(nil, bytes.NewReader(wal.Bytes()))
+		recovered, _, err := Recover(nil, bytes.NewReader(wal))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -213,5 +224,19 @@ func TestWALRandomSequenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReplayRejectsUnknownColumnKind: replay refuses a create-table record
+// whose column kind no value has, as Load does, so a recovered database can
+// always reload its own checkpoint.
+func TestReplayRejectsUnknownColumnKind(t *testing.T) {
+	// The header, then create-table "t" with one column "a" of kind 0x7f.
+	data := []byte("MQWL1\x01\x01\x00\x00\x00t\x01\x00\x00\x00\x01\x00\x00\x00a\x7f")
+	if _, err := Open().ReplayWAL(bytes.NewReader(data)); err == nil {
+		t.Error("ReplayWAL applied a column of kind 0x7f")
+	}
+	if _, _, err := Recover(nil, bytes.NewReader(data)); err == nil {
+		t.Error("Recover applied a column of kind 0x7f")
 	}
 }
