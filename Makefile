@@ -21,9 +21,13 @@ test:
 # replaced (r64/q936 = backlog_submit's depth, r8/q40 = a lightly queued tier).
 # ScanKernel times scan_share's query shape (a filtered COUNT/SUM over a 120k-row
 # lineitem) through Runner.Step alone: ns/U of the compiled expressions and the
-# operators, with no scheduler or service around them.
+# operators, with no scheduler or service around them. OverviewBody prices one
+# GET /queries reply (the body POST /advance answers with too) beside 10 and
+# 1,000 terminated queries: each finished view is encoded once and copied after,
+# so the two rows read alike; TestOverviewSteadyStateAllocs pins their bytes.
 bench:
 	$(GO) test -run '^$$' -bench ConcurrentPoll -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench OverviewBody -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench OwnerWakeup -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench QueueAwareEstimate -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench ParallelTick -benchmem ./internal/sched/
@@ -108,8 +112,10 @@ ci: vet build race
 	# clients share a core, which is where a clock falls behind first. The
 	# read-path stress test rides the several-core line: there its 32 pollers
 	# run beside the owner, which is where a lock a scrape holds would stall it.
+	# So does the overview readers' test: there its 8 readers extend the one
+	# stored finished section at once.
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers|TestLiveClockKeepsWallRate' ./internal/sched/ ./internal/service/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers|TestReadPathStressRace' ./internal/sched/ ./internal/service/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestParallelTick|TestEventsDeterministicAcrossWorkers|TestReadPathStressRace|TestOverviewReadersRace' ./internal/sched/ ./internal/service/
 	# The simulator package, whole (no name regex to go stale): every matrix —
 	# one shard and three, fold on and off, each estimator mode — must hold
 	# its invariants and stay byte-identical at workers 1/2/4 on one core and
@@ -121,9 +127,10 @@ ci: vet build race
 	$(MAKE) trace-check
 	$(MAKE) reach-check
 	# The allocation ratchet: the zero-allocation steady-state tick, solo and
-	# folded. Both tests skip under -race (the detector allocates), so they
-	# get a line of their own without it.
-	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/sched/
+	# folded, and an overview reply whose bytes do not grow with the
+	# terminated history. They skip under -race (the detector allocates), so
+	# they get a line of their own without it.
+	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/sched/ ./internal/service/
 	$(MAKE) calibration-smoke
 	$(MAKE) fuzz-smoke
 

@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -154,4 +156,24 @@ func BenchmarkOwnerWakeup(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkOverviewBody prices one GET /queries reply, routed and encoded but
+// not sent, with two live queries beside 10 and 1,000 terminated ones: the
+// finished section is encoded once and copied after, so the two cost about
+// the same.
+func BenchmarkOverviewBody(b *testing.B) {
+	for _, terminated := range []int{10, 1000} {
+		b.Run(fmt.Sprint("terminated=", terminated), func(b *testing.B) {
+			h := NewHandler(overviewFixture(b, terminated))
+			req := httptest.NewRequest("GET", "/queries", nil)
+			w := &discardWriter{header: http.Header{}}
+			h.ServeHTTP(w, req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(w, req)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
+	"mqpi/internal/core"
+	"mqpi/internal/sched"
 	"mqpi/internal/wm"
 )
 
@@ -197,7 +201,7 @@ func NewHandler(m *Manager) http.Handler {
 			req := new(SubmitRequest)
 			return req, &req.SQL, func() (QueryView, error) { return m.Submit(*req) }
 		},
-		Overview:    func() (any, error) { return m.Overview() },
+		Overview:    m.overviewReply,
 		Progress:    m.Progress,
 		Block:       m.Block,
 		Unblock:     m.Unblock,
@@ -348,12 +352,87 @@ func StatusOf(err error) int {
 	}
 }
 
+// writeJSON answers with v, or with the body v is. It encodes before it writes
+// the status, so a value that cannot be encoded answers 500 with the error
+// instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	r, ok := v.(replyBody)
+	if !ok {
+		r = replyBody{value: v}
+	}
+	body, err := r.encode()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	for _, b := range body {
+		_, _ = w.Write(b)
+	}
+}
+
+// replyBody is a JSON body as writeJSON sends it: value as a json.Encoder
+// indenting by two spaces writes it, but for an overview's finished section,
+// which value leaves nil and store holds for the terminated queries done.
+type replyBody struct {
+	value any
+	done  []sched.QueryInfo
+	store *finishedJSON
+}
+
+// encode returns the body in the pieces it is written in.
+func (r replyBody) encode() ([][]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(r.value); err != nil {
+		return nil, err
+	}
+	head := buf.Bytes()
+	if len(r.done) == 0 {
+		return [][]byte{head}, nil
+	}
+	finished, err := r.store.section(r.done)
+	if err != nil {
+		return nil, err
+	}
+	// The entries take the place of the null that Finished, the last field,
+	// encodes to, inside the brackets the encoder would have put around them.
+	head = head[:len(head)-len("null\n}\n")]
+	return [][]byte{head, []byte("[\n    "), finished, []byte("\n  ]\n}\n")}, nil
+}
+
+// finishedJSON is the finished section of the GET /queries body, stored: each
+// terminated query's view encoded once, as writeJSON lays out one element of a
+// top-level array. A terminated view never changes and sched.Snapshot.Done is
+// one append-only history, so the first n entries are the section of every
+// snapshot with n terminated queries. Readers extend it under mu; the owner
+// never encodes.
+type finishedJSON struct {
+	mu   sync.Mutex
+	buf  []byte // the entries, joined by ",\n    "
+	ends []int  // ends[i] is the offset in buf just past entry i
+}
+
+// section returns the entries of done, joined, encoding those not stored yet.
+// The slice stays valid after the lock is released: an extension writes only
+// past its end.
+func (f *finishedJSON) section(done []sched.QueryInfo) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := len(f.ends); i < len(done); i++ {
+		b, err := json.MarshalIndent(makeView(done[i], core.Estimate{}), "    ", "  ")
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			f.buf = append(f.buf, ",\n    "...)
+		}
+		f.buf = append(f.buf, b...)
+		f.ends = append(f.ends, len(f.buf))
+	}
+	return f.buf[:f.ends[len(done)-1]], nil
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

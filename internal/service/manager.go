@@ -165,6 +165,10 @@ type Manager struct {
 	// calibrated band; nil in stage mode, where no calibration runs and the
 	// estimate path is the classic pipeline verbatim.
 	calib *core.EnsembleCalib
+
+	// finished is the GET /queries finished section, encoded by the readers
+	// that send it; the owner never touches it.
+	finished finishedJSON
 }
 
 // New creates a manager over db and starts its owner goroutine.
@@ -599,35 +603,54 @@ func (m *Manager) Overview() (Overview, error) {
 	}
 	start := time.Now()
 	defer func() { m.metrics.pollDur.Record(time.Since(start)) }()
-	est := &snap.est
-	out := Overview{
-		Now:          snap.Sched.Now,
-		Epoch:        snap.Epoch,
-		RateC:        snap.Sched.RateC,
-		MPL:          snap.Sched.MPL,
-		Quantum:      snap.Sched.Quantum,
-		Workers:      snap.Sched.Workers,
-		TimeScale:    snap.TimeScale,
-		Fold:         foldView(&snap.Sched),
-		Estimator:    snap.Estimator,
-		QuiescentETA: Seconds(est.Quiescent),
-	}
-	// The bundle is in Running ++ Queued order; a scheduled or terminated
-	// query has no estimate and makeView asks for none.
-	nr := len(snap.Sched.Running)
-	for i, info := range snap.Sched.Running {
-		out.Running = append(out.Running, makeView(info, est.PerQuery[i]))
-	}
-	for i, info := range snap.Sched.Queued {
-		out.Queued = append(out.Queued, makeView(info, est.PerQuery[nr+i]))
-	}
-	for _, info := range snap.Sched.Scheduled {
-		out.Scheduled = append(out.Scheduled, makeView(info, core.Estimate{}))
-	}
+	out := snap.liveOverview()
 	for _, info := range snap.Sched.Done {
 		out.Finished = append(out.Finished, makeView(info, core.Estimate{}))
 	}
 	return out, nil
+}
+
+// overviewReply is Overview as the GET /queries reply: the same view but for
+// its finished section, which writeJSON sends from m.finished, so a reply
+// encodes the live queries and copies the rest.
+func (m *Manager) overviewReply() (any, error) {
+	snap, err := m.read()
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	defer func() { m.metrics.pollDur.Record(time.Since(start)) }()
+	return replyBody{snap.liveOverview(), snap.Sched.Done, &m.finished}, nil
+}
+
+// liveOverview is the overview of the snapshot without its finished section.
+func (s *Snapshot) liveOverview() Overview {
+	est := &s.est
+	out := Overview{
+		Now:          s.Sched.Now,
+		Epoch:        s.Epoch,
+		RateC:        s.Sched.RateC,
+		MPL:          s.Sched.MPL,
+		Quantum:      s.Sched.Quantum,
+		Workers:      s.Sched.Workers,
+		TimeScale:    s.TimeScale,
+		Fold:         foldView(&s.Sched),
+		Estimator:    s.Estimator,
+		QuiescentETA: Seconds(est.Quiescent),
+	}
+	// The bundle is in Running ++ Queued order; a scheduled or terminated
+	// query has no estimate and makeView asks for none.
+	nr := len(s.Sched.Running)
+	for i, info := range s.Sched.Running {
+		out.Running = append(out.Running, makeView(info, est.PerQuery[i]))
+	}
+	for i, info := range s.Sched.Queued {
+		out.Queued = append(out.Queued, makeView(info, est.PerQuery[nr+i]))
+	}
+	for _, info := range s.Sched.Scheduled {
+		out.Scheduled = append(out.Scheduled, makeView(info, core.Estimate{}))
+	}
+	return out
 }
 
 // foldView projects the scheduler snapshot's folding state into the overview.

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"encoding/json"
 	"math"
+	"strconv"
 
 	"mqpi/internal/core"
 	"mqpi/internal/sched"
@@ -12,13 +12,25 @@ import (
 // values as JSON null instead of breaking the encoder.
 type Seconds float64
 
-// MarshalJSON renders NaN and ±Inf as null.
+// MarshalJSON renders NaN and ±Inf as null, and any other value as
+// encoding/json renders a float64, without a second trip through it: the
+// shortest 'f' form, or the 'e' form below 1e-6 and from 1e21 up, with a
+// one-digit exponent unpadded.
 func (s Seconds) MarshalJSON() ([]byte, error) {
 	f := float64(s)
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return []byte("null"), nil
 	}
-	return json.Marshal(f)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(make([]byte, 0, 24), f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // QueryView is the client-facing snapshot of one query: identity, lifecycle
